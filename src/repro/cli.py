@@ -609,11 +609,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _dump_stats_json(path: str, record: dict) -> None:
-    import json
+    from repro.runtime.server import write_stats_json
 
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_stats_json(path, record)
     print(f"stats written to {path}")
 
 

@@ -32,7 +32,9 @@ Modules
 - :mod:`repro.runtime.executor` — pluggable wave executors
   (``inline`` / ``threaded`` / ``process``): how the placement's
   device→work mapping actually runs in wall-time (bit-identical outputs
-  in every case; ``inline`` is the standing oracle);
+  in every case; ``inline`` is the standing oracle).  ``threaded`` and
+  ``process`` share one event-loop driver over a thread or process
+  worker transport;
 - :mod:`repro.runtime.arena` — shared-memory weight arenas for the
   ``process`` executor: compacted formats and plan operands published to
   ``/dev/shm`` once per cache fill, mapped zero-copy by worker processes,

@@ -25,7 +25,7 @@ Endpoints
 ``GET /healthz``
     Readiness: 503 while ``server.warm()`` runs, 200 after.
 ``GET /v1/stats``
-    The :meth:`ServingLoop.stats_record` snapshot as JSON.
+    The :meth:`NetServer.stats_record` snapshot as JSON.
 
 Latency honesty over the network: ``enqueued_at`` is stamped when the
 socket delivers the request (accept for the first request on a
@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.runtime import wire
 from repro.runtime.ingress import IngressClosed, ServingLoop
-from repro.runtime.server import QueueFullError, ServedRequest
+from repro.runtime.server import QueueFullError, ServedRequest, write_stats_json
 
 __all__ = ["NetServer"]
 
@@ -214,20 +214,25 @@ class NetServer:
             task.cancel()
         if self._conns:
             await asyncio.gather(*self._conns, return_exceptions=True)
-        self.final_stats = self.loop.stats_record()
-        self.final_stats["net"] = {
-            "requests_seen": self._requests_seen,
-            "host": self.host,
-            "port": self.port,
-            "drained": drained,
-        }
+        self.final_stats = self.stats_record()
+        self.final_stats["net"]["drained"] = drained
         if self.stats_json:
-            with open(self.stats_json, "w") as fh:
-                json.dump(self.final_stats, fh, indent=2, sort_keys=True)
+            write_stats_json(self.stats_json, self.final_stats)
             self._log("netserve: final stats written to %s" % self.stats_json)
         if self._owns_loop:
             await self.loop.close()
         self._closed = True
+
+    def stats_record(self) -> dict:
+        """:meth:`ServingLoop.stats_record` plus this front door's ``net`` section."""
+        record = self.loop.stats_record()
+        record["net"] = {
+            "requests_seen": self._requests_seen,
+            "ready": self._ready,
+            "host": self.host,
+            "port": self.port,
+        }
+        return record
 
     async def __aenter__(self) -> "NetServer":
         await self.start()
@@ -460,10 +465,8 @@ class NetServer:
                 keep_alive=keep_alive,
             )
             return
-        record = self.loop.stats_record()
-        record["net"] = {"requests_seen": self._requests_seen, "ready": self._ready}
         await self._respond(
-            writer, 200, json.dumps(record, sort_keys=True).encode(),
+            writer, 200, json.dumps(self.stats_record(), sort_keys=True).encode(),
             content_type=wire.CONTENT_TYPE_JSON, keep_alive=keep_alive,
         )
 

@@ -46,9 +46,7 @@ GEMMs.  :class:`TWModelServer` operationalises that split:
   isolated after retries/bisection), ``shed`` (backpressure) or
   ``expired`` (deadline passed before execution).  ``flush()`` retries
   failed waves up to ``max_retries`` and bisects deterministically
-  failing waves so one poison request cannot take down its wave-mates;
-  ``flush(strict=True)`` keeps the legacy fail-fast contract (first error
-  raises, failed wave's requests are dropped, tail stays queued).
+  failing waves so one poison request cannot take down its wave-mates.
   ``ServerConfig(faults=...)`` wires a deterministic
   :class:`~repro.runtime.faults.FaultInjector` through every wave for
   chaos testing and recovery benchmarks.
@@ -62,23 +60,19 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
+import numbers
 import time
 from collections import OrderedDict, deque
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix
 from repro.gpu.device import DeviceSpec, V100
 from repro.runtime import arena as _arena
-from repro.runtime.executor import (
-    EXECUTORS,
-    Executor,
-    WaveStep,
-    WaveTask,
-    resolve_executor,
-)
+from repro.runtime.executor import EXECUTORS, WaveStep, WaveTask, resolve_executor
 from repro.runtime.faults import FaultInjector, resolve_faults
 from repro.runtime.placement import Placement
 from repro.runtime.scheduler import ExecutionPlan, build_execution_plan
@@ -90,6 +84,7 @@ __all__ = [
     "ServerStats",
     "TWModelServer",
     "weight_fingerprint",
+    "write_stats_json",
 ]
 
 
@@ -192,6 +187,30 @@ def weight_fingerprint(
     return h.hexdigest()
 
 
+def _int_at_least(lo: int):
+    return lambda v: isinstance(v, int) and v >= lo
+
+
+def _seconds(v) -> bool:
+    return isinstance(v, numbers.Real) and math.isfinite(v) and v >= 0
+
+
+#: ServerConfig field → (is the value valid?, what a valid value is)
+_CONFIG_RULES = {
+    "granularity": (_int_at_least(1), "a positive int"),
+    "max_wave_rows": (_int_at_least(1), "a positive int"),
+    "queue_timeout_s": (_seconds, "finite and non-negative"),
+    "cache_budget": (_int_at_least(0), "a non-negative int (0 = unbounded)"),
+    "workers": (lambda v: v is None or _int_at_least(1)(v), "a positive int or None"),
+    "pace": (_seconds, "finite and non-negative"),
+    "max_retries": (_int_at_least(0), "a non-negative int"),
+    "retry_backoff_s": (_seconds, "finite and non-negative"),
+    "max_queue_rows": (_int_at_least(0), "a non-negative int (0 = unbounded)"),
+    "shed_policy": (lambda v: v in ("reject", "shed_oldest"), "'reject' or 'shed_oldest'"),
+    "watchdog_s": (lambda v: v is None or _seconds(v), "finite and >= 0, or None"),
+}
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Engine configuration for one server instance.
@@ -218,9 +237,7 @@ class ServerConfig:
         precisions never share compacted formats.
     max_wave_rows:
         Row cap per micro-batch wave; larger queues split into successive
-        waves (requests never split across waves).  The PR 2 name
-        ``max_batch_rows`` is still accepted as a constructor alias and
-        readable as an attribute.
+        waves (requests never split across waves).
     queue_timeout_s:
         **Post-hoc SLO accounting only.**  Requests whose *observed*
         latency (queueing + execution) exceeds this budget are counted in
@@ -252,8 +269,8 @@ class ServerConfig:
         ``process`` executors an unbounded cache is an unbounded
         ``/dev/shm`` hazard, which is why this landed alongside them.
     workers:
-        Worker-thread cap for ``threaded`` (``None`` = one per device
-        slot).  Passing it with an executor that has no workers
+        Worker cap for ``threaded``/``process`` (``None`` = one per
+        device slot).  Passing it with an executor that has no workers
         (``inline``) is an error, not a silent no-op.
     pace:
         Simulated-device pacing scale.  ``0`` (default) runs flat out;
@@ -264,7 +281,7 @@ class ServerConfig:
     max_retries:
         Re-execution budget per failed wave group in a graceful
         ``flush()`` (``0`` = no retries, failures go straight to
-        bisection/poison handling).  Ignored under ``flush(strict=True)``.
+        bisection/poison handling).
     retry_backoff_s:
         Base sleep before a failed group re-runs, doubled per attempt
         (``backoff × 2^(attempt-1)``).  ``0`` (default) retries
@@ -280,8 +297,9 @@ class ServerConfig:
         ``max_queue_rows``.
     watchdog_s:
         Per-wave stall bound forwarded to the executor (``None`` =
-        executor default, 60s for ``threaded``).  Only meaningful for
-        executors with watchdogs; setting it with ``inline`` is an error.
+        executor default, 60s for ``threaded``/``process``).  Only
+        meaningful for executors with watchdogs; setting it with
+        ``inline`` is an error.
     faults:
         Deterministic fault schedule for chaos testing — a
         :class:`~repro.runtime.faults.FaultInjector`, a spec string
@@ -309,29 +327,15 @@ class ServerConfig:
     shed_policy: str = "reject"
     watchdog_s: float | None = None
     faults: FaultInjector | str | None = None
-    #: deprecated constructor alias for :attr:`max_wave_rows` (PR 2 name)
-    max_batch_rows: InitVar[int | None] = None
 
-    def __post_init__(self, max_batch_rows: int | None) -> None:
-        if max_batch_rows is not None:
-            if self.max_wave_rows != _DEFAULT_WAVE_ROWS and (
-                self.max_wave_rows != max_batch_rows
-            ):
-                raise ValueError(
-                    "pass max_wave_rows or its alias max_batch_rows, not "
-                    f"conflicting values ({self.max_wave_rows} vs {max_batch_rows})"
-                )
-            object.__setattr__(self, "max_wave_rows", max_batch_rows)
-        if not isinstance(self.granularity, int) or self.granularity <= 0:
-            raise ValueError(f"granularity must be a positive int, got {self.granularity!r}")
-        if not isinstance(self.max_wave_rows, int) or self.max_wave_rows <= 0:
-            raise ValueError(
-                f"max_wave_rows must be a positive int, got {self.max_wave_rows!r}"
-            )
-        if not np.isfinite(self.queue_timeout_s) or self.queue_timeout_s < 0:
-            raise ValueError(
-                f"queue_timeout_s must be finite and non-negative, got {self.queue_timeout_s!r}"
-            )
+    def __post_init__(self) -> None:
+        problems = [
+            f"{name} must be {what}, got {getattr(self, name)!r}"
+            for name, (valid, what) in _CONFIG_RULES.items()
+            if not valid(getattr(self, name))
+        ]
+        if problems:  # one error naming every invalid field
+            raise ValueError("invalid ServerConfig: " + "; ".join(problems))
         np.dtype(self.dtype)  # raises on unknown dtype names
         if self.storage_dtype:
             np.dtype(self.storage_dtype)
@@ -345,46 +349,6 @@ class ServerConfig:
                 f"{type(self.executor).__name__}"
             )
         object.__setattr__(self, "executor", EXECUTORS.canonical(self.executor))
-        if not isinstance(self.cache_budget, int) or self.cache_budget < 0:
-            raise ValueError(
-                f"cache_budget must be a non-negative int (0 = unbounded), "
-                f"got {self.cache_budget!r}"
-            )
-        if self.workers is not None and (
-            not isinstance(self.workers, int) or self.workers < 1
-        ):
-            raise ValueError(
-                f"workers must be a positive int or None, got {self.workers!r}"
-            )
-        if not np.isfinite(self.pace) or self.pace < 0:
-            raise ValueError(
-                f"pace must be finite and non-negative, got {self.pace!r}"
-            )
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be a non-negative int, got {self.max_retries!r}"
-            )
-        if not np.isfinite(self.retry_backoff_s) or self.retry_backoff_s < 0:
-            raise ValueError(
-                f"retry_backoff_s must be finite and non-negative, "
-                f"got {self.retry_backoff_s!r}"
-            )
-        if not isinstance(self.max_queue_rows, int) or self.max_queue_rows < 0:
-            raise ValueError(
-                f"max_queue_rows must be a non-negative int (0 = unbounded), "
-                f"got {self.max_queue_rows!r}"
-            )
-        if self.shed_policy not in ("reject", "shed_oldest"):
-            raise ValueError(
-                f"shed_policy must be 'reject' or 'shed_oldest', "
-                f"got {self.shed_policy!r}"
-            )
-        if self.watchdog_s is not None and (
-            not np.isfinite(self.watchdog_s) or self.watchdog_s < 0
-        ):
-            raise ValueError(
-                f"watchdog_s must be finite and >= 0 or None, got {self.watchdog_s!r}"
-            )
         # normalise once so the server (and repeated flushes) always see a
         # ready injector; spec strings parse here, at configuration time
         object.__setattr__(self, "faults", resolve_faults(self.faults))
@@ -397,17 +361,6 @@ class ServerConfig:
     def resolved_storage_dtype(self) -> str:
         """The effective compact-payload dtype (falls back to ``dtype``)."""
         return self.storage_dtype or self.dtype
-
-
-_DEFAULT_WAVE_ROWS = 8192
-
-# readable alias (the InitVar above only covers the constructor; the
-# dataclass-generated __init__ captured its defaults at decoration, so
-# replacing the class attribute with a property afterwards is safe)
-ServerConfig.max_batch_rows = property(
-    lambda self: self.max_wave_rows,
-    doc="Backward-compatible read alias of max_wave_rows.",
-)
 
 
 @dataclass
@@ -619,6 +572,13 @@ class ServerStats:
         }
 
 
+def write_stats_json(path: str, record: dict) -> None:
+    """Write a ``stats_record()`` snapshot to ``path`` as sorted, indented JSON."""
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass(frozen=True)
 class _Layer:
     """One registered weight layer (dense + masks + cache identity).
@@ -673,18 +633,11 @@ class TWModelServer:
             workers=self.config.workers,
             watchdog_s=self.config.watchdog_s,
         )
-        if (
-            getattr(self.executor, "needs_arenas", False)
-            and not isinstance(self.config.executor, Executor)
-            and self.executor.workers is None
-        ):
-            # ISSUE 7 default: one worker process per device slot.  A
-            # bounded pool is what lets ``run`` spawn every worker up
-            # front and ``warm()`` handshake them, instead of discovering
-            # pool size lazily and paying a worker's interpreter boot
-            # (~hundreds of ms) inside the first multi-wave flush.  A
-            # ready instance passed by the caller is left exactly as
-            # configured.
+        if self.executor.needs_arenas and self.executor.workers is None:
+            # one worker process per device slot: a bounded pool is what
+            # lets ``run`` spawn every worker up front and ``warm()``
+            # handshake them, instead of paying a worker's interpreter
+            # boot inside the first multi-wave flush
             self.executor.workers = len(self.placement.devices)
         self.stats = ServerStats()
         self._layers: list[_Layer] = []
@@ -701,7 +654,6 @@ class TWModelServer:
         #: arena keys evicted from the format cache whose release is
         #: deferred to the next quiescent point (flush boundary / close)
         self._retired_arenas: list[tuple] = []
-        self._needs_arenas = bool(getattr(self.executor, "needs_arenas", False))
         self._closed = False
         self._dwell: dict[tuple, float] = {}
         self._pending: deque[_Pending] = deque()
@@ -969,7 +921,7 @@ class TWModelServer:
         self._queued_rows += rows
         return rid
 
-    def flush(self, strict: bool = False) -> list[ServedRequest]:
+    def flush(self) -> list[ServedRequest]:
         """Run every queued request as micro-batched GEMMs (one per layer).
 
         Waves larger than ``max_wave_rows`` split into successive
@@ -977,30 +929,24 @@ class TWModelServer:
         assemble shortest-deadline-first (FIFO among requests without
         deadlines).  The placement maps every wave's layers to device
         slots (:meth:`~repro.runtime.placement.Placement.wave_slots`) and
-        the configured executor runs the whole wave list — sequentially
-        under ``inline``, overlapped across slots under ``threaded``.
-        Outputs are bit-identical across executors.
+        the configured executor runs the whole wave list.  Outputs are
+        bit-identical across executors.
 
-        **Graceful mode (default).**  Every queued request reaches a
-        terminal :attr:`ServedRequest.status` and nothing raises: expired
-        requests are shed before any GEMM runs for them; a failed wave
-        retries up to ``max_retries`` (with exponential
-        ``retry_backoff_s``); a wave still failing after its budget is
-        *bisected* so a deterministically-failing poison request
-        terminates alone with ``status="failed"`` instead of taking down
-        its wave-mates.  Results are returned sorted by request id.
-
-        **Strict mode** (``strict=True``) preserves the legacy fail-fast
-        contract: no retries, the first wave error re-raises after
-        accounting, the failed wave's requests are dropped, and the
-        unconsumed tail stays queued for a later flush.
+        Every queued request reaches a terminal
+        :attr:`ServedRequest.status` and nothing raises: expired requests
+        are shed before any GEMM runs for them; a failed wave group
+        retries whole up to ``max_retries`` (with exponential
+        ``retry_backoff_s``) under *fresh* wave indices, so transient
+        faults clear on retry; a group still failing after its budget is
+        *bisected* (fresh budgets per half), so a deterministically
+        failing poison request terminates alone with ``status="failed"``
+        instead of taking down its wave-mates.  Total work is bounded by
+        ``O(n · max_retries · log n)`` wave executions.  Results are
+        returned sorted by request id.
         """
         self._release_retired_arenas()  # quiescent point: no waves in flight
         served: list[ServedRequest] = list(self._shed_buffer)
         self._shed_buffer.clear()
-        if not self._pending:
-            served.sort(key=lambda r: r.request_id)
-            return served
         # drain the queue into wave groups: shortest-deadline-first; the
         # sort is stable, so deadline-free traffic stays strictly FIFO
         ordered = sorted(
@@ -1023,115 +969,11 @@ class TWModelServer:
             rows += r
         if group:
             work.append(group)
-        if strict:
-            self._flush_strict(work, served)
-        else:
-            self._flush_graceful(work, served)
-        served.sort(key=lambda r: r.request_id)
-        return served
-
-    def _run_waves(
-        self,
-        work: deque[list[_Pending]],
-        waves: list[list[_Pending]],
-        wave_ids: list[int],
-        *,
-        shed_expired_into: list[ServedRequest] | None = None,
-        build_failures: list | None = None,
-    ):
-        """One executor pass over the current work queue (lazy stream).
-
-        Waves are built as the executor admits them: requests leave
-        ``work`` one group at a time (bounded peak memory), and when
-        execution fails the executor stops pulling — the unconsumed tail
-        stays on ``work`` for the caller.  Caches are resolved on the
-        driver thread inside ``_wave_task``, so ``busy_s`` times GEMM
-        execution only.  The first wave is built *outside* the timed
-        region: it resolves every cold format/plan, so ``wall_time_s``
-        (and ``measured_speedup``/``parallel_efficiency``) stays an
-        execution measurement even on a cold server.
-        """
-
-        def task_stream():
-            while work:
-                g = work.popleft()
-                if shed_expired_into is not None:
-                    g = self._shed_expired(g, shed_expired_into)
-                    if not g:
-                        continue
-                try:
-                    task = self._wave_task(g)
-                except Exception as exc:
-                    # wave assembly itself failed (e.g. a malformed
-                    # request breaks the concatenate): route the group
-                    # through the caller's failure handling instead of
-                    # blowing up the whole flush
-                    if build_failures is None:
-                        raise
-                    build_failures.append((g, exc))
-                    continue
-                waves.append(g)
-                wave_ids.append(task.index)
-                yield task
-
-        stream = task_stream()
-        first = next(stream, None)
-        if first is None:  # everything left had already expired
-            return []
-        t0 = time.perf_counter()
-        results = self.executor.run(itertools.chain((first,), stream))
-        self.stats.wall_time_s += time.perf_counter() - t0
-        return results
-
-    def _flush_strict(
-        self, work: deque[list[_Pending]], served: list[ServedRequest]
-    ) -> None:
-        """Legacy fail-fast path: first error raises, tail stays queued."""
-        waves: list[list[_Pending]] = []
-        wave_ids: list[int] = []
-        try:
-            results = self._run_waves(work, waves, wave_ids)
-        finally:
-            for g in work:  # unconsumed tail back onto the queue
-                for p in g:
-                    self._pending.append(p)
-                    self._queued_rows += p.x.shape[0]
-            work.clear()
-        first_error: BaseException | None = None
-        for g, batch_id, result in zip(waves, wave_ids, results):
-            self._merge_accounting(result)
-            if result.error is not None:
-                if first_error is None:
-                    first_error = result.error
-                continue  # this wave's requests are lost; tail stays queued
-            self._emit_ok(g, batch_id, result, served)
-        if first_error is not None:
-            raise first_error
-
-    def _flush_graceful(
-        self, work: deque[list[_Pending]], served: list[ServedRequest]
-    ) -> None:
-        """Retry/bisect until every request reaches a terminal status.
-
-        Each failed group retries whole up to ``max_retries`` — retried
-        waves get *fresh* wave indices, so transient faults (wave-pinned
-        injections, flaky workers) clear on retry.  A group that exhausts
-        its budget with more than one request is bisected (fresh budgets
-        per half); a single request that still fails is the poison and
-        terminates alone.  Total work is bounded by
-        ``O(n · max_retries · log n)`` wave executions.
-        """
         while work:
             waves: list[list[_Pending]] = []
             wave_ids: list[int] = []
             build_failures: list[tuple[list[_Pending], BaseException]] = []
-            results = self._run_waves(
-                work,
-                waves,
-                wave_ids,
-                shed_expired_into=served,
-                build_failures=build_failures,
-            )
+            results = self._run_waves(work, waves, wave_ids, served, build_failures)
             for g, batch_id, result in zip(waves, wave_ids, results):
                 self._merge_accounting(result)
                 if result.error is None:
@@ -1142,6 +984,56 @@ class TWModelServer:
                 )
             for g, exc in build_failures:
                 self._handle_failed_group(g, exc, -1, 0.0, work, served)
+        served.sort(key=lambda r: r.request_id)
+        return served
+
+    def _run_waves(
+        self,
+        work: deque[list[_Pending]],
+        waves: list[list[_Pending]],
+        wave_ids: list[int],
+        served: list[ServedRequest],
+        build_failures: list,
+    ):
+        """One executor pass over the current work queue (lazy stream).
+
+        Waves are built as the executor admits them: requests leave
+        ``work`` one group at a time (bounded peak memory), and when
+        execution fails the executor stops pulling — the unconsumed tail
+        stays on ``work`` for the caller.  Expired requests are shed into
+        ``served``; a group whose wave cannot even be assembled lands on
+        ``build_failures``.  Caches are resolved on the driver thread
+        inside ``_wave_task``, so ``busy_s`` times GEMM execution only.
+        The first wave is built *outside* the timed region: it resolves
+        every cold format/plan, so ``wall_time_s`` stays an execution
+        measurement even on a cold server.
+        """
+
+        def task_stream():
+            while work:
+                g = self._shed_expired(work.popleft(), served)
+                if not g:
+                    continue
+                try:
+                    task = self._wave_task(g)
+                except Exception as exc:
+                    # wave assembly itself failed (e.g. a malformed
+                    # request breaks the concatenate): route the group
+                    # through failure handling instead of blowing up
+                    build_failures.append((g, exc))
+                    continue
+                waves.append(g)
+                wave_ids.append(task.index)
+                yield task
+
+        stream = task_stream()
+        first = next(stream, None)
+        if first is None:  # everything left had expired or failed to build
+            return []
+        t0 = time.perf_counter()
+        results = self.executor.run(itertools.chain((first,), stream))
+        self.stats.wall_time_s += time.perf_counter() - t0
+        return results
 
     def _handle_failed_group(
         self,
@@ -1349,7 +1241,7 @@ class TWModelServer:
             device = self.placement.devices[slot]
             plan = self._plan_for(layer, tw, device)
             ref = None
-            if self._needs_arenas:
+            if self.executor.needs_arenas:
                 # place-at-cache-fill: the first wave that touches a format
                 # under a process executor publishes it (tiles + the plan's
                 # width-group operands) to shared memory; every later wave

@@ -405,3 +405,80 @@ class TestProcessExecutor:
         InlineExecutor().warm()
         ThreadedExecutor(workers=2).warm()
         ProcessExecutor().warm()  # unbounded pool: nothing to pre-boot
+
+
+class TestOneDriver:
+    """``threaded`` and ``process`` run through the same event-loop driver,
+    so the watchdog/respawn contract is identical over both transports."""
+
+    @pytest.mark.parametrize("cls", [ThreadedExecutor, ProcessExecutor])
+    def test_stalled_wave_fails_and_pool_recovers(self, cls):
+        from repro.runtime.faults import FaultInjector, FaultRule, StallFault
+
+        rng = np.random.default_rng(30)
+        tasks = _tasks(rng, n_layers=1, n_waves=2, slots=(0,))
+        stall = FaultInjector([FaultRule(fault=StallFault(duration_s=0.6), wave=0)])
+        stalled = [WaveTask(t.index, t.batch, t.steps, faults=stall) for t in tasks]
+        ex = cls(workers=1, watchdog_s=0.15)
+        try:
+            ex.warm()  # boot a process worker before the tight watchdog runs
+            t0 = time.perf_counter()
+            results = ex.run(stalled)
+            assert time.perf_counter() - t0 < 0.5  # failed, not waited out
+            assert isinstance(results[0].error, TimeoutError)
+            ex.warm()  # ... and its respawned replacement
+            (after,) = ex.run(tasks[1:])
+            assert after.error is None
+            np.testing.assert_array_equal(
+                after.output, InlineExecutor().run(tasks[1:])[0].output
+            )
+        finally:
+            ex.close()
+
+    def test_abandoned_thread_retires_after_its_stall(self):
+        from repro.runtime.faults import FaultInjector, FaultRule, StallFault
+
+        rng = np.random.default_rng(31)
+        (task,) = _tasks(rng, n_layers=1, n_waves=1, slots=(0,))
+        stall = FaultInjector([FaultRule(fault=StallFault(duration_s=0.3))])
+        ex = ThreadedExecutor(workers=1, watchdog_s=0.1)
+        (result,) = ex.run([WaveTask(0, task.batch, task.steps, faults=stall)])
+        assert isinstance(result.error, TimeoutError)
+        abandoned = ex._threads[0]
+        ex._respawn(0)  # the driver already replaced it once; again is safe
+        abandoned.join(timeout=5.0)
+        assert not abandoned.is_alive()  # no leaked thread per respawn
+        assert ex._threads[0].is_alive()
+
+    def test_threaded_close_retires_workers_and_run_respawns(self):
+        rng = np.random.default_rng(32)
+        tasks = _tasks(rng, n_waves=2, slots=(0, 0, 1, 1))
+        ex = ThreadedExecutor()
+        ex.run(tasks)
+        threads = list(ex._threads)
+        ex.close()
+        for t in threads:
+            t.join(timeout=5.0)
+            assert not t.is_alive()
+        again = ex.run(tasks)
+        want = InlineExecutor().run(tasks)
+        for g, w in zip(again, want):
+            np.testing.assert_array_equal(g.output, w.output)
+
+    def test_threaded_stress_more_workers_than_cores(self):
+        import sys
+
+        rng = np.random.default_rng(33)
+        tasks = _tasks(rng, n_layers=8, n_waves=24, slots=tuple(range(8)))
+        want = InlineExecutor().run(tasks)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = ThreadedExecutor(watchdog_s=30.0).run(tasks)
+        finally:
+            sys.setswitchinterval(old)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.error is None
+            assert g.gemms_by_label == w.gemms_by_label  # no lost update
+            np.testing.assert_array_equal(g.output, w.output)

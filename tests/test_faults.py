@@ -611,24 +611,6 @@ class TestStatsAndStrictMode:
         assert server.stats.requeues == 2
         assert server.stats.poisoned == 0
 
-    def test_strict_mode_raises_and_keeps_tail(self):
-        layers = _layers(127)
-        server = _server(
-            layers,
-            max_wave_rows=2,
-            faults="exception:wave=0",
-        )
-        for x in _requests(128, n=3):
-            server.submit(x)
-        with pytest.raises(InjectedFault):
-            server.flush(strict=True)
-        assert len(server._pending) > 0  # unconsumed tail still queued
-        assert server.stats.retries == 0  # strict mode never retries
-        # the wave-0 rule is spent (wave indices advance), so the retry
-        # flush drains the tail cleanly
-        tail = server.flush(strict=True)
-        assert all(s.status == "ok" for s in tail)
-
     def test_backoff_sleeps_between_attempts(self):
         layers = _layers(129)
         server = _server(
