@@ -77,12 +77,19 @@ def compile_demo(args):
     )
 
 
+def server_overrides(args) -> dict:
+    """``ServerConfig`` overrides from the flags; ``--max-wave-rows`` only
+    when given, so the server config's own cap stays the default."""
+    overrides = {"executor": args.executor}
+    if args.max_wave_rows is not None:
+        overrides["max_wave_rows"] = args.max_wave_rows
+    return overrides
+
+
 def build_loop(args) -> tuple[ServingLoop, list[np.ndarray]]:
     """Compile the demo model and wrap a fresh server in a ServingLoop."""
     loop = compile_demo(args).serve_async(
-        executor=args.executor,
-        stats_interval_s=args.stats_interval_s,
-        max_wave_rows=args.max_wave_rows,
+        stats_interval_s=args.stats_interval_s, **server_overrides(args)
     )
     loop.server.warm()
     return loop, request_pool(args)
@@ -166,10 +173,7 @@ def run_transport(args) -> dict:
     # self-host: model + ServingLoop + NetServer on a daemon thread,
     # driven over loopback — the full network path in one command
     net = compile_demo(args).serve_http(
-        port=0,
-        executor=args.executor,
-        max_wave_rows=args.max_wave_rows,
-        stats_interval_s=args.stats_interval_s,
+        port=0, stats_interval_s=args.stats_interval_s, **server_overrides(args)
     )
     with net:
         return asyncio.run(run_http(args, f"http://127.0.0.1:{net.port}"))
@@ -209,7 +213,7 @@ def main() -> int:
     parser.add_argument("--rows", type=int, default=8,
                         help="activation rows per request")
     parser.add_argument("--max-wave-rows", type=int, default=None,
-                        help="ingress admission cap (default: server config)")
+                        help="rows per wave (default: the server config's cap)")
     parser.add_argument("--dtype", default="float32")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--stats-interval-s", type=float, default=0.0)

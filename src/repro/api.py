@@ -51,6 +51,7 @@ Two compilation sources:
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -427,20 +428,7 @@ class CompiledTWModel:
             a = apply_epilogue(y, l.epilogue, residual=a) if l.epilogue else y
         return a
 
-    def serve(
-        self,
-        config: ServerConfig | None = None,
-        *,
-        executor: str | None = None,
-        workers: int | None = None,
-        cache_budget: int | None = None,
-        pace: float | None = None,
-        max_retries: int | None = None,
-        max_queue_rows: int | None = None,
-        shed_policy: str | None = None,
-        watchdog_s: float | None = None,
-        faults: object = None,
-    ) -> TWModelServer:
+    def serve(self, config: ServerConfig | None = None, **overrides) -> TWModelServer:
         """A :class:`TWModelServer` over this model, caches pre-seeded.
 
         With no ``config``, the server inherits the compiled granularity,
@@ -448,21 +436,18 @@ class CompiledTWModel:
         plans are adopted into the server's caches (``preload``), so the
         first request is already warm whenever the config matches.
 
-        The keyword arguments override the corresponding
-        :class:`ServerConfig` fields (with or without an explicit
-        ``config``): ``executor="threaded"`` overlaps the placement's
-        device slots in wall-time and ``executor="process"`` runs them as
-        worker *processes* over shared-memory weight arenas (ISSUE 7) —
-        outputs stay bit-identical to ``inline`` either way —
-        ``cache_budget`` bounds the format/plan caches (LRU),
-        ``pace`` turns on simulated-device pacing, and the
-        robustness knobs (``max_retries``, ``max_queue_rows``,
-        ``shed_policy``, ``watchdog_s``, ``faults``) configure the
-        fault-tolerant serving path (ISSUE 6): wave retry with poison
-        isolation, queue backpressure, stall watchdog and deterministic
-        fault injection.  Call ``server.close()`` (or use the server as a
-        context manager) when done — with a process executor that is what
-        shuts the worker pool down and unlinks the arenas.
+        Keyword arguments override :class:`ServerConfig` fields by name
+        (with or without an explicit ``config``) and are validated there;
+        an unknown name raises :class:`TypeError`.  For example
+        ``executor="threaded"`` overlaps the placement's device slots in
+        wall-time, ``executor="process"`` runs them as worker *processes*
+        over shared-memory weight arenas (outputs stay bit-identical to
+        ``inline`` either way), and ``max_wave_rows``, ``max_retries``,
+        ``max_queue_rows``, ``watchdog_s`` or ``faults`` configure
+        batching and the fault-tolerant serving path.  Call
+        ``server.close()`` (or use the server as a context manager) when
+        done — with a process executor that is what shuts the worker pool
+        down and unlinks the arenas.
         """
         self._require_weights("serve")
         if any(l.tw is None for l in self.layers):
@@ -480,24 +465,7 @@ class CompiledTWModel:
                 storage_dtype=str(self.dtype) if quantized else "",
                 placement=self.placement,
             )
-        overrides = {
-            k: v
-            for k, v in (
-                ("executor", executor),
-                ("workers", workers),
-                ("cache_budget", cache_budget),
-                ("pace", pace),
-                ("max_retries", max_retries),
-                ("max_queue_rows", max_queue_rows),
-                ("shed_policy", shed_policy),
-                ("watchdog_s", watchdog_s),
-                ("faults", faults),
-            )
-            if v is not None
-        }
         if overrides:
-            import dataclasses
-
             config = dataclasses.replace(config, **overrides)
         server = TWModelServer(config)
         for i, l in enumerate(self.layers):
@@ -509,14 +477,13 @@ class CompiledTWModel:
         self,
         config: ServerConfig | None = None,
         *,
-        max_wave_rows: int | None = None,
         stats_interval_s: float = 0.0,
         **serve_overrides,
     ):
         """An async continuous-batching ingress over this model.
 
         Builds a :meth:`serve` server (same ``config``/override
-        semantics — ``executor=``, ``workers=``, ``faults=``, ...) and
+        semantics — ``executor=``, ``max_wave_rows=``, ``faults=``, ...) and
         wraps it in a :class:`~repro.runtime.ingress.ServingLoop` that
         *owns* it: closing the loop closes the server.  Use it from an
         event loop::
@@ -524,19 +491,16 @@ class CompiledTWModel:
             async with model.serve_async(executor="threaded") as loop:
                 served = await loop.submit(x, deadline_s=0.05)
 
-        ``max_wave_rows`` caps each admitted wave (default: the server
-        config's own cap); ``stats_interval_s > 0`` emits a periodic
-        one-line stats log.  Outputs are bit-identical to draining the
-        same requests sequentially through :meth:`serve`.
+        Each admitted wave holds at most the config's ``max_wave_rows``
+        rows; ``stats_interval_s > 0`` emits a periodic one-line stats
+        log.  Outputs are bit-identical to draining the same requests
+        sequentially through :meth:`serve`.
         """
         from repro.runtime.ingress import ServingLoop
 
         server = self.serve(config, **serve_overrides)
         return ServingLoop(
-            server,
-            max_wave_rows=max_wave_rows,
-            stats_interval_s=stats_interval_s,
-            owns_server=True,
+            server, stats_interval_s=stats_interval_s, owns_server=True
         )
 
     def serve_http(
@@ -547,7 +511,6 @@ class CompiledTWModel:
         port: int = 8080,
         drain_timeout_s: float = 30.0,
         stats_json: str | None = None,
-        max_wave_rows: int | None = None,
         stats_interval_s: float = 0.0,
         **serve_overrides,
     ):
@@ -574,10 +537,7 @@ class CompiledTWModel:
         from repro.runtime.netserve import NetServer
 
         loop = self.serve_async(
-            config,
-            max_wave_rows=max_wave_rows,
-            stats_interval_s=stats_interval_s,
-            **serve_overrides,
+            config, stats_interval_s=stats_interval_s, **serve_overrides
         )
         return NetServer(
             loop,
@@ -674,8 +634,6 @@ class CompiledTWModel:
 
 
 def _device_dict(d: DeviceSpec) -> dict:
-    import dataclasses
-
     return dataclasses.asdict(d)
 
 
@@ -1241,8 +1199,6 @@ def tune(
         Extra registry-factory arguments for baseline patterns
         (``vector_size``, ``block_shape``, ``n``/``m``).
     """
-    import dataclasses
-
     placement = resolve_placement(placement, devices)
     engine = resolve_engine(engine)
 

@@ -39,6 +39,7 @@ from repro.core.schedule import available_schedules
 from repro.kernels.fusion import EPILOGUES
 from repro.patterns.registry import available_engines, available_patterns
 from repro.runtime.executor import available_executors
+from repro.runtime.server import ServerConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -50,6 +51,9 @@ _PRICE_PATTERNS = sorted(set(available_patterns()) | {"dense", "tew"})
 _SWEEP_PATTERNS = sorted(set(available_patterns()) | {"tew"})
 _TUNE_PATTERNS = sorted(set(available_patterns()) | {"tew"})
 _PLACEMENTS = ("single", "replicated", "layer_sharded")
+#: ``repro serve`` server flags default to ServerConfig's own defaults,
+#: and ServerConfig validates them
+_SERVER = ServerConfig()
 #: mirrors repro.experiments.accuracy.TASKS without importing the (heavy)
 #: experiment module at parser-build time; test_cli pins the equality
 _TASKS = ("mnli", "squad", "vgg", "nmt")
@@ -145,43 +149,44 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--devices", type=int, default=1,
                          help="number of (simulated) devices")
     p_serve.add_argument("--placement", default="single", choices=_PLACEMENTS)
-    p_serve.add_argument("--executor", default="inline",
+    p_serve.add_argument("--executor", default=_SERVER.executor,
                          choices=available_executors(),
                          help="wave executor: inline (sequential oracle), "
                               "threaded (worker threads overlap device "
                               "slots) or process (worker processes over "
                               "shared-memory weight arenas — real "
                               "multi-core parallelism)")
-    p_serve.add_argument("--workers", type=int, default=None,
+    p_serve.add_argument("--workers", type=int, default=_SERVER.workers,
                          help="worker cap for --executor threaded/process "
                               "(default: one per device slot)")
-    p_serve.add_argument("--cache-budget", type=int, default=0,
+    p_serve.add_argument("--cache-budget", type=int, default=_SERVER.cache_budget,
                          help="LRU entry budget for the format/plan caches "
                               "(0 = unbounded)")
-    p_serve.add_argument("--max-retries", type=int, default=2,
+    p_serve.add_argument("--max-retries", type=int, default=_SERVER.max_retries,
                          help="re-execution budget per failed wave group "
                               "before bisection isolates the poison request")
     p_serve.add_argument("--deadline-s", type=float, default=None,
                          help="per-request deadline (seconds, relative to "
                               "submit); expired requests are shed before any "
                               "GEMM runs")
-    p_serve.add_argument("--max-queue-rows", type=int, default=0,
+    p_serve.add_argument("--max-queue-rows", type=int,
+                         default=_SERVER.max_queue_rows,
                          help="backpressure bound on queued rows "
                               "(0 = unbounded)")
-    p_serve.add_argument("--shed-policy", default="reject",
-                         choices=["reject", "shed_oldest"],
-                         help="what to do when --max-queue-rows is hit")
-    p_serve.add_argument("--watchdog-s", type=float, default=None,
+    p_serve.add_argument("--shed-policy", default=_SERVER.shed_policy,
+                         help="what to do when --max-queue-rows is hit: "
+                              "reject or shed_oldest")
+    p_serve.add_argument("--watchdog-s", type=float, default=_SERVER.watchdog_s,
                          help="per-wave stall bound for the threaded/process "
                               "executors (default: executor's own, 60s)")
-    p_serve.add_argument("--faults", default=None,
+    p_serve.add_argument("--faults", default=_SERVER.faults,
                          help="deterministic fault schedule, e.g. "
                               "'exception:wave=1;latency:rate=0.1:duration=0.01' "
                               "(kinds: exception, latency, stall, kill)")
     p_serve.add_argument("--expect-all-ok", action="store_true",
                          help="exit non-zero unless every request ends "
                               "status=ok (CI smoke contract)")
-    p_serve.add_argument("--pace", type=float, default=0.0,
+    p_serve.add_argument("--pace", type=float, default=_SERVER.pace,
                          help="simulated-device pacing scale: each GEMM "
                               "occupies its slot for pace x the cost-model "
                               "device time (0 = run flat out)")
@@ -248,26 +253,27 @@ def _cmd_prune(args: argparse.Namespace) -> int:
 
     try:
         weight = np.load(args.weight)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EOFError) as exc:
         print(f"error: cannot load weight matrix: {exc}", file=sys.stderr)
         return 2
     if weight.ndim != 2:
         print(f"error: expected a 2-D matrix, got shape {weight.shape}",
               file=sys.stderr)
         return 2
-    if not (0.0 <= args.sparsity < 1.0):
-        print("error: --sparsity must be in [0, 1)", file=sys.stderr)
-        return 2
     from repro.core import TWPruneConfig
 
-    model = repro.compile(
-        weight,
-        pattern="tw",
-        sparsity=args.sparsity,
-        prune_config=TWPruneConfig(
-            granularity=args.granularity, col_row_split=args.split
-        ),
-    )
+    try:
+        model = repro.compile(
+            weight,
+            pattern="tw",
+            sparsity=args.sparsity,
+            prune_config=TWPruneConfig(
+                granularity=args.granularity, col_row_split=args.split
+            ),
+        )
+    except ValueError as exc:  # e.g. --granularity 0
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     layer = model.layers[0]
     print(format_table(
         ["metric", "value"],
@@ -451,32 +457,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.api import demo_layer_stack
     from repro.runtime.placement import Placement
 
-    if not (0.0 <= args.sparsity < 1.0):
-        print("error: --sparsity must be in [0, 1)", file=sys.stderr)
-        return 2
-    if args.devices < 1:
-        print("error: --devices must be >= 1", file=sys.stderr)
-        return 2
-    if args.placement == "single" and args.devices != 1:
-        print("error: 'single' placement takes exactly one device", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.pace < 0:
-        print("error: --pace must be >= 0", file=sys.stderr)
-        return 2
-    if args.max_retries < 0:
-        print("error: --max-retries must be >= 0", file=sys.stderr)
-        return 2
     if args.deadline_s is not None and args.deadline_s < 0:
         print("error: --deadline-s must be >= 0", file=sys.stderr)
-        return 2
-    if args.max_queue_rows < 0:
-        print("error: --max-queue-rows must be >= 0", file=sys.stderr)
-        return 2
-    if args.cache_budget < 0:
-        print("error: --cache-budget must be >= 0", file=sys.stderr)
         return 2
     if args.continuous and (args.rate <= 0 or args.duration <= 0):
         print("error: --continuous needs --rate > 0 and --duration > 0",
@@ -497,11 +479,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     from repro.gpu.device import V100
 
-    placement = Placement(args.placement, (V100,) * args.devices)
     weights, names = demo_layer_stack(
         args.model, scale=args.scale, blocks=args.blocks, seed=args.seed
     )
+    # Placement, compile and ServerConfig validate every serving flag;
+    # their first complaint becomes the one error line
     try:
+        placement = Placement(args.placement, (V100,) * args.devices)
         model = repro.compile(
             weights,
             pattern=args.pattern,
@@ -512,21 +496,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             epilogue=args.epilogue,
             names=names,
         )
-    except ValueError as exc:  # e.g. a residual epilogue on a non-square layer
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         server = model.serve(
-            executor=args.executor, workers=args.workers,
-            cache_budget=args.cache_budget or None,
-            pace=args.pace if args.pace > 0 else None,
+            executor=args.executor,
+            workers=args.workers,
+            cache_budget=args.cache_budget,
+            pace=args.pace,
             max_retries=args.max_retries,
             max_queue_rows=args.max_queue_rows,
             shed_policy=args.shed_policy,
             watchdog_s=args.watchdog_s,
             faults=args.faults,
         )
-    except ValueError as exc:  # e.g. a malformed --faults spec
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.http is not None:

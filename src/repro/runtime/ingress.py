@@ -69,7 +69,7 @@ class ServingLoop:
 
     ::
 
-        loop = model.serve_async(executor="threaded", devices=2)
+        loop = model.serve_async(executor="threaded", max_wave_rows=64)
         async with loop:
             served = await loop.submit(x, deadline_s=0.05)
 
@@ -83,11 +83,8 @@ class ServingLoop:
     ----------
     server:
         A configured :class:`TWModelServer` (layers added, ideally
-        ``warm()``\\ ed).  The loop never reconfigures it.
-    max_wave_rows:
-        Admission cap per iteration; defaults to the server's own
-        ``config.max_wave_rows``.  A smaller value admits more, smaller
-        waves (lower latency, less batching amortisation).
+        ``warm()``\\ ed).  The loop never reconfigures it; each admitted
+        wave holds at most ``server.config.max_wave_rows`` rows.
     stats_interval_s:
         When > 0, a background task emits a one-line stats summary every
         interval through ``stats_log`` (default: this module's logger).
@@ -101,15 +98,11 @@ class ServingLoop:
         self,
         server: TWModelServer,
         *,
-        max_wave_rows: int | None = None,
         stats_interval_s: float = 0.0,
         stats_log: Callable[[str], None] | None = None,
         owns_server: bool = False,
     ) -> None:
-        if max_wave_rows is not None and max_wave_rows < 1:
-            raise ValueError("max_wave_rows must be positive")
         self.server = server
-        self.max_wave_rows = int(max_wave_rows or server.config.max_wave_rows)
         self.stats_interval_s = float(stats_interval_s)
         self._stats_log = stats_log if stats_log is not None else log.info
         self._owns_server = owns_server
@@ -287,9 +280,10 @@ class ServingLoop:
 
     def _take_wave(self) -> list[_Arrival]:
         """Pop up to one wave of requests (≥1; requests never split)."""
+        cap = self.server.config.max_wave_rows
         wave = [self._backlog.popleft()]
         rows = wave[0].x.shape[0]
-        while self._backlog and rows + self._backlog[0].x.shape[0] <= self.max_wave_rows:
+        while self._backlog and rows + self._backlog[0].x.shape[0] <= cap:
             nxt = self._backlog.popleft()
             wave.append(nxt)
             rows += nxt.x.shape[0]
@@ -344,7 +338,6 @@ class ServingLoop:
             "inflight_requests": len(self._waiting),
             "unresolved_requests": self._unresolved,
             "waves_admitted": self._waves_admitted,
-            "max_wave_rows": self.max_wave_rows,
             "closed": self._closed,
         }
         return rec

@@ -2,10 +2,10 @@
 
 Stdlib-only, mirroring the server's dependency posture:
 
-- :class:`InferClient` — blocking, on :mod:`http.client`; what a test,
-  a script, or one loadgen worker thread uses.
 - :class:`AsyncInferClient` — one keep-alive connection on asyncio
   streams; what the async load generator multiplexes.
+- :class:`InferClient` — a blocking facade over it on a private event
+  loop; what a test, a script, or one worker thread uses.
 - :class:`HttpLoadTransport` — a pool of async clients exposing the
   ``submit``/``submit_nowait`` surface of :class:`ServingLoop`, so
   :func:`repro.runtime.loadgen.run_open_loop` / ``run_closed_loop``
@@ -21,7 +21,6 @@ arrival-anchored timings ride along as ``server_latency_s`` /
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
 import time
 from dataclasses import dataclass, field
@@ -141,135 +140,6 @@ def parse_infer_response(
     )
 
 
-def _infer_headers(binary: bool, deadline_ms: float | None) -> dict[str, str]:
-    headers = {
-        "Content-Type": wire.CONTENT_TYPE_TENSOR if binary else wire.CONTENT_TYPE_JSON
-    }
-    if deadline_ms is not None:
-        headers["X-Deadline-Ms"] = "%.3f" % float(deadline_ms)
-    return headers
-
-
-def _encode_request(x: np.ndarray, binary: bool) -> tuple[bytes, int]:
-    arr = np.atleast_2d(np.asarray(x))
-    body = wire.encode_tensor(arr) if binary else wire.encode_json_tensor(arr)
-    return body, int(arr.shape[0])
-
-
-# ---------------------------------------------------------------------- #
-# blocking client
-# ---------------------------------------------------------------------- #
-class InferClient:
-    """Blocking keep-alive client on :mod:`http.client`.
-
-    One instance = one connection = one request at a time; concurrent
-    callers each hold their own client (see the loadgen worker threads).
-    Transparently reconnects once if the server closed the keep-alive
-    socket between requests.
-    """
-
-    def __init__(self, host: str, port: int, *, timeout_s: float = 60.0) -> None:
-        self.host = host
-        self.port = int(port)
-        self.timeout_s = float(timeout_s)
-        self._conn: http.client.HTTPConnection | None = None
-
-    @classmethod
-    def from_url(cls, url: str, **kwargs) -> "InferClient":
-        host, port = _split_http_url(url)
-        return cls(host, port, **kwargs)
-
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout_s
-            )
-        return self._conn
-
-    def request(
-        self,
-        method: str,
-        path: str,
-        body: bytes = b"",
-        headers: Mapping[str, str] | None = None,
-    ) -> tuple[int, dict[str, str], bytes]:
-        """One round trip; returns (status, lower-cased headers, body)."""
-        for attempt in (0, 1):
-            conn = self._connection()
-            try:
-                conn.request(method, path, body=body, headers=dict(headers or {}))
-                resp = conn.getresponse()
-                payload = resp.read()
-            except (
-                ConnectionError,
-                http.client.BadStatusLine,
-                http.client.CannotSendRequest,
-                http.client.RemoteDisconnected,
-            ):
-                self.close()
-                if attempt:
-                    raise
-                continue
-            resp_headers = {k.lower(): v for k, v in resp.getheaders()}
-            if resp_headers.get("connection", "").lower() == "close":
-                self.close()
-            return resp.status, resp_headers, payload
-        raise AssertionError("unreachable")
-
-    def infer(
-        self,
-        x: np.ndarray,
-        *,
-        deadline_ms: float | None = None,
-        binary: bool = True,
-    ) -> NetResult:
-        body, rows = _encode_request(x, binary)
-        t0 = time.perf_counter()
-        status, headers, payload = self.request(
-            "POST", "/v1/infer", body, _infer_headers(binary, deadline_ms)
-        )
-        return parse_infer_response(
-            status, headers, payload, rows=rows,
-            client_latency_s=time.perf_counter() - t0,
-        )
-
-    def healthz(self) -> tuple[int, dict]:
-        status, _headers, body = self.request("GET", "/healthz")
-        return status, json.loads(body)
-
-    def stats(self) -> dict:
-        status, _headers, body = self.request("GET", "/v1/stats")
-        if status != 200:
-            raise RuntimeError(f"/v1/stats returned HTTP {status}")
-        return json.loads(body)
-
-    def wait_ready(self, timeout_s: float = 60.0) -> None:
-        """Poll ``/healthz`` until the server reports ready."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            try:
-                status, _doc = self.healthz()
-                if status == 200:
-                    return
-            except OSError:
-                self.close()
-            time.sleep(0.05)
-        raise TimeoutError(
-            f"server at {self.host}:{self.port} not ready within {timeout_s:.1f}s"
-        )
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-    def __enter__(self) -> "InferClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 # ---------------------------------------------------------------------- #
 # asyncio client
 # ---------------------------------------------------------------------- #
@@ -357,19 +227,34 @@ class AsyncInferClient:
         deadline_ms: float | None = None,
         binary: bool = True,
     ) -> NetResult:
-        body, rows = _encode_request(x, binary)
+        arr = np.atleast_2d(np.asarray(x))
+        if binary:
+            body = wire.encode_tensor(arr)
+            headers = {"Content-Type": wire.CONTENT_TYPE_TENSOR}
+        else:
+            body = wire.encode_json_tensor(arr)
+            headers = {"Content-Type": wire.CONTENT_TYPE_JSON}
+        if deadline_ms is not None:
+            headers["X-Deadline-Ms"] = "%.3f" % float(deadline_ms)
         t0 = time.perf_counter()
-        status, headers, payload = await self.request(
-            "POST", "/v1/infer", body, _infer_headers(binary, deadline_ms)
+        status, resp_headers, payload = await self.request(
+            "POST", "/v1/infer", body, headers
         )
         return parse_infer_response(
-            status, headers, payload, rows=rows,
+            status, resp_headers, payload, rows=int(arr.shape[0]),
             client_latency_s=time.perf_counter() - t0,
         )
 
     async def get_json(self, path: str) -> tuple[int, dict]:
         status, _headers, body = await self.request("GET", path)
         return status, json.loads(body)
+
+    async def stats(self) -> dict:
+        """The server's ``/v1/stats`` snapshot."""
+        status, doc = await self.get_json("/v1/stats")
+        if status != 200:
+            raise RuntimeError(f"/v1/stats returned HTTP {status}")
+        return doc
 
     async def close(self) -> None:
         writer = self._writer
@@ -386,6 +271,95 @@ class AsyncInferClient:
 
     async def __aexit__(self, *exc) -> None:
         await self.close()
+
+
+# ---------------------------------------------------------------------- #
+# blocking client
+# ---------------------------------------------------------------------- #
+class InferClient:
+    """Blocking facade over :class:`AsyncInferClient`.
+
+    Runs the async client on a private event loop, so both clients frame
+    HTTP with the same :mod:`~repro.runtime.wire` codec as the server.
+    One instance = one connection = one request at a time; concurrent
+    callers each hold their own client (one per thread).  Call it from
+    plain (non-async) code: a thread that is already running an event
+    loop cannot block on another one.
+    """
+
+    def __init__(self, host: str, port: int, *, timeout_s: float = 60.0) -> None:
+        self._client = AsyncInferClient(host, port, timeout_s=timeout_s)
+        self._loop: asyncio.AbstractEventLoop | None = None
+
+    @classmethod
+    def from_url(cls, url: str, **kwargs) -> "InferClient":
+        host, port = _split_http_url(url)
+        return cls(host, port, **kwargs)
+
+    def _run(self, coro):
+        if self._loop is None:
+            self._loop = asyncio.new_event_loop()
+        try:
+            return self._loop.run_until_complete(coro)
+        except BaseException:
+            self.close()  # a failed round trip leaves no connection to reuse
+            raise
+
+    def request(
+        self,
+        method: str,
+        path: str,
+        body: bytes = b"",
+        headers: Mapping[str, str] | None = None,
+    ) -> tuple[int, dict[str, str], bytes]:
+        """One round trip; returns (status, lower-cased headers, body)."""
+        return self._run(self._client.request(method, path, body, headers))
+
+    def infer(
+        self,
+        x: np.ndarray,
+        *,
+        deadline_ms: float | None = None,
+        binary: bool = True,
+    ) -> NetResult:
+        return self._run(
+            self._client.infer(x, deadline_ms=deadline_ms, binary=binary)
+        )
+
+    def healthz(self) -> tuple[int, dict]:
+        return self._run(self._client.get_json("/healthz"))
+
+    def stats(self) -> dict:
+        return self._run(self._client.stats())
+
+    def wait_ready(self, timeout_s: float = 60.0) -> None:
+        """Poll ``/healthz`` until the server reports ready."""
+        deadline = time.monotonic() + timeout_s
+        while time.monotonic() < deadline:
+            try:
+                status, _doc = self.healthz()
+                if status == 200:
+                    return
+            except (OSError, asyncio.TimeoutError):
+                pass  # not listening yet
+            time.sleep(0.05)
+        raise TimeoutError(
+            f"server at {self._client.host}:{self._client.port} not ready "
+            f"within {timeout_s:.1f}s"
+        )
+
+    def close(self) -> None:
+        """Close the connection and the private loop (a later call reopens)."""
+        if self._loop is not None:
+            self._loop.run_until_complete(self._client.close())
+            self._loop.close()
+            self._loop = None
+
+    def __enter__(self) -> "InferClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -477,10 +451,7 @@ class HttpLoadTransport:
         assert self._pool is not None
         client = await self._pool.get()
         try:
-            status, doc = await client.get_json("/v1/stats")
-            if status != 200:
-                raise RuntimeError(f"/v1/stats returned HTTP {status}")
-            return doc
+            return await client.stats()
         finally:
             self._pool.put_nowait(client)
 

@@ -96,7 +96,7 @@ class NetServer:
         async with NetServer(loop, port=0) as net:   # inside a loop
             ...
 
-        with NetServer(loop, port=0).background() as net:  # own thread
+        with NetServer(loop, port=0) as net:         # own thread
             client = InferClient("127.0.0.1", net.port)
 
     Parameters
@@ -146,12 +146,12 @@ class NetServer:
         self._closed = False
         self._requests_seen = 0
         self.final_stats: dict | None = None
-        # background-thread mode state
-        self._bg_thread: threading.Thread | None = None
-        self._bg_started = threading.Event()
-        self._bg_error: BaseException | None = None
-        self._bg_loop: asyncio.AbstractEventLoop | None = None
-        self._bg_stop: asyncio.Event | None = None
+        # daemon-thread mode: the running lifecycle's (event loop, stop
+        # event) lets ``__exit__`` request the drain from another thread
+        self._stop: tuple[asyncio.AbstractEventLoop, asyncio.Event] | None = None
+        self._started = threading.Event()
+        self._thread: threading.Thread | None = None
+        self._error: BaseException | None = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -243,95 +243,81 @@ class NetServer:
 
     def run(self, *, install_signals: bool = True) -> None:
         """Blocking entry point: serve until SIGTERM/SIGINT, then drain."""
-        asyncio.run(self._run(install_signals))
 
-    async def _run(self, install_signals: bool) -> None:
-        stop = asyncio.Event()
-        if install_signals:
-            running = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                with contextlib.suppress(NotImplementedError, ValueError):
-                    running.add_signal_handler(sig, stop.set)
-        await self.start()
-        self._log(
-            "netserve: listening on http://%s:%d (POST /v1/infer)"
-            % (self.host, self.port)
-        )
-        serving = asyncio.create_task(self.serve_forever())
-        await stop.wait()
-        self._log("netserve: shutdown signal; draining")
-        await self.close()
-        serving.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await serving
+        async def main() -> None:
+            stop = asyncio.Event()
+            if install_signals:
+                running = asyncio.get_running_loop()
+                for sig in (signal.SIGTERM, signal.SIGINT):
+                    with contextlib.suppress(NotImplementedError, ValueError):
+                        running.add_signal_handler(sig, stop.set)
+            await self._serve_until(stop)
 
-    # -- background-thread mode (tests, benchmarks, self-hosted loadgen) -- #
-    def background(self) -> "NetServer":
-        """Run the server on a daemon thread; context-managed.
+        asyncio.run(main())
 
-        ``__enter__`` blocks until the listener is bound **and** the
-        model is warm, so ``net.port`` is valid and the first request
-        never eats cold-start.
-        """
-        return self
-
-    def __enter__(self) -> "NetServer":
-        self.start_background()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop_background()
-
-    def start_background(self, timeout_s: float = 120.0) -> None:
-        if self._bg_thread is not None:
-            raise RuntimeError("NetServer background thread already running")
-        self._bg_thread = threading.Thread(
-            target=self._bg_main, name="repro-netserve", daemon=True
-        )
-        self._bg_thread.start()
-        if not self._bg_started.wait(timeout_s):
-            raise TimeoutError("NetServer did not start within %.1fs" % timeout_s)
-        if self._bg_error is not None:
-            raise self._bg_error
-
-    def stop_background(self, timeout_s: float | None = None) -> None:
-        thread = self._bg_thread
-        if thread is None:
-            return
-        if self._bg_loop is not None and self._bg_stop is not None:
-            with contextlib.suppress(RuntimeError):
-                self._bg_loop.call_soon_threadsafe(self._bg_stop.set)
-        thread.join(timeout_s if timeout_s is not None else self.drain_timeout_s + 30.0)
-        if thread.is_alive():  # pragma: no cover - defensive
-            raise TimeoutError("NetServer background thread did not stop")
-        self._bg_thread = None
-        if self._bg_error is not None:
-            raise self._bg_error
-
-    def _bg_main(self) -> None:
-        try:
-            asyncio.run(self._bg_run())
-        except BaseException as exc:  # surface in the foreground thread
-            self._bg_error = exc
-        finally:
-            self._bg_started.set()
-
-    async def _bg_run(self) -> None:
-        self._bg_loop = asyncio.get_running_loop()
-        self._bg_stop = asyncio.Event()
+    async def _serve_until(self, stop: asyncio.Event) -> None:
+        """The one lifecycle: start, serve until ``stop`` is set, then drain."""
+        self._stop = (asyncio.get_running_loop(), stop)
         try:
             await self.start()
         except BaseException:
             with contextlib.suppress(BaseException):
                 await self.close()
             raise
+        self._log(
+            "netserve: listening on http://%s:%d (POST /v1/infer)"
+            % (self.host, self.port)
+        )
+        self._started.set()
         serving = asyncio.create_task(self.serve_forever())
-        self._bg_started.set()
-        await self._bg_stop.wait()
+        await stop.wait()
+        self._log("netserve: stop requested; draining")
         await self.close()
         serving.cancel()
         with contextlib.suppress(asyncio.CancelledError):
             await serving
+
+    # -- daemon-thread mode (tests, benchmarks, self-hosted loadgen) -- #
+    def __enter__(self) -> "NetServer":
+        """Serve on a daemon thread until ``__exit__`` drains it.
+
+        Returns once the listener is bound **and** the model is warm, so
+        ``net.port`` is valid and the first request never eats cold-start.
+        """
+        if self._thread is not None:
+            raise RuntimeError("NetServer thread already running")
+        self._thread = threading.Thread(
+            target=self._thread_main, name="repro-netserve", daemon=True
+        )
+        self._thread.start()
+        if not self._started.wait(120.0):
+            raise TimeoutError("NetServer did not start within 120s")
+        if self._error is not None:
+            raise self._error
+        return self
+
+    def __exit__(self, *exc) -> None:
+        thread = self._thread
+        if thread is None:
+            return
+        if self._stop is not None:
+            loop, stop = self._stop
+            with contextlib.suppress(RuntimeError):  # loop already gone
+                loop.call_soon_threadsafe(stop.set)
+        thread.join(self.drain_timeout_s + 30.0)
+        if thread.is_alive():  # pragma: no cover - defensive
+            raise TimeoutError("NetServer thread did not stop")
+        self._thread = None
+        if self._error is not None:
+            raise self._error
+
+    def _thread_main(self) -> None:
+        try:
+            asyncio.run(self._serve_until(asyncio.Event()))
+        except BaseException as exc:  # surface in the foreground thread
+            self._error = exc
+        finally:
+            self._started.set()
 
     # ------------------------------------------------------------------ #
     # connection handling

@@ -7,7 +7,7 @@ GEMMs.  :class:`TWModelServer` operationalises that split:
 
 - **Format & plan caches** keyed by
   ``(weight fingerprint, pattern, granularity, dtype)`` and
-  ``(format key, batching, streams, device)``: the first request compacts
+  ``(format key, device)``: the first request compacts
   and plans, every later request replays the cached
   :class:`~repro.runtime.scheduler.ExecutionPlan` — amortising construction
   across millions of calls (cache-hit counters make this observable).
@@ -199,12 +199,10 @@ def _seconds(v) -> bool:
 _CONFIG_RULES = {
     "granularity": (_int_at_least(1), "a positive int"),
     "max_wave_rows": (_int_at_least(1), "a positive int"),
-    "queue_timeout_s": (_seconds, "finite and non-negative"),
     "cache_budget": (_int_at_least(0), "a non-negative int (0 = unbounded)"),
     "workers": (lambda v: v is None or _int_at_least(1)(v), "a positive int or None"),
     "pace": (_seconds, "finite and non-negative"),
     "max_retries": (_int_at_least(0), "a non-negative int"),
-    "retry_backoff_s": (_seconds, "finite and non-negative"),
     "max_queue_rows": (_int_at_least(0), "a non-negative int (0 = unbounded)"),
     "shed_policy": (lambda v: v in ("reject", "shed_oldest"), "'reject' or 'shed_oldest'"),
     "watchdog_s": (lambda v: v is None or _seconds(v), "finite and >= 0, or None"),
@@ -215,15 +213,19 @@ _CONFIG_RULES = {
 class ServerConfig:
     """Engine configuration for one server instance.
 
-    Every field is part of a cache key: changing the granularity, payload
-    dtype, batching/stream switches or device re-plans on first use.
+    The one place a serving option is declared, defaulted and validated:
+    :meth:`repro.api.CompiledTWModel.serve` forwards its keyword overrides
+    here, and the ingress and HTTP fronts read the server's config.
+    Changing the granularity, payload dtype or placement re-plans on first
+    use.  Serving always runs the full plan (width-grouped batching and
+    stream assignment, paper Fig. 7 steps 3–4); the ablation switches live
+    in :func:`~repro.runtime.scheduler.build_execution_plan` for the cost
+    model and experiments.
 
     Attributes
     ----------
     granularity:
         TW tile width the server compacts at.
-    batching, streams:
-        Plan switches (paper Fig. 7 steps 3–4).
     dtype:
         Activation dtype for serving (and, by default, the compact payload
         dtype too).
@@ -237,19 +239,10 @@ class ServerConfig:
         precisions never share compacted formats.
     max_wave_rows:
         Row cap per micro-batch wave; larger queues split into successive
-        waves (requests never split across waves).
-    queue_timeout_s:
-        **Post-hoc SLO accounting only.**  Requests whose *observed*
-        latency (queueing + execution) exceeds this budget are counted in
-        ``stats.deadline_misses`` after they are served — they still run
-        and still return output.  ``0`` disables the accounting.  This is
-        distinct from per-request ``deadline_s`` (see
-        :meth:`TWModelServer.submit`), which *sheds* a request — no GEMM
-        ever runs for it — once its deadline passes.
-    device:
-        The single-device anchor (ignored when ``placement`` is given).
+        waves (requests never split across waves).  The async ingress
+        admits waves under the same cap.
     placement:
-        Multi-device policy; ``None`` means single-device on ``device``.
+        Multi-device policy; ``None`` means single-device on a V100.
     executor:
         How placed waves execute in wall-time — an
         :data:`~repro.runtime.executor.EXECUTORS` registry name
@@ -282,10 +275,6 @@ class ServerConfig:
         Re-execution budget per failed wave group in a graceful
         ``flush()`` (``0`` = no retries, failures go straight to
         bisection/poison handling).
-    retry_backoff_s:
-        Base sleep before a failed group re-runs, doubled per attempt
-        (``backoff × 2^(attempt-1)``).  ``0`` (default) retries
-        immediately.
     max_queue_rows:
         Backpressure bound on queued activation rows (``0`` =
         unbounded).  When a ``submit`` would exceed it, ``shed_policy``
@@ -309,20 +298,15 @@ class ServerConfig:
     """
 
     granularity: int = 128
-    batching: bool = True
-    streams: bool = True
     dtype: str = "float64"
     storage_dtype: str = ""
     max_wave_rows: int = 8192
-    queue_timeout_s: float = 0.0
-    device: DeviceSpec = V100
     placement: Placement | None = None
     executor: str = "inline"
     cache_budget: int = 0
     workers: int | None = None
     pace: float = 0.0
     max_retries: int = 2
-    retry_backoff_s: float = 0.0
     max_queue_rows: int = 0
     shed_policy: str = "reject"
     watchdog_s: float | None = None
@@ -354,8 +338,8 @@ class ServerConfig:
         object.__setattr__(self, "faults", resolve_faults(self.faults))
 
     def resolved_placement(self) -> Placement:
-        """The effective placement (``device`` wrapped as ``single``)."""
-        return self.placement or Placement("single", (self.device,))
+        """The effective placement (``None`` is ``single`` on a V100)."""
+        return self.placement or Placement("single", (V100,))
 
     @property
     def resolved_storage_dtype(self) -> str:
@@ -431,7 +415,6 @@ class ServerStats:
     #: difference is realised overlap, not modeled headroom
     wall_time_s: float = 0.0
     latency_total_s: float = 0.0
-    deadline_misses: int = 0
     #: wave-group re-executions after a failure (graceful ``flush`` only)
     retries: int = 0
     #: requests put back in the work queue by a retry or bisection
@@ -562,7 +545,6 @@ class ServerStats:
                 "plan_evictions": self.plan_evictions,
             },
             "slo": {
-                "deadline_misses": self.deadline_misses,
                 "retries": self.retries,
                 "requeues": self.requeues,
                 "shed": self.shed,
@@ -735,11 +717,9 @@ class TWModelServer:
         """Seed the caches for layer ``index`` with prebuilt artifacts.
 
         Called by :meth:`repro.api.CompiledTWModel.serve` so compilation
-        work is reused instead of redone.  The format is only adopted when
-        it matches this server's config (granularity and payload dtype);
-        plans only when the server runs the full plan pipeline
-        (``batching`` and ``streams`` on, as the compiler builds them).
-        Returns whether the format was adopted.
+        work is reused instead of redone.  The format and its plans are
+        only adopted when the format matches this server's config
+        (granularity and payload dtype).  Returns whether they were.
         """
         layer = self._layers[index]
         storage = np.dtype(self.config.resolved_storage_dtype)
@@ -748,9 +728,8 @@ class TWModelServer:
         if tw.shape != layer.dense.shape:
             return False
         self._formats.setdefault(self._format_key(layer), tw)
-        if plans and self.config.batching and self.config.streams:
-            for device, plan in plans.items():
-                self._plans.setdefault(self._plan_key(layer, device), plan)
+        for device, plan in (plans or {}).items():
+            self._plans.setdefault(self._plan_key(layer, device), plan)
         return True
 
     # ------------------------------------------------------------------ #
@@ -802,12 +781,7 @@ class TWModelServer:
         return tw
 
     def _plan_key(self, layer: _Layer, device: DeviceSpec) -> tuple:
-        return (
-            self._format_key(layer),
-            self.config.batching,
-            self.config.streams,
-            device,
-        )
+        return (self._format_key(layer), device)
 
     def _plan_for(
         self, layer: _Layer, tw: TiledTWMatrix, device: DeviceSpec | None = None
@@ -819,12 +793,7 @@ class TWModelServer:
             self.stats.plan_hits += 1
             return hit
         self.stats.plan_misses += 1
-        plan = build_execution_plan(
-            tw,
-            device,
-            batching=self.config.batching,
-            streams=self.config.streams,
-        )
+        plan = build_execution_plan(tw, device)
         self._plans.put(key, plan)
         return plan
 
@@ -848,8 +817,7 @@ class TWModelServer:
         request's enqueue time: a request whose deadline passes before it
         executes is *shed* at the next ``flush`` (terminal
         ``status="expired"``, no GEMM runs for it), and waves assemble
-        shortest-deadline-first.  Contrast with ``queue_timeout_s``,
-        which only counts misses post-hoc.
+        shortest-deadline-first.
 
         ``enqueued_at`` is an optional ``perf_counter`` timestamp of when
         the request *arrived* (defaults to now).  An ingress layer that
@@ -935,9 +903,8 @@ class TWModelServer:
         Every queued request reaches a terminal
         :attr:`ServedRequest.status` and nothing raises: expired requests
         are shed before any GEMM runs for them; a failed wave group
-        retries whole up to ``max_retries`` (with exponential
-        ``retry_backoff_s``) under *fresh* wave indices, so transient
-        faults clear on retry; a group still failing after its budget is
+        retries whole up to ``max_retries`` under *fresh* wave indices, so
+        transient faults clear on retry; a group still failing after its budget is
         *bisected* (fresh budgets per half), so a deterministically
         failing poison request terminates alone with ``status="failed"``
         instead of taking down its wave-mates.  Total work is bounded by
@@ -1047,13 +1014,9 @@ class TWModelServer:
         """Retry, bisect, or poison-isolate one failed wave group."""
         for p in g:
             p.attempts += 1
-        attempts = g[0].attempts
-        if attempts <= self.config.max_retries:
+        if g[0].attempts <= self.config.max_retries:
             self.stats.retries += 1
             self.stats.requeues += len(g)
-            backoff = self.config.retry_backoff_s
-            if backoff > 0.0:
-                time.sleep(backoff * (2 ** (attempts - 1)))
             work.append(g)
         elif len(g) > 1:
             # deterministic failure: bisect to isolate the poison; each
@@ -1113,8 +1076,6 @@ class TWModelServer:
             self.stats.rows += r
             self.stats.latency_total_s += latency
             self.stats.latencies_s.append(latency)
-            if self.config.queue_timeout_s and latency > self.config.queue_timeout_s:
-                self.stats.deadline_misses += 1
             served.append(
                 ServedRequest(
                     request_id=p.rid,

@@ -277,6 +277,33 @@ class TestPlacement:
         assert server2.config.executor == "threaded"
         assert server2.config.granularity == 8
 
+    def test_serve_rejects_unknown_knob(self, stack):
+        weights, _ = stack
+        model = repro.compile(weights, sparsity=0.5, granularity=8)
+        with pytest.raises(TypeError, match="no_such_knob"):
+            model.serve(no_such_knob=1)
+
+    def test_serve_async_caps_admitted_waves(self, stack):
+        import asyncio
+
+        weights, x = stack
+        model = repro.compile(weights, sparsity=0.5, granularity=8)
+        reqs = [x[i : i + 2] for i in (0, 1, 2, 3, 0, 2)]
+
+        async def go():
+            async with model.serve_async(max_wave_rows=4) as loop:
+                futures = [loop.submit_nowait(r) for r in reqs]
+                return await asyncio.gather(*futures), loop.stats_record()
+
+        served, record = asyncio.run(go())
+        wave_rows: dict[int, int] = {}
+        for s in served:
+            wave_rows[s.batch_id] = wave_rows.get(s.batch_id, 0) + s.rows
+        assert sorted(wave_rows.values()) == [4, 4, 4]  # two requests per wave
+        assert record["waves"]["max_wave_rows"] == 4
+        for s, r in zip(served, reqs):
+            np.testing.assert_array_equal(s.output, model.run(r))
+
 
 class TestPrice:
     def test_weight_stack_pricing_uses_real_geometry(self, stack):

@@ -66,6 +66,13 @@ class TestPrune:
         rc = main(["prune", str(weight_file), "--sparsity", "1.5"])
         assert rc == 2
 
+    def test_bad_granularity_is_an_error_line(self, weight_file, capsys):
+        rc = main(["prune", str(weight_file), "--granularity", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "granularity" in err
+        assert "Traceback" not in err
+
 
 class TestTune:
     # small task budgets: the dense training runs inside the command
@@ -251,6 +258,13 @@ class TestServe:
     def test_bad_sparsity(self, capsys):
         rc = main(["serve", "bert", "--sparsity", "1.0"])
         assert rc == 2
+
+    def test_bad_server_config_is_one_error_line(self, capsys):
+        rc = main(["serve", "bert", "--max-queue-rows", "-1", "--cache-budget", "-1"])
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "max_queue_rows" in lines[0] and "cache_budget" in lines[0]
 
 
 class TestInfo:

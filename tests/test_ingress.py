@@ -65,7 +65,7 @@ def _oracle_outputs(layers, reqs):
     return [server.serve(x).output for x in reqs]
 
 
-def _stream(server, reqs, *, pause_every=0, max_wave_rows=None, deadline_s=None):
+def _stream(server, reqs, *, pause_every=0, deadline_s=None):
     """Stream ``reqs`` through a ServingLoop; return terminal results in order.
 
     ``pause_every > 0`` yields to the event loop mid-stream, so later
@@ -74,7 +74,7 @@ def _stream(server, reqs, *, pause_every=0, max_wave_rows=None, deadline_s=None)
     """
 
     async def go():
-        async with ServingLoop(server, max_wave_rows=max_wave_rows) as loop:
+        async with ServingLoop(server) as loop:
             futures = []
             for i, x in enumerate(reqs):
                 futures.append(loop.submit_nowait(x, deadline_s=deadline_s))
@@ -107,11 +107,10 @@ class TestBitIdentity:
             executor=executor,
             placement=Placement(placement, (V100,) * n_devices),
             watchdog_s=20.0 if executor == "threaded" else None,
+            max_wave_rows=4,
         )
         with server:
-            served = _stream(
-                server, reqs, pause_every=pause_every, max_wave_rows=4
-            )
+            served = _stream(server, reqs, pause_every=pause_every)
         assert [s.status for s in served] == ["ok"] * len(reqs)
         for s, ref in zip(served, want):
             np.testing.assert_array_equal(s.output, ref)
@@ -125,10 +124,10 @@ class TestBitIdentity:
         want = _oracle_outputs(layers, reqs)
         server = _server(
             layers, executor="process", workers=2,
-            placement=Placement("replicated", (V100, V100)),
+            placement=Placement("replicated", (V100, V100)), max_wave_rows=4,
         )
         with server:
-            served = _stream(server, reqs, pause_every=2, max_wave_rows=4)
+            served = _stream(server, reqs, pause_every=2)
         assert [s.status for s in served] == ["ok"] * len(reqs)
         for s, ref in zip(served, want):
             np.testing.assert_array_equal(s.output, ref)
@@ -153,9 +152,9 @@ class TestLatencyAccounting:
     def test_ok_latency_splits(self):
         layers = _layers(20)
         reqs = _requests(21, n=4)
-        server = _server(layers)
+        server = _server(layers, max_wave_rows=4)
         with server:
-            served = _stream(server, reqs, max_wave_rows=4)
+            served = _stream(server, reqs)
         for s in served:
             assert s.service_s > 0.0
             assert s.queue_wait_s >= 0.0
@@ -170,10 +169,10 @@ class TestLatencyAccounting:
         layers = _layers(22)
         reqs = _requests(23, n=4)
         server = _server(
-            layers, faults="latency:rate=1.0:duration=0.005",
+            layers, faults="latency:rate=1.0:duration=0.005", max_wave_rows=4,
         )
         with server:
-            served = _stream(server, reqs, max_wave_rows=4)
+            served = _stream(server, reqs)
         assert all(s.status == "ok" for s in served)
         last = max(served, key=lambda s: s.queue_wait_s)
         assert last.queue_wait_s > 0.005
@@ -248,7 +247,7 @@ class TestLifecycle:
 
         async def go():
             loop = ServingLoop(
-                _server(layers), owns_server=True, max_wave_rows=4
+                _server(layers, max_wave_rows=4), owns_server=True
             )
             futures = [loop.submit_nowait(x) for x in reqs]
             await loop.close()  # must finish the backlog first
@@ -276,7 +275,7 @@ class TestLifecycle:
 
         async def go():
             async with ServingLoop(
-                _server(layers), owns_server=True, max_wave_rows=4
+                _server(layers, max_wave_rows=4), owns_server=True
             ) as loop:
                 futures = [loop.submit_nowait(x) for x in reqs]
                 await loop.drain()
@@ -292,13 +291,12 @@ class TestLifecycle:
         # still sees every terminal
         layers = _layers(48)
         server = _server(
-            layers, faults="latency:rate=1.0:duration=0.2:seed=1"
+            layers, faults="latency:rate=1.0:duration=0.2:seed=1",
+            max_wave_rows=4,
         )
 
         async def go():
-            async with ServingLoop(
-                server, owns_server=True, max_wave_rows=4
-            ) as loop:
+            async with ServingLoop(server, owns_server=True) as loop:
                 assert await loop.drain(timeout_s=0.5) is True  # idle: fast
                 fut = loop.submit_nowait(_requests(49, n=1)[0])
                 assert await loop.drain(timeout_s=0.01) is False
@@ -307,10 +305,6 @@ class TestLifecycle:
                 assert fut.done() and fut.result().status == "ok"
 
         asyncio.run(go())
-
-    def test_rejects_nonpositive_wave_cap(self):
-        with pytest.raises(ValueError, match="positive"):
-            ServingLoop(_server(_layers(47)), max_wave_rows=0)
 
 
 class TestStatsExport:
@@ -348,12 +342,10 @@ class TestStatsExport:
     def test_ingress_record_adds_traffic_context(self):
         layers = _layers(52)
         reqs = _requests(53, n=4)
-        server = _server(layers)
+        server = _server(layers, max_wave_rows=4)
 
         async def go():
-            async with ServingLoop(
-                server, owns_server=True, max_wave_rows=4
-            ) as loop:
+            async with ServingLoop(server, owns_server=True) as loop:
                 await asyncio.gather(
                     *[loop.submit_nowait(x) for x in reqs]
                 )
@@ -365,7 +357,7 @@ class TestStatsExport:
         assert ing["backlog_requests"] == 0
         assert ing["unresolved_requests"] == 0
         assert ing["waves_admitted"] >= 1
-        assert ing["max_wave_rows"] == 4
+        assert rec["waves"]["max_wave_rows"] == 4
 
     def test_periodic_stats_line(self):
         layers = _layers(54)

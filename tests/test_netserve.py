@@ -57,6 +57,7 @@ def _layers(seed, n_layers=2, k=24, g=8):
 
 def _server(layers, **cfg_kw):
     cfg_kw.setdefault("granularity", 8)
+    cfg_kw.setdefault("max_wave_rows", 4)  # several waves per request stream
     server = TWModelServer(ServerConfig(**cfg_kw))
     for dense, ck, rm in layers:
         server.add_layer(dense, ck, rm)
@@ -75,9 +76,9 @@ def _oracle_outputs(layers, reqs):
 
 
 @contextlib.contextmanager
-def _serving(server, *, max_wave_rows=4, **net_kw):
+def _serving(server, **net_kw):
     """A NetServer over ``server`` on a daemon thread, ready to accept."""
-    loop = ServingLoop(server, max_wave_rows=max_wave_rows)
+    loop = ServingLoop(server)
     net_kw.setdefault("drain_timeout_s", 10.0)
     net = NetServer(loop, port=0, owns_loop=True, **net_kw)
     with net:
@@ -335,7 +336,7 @@ class TestBitIdentityOverHttp:
         async def inproc():
             server = _server(layers)
             with server:
-                async with ServingLoop(server, max_wave_rows=4) as loop:
+                async with ServingLoop(server) as loop:
                     futs = [loop.submit_nowait(x) for x in reqs]
                     return [r.output for r in await asyncio.gather(*futs)]
 
@@ -456,18 +457,17 @@ class TestLifecycle:
         stats_path = tmp_path / "net-stats.json"
         layers = _layers(70)
         server = _server(layers)
-        loop = ServingLoop(server, max_wave_rows=4)
+        loop = ServingLoop(server)
         net = NetServer(
             loop, port=0, owns_loop=True, drain_timeout_s=10.0,
             stats_json=str(stats_path),
         )
         with server:
-            net.start_background()
-            c = _client(net)
-            for x in _requests(71, n=5):
-                assert c.infer(x).status == "ok"
-            c.close()
-            net.stop_background()
+            with net:
+                c = _client(net)
+                for x in _requests(71, n=5):
+                    assert c.infer(x).status == "ok"
+                c.close()
         assert net.final_stats is not None
         assert net.final_stats["requests"] == 5
         assert net.final_stats["net"]["requests_seen"] == 5
