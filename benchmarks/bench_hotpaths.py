@@ -20,10 +20,10 @@ future PR has a perf trajectory to regress against:
 - **end_to_end** — ``InferenceEngine.end_to_end`` over the BERT-base plan
   set, cold engine vs warm engine (the per-engine dense-cost and synthetic
   tile-stats memos).
-- **tw_gemm** — the width-grouped batched TW executor against the
+- **tw_gemm** — the plan-ordered gather-GEMM TW executor against the
   one-kernel-per-tile ``tw_gemm_reference`` oracle on BERT-base FFN
-  geometry (768×3072), at serving batch sizes and dtypes.  The batched
-  path replays the plan's memoised group operands, as a serving loop does.
+  geometry (768×3072), at serving batch sizes and dtypes.  The fast
+  path replays the weight's memoised tile operands, as a serving loop does.
 - **mixed_precision** — the TW GEMM at BERT-base FFN serving shapes under
   ``float32`` / ``float16`` / ``int8`` storage: measured host wall-clock
   (honest: host BLAS has no reduced-precision kernels, so dtypes tie),
@@ -297,7 +297,7 @@ def bench_tw_gemm(quick: bool) -> dict:
             dense, g, step.col_keeps[0], step.row_masks[0], dtype=np.dtype(dtype)
         )
         a = rng.standard_normal((m, BERT_K)).astype(dtype)
-        tw_gemm(a, tw)  # build plan + group operands once, as a server would
+        tw_gemm(a, tw)  # build plan + tile operands once, as a server would
         reps = 1 if m > 1024 else 3
         ref_ms = _best_of(lambda: tw_gemm_reference(a, tw), reps)
         bat_ms = _best_of(lambda: tw_gemm(a, tw), reps + 2)
@@ -511,7 +511,7 @@ def _parallel_case(
                 max_wave_rows=2 * req_rows,  # 2 requests per wave -> several
                 executor=executor, pace=pace,  # waves stream through slots
             ))
-            server.serve(reqs[0])  # warm: plans + group operands built
+            server.serve(reqs[0])  # warm: plans + tile operands built
             server.stats = ServerStats()  # timed run starts from zero
             for r in reqs:
                 server.submit(r)

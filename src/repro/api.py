@@ -157,7 +157,7 @@ class CompiledLayer:
 
         Both operands are frozen, so the product is computed once and
         parked in the instance ``__dict__`` — the same memo idiom the
-        kernels use for group operands.
+        kernels use for tile operands.
         """
         hit = self.__dict__.get("_masked_dense")
         if hit is None:
@@ -388,7 +388,7 @@ class CompiledTWModel:
     def run(self, x: np.ndarray) -> np.ndarray:
         """Forward ``x`` through the compiled layer stack.
 
-        TW layers execute as width-grouped batched GEMMs replaying the
+        TW layers execute as per-tile gather GEMMs replaying the
         compiled per-device plans (bit-identical to the hand-wired
         ``tw_prune → from_masks → build_execution_plan → tw_gemm``
         pipeline); mask-only patterns execute dense GEMM against the

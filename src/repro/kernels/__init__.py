@@ -20,10 +20,10 @@ Execution pipeline (paper Fig. 7)
 The TW hot path follows **plan → batch → stream → execute**: a
 :func:`repro.runtime.batching.batching_plan` width-groups the tiles, a
 :class:`repro.runtime.scheduler.StreamAssignment` orders the groups across
-streams, and :func:`repro.kernels.masked.tw_gemm` executes each group as
-one zero-padded batched ``matmul`` (depth padded to the group's
-``max_depth``).  The cost model in :mod:`repro.gpu.tw_kernel` prices the
-*same* plan the executor runs.
+streams, and :func:`repro.kernels.masked.tw_gemm` executes each group's
+tiles as gather GEMMs (each tile loads only the activation rows it keeps,
+depth zero-padded to a multiple of 32).  The cost model in
+:mod:`repro.gpu.tw_kernel` prices the *same* plan the executor runs.
 
 Vectorisation contract
 ----------------------
@@ -36,7 +36,7 @@ named ``*_reference`` oracles (``spmm_rowwise_reference``,
 must match their oracle **exactly** — bit-identical outputs, not approximate
 — because they add the same products in the same order (segment reductions,
 ``col2im``'s kernel-offset-major scatter) or on exactly-representable inputs
-(selection thresholds over integer unit weights, zero-padded batched
+(selection thresholds over integer unit weights, zero-padded per-tile
 reductions).  ``tests/test_vectorized_paths.py`` enforces the contract, and
 ``benchmarks/bench_hotpaths.py`` tracks the speedups in
 ``BENCH_hotpaths.json``; run it after touching any of these paths.

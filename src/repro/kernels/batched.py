@@ -6,8 +6,8 @@ equal width into one kernel so they share the activation matrix ``A`` and
 fill the machine.
 
 The grouping logic lives in :func:`repro.runtime.batching.batching_plan` —
-the *same* plan the cost model prices — and the padded batched execution in
-:func:`repro.kernels.masked.tw_gemm`; :func:`tw_batched_gemm` is the
+the *same* plan the cost model prices — and its execution, one gather GEMM
+per tile in plan order, in :func:`repro.kernels.masked.tw_gemm`; :func:`tw_batched_gemm` is the
 explicit entry point that makes the plan it runs visible to the caller.
 ``batched_gemm`` remains the plain 3-D contraction primitive each group
 reduces to (one tensor-core kernel per width group in the real

@@ -88,7 +88,8 @@ def relu(x: np.ndarray) -> np.ndarray:
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian error linear unit (tanh approximation, as in BERT)."""
     x = np.asarray(x)
-    return 0.5 * x * (1.0 + np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x**3)))
+    # x*x*x, not x**3: numpy sends a float cube to libm pow, ~100x slower
+    return 0.5 * x * (1.0 + np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))))
 
 
 def dropout(x: np.ndarray, p: float = 0.0, seed: int = 0) -> np.ndarray:
@@ -189,7 +190,8 @@ def bias_gelu(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     acc = _acc_dtype(x.dtype)
     h = x.astype(acc, copy=False) + np.asarray(bias, dtype=acc)
-    t = h**3
+    t = h * h
+    t *= h
     t *= 0.044715
     t += h
     t *= _SQRT_2_OVER_PI

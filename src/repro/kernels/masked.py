@@ -8,9 +8,11 @@ block, loading only the rows of ``A`` that survive the tile's ``mask_k``
 - :func:`masked_gemm` — one tile: dense ``A`` panel × compact ``B`` panel
   under explicit ``mask_k`` / column-index vectors;
 - :func:`tw_gemm` — the whole product ``A @ W`` for a
-  :class:`~repro.formats.tiled.TiledTWMatrix`, executed as *width-grouped
-  batched* GEMMs following the paper's pipeline
+  :class:`~repro.formats.tiled.TiledTWMatrix`, one gather GEMM per tile
+  in the order of the paper's pipeline
   (plan → batch → stream → execute, Fig. 7 steps 3–4);
+- :func:`tw_gemm_work` — the executed and useful multiply-adds of that
+  execution;
 - :func:`tw_gemm_reference` — the one-kernel-per-tile loop (the "Normal
   GEMM" row of Fig. 7), kept verbatim as the scalar oracle under the
   vectorisation contract.
@@ -22,21 +24,37 @@ rows/columns contribute exactly zero, so skipping them changes nothing*.
 Execution pipeline
 ------------------
 ``tw_gemm`` consumes the same :class:`~repro.runtime.batching.BatchGroup`
-plan the cost model prices: every group assembles its member tiles' compact
-payloads into one zero-padded batch (the paper's predicated tail).  Because
-every batch item multiplies the *same* activation matrix, the depth is
-padded to the shared ``K`` bound and the ``nb × K × width`` batch collapses
-into a single ``K × (nb·width)`` operand — one GEMM per group, no per-tile
-``A`` gather at all (the NumPy analogue of ``Load_A_Tile_with_Mask``:
-masked-off rows are predicated to zero instead of skipped).  All of the
-group's output columns then scatter in one vectorised store.
+plan the cost model prices and walks its groups in stream issue order.
+Every tile runs as one *gather GEMM*, the NumPy analogue of
+``Load_A_Tile_with_Mask``:
 
-The assembled group operands are memoised on the weight (keyed by the
-group's ``tile_ids`` — weights are frozen, so payloads never change under
-a live memo), which is what lets a serving loop replay a cached
-:class:`~repro.runtime.scheduler.ExecutionPlan` and pay only the GEMMs.
-Pass ``plan=StreamAssignment.execution_order()`` (or an ``ExecutionPlan``)
-to execute groups in the scheduler's per-stream issue order.
+1. the activations are transposed once per call into a ``(K + 1) × M``
+   panel whose last row is zero, so each tile's ``A`` rows are contiguous;
+2. each tile gathers the rows its ``mask_k`` keeps;
+3. one ``(kept_n × depth) @ (depth × M)`` product is stored into the
+   tile's rows of an ``N × M`` output (``Store_C_Tile_with_Mask``), which
+   is returned as its ``M × N`` transpose view; a chained layer's
+   transpose in step 1 is then a plain copy.
+
+A tile loads only the ``A`` rows it keeps, so a layer executes its useful
+multiply-adds plus at most ``DEPTH_QUANTUM - 1`` padding rows per tile
+(:func:`tw_gemm_work`), never the full ``K`` depth.  The depth is padded to
+a multiple of :data:`DEPTH_QUANTUM` because OpenBLAS rounds float32 GEMMs
+whose depth is not a multiple of 32 differently under 1 and 2 threads, and
+a ``process`` worker pinned to one BLAS thread must match an unpinned
+``inline`` parent bit for bit.  Padding rows gather the zero row against
+zero weight rows: they add exact zeros and never read an activation, so a
+NaN or Inf in a row that every tile prunes cannot reach the output, and
+non-finite values in kept rows propagate as in :func:`tw_gemm_reference`.
+
+Each tile's compute operand (its padded gather indices and its weight
+panel in the compute dtype) is memoised on the weight per compute dtype.
+Weights are frozen, so payloads never change under a live memo.  fp16 is
+upcast once and int8 is dequantised once, and a serving loop that replays
+a cached :class:`~repro.runtime.scheduler.ExecutionPlan` pays only the
+gathers and GEMMs.  Pass ``plan=StreamAssignment.execution_order()`` (or an
+``ExecutionPlan``) to execute groups in the scheduler's per-stream issue
+order.
 
 Mixed precision
 ---------------
@@ -46,12 +64,12 @@ Mixed precision
   historical behaviour; float32 runs BLAS sgemm directly).
 - **float16** — storage (checkpoint, shared-memory arena, pickle) stays
   half precision; the GEMM *accumulates in float32* via an explicit
-  upcast-per-group (host BLAS has no half kernels) and the output rounds
-  back to float16 once.  The fp32 compute operand is memoised next to the
-  fp16 storage operand, so a serving loop upcasts each group exactly once.
+  upcast (host BLAS has no half kernels) and the output rounds back to
+  float16 once.  The fp32 compute operands are memoised, so a serving loop
+  upcasts each tile exactly once.
 - **int8** — tile payloads are symmetric per-tile quantised
   (``q = round(w / scale)``, ``scale`` on each :class:`TWTile`); the GEMM
-  dequantises each group into a memoised fp32 operand and accumulates in
+  dequantises each tile into a memoised fp32 operand and accumulates in
   float32.  Activations stay floating point throughout.
 
 Oracle-comparison policy (vectorisation contract): ``tw_gemm_reference``
@@ -67,13 +85,22 @@ quantisation-error bound implied by the tile scales.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix
 
-__all__ = ["masked_gemm", "tw_gemm", "tw_gemm_reference", "DTYPE_TOLERANCES"]
+__all__ = [
+    "masked_gemm",
+    "tw_gemm",
+    "tw_gemm_reference",
+    "tw_gemm_work",
+    "DEPTH_QUANTUM",
+    "DTYPE_TOLERANCES",
+]
+
+#: per-tile GEMM depths are zero-padded to a multiple of this: OpenBLAS
+#: rounds float32 GEMMs of other depths differently under 1 and 2 threads
+DEPTH_QUANTUM = 32
 
 #: per-dtype tolerance table for batched-vs-oracle comparisons (the
 #: explicit oracle policy): compare in the batched path's dtype, reference
@@ -158,7 +185,7 @@ def tw_gemm_reference(a: np.ndarray, weight: TiledTWMatrix) -> np.ndarray:
 
 
 def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
-    """Compute ``A @ W`` for a TW-compacted weight matrix, batched per width.
+    """Compute ``A @ W`` for a TW-compacted weight matrix, one gather GEMM per tile.
 
     Columns of the output that belong to no tile (pruned columns) are exact
     zeros, matching dense GEMM against the mask-expanded weights.
@@ -180,14 +207,16 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
     Notes
     -----
     Matches :func:`tw_gemm_reference` bit-identically on exactly-
-    representable data; on continuous data the zero-padded batched
+    representable data; on continuous data the zero-padded per-tile
     reduction only differs by summation-order rounding.  The output dtype
     follows ``np.result_type(a, weight payload)`` instead of the
     reference's unconditional ``float64`` promotion, so float32 serving
     does not double its memory traffic.  float16 weights accumulate in
-    float32 (upcast-per-group) and round the output back to float16; int8
-    weights dequantise per tile scale into float32 and return the float
-    result-type of the activations (never int).
+    float32 and round the output back to float16; int8 weights dequantise
+    per tile scale into float32 and return the float result-type of the
+    activations (never int).  The result is the ``M×N`` transpose view of
+    an ``N×M`` buffer (Fortran order); its values do not depend on the
+    memory order of ``a``.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -195,19 +224,117 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
     k, n = weight.shape
     if a.shape[1] != k:
         raise ValueError(f"A columns {a.shape[1]} != weight K {k}")
-    tiles = weight.tiles
-    w_dtype = tiles[0].data.dtype if tiles else np.dtype(np.float64)
-    if w_dtype.kind in "iu":
-        # quantised storage: fp32 accumulation, activations stay float
-        out_dtype = np.result_type(a.dtype, np.float32)
-    else:
-        out_dtype = np.result_type(a.dtype, w_dtype)
-    # host BLAS has no half kernels: fp16 GEMMs accumulate in fp32 via an
-    # explicit upcast-per-group and round the output once at the end
-    compute_dtype = np.dtype(np.float32) if out_dtype == np.float16 else np.dtype(out_dtype)
+    compute_dtype, out_dtype = gemm_dtypes(a.dtype, weight.dtype)
     m = a.shape[0]
+    tiles = weight.tiles
     if not tiles:
         return np.zeros((m, n), dtype=out_dtype)
+    groups = _resolve_plan(weight, plan)
+    operands = tile_operands(
+        weight, compute_dtype, [tid for group in groups for tid in group.tile_ids]
+    )
+    # one transpose (and upcast) per call: every tile then gathers whole
+    # contiguous rows, and padded depths gather the trailing zero row.  A
+    # chained layer's input is the previous layer's transposed view, so
+    # its transpose is a plain copy.
+    at = np.empty((k + 1, m), dtype=compute_dtype)
+    at[:k] = a.T
+    at[k] = 0
+    # the output is built transposed too: each tile stores whole rows
+    out_t = np.zeros((n, m), dtype=compute_dtype)
+    for group in groups:
+        for tid in group.tile_ids:
+            operand = operands[tid]
+            if operand is None:
+                continue
+            rows, panel = operand
+            # every output column belongs to exactly one tile
+            out_t[tiles[tid].col_indices] = panel.T @ at.take(rows, axis=0)
+    out = out_t.T
+    return out if compute_dtype == out_dtype else out.astype(out_dtype)
+
+
+def tw_gemm_work(weight: TiledTWMatrix, plan=None) -> tuple[int, int]:
+    """Executed and useful multiply-adds per activation row of :func:`tw_gemm`.
+
+    A tile executes its padded depth times ``kept_n`` and needs only
+    ``kept_k × kept_n``, so ``executed / useful`` is at most
+    ``⌈kept_k / DEPTH_QUANTUM⌉ · DEPTH_QUANTUM / kept_k`` per tile.  Both
+    counts scale with ``m`` alike; ``plan`` is resolved as in ``tw_gemm``.
+    """
+    executed = useful = 0
+    for group in _resolve_plan(weight, plan):
+        for tid in group.tile_ids:
+            t = weight.tiles[tid]
+            if t.kept_k and t.kept_n:
+                executed += _padded_depth(t.kept_k) * t.kept_n
+                useful += t.kept_k * t.kept_n
+    return executed, useful
+
+
+def gemm_dtypes(a_dtype: np.dtype, w_dtype: np.dtype) -> tuple[np.dtype, np.dtype]:
+    """``(compute dtype, output dtype)`` of ``tw_gemm`` for these operand dtypes.
+
+    Quantised storage accumulates in fp32 and keeps float activations; host
+    BLAS has no half kernels, so fp16 products accumulate in fp32 too.
+    """
+    if np.dtype(w_dtype).kind in "iu":
+        out_dtype = np.result_type(a_dtype, np.float32)
+    else:
+        out_dtype = np.result_type(a_dtype, w_dtype)
+    compute = np.dtype(np.float32) if out_dtype == np.float16 else np.dtype(out_dtype)
+    return compute, np.dtype(out_dtype)
+
+
+def tile_operands(weight: TiledTWMatrix, dtype, tile_ids=()) -> dict:
+    """The weight's per-tile operand memo for one compute dtype.
+
+    Maps tile id to ``(gather rows, weight panel)``, or ``None`` for a tile
+    with nothing to compute; the entries of ``tile_ids`` are built if
+    missing.  The ``process`` executor's arenas pre-seed it with
+    shared-memory views.  The frozen dataclass carries the memo in its
+    instance ``__dict__``.
+    """
+    dtype = np.dtype(dtype)
+    memo = weight.__dict__.get("_tile_operands")
+    if memo is None:
+        memo = {}
+        object.__setattr__(weight, "_tile_operands", memo)
+    operands = memo.setdefault(dtype.str, {})
+    for tid in tile_ids:
+        if tid not in operands:
+            operands[tid] = _tile_operand(weight, tid, dtype)
+    return operands
+
+
+def _tile_operand(
+    weight: TiledTWMatrix, tid: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Build one tile's gather indices and compute-dtype weight panel.
+
+    Both are zero-padded to the tile's padded depth: the extra indices
+    point at the zero row ``K`` of ``tw_gemm``'s transposed activations and
+    meet zero weight rows.  int8 payloads dequantise by the tile's scale.
+    """
+    tile = weight.tiles[tid]
+    if not (tile.kept_k and tile.kept_n):
+        return None
+    depth = _padded_depth(tile.kept_k)
+    rows = np.full(depth, weight.shape[0], dtype=np.intp)
+    rows[: tile.kept_k] = tile.row_indices()
+    panel = np.zeros((depth, tile.kept_n), dtype=dtype)
+    panel[: tile.kept_k] = tile.data
+    if tile.data.dtype.kind in "iu":
+        panel[: tile.kept_k] *= np.asarray(tile.scale, dtype=dtype)
+    return rows, panel
+
+
+def _padded_depth(kept_k: int) -> int:
+    return -(-kept_k // DEPTH_QUANTUM) * DEPTH_QUANTUM
+
+
+def _resolve_plan(weight: TiledTWMatrix, plan):
+    """The batch groups ``tw_gemm`` walks, in order (see its ``plan``)."""
     if plan is None:
         plan = weight.__dict__.get("_default_plan")
         if plan is None:
@@ -218,91 +345,4 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
             object.__setattr__(weight, "_default_plan", plan)
     elif hasattr(plan, "execution_order"):
         plan = plan.execution_order()
-    if a.dtype != compute_dtype:
-        a = a.astype(compute_dtype)
-    out = np.zeros((m, n), dtype=compute_dtype)
-    for group in plan:
-        operand = _group_operand(weight, group.tile_ids, compute_dtype)
-        if operand is None:
-            continue
-        b_padded, cols = operand
-        # Fig. 7 step 3: one GEMM per width group, one vectorised store —
-        # every output column belongs to exactly one tile
-        out[:, cols] = a @ b_padded
-    return out if compute_dtype == out_dtype else out.astype(out_dtype)
-
-
-def _group_operand(
-    weight: TiledTWMatrix,
-    tile_ids: Sequence[int],
-    compute_dtype: np.dtype | None = None,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Assemble (and memoise) one group's depth-padded batched operand.
-
-    The member tiles' compact payloads scatter into a shared
-    ``K × Σ kept_n`` block — each tile's slab zero-padded over its masked
-    rows (the predicated tail), so the whole group multiplies the one
-    activation panel.  Memoised on the weight instance keyed by
-    ``tile_ids``; the frozen dataclass carries the memo via its instance
-    ``__dict__``.
-
-    The base memo holds the *storage-dtype* operand (what checkpoints,
-    pickles and shared-memory arenas carry).  When ``compute_dtype``
-    differs — fp16 storage accumulating in fp32, or int8 storage
-    dequantising through its per-tile scales — a second per-process memo
-    (``_compute_operands``) holds the compute-ready operand, built exactly
-    once per (group, dtype) so steady-state serving replays pure GEMMs.
-    """
-    cache = weight.__dict__.get("_group_operands")
-    if cache is None:
-        cache = {}
-        object.__setattr__(weight, "_group_operands", cache)
-    key = tuple(tile_ids)
-    if key not in cache:
-        members = [weight.tiles[i] for i in key]
-        members = [t for t in members if t.kept_k and t.kept_n]
-        if not members:
-            cache[key] = None
-        else:
-            k = weight.shape[0]
-            total_width = sum(t.kept_n for t in members)
-            b_padded = np.zeros((k, total_width), dtype=members[0].data.dtype)
-            offset = 0
-            for t in members:
-                b_padded[t.row_indices(), offset : offset + t.kept_n] = t.data
-                offset += t.kept_n
-            cols = np.concatenate([t.col_indices for t in members])
-            cache[key] = (b_padded, cols)
-    base = cache[key]
-    if base is None:
-        return None
-    storage_dtype = base[0].dtype
-    if compute_dtype is None or np.dtype(compute_dtype) == storage_dtype:
-        return base
-    ccache = weight.__dict__.get("_compute_operands")
-    if ccache is None:
-        ccache = {}
-        object.__setattr__(weight, "_compute_operands", ccache)
-    ckey = (key, np.dtype(compute_dtype).str)
-    hit = ccache.get(ckey)
-    if hit is not None:
-        return hit
-    quantized = storage_dtype.kind in "iu"
-    if not quantized:
-        b_compute = base[0].astype(compute_dtype)
-    else:
-        # rebuild per-slab so each tile's payload dequantises by its own
-        # scale (the concatenated base block has no slab boundaries)
-        members = [weight.tiles[i] for i in key]
-        members = [t for t in members if t.kept_k and t.kept_n]
-        k = weight.shape[0]
-        total_width = sum(t.kept_n for t in members)
-        b_compute = np.zeros((k, total_width), dtype=compute_dtype)
-        offset = 0
-        for t in members:
-            slab = t.data.astype(compute_dtype)
-            slab *= np.asarray(t.scale, dtype=compute_dtype)
-            b_compute[t.row_indices(), offset : offset + t.kept_n] = slab
-            offset += t.kept_n
-    ccache[ckey] = (b_compute, base[1])
-    return ccache[ckey]
+    return plan

@@ -3,10 +3,11 @@
 The process executor's whole premise is that a wave descriptor crossing
 the pickle boundary stays *small*: request rows, layer ids, slot tags,
 plans.  The heavy operands — a layer's compacted
-:class:`~repro.formats.tiled.TiledTWMatrix` payloads **and** the
-execution plan's width-group batched operands (the ``K × Σ width``
-zero-padded weight stacks :func:`repro.kernels.masked._group_operand`
-assembles) — are placed once, at server cache-fill time, into a
+:class:`~repro.formats.tiled.TiledTWMatrix` payloads **and** the per-tile
+compute operands ``tw_gemm`` multiplies (each tile's depth-padded gather
+indices and weight panel in the compute dtype, see
+:func:`repro.kernels.masked.tile_operands`) — are placed once, at server
+cache-fill time, into a
 :class:`multiprocessing.shared_memory.SharedMemory` segment.  Worker
 processes then *map* the segment and reconstruct the matrix as zero-copy
 read-only NumPy views; the per-wave message only carries an
@@ -34,11 +35,12 @@ Worker side
 :func:`attach` maps a segment (cached per segment name, so a persistent
 worker pays the map once per arena, not per wave) and rebuilds the
 :class:`TiledTWMatrix` from views.  Crucially it also pre-seeds the
-matrix's ``_group_operands`` memo with shm-backed views, so the worker's
-:func:`~repro.kernels.masked.tw_gemm` never *assembles* operands — the
-zero-copy stacks are the same bytes the parent computed, which is half of
-the bit-identity argument (the other half: BLAS GEMM reduction order does
-not depend on which process calls it).
+matrix's per-tile operand memo with shm-backed views, so the worker's
+:func:`~repro.kernels.masked.tw_gemm` never builds, upcasts or dequantises
+an operand — the zero-copy panels are the same bytes the parent computed,
+which is half of the bit-identity argument (the other half: BLAS GEMM
+reduction order does not depend on which process calls it, given the
+depths ``tw_gemm`` pads to).
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix, TWTile
+from repro.kernels.masked import gemm_dtypes, tile_operands
 
 __all__ = [
     "ArenaRef",
@@ -93,15 +96,15 @@ class TileSlots:
 
 @dataclass(frozen=True)
 class OperandSlots:
-    """Slot table for one width-group batched operand.
+    """Slot table for one tile's compute operand (its memo entry).
 
-    ``tile_ids`` is the group's memo key; ``stack`` is the ``K × Σ width``
-    zero-padded weight stack, ``cols`` the concatenated output columns.
+    ``rows`` holds the depth-padded gather indices, ``panel`` the weight
+    panel in the arena's compute dtype.
     """
 
-    tile_ids: tuple[int, ...]
-    stack: ArraySlot
-    cols: ArraySlot
+    tile_id: int
+    rows: ArraySlot
+    panel: ArraySlot
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,10 @@ class ArenaRef:
     """Picklable handle to a placed arena — all a worker needs to attach.
 
     A few hundred bytes of plain data: the segment name plus the slot
-    table describing where each tile array and group operand lives.
-    ``null_groups`` lists group keys whose operand is empty (all member
-    tiles fully pruned) so workers seed the memo with ``None`` instead of
-    re-deriving it.
+    table describing where each tile array and tile operand lives.
+    ``compute_dtype`` names the dtype the operands were built in; tiles
+    with nothing to compute have no operand slot (workers memoise their
+    ``None`` on first use, which allocates nothing).
     """
 
     name: str
@@ -120,7 +123,7 @@ class ArenaRef:
     granularity: int
     tiles: tuple[TileSlots, ...]
     operands: tuple[OperandSlots, ...]
-    null_groups: tuple[tuple[int, ...], ...]
+    compute_dtype: str
     nbytes: int
     #: per-tile dequantisation scales (plain floats — a few bytes per tile,
     #: so they ride the picklable ref rather than earning shm slots).
@@ -156,39 +159,39 @@ def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
-def _group_keys(plans) -> list[tuple[int, ...]]:
-    """Unique group keys across plans, in first-seen order.
+def _tile_ids(plans) -> list[int]:
+    """Unique tile ids across plans, in first-seen order.
 
     ``batching_plan`` is a pure function of the weight, so every device's
-    plan for one layer yields the *same* groups — placing the first
-    plan's operands covers all of them.
+    plan for one layer names the *same* tiles — placing the first plan's
+    operands covers all of them.
     """
-    seen: list[tuple[int, ...]] = []
+    seen: dict[int, None] = {}
     for plan in plans or ():
         groups = plan.groups if hasattr(plan, "groups") else plan
         for group in groups:
-            key = tuple(group.tile_ids)
-            if key not in seen:
-                seen.append(key)
-    return seen
+            seen.update(dict.fromkeys(group.tile_ids))
+    return list(seen)
 
 
-def place(key: object, tw: TiledTWMatrix, plans=()) -> ArenaRef:
+def place(key: object, tw: TiledTWMatrix, plans=(), dtype=None) -> ArenaRef:
     """Place (or re-reference) one layer's TW format + operands in shm.
 
     Idempotent per ``key`` (the server's format-cache key): a repeat call
     bumps the refcount and returns the existing :class:`ArenaRef`.  The
-    group operands are computed through
-    :func:`~repro.kernels.masked._group_operand` — which also memoises
-    them on ``tw`` for the parent's own (inline-oracle) use — then copied
-    into the segment.
+    operands of the tiles ``plans`` name are built in the compute dtype of
+    ``dtype`` activations (default: the payload dtype) through
+    :func:`~repro.kernels.masked.tile_operands` — which also memoises them
+    on ``tw`` for the parent's own (inline-oracle) use — then copied into
+    the segment.
     """
     with _lock:
         hit = _owned.get(key)
         if hit is not None:
             hit.refcount += 1
             return hit.ref
-    from repro.kernels.masked import _group_operand
+    a_dtype = tw.dtype if dtype is None else np.dtype(dtype)
+    compute_dtype, _ = gemm_dtypes(a_dtype, tw.dtype)
 
     # gather every array the segment will hold, in layout order
     arrays: list[np.ndarray] = []
@@ -198,17 +201,11 @@ def place(key: object, tw: TiledTWMatrix, plans=()) -> ArenaRef:
             np.ascontiguousarray(t.mask_k, dtype=bool),
             np.ascontiguousarray(t.data),
         ))
-    op_entries: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
-    null_groups: list[tuple[int, ...]] = []
-    for gkey in _group_keys(plans):
-        operand = _group_operand(tw, gkey)
-        if operand is None:
-            null_groups.append(gkey)
-            continue
-        stack, cols = operand
-        op_entries.append((gkey, np.ascontiguousarray(stack),
-                           np.ascontiguousarray(cols, dtype=np.int64)))
-        arrays.extend(op_entries[-1][1:])
+    tids = _tile_ids(plans)
+    memo = tile_operands(tw, compute_dtype, tids)
+    op_ids = [tid for tid in tids if memo[tid] is not None]
+    for tid in op_ids:
+        arrays.extend(memo[tid])
 
     offsets: list[int] = []
     cursor = 0
@@ -232,11 +229,11 @@ def place(key: object, tw: TiledTWMatrix, plans=()) -> ArenaRef:
     )
     operand_slots = tuple(
         OperandSlots(
-            tile_ids=gkey,
-            stack=write(*next(slot_iter)),
-            cols=write(*next(slot_iter)),
+            tile_id=tid,
+            rows=write(*next(slot_iter)),
+            panel=write(*next(slot_iter)),
         )
-        for gkey, _stack, _cols in op_entries
+        for tid in op_ids
     )
     ref = ArenaRef(
         name=shm.name,
@@ -244,7 +241,7 @@ def place(key: object, tw: TiledTWMatrix, plans=()) -> ArenaRef:
         granularity=tw.granularity,
         tiles=tile_slots,
         operands=operand_slots,
-        null_groups=tuple(null_groups),
+        compute_dtype=compute_dtype.str,
         nbytes=nbytes,
         scales=tuple(float(t.scale) for t in tw.tiles),
     )
@@ -331,8 +328,8 @@ def attach(ref: ArenaRef) -> TiledTWMatrix:
 
     Cached per segment name: a persistent worker maps each arena once and
     replays it for every later wave.  The rebuilt matrix's
-    ``_group_operands`` memo is pre-seeded with shm-backed views, so
-    ``tw_gemm`` on it never assembles an operand.  Raises
+    per-tile operand memo is pre-seeded with shm-backed views, so
+    ``tw_gemm`` on it never builds an operand.  Raises
     ``FileNotFoundError`` if the owner already unlinked the segment (a
     closed server) — the wave fails and the caller's retry path rebuilds.
     """
@@ -368,14 +365,9 @@ def attach(ref: ArenaRef) -> TiledTWMatrix:
     )
     tw = TiledTWMatrix(shape=tuple(ref.shape), granularity=ref.granularity,
                        tiles=tiles)
-    memo: dict[tuple[int, ...], object] = {}
+    memo = tile_operands(tw, ref.compute_dtype)
     for op in ref.operands:
-        memo[tuple(op.tile_ids)] = (
-            _view(shm.buf, op.stack), _view(shm.buf, op.cols),
-        )
-    for gkey in ref.null_groups:
-        memo[tuple(gkey)] = None
-    object.__setattr__(tw, "_group_operands", memo)
+        memo[op.tile_id] = (_view(shm.buf, op.rows), _view(shm.buf, op.panel))
     _attached[ref.name] = (shm, tw)
     return tw
 

@@ -1205,14 +1205,14 @@ class TWModelServer:
             if self.executor.needs_arenas:
                 # place-at-cache-fill: the first wave that touches a format
                 # under a process executor publishes it (tiles + the plan's
-                # width-group operands) to shared memory; every later wave
-                # reuses the same segment and ships only this small ref.
-                # Group tile-ids are device-independent, so one plan's
+                # per-tile compute operands) to shared memory; every later
+                # wave reuses the same segment and ships only this small
+                # ref.  Tile ids are device-independent, so one plan's
                 # operands serve every device slot.
                 key = self._format_key(layer)
                 ref = self._arenas.get(key)
                 if ref is None:
-                    ref = _arena.place(key, tw, plans=(plan,))
+                    ref = _arena.place(key, tw, plans=(plan,), dtype=dtype)
                     self._arenas[key] = ref
             steps.append(
                 WaveStep(

@@ -2,7 +2,7 @@
 
 The lifecycle contract under test: ``place`` is idempotent/refcounted per
 cache key, ``attach`` rebuilds a bit-identical read-only
-:class:`TiledTWMatrix` (tiles *and* pre-seeded group operands) from the
+:class:`TiledTWMatrix` (tiles *and* pre-seeded tile operands) from the
 segment, and ``release`` unlinks deterministically at refcount zero — no
 ``/dev/shm`` entry survives a balanced place/release sequence.
 """
@@ -17,11 +17,13 @@ from repro.runtime import arena
 from repro.runtime.scheduler import build_execution_plan
 
 
-def _tw_and_plan(seed=0, k=24, n=24, g=8, sparsity=0.5):
+def _tw_and_plan(seed=0, k=24, n=24, g=8, sparsity=0.5, dtype=np.float64):
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((k, n))
     step = tw_prune_step([np.abs(dense)], sparsity, TWPruneConfig(granularity=g))
-    tw = TiledTWMatrix.from_masks(dense, g, step.col_keeps[0], step.row_masks[0])
+    tw = TiledTWMatrix.from_masks(
+        dense, g, step.col_keeps[0], step.row_masks[0], dtype=np.dtype(dtype)
+    )
     return tw, build_execution_plan(tw)
 
 
@@ -120,19 +122,37 @@ class TestAttach:
         ref = arena.place("key-j", tw, plans=(plan,))
         try:
             got = arena.attach(ref)
-            memo = got.__dict__["_group_operands"]
-            assert len(memo) == len(ref.operands) + len(ref.null_groups)
+            memo = got.__dict__["_tile_operands"][ref.compute_dtype]
+            assert len(memo) == len(ref.operands)
             # the seeded operands are the same bytes the parent computed
-            parent_memo = tw.__dict__["_group_operands"]
+            parent_memo = tw.__dict__["_tile_operands"][ref.compute_dtype]
             for key, value in memo.items():
-                if value is None:
-                    assert parent_memo[key] is None
-                    continue
                 np.testing.assert_array_equal(value[0], parent_memo[key][0])
                 np.testing.assert_array_equal(value[1], parent_memo[key][1])
         finally:
             arena.detach_all()
             arena.release("key-j")
+
+    @pytest.mark.parametrize("storage", ["float16", "int8"])
+    def test_attach_preseeds_converted_operands(self, storage):
+        # fp16 and int8 payloads are placed already converted to the fp32
+        # compute dtype, so a worker's GEMMs never upcast or dequantise
+        tw, plan = _tw_and_plan(9, dtype=storage)
+        ref = arena.place("key-m", tw, plans=(plan,), dtype=np.float32)
+        try:
+            assert ref.compute_dtype == np.dtype(np.float32).str
+            got = arena.attach(ref)
+            memo = got.__dict__["_tile_operands"][ref.compute_dtype]
+            assert len(memo) == len(ref.operands) > 0
+            ids = {tid: id(entry) for tid, entry in memo.items()}
+            a = np.random.default_rng(90).standard_normal((4, tw.shape[0])).astype(np.float32)
+            np.testing.assert_array_equal(
+                tw_gemm(a, got, plan=plan), tw_gemm(a, tw, plan=plan)
+            )
+            assert {tid: id(entry) for tid, entry in memo.items()} == ids
+        finally:
+            arena.detach_all()
+            arena.release("key-m")
 
     def test_gemm_through_attached_matrix_is_bit_identical(self):
         tw, plan = _tw_and_plan(8)

@@ -138,6 +138,25 @@ class TestFusion:
         assert gelu(np.array(100.0)) == pytest.approx(100.0, rel=1e-6)
         assert gelu(np.array(-100.0)) == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gelu_cube_equals_pow_on_dyadic_inputs(self, dtype):
+        # the cube is evaluated as x*x*x; on dyadic inputs it and the x**3
+        # it replaced are both exact, so the primitive and the fused
+        # epilogue each agree bit for bit with their x**3 formulas
+        x = (np.arange(-256, 257) / 32.0).astype(dtype)
+        c = np.sqrt(2.0 / np.pi)
+        old = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+        np.testing.assert_array_equal(gelu(x), old)
+        old_fused = x**3
+        old_fused *= 0.044715
+        old_fused += x
+        old_fused *= c
+        np.tanh(old_fused, out=old_fused)
+        old_fused += 1.0
+        old_fused *= 0.5 * x
+        got = bias_gelu(x[None, :], np.zeros(x.size, dtype=dtype))[0]
+        np.testing.assert_array_equal(got, old_fused)
+
     def test_layernorm_standardises(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 16)) * 5 + 3

@@ -19,6 +19,9 @@ path's re-associated summations are provably exact — plus seeded continuous
 data, where the deterministic seeds pin the behaviour.
 """
 
+import ctypes
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,7 +46,13 @@ from repro.kernels.spmm import (
     spmm_rowwise_reference,
 )
 from repro.kernels.im2col import col2im, col2im_reference, im2col
-from repro.kernels.masked import DTYPE_TOLERANCES, tw_gemm, tw_gemm_reference
+from repro.kernels.masked import (
+    DEPTH_QUANTUM,
+    DTYPE_TOLERANCES,
+    tw_gemm,
+    tw_gemm_reference,
+    tw_gemm_work,
+)
 from repro.kernels.transpose import blocked_transpose, blocked_transpose_reference
 from repro.runtime.batching import batching_plan
 from repro.runtime.scheduler import build_execution_plan
@@ -383,9 +392,10 @@ def _random_tw(rng, k, n, g) -> TiledTWMatrix:
 
 
 class TestTWGemmBatched:
-    # the batched executor zero-pads each group's payloads to the shared
-    # depth bound, so on exactly-representable data every padded term adds
-    # an exact zero: bit-identity with the per-tile oracle is required
+    # the executor gathers each tile's kept activation rows and zero-pads
+    # the depth to a multiple of 32 with zero rows against zero weights, so
+    # on exactly-representable data every padded term adds an exact zero:
+    # bit-identity with the per-tile oracle is required
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -468,8 +478,46 @@ class TestTWGemmBatched:
         tw = _random_tw(rng, 16, 24, 4)
         a = rng.integers(-4, 5, (3, 16)).astype(float)
         first = tw_gemm(a, tw)
-        assert "_group_operands" in tw.__dict__  # memo materialised
+        assert "_tile_operands" in tw.__dict__  # memo materialised
         np.testing.assert_array_equal(tw_gemm(a, tw), first)
+
+    def test_non_finite_in_pruned_rows_is_never_read(self):
+        # a K row that every tile prunes is never gathered, so NaN/Inf there
+        # cannot reach the output; in kept rows non-finite values propagate
+        # exactly as in the per-tile oracle (depth padding reads no input)
+        rng = np.random.default_rng(21)
+        k, n, g = 12, 8, 4
+        masks = [rng.random(k) < 0.5 for _ in range(2)]
+        for mask in masks:
+            mask[5], mask[2] = False, True
+        dense = rng.integers(-5, 6, (k, n)).astype(float)
+        tw = TiledTWMatrix.from_masks(dense, g, np.ones(n, dtype=bool), masks)
+        a = rng.integers(-5, 6, (4, k)).astype(float)
+        a[:, 5] = np.nan
+        a[1, 5] = np.inf
+        got = tw_gemm(a, tw)
+        assert np.isfinite(got).all()
+        np.testing.assert_array_equal(got, tw_gemm_reference(a, tw))
+        a[0, 2], a[3, 2] = np.inf, np.nan
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(tw_gemm(a, tw), tw_gemm_reference(a, tw))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_executed_work_within_depth_quantum(self, seed):
+        rng = np.random.default_rng(seed)
+        tw = _random_tw(rng, int(rng.integers(1, 120)), int(rng.integers(1, 60)), 8)
+        for group in batching_plan(tw, enabled=False):
+            tile = tw.tiles[group.tile_ids[0]]
+            executed, useful = tw_gemm_work(tw, [group])
+            if not (tile.kept_k and tile.kept_n):
+                assert executed == useful == 0
+                continue
+            bound = -(-tile.kept_k // DEPTH_QUANTUM) * DEPTH_QUANTUM / tile.kept_k
+            assert 1.0 <= executed / useful <= bound
+        executed, useful = tw_gemm_work(tw)
+        assert useful == sum(t.work for t in tw.tiles)
+        assert executed >= useful
 
     # --- the explicit oracle-comparison policy (mixed precision) -------
     # tw_gemm_reference is the float-payload scalar oracle and promotes
@@ -518,7 +566,7 @@ class TestTWGemmBatched:
 
     def test_compute_operand_memo_reused_across_calls(self):
         # fp16 storage accumulates in fp32: the upcast operand is memoised
-        # per (group, compute dtype) so a serving loop upcasts once
+        # per (compute dtype, tile) so a serving loop upcasts once
         rng = np.random.default_rng(13)
         col_keep = np.ones(8, dtype=bool)
         masks = [np.ones(16, dtype=bool), np.ones(16, dtype=bool)]
@@ -526,11 +574,62 @@ class TestTWGemmBatched:
         tw = TiledTWMatrix.from_masks(dense, 4, col_keep, masks, dtype=np.float16)
         a = rng.standard_normal((3, 16)).astype(np.float16)
         first = tw_gemm(a, tw)
-        ccache = tw.__dict__["_compute_operands"]
+        ccache = tw.__dict__["_tile_operands"][np.dtype(np.float32).str]
         ids = {k: id(v) for k, v in ccache.items()}
         again = tw_gemm(a, tw)
         assert {k: id(v) for k, v in ccache.items()} == ids  # no rebuild
         np.testing.assert_array_equal(first, again)
+
+
+def _openblas_thread_controls():
+    """(set, get) thread-count functions of the loaded OpenBLAS, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+class TestBlasThreadInvariance:
+    # process workers pin BLAS to one thread while an inline parent may
+    # run two: tw_gemm's padded depths make the thread count irrelevant
+
+    @pytest.mark.parametrize("m", [16, 128])
+    def test_float32_output_independent_of_blas_threads(self, m):
+        controls = _openblas_thread_controls()
+        if controls is None or (os.cpu_count() or 1) < 2:
+            pytest.skip("needs OpenBLAS thread control and at least 2 CPUs")
+        set_threads, get_threads = controls
+        rng = np.random.default_rng(m)
+        k, n, g = 1024, 256, 128
+        masks = [np.zeros(k, dtype=bool) for _ in range(2)]
+        for mask, kept in zip(masks, (501, 453)):
+            mask[rng.choice(k, kept, replace=False)] = True
+        dense = rng.standard_normal((k, n))
+        tw = TiledTWMatrix.from_masks(
+            dense, g, np.ones(n, dtype=bool), masks, dtype=np.float32
+        )
+        assert all(t.kept_k % DEPTH_QUANTUM for t in tw.tiles)
+        a = rng.standard_normal((m, k)).astype(np.float32)
+        before = get_threads()
+        try:
+            set_threads(1)
+            one = tw_gemm(a, tw)
+            set_threads(2)
+            two = tw_gemm(a, tw)
+        finally:
+            set_threads(before)
+        np.testing.assert_array_equal(one, two)
 
 
 class TestCol2ImEquivalence:
