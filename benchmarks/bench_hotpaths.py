@@ -52,14 +52,7 @@ future PR has a perf trajectory to regress against:
   hosts the same executor additionally overlaps the NumPy compute.
   Outputs are asserted bit-identical between executors; the measured
   speedup is reported next to the modeled ``critical_path_s`` headroom
-  (their ratio is ``parallel_efficiency``).  The section's ``process``
-  rows are the ISSUE 7 counterpart: *unpaced* wall-time of the
-  ``process`` executor (one worker per device slot, weights mapped from
-  shared-memory arenas, BLAS pinned to 1 thread per worker) vs unpaced
-  ``inline``.  These rows measure genuine multi-core compute speedup, so
-  they depend on the host: the ≥1.5x goal needs 2+ physical cores, and
-  ``cpu_count`` is recorded next to the measurement to make a 1-core
-  result legible as a host limit rather than a regression.
+  (their ratio is ``parallel_efficiency``).
 - **server_faults** — recovery overhead of the fault-tolerant flush path:
   the same BERT-base request stream served fault-free and under seeded
   deterministic fault schedules (transient exceptions retried at fresh
@@ -551,90 +544,13 @@ def _parallel_case(
     }
 
 
-def _process_parallel_case(blocks: int, n_req: int, g: int, sparsity: float,
-                           dtype: str) -> dict:
-    """Unpaced inline-vs-process wall-time on a replicated 2-slot placement.
-
-    Unlike the paced rows above, nothing sleeps here: the speedup is real
-    multi-core NumPy compute overlapping across worker processes, so the
-    number is host-dependent (1 on a single-core box, by construction).
-    The warm-up serve spawns the pool, publishes the arenas and builds
-    every plan, so the timed window measures steady-state serving only.
-    """
-    import repro
-    from repro.api import demo_layer_stack
-    from repro.gpu.device import V100
-    from repro.runtime.placement import Placement
-    from repro.runtime.server import ServerConfig, ServerStats
-
-    req_rows = 16
-    weights, names = demo_layer_stack("bert", blocks=blocks, seed=8, dtype=np.float32)
-    placement = Placement("replicated", (V100, V100))
-    model = repro.compile(
-        weights, pattern="tw", sparsity=sparsity, granularity=g,
-        dtype=np.dtype(dtype), names=names, placement=placement,
-    )
-    rng = np.random.default_rng(9)
-    reqs = [
-        rng.standard_normal((req_rows, weights[0].shape[0])).astype(dtype)
-        for _ in range(n_req)
-    ]
-    walls = {}
-    reference_out = None
-    for executor in ("inline", "process"):
-        server = model.serve(ServerConfig(
-            granularity=g, dtype=dtype, placement=placement,
-            max_wave_rows=2 * req_rows, executor=executor, pace=0.0,
-        ))
-        try:
-            # warm(): formats + plans built, and for the process pool a
-            # blocking handshake with every worker, so interpreter boot
-            # (~hundreds of ms per worker) never lands in the timed run.
-            # The serves then place the arenas and fault the shm pages in.
-            server.warm()
-            for _ in placement.devices:
-                server.serve(reqs[0])
-            server.stats = ServerStats()  # timed run starts from zero
-            for r in reqs:
-                server.submit(r)
-            served = server.flush()
-            out = served[0].output
-            if reference_out is None:
-                reference_out = out
-            else:
-                assert np.array_equal(out, reference_out), executor
-            walls[executor] = server.stats.wall_time_s
-        finally:
-            server.close()
-    speedup = walls["inline"] / walls["process"]
-    print(
-        f"procex x{blocks} replicated_x2     inline {walls['inline'] * 1e3:8.2f}ms"
-        f"  process {walls['process'] * 1e3:8.2f}ms  {speedup:5.2f}x unpaced"
-    )
-    return {
-        "model": f"bert encoder x{blocks} (768/3072)",
-        "requests": n_req,
-        "rows_per_request": req_rows,
-        "placement": "replicated_x2",
-        "inline_wall_ms": round(walls["inline"] * 1e3, 2),
-        "process_wall_ms": round(walls["process"] * 1e3, 2),
-        "wall_speedup_vs_inline": round(speedup, 2),
-    }
-
-
 def bench_parallel_server(quick: bool) -> dict:
-    import os
-
     g, sparsity, dtype, pace = 64, 0.75, "float32", 150.0
     # the small case runs in BOTH sweeps (same matching rule as
     # server_sharded) so the bench_gate quick run still gates it
     cases = [(1, 8)] if quick else [(1, 8), (2, 8)]
     configs = [
         _parallel_case(blocks, n_req, g, sparsity, dtype, pace)
-        for blocks, n_req in cases
-    ]
-    process_configs = [
-        _process_parallel_case(blocks, n_req, g, sparsity, dtype)
         for blocks, n_req in cases
     ]
     return {
@@ -654,21 +570,6 @@ def bench_parallel_server(quick: bool) -> dict:
             for c in configs
             for p in c["placements"].values()
         ),
-        "process": {
-            "pace": 0.0,
-            "cpu_count": os.cpu_count(),
-            "blas_threads_per_worker": 1,
-            "note": (
-                "unpaced: real multi-core compute speedup of the process "
-                "executor (shared-memory weight arenas, BLAS pinned per "
-                "worker) vs inline; the >=1.5x goal requires 2+ physical "
-                "cores — on a 1-core host the expected value is <=1"
-            ),
-            "configs": process_configs,
-            "headline_wall_speedup": max(
-                c["wall_speedup_vs_inline"] for c in process_configs
-            ),
-        },
     }
 
 

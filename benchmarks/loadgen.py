@@ -45,6 +45,7 @@ except ImportError:  # direct invocation without PYTHONPATH=src
     import repro
 
 from repro.api import demo_layer_stack
+from repro.runtime.executor import available_executors
 from repro.runtime.ingress import ServingLoop
 from repro.runtime.loadgen import ARRIVALS, run_closed_loop, run_open_loop
 from repro.runtime.netclient import HttpLoadTransport
@@ -205,7 +206,7 @@ def main() -> int:
                              "saturation (--mode both)")
     parser.add_argument("--deadline-s", type=float, default=None)
     parser.add_argument("--executor", default="inline",
-                        choices=["inline", "threaded", "process"])
+                        choices=available_executors())
     parser.add_argument("--sparsity", type=float, default=0.75)
     parser.add_argument("--granularity", "-G", type=int, default=64)
     parser.add_argument("--scale", type=int, default=8)

@@ -440,14 +440,12 @@ class CompiledTWModel:
         (with or without an explicit ``config``) and are validated there;
         an unknown name raises :class:`TypeError`.  For example
         ``executor="threaded"`` overlaps the placement's device slots in
-        wall-time, ``executor="process"`` runs them as worker *processes*
-        over shared-memory weight arenas (outputs stay bit-identical to
-        ``inline`` either way), and ``max_wave_rows``, ``max_retries``,
-        ``max_queue_rows``, ``watchdog_s`` or ``faults`` configure
-        batching and the fault-tolerant serving path.  Call
-        ``server.close()`` (or use the server as a context manager) when
-        done — with a process executor that is what shuts the worker pool
-        down and unlinks the arenas.
+        wall-time (outputs stay bit-identical to ``inline``), and
+        ``max_wave_rows``, ``max_retries``, ``max_queue_rows``,
+        ``watchdog_s`` or ``faults`` configure batching and the
+        fault-tolerant serving path.  Call ``server.close()`` (or use the
+        server as a context manager) when done: that shuts the worker
+        threads down.
         """
         self._require_weights("serve")
         if any(l.tw is None for l in self.layers):

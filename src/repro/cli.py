@@ -39,6 +39,7 @@ from repro.core.schedule import available_schedules
 from repro.kernels.fusion import EPILOGUES
 from repro.patterns.registry import available_engines, available_patterns
 from repro.runtime.executor import available_executors
+from repro.runtime.faults import available_faults
 from repro.runtime.server import ServerConfig
 
 __all__ = ["main", "build_parser"]
@@ -151,13 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--placement", default="single", choices=_PLACEMENTS)
     p_serve.add_argument("--executor", default=_SERVER.executor,
                          choices=available_executors(),
-                         help="wave executor: inline (sequential oracle), "
-                              "threaded (worker threads overlap device "
-                              "slots) or process (worker processes over "
-                              "shared-memory weight arenas — real "
-                              "multi-core parallelism)")
+                         help="wave executor: inline (sequential oracle) "
+                              "or threaded (worker threads overlap device "
+                              "slots)")
     p_serve.add_argument("--workers", type=int, default=_SERVER.workers,
-                         help="worker cap for --executor threaded/process "
+                         help="worker cap for --executor threaded "
                               "(default: one per device slot)")
     p_serve.add_argument("--cache-budget", type=int, default=_SERVER.cache_budget,
                          help="LRU entry budget for the format/plan caches "
@@ -177,12 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="what to do when --max-queue-rows is hit: "
                               "reject or shed_oldest")
     p_serve.add_argument("--watchdog-s", type=float, default=_SERVER.watchdog_s,
-                         help="per-wave stall bound for the threaded/process "
-                              "executors (default: executor's own, 60s)")
+                         help="per-wave stall bound for the threaded "
+                              "executor (default: executor's own, 60s)")
     p_serve.add_argument("--faults", default=_SERVER.faults,
                          help="deterministic fault schedule, e.g. "
                               "'exception:wave=1;latency:rate=0.1:duration=0.01' "
-                              "(kinds: exception, latency, stall, kill)")
+                              f"(kinds: {', '.join(available_faults())})")
     p_serve.add_argument("--expect-all-ok", action="store_true",
                          help="exit non-zero unless every request ends "
                               "status=ok (CI smoke contract)")
@@ -529,7 +528,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 rejected += 1
         served = server.flush()
     finally:
-        # deterministic teardown: worker pool down, arenas unlinked
+        # deterministic teardown: worker threads down, caches dropped
         server.close()
     st = server.stats
     by_status: dict[str, int] = {}
@@ -627,7 +626,7 @@ def _serve_http(args, model, placement, server) -> int:
         net.run()
     finally:
         # the loop does not own this server (the CLI built it); close for
-        # deterministic teardown — worker pool down, arenas unlinked
+        # deterministic teardown — worker threads down, caches dropped
         server.close()
     record = net.final_stats or {}
     st = record.get("latency_ms", {})
@@ -692,7 +691,7 @@ def _serve_continuous(args, model, placement, server, weights) -> int:
         return result, record
 
     try:
-        server.warm()  # executor workers + caches up before timed traffic
+        server.warm()  # formats + plans built before timed traffic
         result, record = asyncio.run(run())
     finally:
         server.close()

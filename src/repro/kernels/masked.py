@@ -40,9 +40,12 @@ A tile loads only the ``A`` rows it keeps, so a layer executes its useful
 multiply-adds plus at most ``DEPTH_QUANTUM - 1`` padding rows per tile
 (:func:`tw_gemm_work`), never the full ``K`` depth.  The depth is padded to
 a multiple of :data:`DEPTH_QUANTUM` because OpenBLAS rounds float32 GEMMs
-whose depth is not a multiple of 32 differently under 1 and 2 threads, and
-a ``process`` worker pinned to one BLAS thread must match an unpinned
-``inline`` parent bit for bit.  Padding rows gather the zero row against
+whose depth is not a multiple of 32 differently under 1 and 2 threads;
+padded, a float32 result is the same whatever BLAS thread count the
+process runs with, so it reproduces across hosts and
+``OPENBLAS_NUM_THREADS`` settings.  Executors do not rely on it: ``inline``
+and ``threaded`` share one process and one thread count, and match
+bit-for-bit unpadded too.  Padding rows gather the zero row against
 zero weight rows: they add exact zeros and never read an activation, so a
 NaN or Inf in a row that every tile prunes cannot reach the output, and
 non-finite values in kept rows propagate as in :func:`tw_gemm_reference`.
@@ -62,7 +65,7 @@ Mixed precision
 
 - **float64 / float32** — operands multiply in their own dtype (the
   historical behaviour; float32 runs BLAS sgemm directly).
-- **float16** — storage (checkpoint, shared-memory arena, pickle) stays
+- **float16** — storage (checkpoint, pickle) stays
   half precision; the GEMM *accumulates in float32* via an explicit
   upcast (host BLAS has no half kernels) and the output rounds back to
   float16 once.  The fp32 compute operands are memoised, so a serving loop
@@ -99,7 +102,8 @@ __all__ = [
 ]
 
 #: per-tile GEMM depths are zero-padded to a multiple of this: OpenBLAS
-#: rounds float32 GEMMs of other depths differently under 1 and 2 threads
+#: rounds float32 GEMMs of other depths differently under 1 and 2 threads,
+#: and padding keeps results independent of the process's BLAS thread count
 DEPTH_QUANTUM = 32
 
 #: per-dtype tolerance table for batched-vs-oracle comparisons (the
@@ -291,8 +295,7 @@ def tile_operands(weight: TiledTWMatrix, dtype, tile_ids=()) -> dict:
 
     Maps tile id to ``(gather rows, weight panel)``, or ``None`` for a tile
     with nothing to compute; the entries of ``tile_ids`` are built if
-    missing.  The ``process`` executor's arenas pre-seed it with
-    shared-memory views.  The frozen dataclass carries the memo in its
+    missing.  The frozen dataclass carries the memo in its
     instance ``__dict__``.
     """
     dtype = np.dtype(dtype)

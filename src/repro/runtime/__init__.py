@@ -30,17 +30,11 @@ Modules
 - :mod:`repro.runtime.placement` — multi-device placement policies
   (``single`` / ``replicated`` / ``layer_sharded``);
 - :mod:`repro.runtime.executor` — pluggable wave executors
-  (``inline`` / ``threaded`` / ``process``): how the placement's
-  device→work mapping actually runs in wall-time (bit-identical outputs
-  in every case; ``inline`` is the standing oracle).  ``threaded`` and
-  ``process`` share one event-loop driver over a thread or process
-  worker transport;
-- :mod:`repro.runtime.arena` — shared-memory weight arenas for the
-  ``process`` executor: compacted formats and plan operands published to
-  ``/dev/shm`` once per cache fill, mapped zero-copy by worker processes,
-  refcounted and unlinked deterministically on server close;
+  (``inline`` / ``threaded``): how the placement's device→work mapping
+  actually runs in wall-time (bit-identical outputs in every case;
+  ``inline`` is the standing oracle);
 - :mod:`repro.runtime.faults` — seeded, deterministic fault injection
-  (``exception`` / ``latency`` / ``stall`` / ``kill``) keyed by
+  (``exception`` / ``latency`` / ``stall``) keyed by
   ``(wave, layer, slot)`` sites, for chaos testing the serving path;
 - :mod:`repro.runtime.server` — :class:`TWModelServer`, the serving layer
   that caches formats/plans per weight fingerprint, micro-batches
@@ -68,15 +62,12 @@ Modules
   drive real sockets.
 """
 
-from repro.runtime.arena import ArenaRef, leaked_segments
 from repro.runtime.engine import EndToEndReport, EngineConfig, InferenceEngine, LayerPlan
 from repro.runtime.executor import (
     EXECUTORS,
     Executor,
     InlineExecutor,
-    ProcessExecutor,
     ThreadedExecutor,
-    WorkerCrashed,
     available_executors,
     resolve_executor,
 )
@@ -123,10 +114,6 @@ __all__ = [
     "EXECUTORS",
     "InlineExecutor",
     "ThreadedExecutor",
-    "ProcessExecutor",
-    "WorkerCrashed",
-    "ArenaRef",
-    "leaked_segments",
     "available_executors",
     "resolve_executor",
     "FAULTS",

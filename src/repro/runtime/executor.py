@@ -6,29 +6,18 @@ micro-batch wave runs (the device→work mapping,
 decides *how* that mapping executes in wall-time:
 
 - ``inline``   — every wave's layers run sequentially on the calling
-  thread.  The bit-identity oracle the concurrent executors are tested
-  against.
+  thread.  The bit-identity oracle ``threaded`` is tested against.
 - ``threaded`` — one worker thread per device slot.  Waves bound for
   different slots (``replicated``) run concurrently, and under
   ``layer_sharded`` successive waves *stream* through the shard pipeline.
   NumPy GEMMs release the GIL, so on a multi-core host the overlap is
   real compute overlap; paced runs (see below) overlap their simulated
   device dwell on any host.
-- ``process``  — one worker *process* per device slot: the non-BLAS
-  portions of a wave escape the GIL too.  Weights travel through
-  shared-memory arenas (:mod:`repro.runtime.arena`) — only small wave
-  descriptors cross the pickle boundary — and each worker's BLAS pools
-  are pinned (``blas_threads``, default 1).  A killed or crashed worker
-  fails its wave visibly (:class:`WorkerCrashed`) and is respawned.
 
-``threaded`` and ``process`` share **one driver**: a single-threaded event
-loop (:class:`_Driver`) that pulls waves lazily, bounds the in-flight
-window, forwards each wave's per-slot segments from worker to worker,
-runs the watchdog, discards late results, and respawns dead or stalled
-workers.  The two executors differ only in their *worker transport* —
-thread + queue, or process + pipe — the five methods listed on
-:class:`_PoolExecutor`.  A remote executor would be a third transport,
-not a third driver.
+``threaded`` runs on a single-threaded event loop (:class:`_Driver`) that
+pulls waves lazily, bounds the in-flight window, forwards each wave's
+per-slot segments from worker to worker, runs the watchdog, discards late
+results, and respawns stalled workers.
 
 Oracle contract
 ---------------
@@ -63,7 +52,7 @@ A :class:`WaveTask` may carry a
 :class:`~repro.runtime.faults.FaultInjector`; every executor consults it
 before every step, so a seeded fault schedule replays identically across
 executors.  Failures — injected or genuine — are *recorded* on the wave's
-:class:`WaveResult` rather than raised.  The pool driver's **watchdog**
+:class:`WaveResult` rather than raised.  The threaded driver's **watchdog**
 fails a wave that has not finished within ``watchdog_s`` with
 :class:`TimeoutError` and respawns the worker holding it, so ``run`` — and
 therefore ``TWModelServer.flush`` — never hangs on a stalled worker.
@@ -73,11 +62,7 @@ from __future__ import annotations
 
 import contextlib
 import inspect
-import multiprocessing
-import os
-import pickle
 import queue
-import signal
 import threading
 import time
 from collections import deque
@@ -89,10 +74,7 @@ from repro.formats.tiled import TiledTWMatrix
 from repro.kernels.fusion import EpilogueSpec, apply_epilogue
 from repro.kernels.masked import tw_gemm
 from repro.patterns.registry import Registry
-from repro.runtime.arena import ArenaRef
-from repro.runtime.arena import attach as _arena_attach
-from repro.runtime.arena import detach_all as _arena_detach_all
-from repro.runtime.faults import FaultInjector, WorkerKilled
+from repro.runtime.faults import FaultInjector
 from repro.runtime.scheduler import ExecutionPlan
 
 __all__ = [
@@ -100,8 +82,6 @@ __all__ = [
     "Executor",
     "InlineExecutor",
     "ThreadedExecutor",
-    "ProcessExecutor",
-    "WorkerCrashed",
     "WaveStep",
     "WaveTask",
     "WaveResult",
@@ -128,9 +108,6 @@ class WaveStep:
     label: str
     #: minimum wall-time this step occupies its slot (0 = unpaced)
     dwell_s: float = 0.0
-    #: shared-memory handle for this step's weights (``process`` executor):
-    #: when set, workers attach the arena instead of unpickling ``tw``
-    arena: ArenaRef | None = None
     #: optional fused non-GEMM consumer applied right after this step's
     #: GEMM, inside the wave task (the step's input activations serve as
     #: the residual stream); its time counts in the slot's busy accounting
@@ -232,9 +209,6 @@ class Executor:
     """
 
     name = "base"
-    #: executors whose workers live in other processes set this so the
-    #: server places weights in shared-memory arenas at cache-fill time
-    needs_arenas = False
 
     def run(self, tasks) -> list[WaveResult]:
         raise NotImplementedError
@@ -245,15 +219,6 @@ class Executor:
 
     def close(self) -> None:
         """Release executor-owned workers (idempotent; no-op for ``inline``)."""
-
-    def warm(self) -> None:
-        """Bring executor workers fully up before measured work begins.
-
-        A no-op for in-process executors.  ``process`` overrides this to
-        spawn every worker and block until each answers a handshake, so
-        interpreter boot never lands inside a measured run.
-        ``TWModelServer.warm()`` calls this.
-        """
 
 
 class InlineExecutor(Executor):
@@ -289,24 +254,11 @@ class InlineExecutor(Executor):
         return results
 
 
-class WorkerCrashed(RuntimeError):
-    """A worker *process* died mid-wave (SIGKILL, segfault, OOM-kill).
-
-    Recorded on the dead worker's wave like any step failure: the server's
-    ``flush()`` retries the wave's requests (a crash is transient unless a
-    layer-pinned ``kill`` fault keeps reproducing it, in which case
-    bisection isolates the poison).  The worker itself is respawned with
-    fresh pipes before the driver continues.
-    """
-
-
 def _run_segment(seg) -> tuple:
-    """Execute one wave segment on a worker; never raises.
+    """Execute one wave segment on a worker thread; never raises.
 
     ``seg`` is ``(ti, seg_idx, wave_index, a, steps, faults)``.  The reply
-    is ``(ti, seg_idx, error, output, busy_by_label, gemms_by_label,
-    fires)``; ``fires`` is filled in by transports whose fault injector is
-    a copy (``process``), ``None`` otherwise.
+    is ``(ti, seg_idx, error, output, busy_by_label, gemms_by_label)``.
     """
     ti, seg_idx, wave_index, a, steps, faults = seg
     scratch = WaveResult(output=a)
@@ -314,14 +266,17 @@ def _run_segment(seg) -> tuple:
     try:
         out = _execute_steps(a, steps, scratch, wave_index=wave_index, faults=faults)
     except BaseException as exc:
-        # recorded, not raised: a worker thread must outlive any failure;
-        # the process worker re-raises interrupts and exits on kill faults
-        error = exc
-    return (ti, seg_idx, error, out, scratch.busy_by_label, scratch.gemms_by_label, None)
+        error = exc  # recorded, not raised: a worker thread must outlive any failure
+    return (ti, seg_idx, error, out, scratch.busy_by_label, scratch.gemms_by_label)
+
+
+#: segments a worker thread may hold at once: two, so a thread starts its
+#: next segment without a round trip through the driver loop
+_DEPTH = 2
 
 
 class _Driver:
-    """One ``run()`` of a pool executor: a single-threaded event loop.
+    """One ``run()`` of :class:`ThreadedExecutor`: a single-threaded event loop.
 
     Only the driver touches this state — no locks.  Contracts:
 
@@ -331,22 +286,18 @@ class _Driver:
     - **segments**: a wave's steps group into contiguous per-worker
       segments; finishing one forwards the activations to the next
       segment's worker;
-    - **bounded per-worker depth**: at most ``depth`` segments are handed
-      to a worker at once (``1`` for pipes, so a send never blocks on an
-      unread reply; ``2`` for thread queues, so a thread starts its next
-      segment without a round trip through this loop); the rest queue
-      here;
+    - **bounded per-worker depth**: at most :data:`_DEPTH` segments are
+      handed to a worker at once; the rest queue here;
     - **watchdog and respawn**: a wave older than ``watchdog_s`` fails
       with :class:`TimeoutError` and the worker holding it is respawned;
-      a worker that dies fails its wave with :class:`WorkerCrashed`;
     - **late results are discarded**: a reply that is not its worker's
       oldest outstanding segment (an abandoned worker waking up) or that
       belongs to a terminal wave is dropped.
     """
 
-    def __init__(self, ex: "_PoolExecutor") -> None:
+    def __init__(self, ex: "ThreadedExecutor") -> None:
         self.ex = ex
-        self.channel = ex._open()
+        self.channel: queue.SimpleQueue = queue.SimpleQueue()  # this run's replies
         self.tasks: list[WaveTask] = []
         self.results: list[WaveResult] = []
         self.segments: list[list[tuple[int, list[WaveStep]]]] = []
@@ -416,19 +367,14 @@ class _Driver:
         self.pump(w)
 
     def pump(self, w: int) -> None:
-        """Hand worker ``w`` queued segments up to the transport's depth."""
-        while len(self.outstanding[w]) < self.ex.depth and self.ready[w]:
+        """Hand worker ``w`` queued segments up to :data:`_DEPTH`."""
+        while len(self.outstanding[w]) < _DEPTH and self.ready[w]:
             ti, seg_idx, a = self.ready[w].popleft()
             if self.terminal[ti]:
                 continue  # watchdog already failed this wave; skip stale work
             task = self.tasks[ti]
             seg = (ti, seg_idx, task.index, a, self.segments[ti][seg_idx][1], task.faults)
-            if not self.ex._send(w, seg, self.channel):
-                # found a corpse at send time: requeue the item, replace
-                # the worker, and let crash() re-pump on the fresh one
-                self.ready[w].appendleft((ti, seg_idx, a))
-                self.crash(w, None)
-                return
+            self.ex._queues[w].put((self.channel, w, seg))
             self.outstanding[w].append((ti, seg_idx, a))
 
     def finish(self, ti: int) -> None:
@@ -440,8 +386,8 @@ class _Driver:
             self.failed = True
         self.in_flight -= 1
 
-    def crash(self, w: int, error: BaseException | None) -> None:
-        """Replace a dead (or condemned) worker; fail the wave it was running.
+    def crash(self, w: int, error: BaseException) -> None:
+        """Replace a condemned worker; fail the wave it was running.
 
         Segments handed to the worker behind the running one never ran:
         they go back to the front of its queue for the replacement.
@@ -452,24 +398,17 @@ class _Driver:
         if out:
             ti = out.popleft()[0]
             if not self.terminal[ti]:
-                self.results[ti].error = error or WorkerCrashed(
-                    f"worker {w} died while running wave {self.tasks[ti].index}"
-                )
+                self.results[ti].error = error
                 self.finish(ti)
             self.ready[w].extendleft(reversed(out))
         self.pump(w)
 
     def handle(self, w: int, reply) -> None:
-        ti, seg_idx, error, out, busy, gemms, fires = reply
+        ti, seg_idx, error, out, busy, gemms = reply
         held = self.outstanding.get(w)
         if not held or held[0][:2] != (ti, seg_idx):
             return  # late reply from an abandoned worker
         held.popleft()
-        task = self.tasks[ti]
-        if fires is not None and task.faults is not None:
-            # fold the worker's fire counts back into the parent injector
-            # so `fired_by_kind` observability spans the process boundary
-            task.faults.merge_fires(fires)
         if not self.terminal[ti]:
             result = self.results[ti]
             result.merge(busy, gemms)
@@ -484,8 +423,7 @@ class _Driver:
         self.pump(w)
 
     def poll(self) -> None:
-        """One multiplexed wait: replies and deaths, then the watchdog."""
-        busy = [w for w, out in self.outstanding.items() if out]
+        """Wait for replies (bounded by the watchdog), then run the watchdog."""
         timeout = None
         wd = self.ex.watchdog_s
         if wd:
@@ -494,12 +432,10 @@ class _Driver:
                 default=time.perf_counter(),
             )
             timeout = max(0.0, oldest + wd - time.perf_counter())
-        for w, reply in self.ex._wait(self.channel, busy, timeout):
-            if reply is not None:
-                self.handle(w, reply)
-            elif self.outstanding.get(w):
-                # an idle corpse is left for the next send to detect
-                self.crash(w, None)
+        with contextlib.suppress(queue.Empty):
+            self.handle(*self.channel.get(timeout=timeout))
+            while True:
+                self.handle(*self.channel.get_nowait())
         self.watchdog()
 
     def watchdog(self) -> None:
@@ -527,22 +463,16 @@ class _Driver:
                 self.finish(ti)
 
 
-class _PoolExecutor(Executor):
-    """A pool of per-slot workers run by :class:`_Driver`.
+class ThreadedExecutor(Executor):
+    """One persistent daemon worker thread per device slot, run by :class:`_Driver`.
 
-    Subclasses supply the worker transport:
-
-    - ``_ensure_workers(n)`` — spawn workers until there are ``n``;
-    - ``_open()`` — a per-run reply channel (or ``None``);
-    - ``_send(w, seg, channel)`` — hand worker ``w`` one segment; ``False``
-      when the worker is found dead;
-    - ``_wait(channel, busy, timeout)`` — block up to ``timeout`` seconds
-      (``None`` = forever) for the busy workers; returns ``(w, reply)``
-      pairs, with ``reply=None`` for a worker that died;
-    - ``_respawn(w)`` — replace worker ``w`` (dead or stalled) wholesale;
-      segments handed to the old worker are never run by it;
-
-    and ``depth``, how many segments a worker may hold at once.
+    Each worker thread reads ``(reply channel, worker index, segment)``
+    items from its own queue and puts its reply on the run's channel, so
+    persistent threads serve successive ``run`` calls (one at a time).  A
+    respawn empties the stalled thread's queue, retires the thread (it
+    exits after its current segment) and starts a fresh one on a fresh
+    queue; its late reply, if any, no longer matches the driver's
+    bookkeeping and is discarded.
 
     Parameters
     ----------
@@ -558,14 +488,13 @@ class _PoolExecutor(Executor):
         disables it.
     """
 
-    depth = 1
+    name = "threaded"
 
     def __init__(
         self,
         workers: int | None = None,
         inflight: int | None = None,
         watchdog_s: float | None = 60.0,
-        problems: tuple[str, ...] = (),
     ) -> None:
         found = [
             f"{name} must be a positive int or None, got {value!r}"
@@ -583,7 +512,6 @@ class _PoolExecutor(Executor):
                 f"watchdog_s must be finite and >= 0 (0/None disables), "
                 f"got {watchdog_s!r}"
             )
-        found.extend(problems)
         if found:
             # one error naming every invalid option, not the first one only
             raise ValueError(
@@ -592,44 +520,16 @@ class _PoolExecutor(Executor):
         self.workers = workers
         self.inflight = inflight
         self.watchdog_s = float(watchdog_s) if watchdog_s else None  # 0 → disabled
+        self._queues: list[queue.SimpleQueue] = []
+        self._threads: list[threading.Thread] = []
+        self._spawn_lock = threading.Lock()
 
     def describe(self) -> str:
         w = self.workers if self.workers is not None else "per-slot"
         return f"{self.name}(workers={w})"
 
     def run(self, tasks) -> list[WaveResult]:
-        # eager spawn: boot a bounded pool on first use, so a cold worker
-        # (a process interpreter's import) never stalls a later measured run
-        if self.workers is not None:
-            self._ensure_workers(self.workers)
         return _Driver(self).drive(tasks)
-
-
-class ThreadedExecutor(_PoolExecutor):
-    """Thread + queue transport: one persistent daemon thread per slot.
-
-    Each worker thread reads ``(reply channel, worker index, segment)``
-    items from its own queue and puts its reply on the run's channel, so
-    persistent threads serve successive ``run`` calls (one at a time, as
-    for every pool executor).  A respawn empties the stalled thread's
-    queue, retires the thread (it exits after its current segment) and
-    starts a fresh one on a fresh queue; its late reply, if any, no
-    longer matches the driver's bookkeeping and is discarded.
-    """
-
-    name = "threaded"
-    depth = 2
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        inflight: int | None = None,
-        watchdog_s: float | None = 60.0,
-    ):
-        super().__init__(workers, inflight, watchdog_s)
-        self._queues: list[queue.SimpleQueue] = []
-        self._threads: list[threading.Thread] = []
-        self._spawn_lock = threading.Lock()
 
     @staticmethod
     def _worker_loop(inbox: queue.SimpleQueue) -> None:
@@ -667,294 +567,12 @@ class ThreadedExecutor(_PoolExecutor):
         with self._spawn_lock:
             self._spawn(w)
 
-    def _open(self) -> queue.SimpleQueue:
-        return queue.SimpleQueue()
-
-    def _send(self, w: int, seg, channel: queue.SimpleQueue) -> bool:
-        self._queues[w].put((channel, w, seg))
-        return True
-
-    def _wait(self, channel: queue.SimpleQueue, busy, timeout):
-        try:
-            replies = [channel.get(timeout=timeout)]
-        except queue.Empty:
-            return []
-        with contextlib.suppress(queue.Empty):
-            while True:
-                replies.append(channel.get_nowait())
-        return replies
-
     def close(self) -> None:
         with self._spawn_lock:
             for inbox in self._queues:
                 inbox.put(None)
             self._queues.clear()
             self._threads.clear()
-
-
-#: environment variables that cap the common BLAS/OpenMP thread pools —
-#: exported around ``spawn`` so the child's NumPy import sees them
-_BLAS_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-
-@contextlib.contextmanager
-def _pinned_blas_env(n: int | None):
-    """Temporarily export BLAS thread caps (the spawn-plumbing pin path)."""
-    if not n:
-        yield
-        return
-    saved = {k: os.environ.get(k) for k in _BLAS_ENV_VARS}
-    os.environ.update({k: str(n) for k in _BLAS_ENV_VARS})
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
-def _picklable_error(exc: BaseException) -> BaseException:
-    """``exc`` if it survives a pickle round trip, else a faithful stand-in."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-
-
-def _process_worker_main(in_conn, out_conn, blas_threads: int | None) -> None:
-    """Worker process entry point: recv segment → execute → send reply.
-
-    Segments arrive with step *specs* (arena refs instead of weights) and a
-    pickled copy of the fault injector, whose fire deltas ride back on the
-    reply.  An injected :class:`~repro.runtime.faults.WorkerKilled` makes
-    the worker ``SIGKILL`` itself — a crash that never reports back.  The
-    loop exits on the ``None`` sentinel or a closed pipe; arena mappings
-    are dropped on the way out (the owner, not the worker, unlinks
-    segments).
-    """
-    if blas_threads:
-        # the env vars exported around spawn pinned the BLAS pools already;
-        # threadpoolctl (optional) also covers fork children
-        with contextlib.suppress(Exception):
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(limits=blas_threads)
-    try:
-        while True:
-            try:
-                item = in_conn.recv()
-            except (EOFError, OSError):
-                break
-            if item is None:
-                break
-            ti, seg_idx, wave_index, a, specs, faults = item
-            snapshot = faults.snapshot_fires() if faults is not None else None
-            try:
-                steps = tuple(
-                    WaveStep(
-                        layer=layer,
-                        tw=_arena_attach(ref) if ref is not None else tw,
-                        plan=plan, slot=slot, label=label,
-                        dwell_s=dwell_s, epilogue=epilogue,
-                    )
-                    for layer, slot, label, dwell_s, ref, tw, plan, epilogue in specs
-                )
-            except Exception as exc:
-                reply = (ti, seg_idx, exc, None, {}, {}, None)
-            else:
-                reply = _run_segment((ti, seg_idx, wave_index, a, steps, faults))
-            _, _, error, out, busy, gemms, _ = reply
-            if isinstance(error, WorkerKilled):
-                os.kill(os.getpid(), signal.SIGKILL)  # die like a segfault
-            if isinstance(error, (KeyboardInterrupt, SystemExit)):
-                raise error
-            if error is not None:
-                error = _picklable_error(error)
-            fires = faults.fires_since(snapshot) if faults is not None else None
-            try:
-                out_conn.send((ti, seg_idx, error, out, busy, gemms, fires))
-            except (BrokenPipeError, OSError):
-                break  # driver went away; nothing left to report to
-    finally:
-        _arena_detach_all()
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process + pipe transport: one worker process per device slot.
-
-    The wave's *whole* step — operand lookup, output scatter, Python
-    bookkeeping — runs outside the parent's GIL.  Combined with the
-    shared-memory weight arenas (workers map them zero-copy; each segment
-    message carries only rows + step specs) this turns the paper's
-    "independent batched GEMMs" into measured, unpaced speedup on
-    multi-core hosts.  Each worker owns a pair of one-way pipes, fresh on
-    every (re)spawn so a SIGKILLed worker's half-written message is never
-    read; replies and process-death sentinels are multiplexed through
-    :func:`multiprocessing.connection.wait`.
-
-    Parameters (beyond :class:`_PoolExecutor`'s)
-    --------------------------------------------
-    blas_threads:
-        BLAS/OpenMP thread cap *per worker* (default ``1``: workers are
-        the parallelism, so ``N`` workers never oversubscribe ``N``
-        cores).  ``0`` leaves the pools unpinned.
-    start_method:
-        ``multiprocessing`` start method (default ``"spawn"``: children
-        import NumPy under the pinned env and inherit no thread/lock
-        state).
-    """
-
-    name = "process"
-    needs_arenas = True
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        inflight: int | None = None,
-        watchdog_s: float | None = 60.0,
-        blas_threads: int | None = None,
-        start_method: str = "spawn",
-    ):
-        problems = []
-        if blas_threads is not None and (
-            not isinstance(blas_threads, int) or blas_threads < 0
-        ):
-            problems.append(
-                f"blas_threads must be a non-negative int or None (0 = "
-                f"unpinned), got {blas_threads!r}"
-            )
-        if start_method not in multiprocessing.get_all_start_methods():
-            problems.append(
-                f"start_method must be one of "
-                f"{multiprocessing.get_all_start_methods()}, got {start_method!r}"
-            )
-        super().__init__(workers, inflight, watchdog_s, tuple(problems))
-        self.blas_threads = 1 if blas_threads is None else blas_threads
-        self.start_method = start_method
-        self._procs: list = []
-        self._to: list = []    # parent → worker send ends
-        self._from: list = []  # worker → parent recv ends
-
-    def describe(self) -> str:
-        w = self.workers if self.workers is not None else "per-slot"
-        pin = self.blas_threads or "unpinned"
-        return f"process(workers={w}, blas_threads={pin})"
-
-    def _spawn(self, w: int) -> None:
-        ctx = multiprocessing.get_context(self.start_method)
-        from_worker, to_parent = ctx.Pipe(duplex=False)
-        to_worker, to_worker_send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_process_worker_main,
-            args=(to_worker, to_parent, self.blas_threads),
-            daemon=True,
-            name=f"repro-process-worker-{w}",
-        )
-        with _pinned_blas_env(self.blas_threads):
-            proc.start()
-        # close the parent's copies of the child ends so EOF propagates
-        to_parent.close()
-        to_worker.close()
-        if w == len(self._procs):
-            self._procs.append(proc)
-            self._to.append(to_worker_send)
-            self._from.append(from_worker)
-        else:
-            self._procs[w], self._to[w], self._from[w] = proc, to_worker_send, from_worker
-
-    def _ensure_workers(self, n: int) -> None:
-        while len(self._procs) < n:
-            self._spawn(len(self._procs))
-
-    def _stop(self, w: int, grace_s: float) -> None:
-        """Join worker ``w``, escalating to terminate/kill; close its pipes."""
-        proc = self._procs[w]
-        proc.join(timeout=grace_s)
-        for stop in (proc.terminate, proc.kill):
-            if proc.is_alive():
-                stop()
-                proc.join(timeout=5.0)
-        for conn in (self._to[w], self._from[w]):
-            with contextlib.suppress(OSError):
-                conn.close()
-
-    def _respawn(self, w: int) -> None:
-        self._stop(w, grace_s=0.0)
-        self._spawn(w)
-
-    def _open(self) -> None:
-        return None  # replies travel on each worker's own pipe
-
-    def _send(self, w: int, seg, channel) -> bool:
-        ti, seg_idx, wave_index, a, steps, faults = seg
-        specs = tuple(
-            (s.layer, s.slot, s.label, s.dwell_s, s.arena,
-             None if s.arena is not None else s.tw, s.plan, s.epilogue)
-            for s in steps
-        )
-        try:
-            self._to[w].send((ti, seg_idx, wave_index, a, specs, faults))
-        except (BrokenPipeError, OSError):
-            return False
-        return True
-
-    def _wait(self, channel, busy, timeout):
-        owner = {}
-        for w in busy:
-            owner[self._from[w]] = w
-            owner[self._procs[w].sentinel] = w
-        replies, dead = [], set()
-        for ev in multiprocessing.connection.wait(list(owner), timeout=timeout):
-            w = owner[ev]
-            if ev is self._from[w]:
-                try:
-                    replies.append((w, ev.recv()))
-                except (EOFError, OSError):
-                    dead.add(w)
-            else:
-                dead.add(w)  # process sentinel fired
-        # a sentinel can fire after the worker's last reply landed and was
-        # handled; only a worker that is really gone counts as dead
-        return replies + [(w, None) for w in dead if not self._procs[w].is_alive()]
-
-    def close(self) -> None:
-        """Shut the pool down: sentinel, join, escalate, drop the pipes."""
-        for w, proc in enumerate(self._procs):
-            if proc.is_alive():
-                with contextlib.suppress(BrokenPipeError, OSError):
-                    self._to[w].send(None)
-        for w in range(len(self._procs)):
-            self._stop(w, grace_s=5.0)
-        self._procs.clear()
-        self._to.clear()
-        self._from.clear()
-
-    def warm(self) -> None:
-        """Spawn the full pool and handshake every worker (blocking).
-
-        Each worker gets a zero-step segment and the call returns once
-        every echo is back, i.e. once every interpreter has finished
-        booting.  Workers that die during the handshake are left for the
-        next ``run`` to respawn.  Requires a bounded pool (``workers``
-        set); with ``workers=None`` there is nothing to pre-boot.
-        """
-        if self.workers is None:
-            return
-        self._ensure_workers(self.workers)
-        probe = (0, 0, 0, np.empty((0, 0)), (), None)
-        pending = [w for w in range(self.workers) if self._send(w, probe, None)]
-        for w in pending:
-            with contextlib.suppress(EOFError, OSError):
-                self._from[w].recv()
 
 
 def _factory(cls):
@@ -979,7 +597,6 @@ def _factory(cls):
 
 EXECUTORS.register("inline", _factory(InlineExecutor), aliases=("serial",))
 EXECUTORS.register("threaded", _factory(ThreadedExecutor), aliases=("threads",))
-EXECUTORS.register("process", _factory(ProcessExecutor), aliases=("mp",))
 
 
 def available_executors() -> list[str]:

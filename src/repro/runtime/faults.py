@@ -15,13 +15,7 @@ sites identified by ``(wave index, layer, slot)``:
   identical mechanics to ``latency`` but intended to exceed the driver's
   watchdog, which fails the wave and respawns the worker — under the
   ``inline`` executor a stall is just a bounded latency spike, since the
-  calling thread *is* the worker);
-- ``kill``      — raise :class:`WorkerKilled` before the GEMM.  Under
-  ``inline``/``threaded`` this is a recorded injected error like
-  ``exception``; under the ``process`` executor the worker translates it
-  into ``SIGKILL`` on itself — a *hard* crash mid-wave, exercising the
-  dead-worker detection, respawn and shared-memory-arena teardown paths
-  (ISSUE 7).
+  calling thread *is* the worker).
 
 Fault kinds resolve through :data:`FAULTS` — the same
 :class:`~repro.registry.Registry` class as patterns, engines, placements
@@ -62,11 +56,9 @@ __all__ = [
     "ExceptionFault",
     "LatencyFault",
     "StallFault",
-    "KillFault",
     "FaultRule",
     "FaultInjector",
     "InjectedFault",
-    "WorkerKilled",
     "available_faults",
     "resolve_faults",
 ]
@@ -79,18 +71,6 @@ class InjectedFault(RuntimeError):
 
     A distinct type so chaos tests (and retry accounting) can tell an
     injected failure from a genuine bug in the serving path.
-    """
-
-
-class WorkerKilled(InjectedFault):
-    """The ``kill`` fault's signal: this worker should die *hard*.
-
-    Raised at the fault site like any injected exception; the ``process``
-    executor's worker loop intercepts it and ``SIGKILL``\\ s itself —
-    simulating a segfaulting / OOM-killed worker that never gets to
-    report back.  Executors without a process to kill (``inline``,
-    ``threaded``) record it as an ordinary injected failure, so the same
-    chaos schedule replays on every executor.
     """
 
 
@@ -154,22 +134,9 @@ class StallFault(LatencyFault):
     kind = "stall"
 
 
-@dataclass(frozen=True)
-class KillFault(Fault):
-    """Hard-kill the executing worker (``process``) / injected error elsewhere."""
-
-    kind = "kill"
-
-    def fire(self, wave: int, layer: int, slot: int) -> None:
-        raise WorkerKilled(
-            f"injected worker kill at wave={wave} layer={layer} slot={slot}"
-        )
-
-
 FAULTS.register("exception", lambda **kw: ExceptionFault(**kw), aliases=("error",))
 FAULTS.register("latency", lambda **kw: LatencyFault(**kw), aliases=("spike",))
 FAULTS.register("stall", lambda **kw: StallFault(**kw), aliases=("hang",))
-FAULTS.register("kill", lambda **kw: KillFault(**kw), aliases=("crash",))
 
 
 def available_faults() -> list[str]:
@@ -266,51 +233,6 @@ class FaultInjector:
         self.rules = rules
         self.fired_by_kind: dict[str, int] = {}
         self._lock = threading.Lock()
-
-    # The injector crosses the process boundary with every wave descriptor
-    # (the server attaches it to each WaveTask): pickle everything but the
-    # lock, and rebuild a fresh lock on the far side.  Workers run on a
-    # *snapshot* — their fire deltas are merged back by the driver via
-    # merge_fires(), so parent-side counts stay authoritative.  The one
-    # soft spot is max_fires: each worker counts down its own snapshot, so
-    # a budget can over-fire by up to the number of concurrent workers
-    # (predicate-only rules stay exact everywhere, as under ``threaded``).
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    def snapshot_fires(self) -> tuple[dict[str, int], list[int]]:
-        """Current counts ``(by kind, per rule)`` — a worker's baseline."""
-        with self._lock:
-            return dict(self.fired_by_kind), [r.fires for r in self.rules]
-
-    def fires_since(
-        self, snapshot: tuple[dict[str, int], list[int]]
-    ) -> tuple[dict[str, int], list[int]]:
-        """Delta of :meth:`snapshot_fires` since ``snapshot`` (worker side)."""
-        base_kind, base_rules = snapshot
-        with self._lock:
-            kinds = {
-                k: v - base_kind.get(k, 0)
-                for k, v in self.fired_by_kind.items()
-                if v - base_kind.get(k, 0)
-            }
-            rules = [r.fires - b for r, b in zip(self.rules, base_rules)]
-        return kinds, rules
-
-    def merge_fires(self, delta: tuple[dict[str, int], list[int]]) -> None:
-        """Fold a worker's fire delta back into this (parent) injector."""
-        kinds, rules = delta
-        with self._lock:
-            for kind, n in kinds.items():
-                self.fired_by_kind[kind] = self.fired_by_kind.get(kind, 0) + n
-            for rule, n in zip(self.rules, rules):
-                rule.fires += n
 
     @property
     def total_fired(self) -> int:

@@ -24,19 +24,15 @@ GEMMs.  :class:`TWModelServer` operationalises that split:
   waves across full-model replicas, ``layer_sharded`` splits the layer
   stack so each wave flows shard to shard.  The plan cache is already
   device-keyed, so sharding composes with it rather than replacing it.
-- **Pluggable execution** (ISSUE 4, extended ISSUE 7): the placement
-  emits a device→work mapping
-  (:meth:`~repro.runtime.placement.Placement.wave_slots`) and an
+- **Pluggable execution**: the placement emits a device→work
+  mapping (:meth:`~repro.runtime.placement.Placement.wave_slots`) and an
   :class:`~repro.runtime.executor.Executor` — ``inline`` (the sequential
-  oracle), ``threaded`` (one worker thread per device slot, bounded wave
-  pipeline) or ``process`` (one worker *process* per slot, weights
-  published to shared-memory arenas at cache-fill time so only small
-  wave descriptors cross the pickle boundary) — decides how those
-  device-tagged work items overlap in wall-time.  Outputs are
-  bit-identical across executors; only wall-time and the measured
-  occupancy stats change.  Caches (and the arenas hanging off them) are
-  bounded by ``ServerConfig(cache_budget=...)`` and torn down
-  deterministically by :meth:`TWModelServer.close`.
+  oracle) or ``threaded`` (one worker thread per device slot, bounded
+  wave pipeline) — decides how those device-tagged work items overlap in
+  wall-time.  Outputs are bit-identical across executors; only wall-time
+  and the measured occupancy stats change.  Caches are bounded by
+  ``ServerConfig(cache_budget=...)`` and torn down deterministically by
+  :meth:`TWModelServer.close`.
 - **Stats**: per-request latency, per-flush batch sizes, rows/s and
   requests/s throughput, per-device busy time/GEMM counts, measured flush
   wall-time (``wall_time_s`` / ``parallel_efficiency()``), and
@@ -71,7 +67,6 @@ import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix
 from repro.gpu.device import DeviceSpec, V100
-from repro.runtime import arena as _arena
 from repro.runtime.executor import EXECUTORS, WaveStep, WaveTask, resolve_executor
 from repro.runtime.faults import FaultInjector, resolve_faults
 from repro.runtime.placement import Placement
@@ -100,7 +95,7 @@ class _LRUCache:
     :meth:`get` and writes refresh recency; when a write pushes the cache
     past its budget the least-recently-used entries are popped and handed
     to ``on_evict(key, value)`` — the server uses that hook to count
-    evictions and release shared-memory arenas tied to evicted formats.
+    evictions.
     """
 
     def __init__(self, budget: int = 0, on_evict=None) -> None:
@@ -246,25 +241,19 @@ class ServerConfig:
     executor:
         How placed waves execute in wall-time — an
         :data:`~repro.runtime.executor.EXECUTORS` registry name
-        (``inline``/``threaded``/``process``).  ``inline`` is the
-        sequential oracle; ``threaded`` runs one worker thread per device
-        slot so replicated waves and layer-sharded pipeline stages overlap
-        wherever the GIL allows; ``process`` (ISSUE 7) runs one worker
-        *process* per slot with weights served from shared-memory arenas,
-        escaping the GIL entirely for real multi-core speedup.  Outputs
-        are bit-identical in every case.
+        (``inline``/``threaded``).  ``inline`` is the sequential oracle;
+        ``threaded`` runs one worker thread per device slot so replicated
+        waves and layer-sharded pipeline stages overlap wherever BLAS
+        releases the GIL.  Outputs are bit-identical in every case.
     cache_budget:
         Entry budget shared by the format cache and the plan cache
         (``0`` = unbounded, the historical behaviour).  When a cache
         outgrows the budget its least-recently-used entries are evicted
-        (``stats.format_evictions``/``plan_evictions`` count them), and an
-        evicted format's shared-memory arena is released with it — with
-        ``process`` executors an unbounded cache is an unbounded
-        ``/dev/shm`` hazard, which is why this landed alongside them.
+        (``stats.format_evictions``/``plan_evictions`` count them).
     workers:
-        Worker cap for ``threaded``/``process`` (``None`` = one per
-        device slot).  Passing it with an executor that has no workers
-        (``inline``) is an error, not a silent no-op.
+        Worker cap for ``threaded`` (``None`` = one per device slot).
+        Passing it with an executor that has no workers (``inline``) is
+        an error, not a silent no-op.
     pace:
         Simulated-device pacing scale.  ``0`` (default) runs flat out;
         ``> 0`` makes every GEMM occupy its device slot for at least
@@ -286,7 +275,7 @@ class ServerConfig:
         ``max_queue_rows``.
     watchdog_s:
         Per-wave stall bound forwarded to the executor (``None`` =
-        executor default, 60s for ``threaded``/``process``).  Only
+        executor default, 60s for ``threaded``).  Only
         meaningful for executors with watchdogs; setting it with
         ``inline`` is an error.
     faults:
@@ -615,12 +604,6 @@ class TWModelServer:
             workers=self.config.workers,
             watchdog_s=self.config.watchdog_s,
         )
-        if self.executor.needs_arenas and self.executor.workers is None:
-            # one worker process per device slot: a bounded pool is what
-            # lets ``run`` spawn every worker up front and ``warm()``
-            # handshake them, instead of paying a worker's interpreter
-            # boot inside the first multi-wave flush
-            self.executor.workers = len(self.placement.devices)
         self.stats = ServerStats()
         self._layers: list[_Layer] = []
         self._formats: _LRUCache = _LRUCache(
@@ -629,13 +612,6 @@ class TWModelServer:
         self._plans: _LRUCache = _LRUCache(
             self.config.cache_budget, self._evict_plan
         )
-        #: arenas this server *owns* (placed, to be released): format key →
-        #: :class:`~repro.runtime.arena.ArenaRef`; populated lazily by
-        #: ``_wave_task`` only when the executor declares ``needs_arenas``
-        self._arenas: dict[tuple, _arena.ArenaRef] = {}
-        #: arena keys evicted from the format cache whose release is
-        #: deferred to the next quiescent point (flush boundary / close)
-        self._retired_arenas: list[tuple] = []
         self._closed = False
         self._dwell: dict[tuple, float] = {}
         self._pending: deque[_Pending] = deque()
@@ -695,18 +671,12 @@ class TWModelServer:
         return self.placement.shard_labels(self.n_layers)
 
     def warm(self) -> None:
-        """Prebuild every layer's format and plans (optional cold-start hide).
-
-        Also brings the executor's workers fully up (a blocking handshake
-        for the ``process`` pool, a no-op otherwise), so the first real
-        flush never pays worker-interpreter boot time.
-        """
+        """Prebuild every layer's format and plans (optional cold-start hide)."""
         plan_devices = self.placement.plan_devices(self.n_layers)
         for layer, devices in zip(self._layers, plan_devices):
             tw = self._format_for(layer)
             for device in devices:
                 self._plan_for(layer, tw, device)
-        self.executor.warm()
 
     def preload(
         self,
@@ -736,21 +706,7 @@ class TWModelServer:
     # caches
     # ------------------------------------------------------------------ #
     def _evict_format(self, key: tuple, tw: TiledTWMatrix) -> None:
-        """LRU hook: count the eviction and *retire* the format's arena.
-
-        The release is deferred to the next ``flush()`` boundary (or
-        ``close()``) rather than done here: eviction can happen while a
-        wave that references this arena is still being assembled or
-        executed (a budget smaller than the layer count evicts within a
-        single wave), and a worker must never attend an already-unlinked
-        segment.  The arena layer refcounts by key, so a format that is
-        re-missed and re-placed before the deferred release lands simply
-        bumps the same segment's count — retire/re-place pairs always
-        balance and ``close()`` settles the remainder.
-        """
         self.stats.format_evictions += 1
-        if self._arenas.pop(key, None) is not None:
-            self._retired_arenas.append(key)
 
     def _evict_plan(self, key: tuple, plan: ExecutionPlan) -> None:
         self.stats.plan_evictions += 1
@@ -911,7 +867,6 @@ class TWModelServer:
         ``O(n · max_retries · log n)`` wave executions.  Results are
         returned sorted by request id.
         """
-        self._release_retired_arenas()  # quiescent point: no waves in flight
         served: list[ServedRequest] = list(self._shed_buffer)
         self._shed_buffer.clear()
         # drain the queue into wave groups: shortest-deadline-first; the
@@ -1160,29 +1115,16 @@ class TWModelServer:
     def close(self) -> None:
         """Tear the server down deterministically (idempotent).
 
-        Shuts the executor's worker pool down (process workers get a
-        sentinel, a join, and escalation if they ignore it) and releases
-        every shared-memory arena this server placed — after ``close()``
-        returns, no ``/dev/shm`` segment owned by this server remains
-        linked, even if a worker crashed mid-wave (the arena layer's
-        owner-side refcounts don't depend on worker exits).  Serving after
-        ``close()`` simply re-misses the caches: formats recompact, and a
-        process executor would need a fresh instance.
+        Shuts the executor's worker threads down and drops the caches.
+        Serving after ``close()`` simply re-misses the caches: formats
+        recompact and worker threads respawn on the next run.
         """
         if self._closed:
             return
         self._closed = True
         self.executor.close()
-        self._release_retired_arenas()
-        for key in list(self._arenas):
-            self._arenas.pop(key, None)
-            _arena.release(key)
         self._formats.clear()
         self._plans.clear()
-
-    def _release_retired_arenas(self) -> None:
-        while self._retired_arenas:
-            _arena.release(self._retired_arenas.pop())
 
     def __enter__(self) -> "TWModelServer":
         return self
@@ -1201,19 +1143,6 @@ class TWModelServer:
             tw = self._format_for(layer)
             device = self.placement.devices[slot]
             plan = self._plan_for(layer, tw, device)
-            ref = None
-            if self.executor.needs_arenas:
-                # place-at-cache-fill: the first wave that touches a format
-                # under a process executor publishes it (tiles + the plan's
-                # per-tile compute operands) to shared memory; every later
-                # wave reuses the same segment and ships only this small
-                # ref.  Tile ids are device-independent, so one plan's
-                # operands serve every device slot.
-                key = self._format_key(layer)
-                ref = self._arenas.get(key)
-                if ref is None:
-                    ref = _arena.place(key, tw, plans=(plan,), dtype=dtype)
-                    self._arenas[key] = ref
             steps.append(
                 WaveStep(
                     layer=li,
@@ -1222,7 +1151,6 @@ class TWModelServer:
                     slot=slot,
                     label=labels[slot],
                     dwell_s=self._dwell_for(layer, tw, device, batch.shape[0]),
-                    arena=ref,
                     epilogue=layer.epilogue,
                 )
             )

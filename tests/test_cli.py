@@ -286,7 +286,7 @@ class TestInfo:
         assert "tw" in record["registries"]["patterns"]
         assert record["registries"]["engines"] == ["cuda_core", "tensor_core"]
         assert "layer_sharded" in record["registries"]["placements"]
-        assert record["registries"]["executors"] == ["inline", "process", "threaded"]
+        assert record["registries"]["executors"] == ["inline", "threaded"]
         assert record["registries"]["schedules"] == ["gradual", "oneshot"]
         assert record["registries"]["importance"] == ["magnitude", "taylor"]
         assert "tw_masked_load_stall" in record["calibration"]

@@ -1,13 +1,10 @@
-"""Tests for the pluggable wave executors (inline / threaded / process).
+"""Tests for the pluggable wave executors (inline / threaded).
 
-The contract under test: every concurrent executor produces
-**bit-identical** outputs to ``inline`` for any wave list (the math is a
-fixed per-wave chain of ``tw_gemm`` calls regardless of which thread or
-process runs it).  ``threaded`` must genuinely overlap device slots in
-wall-time — verified with paced steps whose sleeps must overlap across
-slots — and ``process`` must round-trip waves through real worker
-processes (including via shared-memory arenas, covered in
-``test_arena.py`` / ``test_faults.py``).
+The contract under test: ``threaded`` produces **bit-identical** outputs
+to ``inline`` for any wave list (the math is a fixed per-wave chain of
+``tw_gemm`` calls regardless of which thread runs it), and it genuinely
+overlaps device slots in wall-time — verified with paced steps whose
+sleeps must overlap across slots.
 """
 
 import time
@@ -21,7 +18,6 @@ from repro.runtime.executor import (
     EXECUTORS,
     Executor,
     InlineExecutor,
-    ProcessExecutor,
     ThreadedExecutor,
     WaveStep,
     WaveTask,
@@ -29,14 +25,6 @@ from repro.runtime.executor import (
     resolve_executor,
 )
 from repro.runtime.scheduler import build_execution_plan
-
-
-@pytest.fixture(scope="module")
-def process_pool():
-    """One shared 2-worker process executor — spawn cost paid once."""
-    ex = ProcessExecutor(workers=2)
-    yield ex
-    ex.close()
 
 
 def _tw_layer(rng, k=24, n=24, g=8, sparsity=0.5):
@@ -63,10 +51,9 @@ def _tasks(rng, n_layers=4, n_waves=3, slots=(0, 0, 1, 1), dwell=0.0, k=24):
 
 class TestRegistry:
     def test_names_and_aliases(self):
-        assert available_executors() == ["inline", "process", "threaded"]
+        assert available_executors() == ["inline", "threaded"]
         assert EXECUTORS.canonical("serial") == "inline"
         assert EXECUTORS.canonical("threads") == "threaded"
-        assert EXECUTORS.canonical("mp") == "process"
         with pytest.raises(KeyError):
             EXECUTORS.canonical("gpu")
 
@@ -86,7 +73,7 @@ class TestRegistry:
     def test_resolve_rejects_bad_types(self):
         with pytest.raises(TypeError) as exc_info:
             resolve_executor(42)
-        # the error names the registry entries (ISSUE 7 satellite)
+        # the error names the registry entries
         message = str(exc_info.value)
         for name in available_executors():
             assert name in message
@@ -99,7 +86,7 @@ class TestRegistry:
 
     def test_validation_reports_all_problems_at_once(self):
         # first-wins reporting made callers fix one option per crash; the
-        # aggregated error names every bad value (ISSUE 7 satellite)
+        # aggregated error names every bad value
         with pytest.raises(ValueError) as exc_info:
             ThreadedExecutor(workers=0, inflight=-3, watchdog_s=float("nan"))
         message = str(exc_info.value)
@@ -107,21 +94,9 @@ class TestRegistry:
         assert "inflight" in message
         assert "watchdog_s" in message
 
-    def test_process_validation_reports_all_problems_at_once(self):
-        with pytest.raises(ValueError) as exc_info:
-            ProcessExecutor(
-                workers=0, blas_threads=-1, start_method="teleport"
-            )
-        message = str(exc_info.value)
-        assert "workers" in message
-        assert "blas_threads" in message
-        assert "start_method" in message
-
     def test_describe(self):
         assert InlineExecutor().describe() == "inline"
         assert "2" in ThreadedExecutor(workers=2).describe()
-        desc = ProcessExecutor(workers=2, blas_threads=0).describe()
-        assert "process" in desc and "unpinned" in desc
 
 
 class TestBitIdentity:
@@ -306,127 +281,22 @@ class TestPersistentWorkers:
             assert results[i - 2].done_at <= pulled_at[i]
 
 
-class TestProcessExecutor:
-    """`process` must match the `inline` oracle bit-for-bit.
-
-    The module-scoped pool keeps spawn cost to one pair of workers for the
-    whole class; chaos behaviour (worker kill, arena leaks) lives in
-    ``test_faults.py``/``test_arena.py``.
-    """
-
-    @pytest.mark.parametrize(
-        "slots",
-        [
-            (0, 0, 0, 0),  # single slot
-            (0, 0, 1, 1),  # two contiguous shards
-            (0, 1, 2, 3),  # one slot per layer (folds onto 2 workers)
-        ],
-    )
-    def test_process_matches_inline(self, process_pool, slots):
-        rng = np.random.default_rng(20)
-        tasks = _tasks(rng, slots=slots)
-        want = InlineExecutor().run(tasks)
-        got = process_pool.run(tasks)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.error is None
-            np.testing.assert_array_equal(g.output, w.output)
-
-    def test_pool_reused_across_runs(self, process_pool):
-        rng = np.random.default_rng(21)
-        tasks = _tasks(rng, n_waves=2, slots=(0, 0, 1, 1))
-        first = process_pool.run(tasks)
-        pids = [p.pid for p in process_pool._procs]
-        second = process_pool.run(tasks)
-        assert [p.pid for p in process_pool._procs] == pids
-        assert all(r.error is None for r in first + second)
-        for f, s in zip(first, second):
-            np.testing.assert_array_equal(f.output, s.output)
-
-    def test_accounting_matches_inline(self, process_pool):
-        rng = np.random.default_rng(22)
-        tasks = _tasks(rng, n_waves=2, slots=(0, 0, 1, 1))
-        inline = InlineExecutor().run(tasks)
-        got = process_pool.run(tasks)
-        for i, g in zip(inline, got):
-            assert i.gemms_by_label == g.gemms_by_label
-            assert set(i.busy_by_label) == set(g.busy_by_label)
-            assert all(v > 0 for v in g.busy_by_label.values())
-
-    def test_worker_exception_recorded_on_result(self, process_pool):
-        rng = np.random.default_rng(23)
-        tasks = _tasks(rng, n_waves=2)
-        bad = WaveTask(
-            index=2, batch=rng.standard_normal((3, 7)), steps=tasks[0].steps
-        )  # K mismatch -> tw_gemm raises inside the worker process
-        results = process_pool.run(tasks + [bad])
-        assert isinstance(results[2].error, ValueError)
-        want = InlineExecutor().run(tasks)
-        for got, ref in zip(results[:2], want):
-            assert got.error is None
-            np.testing.assert_array_equal(got.output, ref.output)
-        # and the pool still serves clean work afterwards
-        after = process_pool.run(_tasks(np.random.default_rng(24), n_waves=1))
-        assert after[0].error is None
-
-    def test_zero_layer_wave_passes_batch_through(self, process_pool):
-        rng = np.random.default_rng(25)
-        batch = rng.standard_normal((2, 5))
-        (result,) = process_pool.run([WaveTask(index=0, batch=batch, steps=())])
-        assert result.error is None
-        np.testing.assert_array_equal(result.output, batch)
-
-    def test_empty_task_list(self, process_pool):
-        assert process_pool.run([]) == []
-
-    def test_close_is_idempotent(self):
-        ex = ProcessExecutor(workers=1)
-        (result,) = ex.run(_tasks(np.random.default_rng(26), n_waves=1,
-                                  slots=(0, 0, 0, 0)))
-        assert result.error is None
-        ex.close()
-        ex.close()
-        assert ex._procs == []
-
-    def test_warm_boots_the_whole_pool_and_runs_reuse_it(self):
-        ex = ProcessExecutor(workers=2)
-        try:
-            ex.warm()  # blocking handshake: every worker is live after this
-            assert len(ex._procs) == 2
-            assert all(p.is_alive() for p in ex._procs)
-            pids = [p.pid for p in ex._procs]
-            results = ex.run(_tasks(np.random.default_rng(27), n_waves=2))
-            assert all(r.error is None for r in results)
-            assert [p.pid for p in ex._procs] == pids  # no respawn
-        finally:
-            ex.close()
-
-    def test_warm_is_a_noop_for_in_process_executors(self):
-        InlineExecutor().warm()
-        ThreadedExecutor(workers=2).warm()
-        ProcessExecutor().warm()  # unbounded pool: nothing to pre-boot
-
-
 class TestOneDriver:
-    """``threaded`` and ``process`` run through the same event-loop driver,
-    so the watchdog/respawn contract is identical over both transports."""
+    """The event-loop driver's watchdog, respawn and close contracts."""
 
-    @pytest.mark.parametrize("cls", [ThreadedExecutor, ProcessExecutor])
-    def test_stalled_wave_fails_and_pool_recovers(self, cls):
+    def test_stalled_wave_fails_and_pool_recovers(self):
         from repro.runtime.faults import FaultInjector, FaultRule, StallFault
 
         rng = np.random.default_rng(30)
         tasks = _tasks(rng, n_layers=1, n_waves=2, slots=(0,))
         stall = FaultInjector([FaultRule(fault=StallFault(duration_s=0.6), wave=0)])
         stalled = [WaveTask(t.index, t.batch, t.steps, faults=stall) for t in tasks]
-        ex = cls(workers=1, watchdog_s=0.15)
+        ex = ThreadedExecutor(workers=1, watchdog_s=0.15)
         try:
-            ex.warm()  # boot a process worker before the tight watchdog runs
             t0 = time.perf_counter()
             results = ex.run(stalled)
             assert time.perf_counter() - t0 < 0.5  # failed, not waited out
             assert isinstance(results[0].error, TimeoutError)
-            ex.warm()  # ... and its respawned replacement
             (after,) = ex.run(tasks[1:])
             assert after.error is None
             np.testing.assert_array_equal(
@@ -449,6 +319,15 @@ class TestOneDriver:
         abandoned.join(timeout=5.0)
         assert not abandoned.is_alive()  # no leaked thread per respawn
         assert ex._threads[0].is_alive()
+
+    def test_close_is_idempotent(self):
+        ex = ThreadedExecutor(workers=1)
+        (result,) = ex.run(_tasks(np.random.default_rng(26), n_waves=1,
+                                  slots=(0, 0, 0, 0)))
+        assert result.error is None
+        ex.close()
+        ex.close()
+        assert ex._threads == []
 
     def test_threaded_close_retires_workers_and_run_respawns(self):
         rng = np.random.default_rng(32)

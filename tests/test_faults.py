@@ -19,7 +19,6 @@ from repro.runtime import (
     ServerConfig,
     TWModelServer,
 )
-from repro.runtime import arena
 from repro.runtime.executor import ThreadedExecutor, resolve_executor
 from repro.runtime.faults import (
     FAULTS,
@@ -28,10 +27,8 @@ from repro.runtime.faults import (
     FaultInjector,
     FaultRule,
     InjectedFault,
-    KillFault,
     LatencyFault,
     StallFault,
-    WorkerKilled,
     available_faults,
     resolve_faults,
 )
@@ -71,11 +68,10 @@ def _oracle_outputs(layers, reqs):
 
 class TestRegistry:
     def test_names_and_aliases(self):
-        assert available_faults() == ["exception", "kill", "latency", "stall"]
+        assert available_faults() == ["exception", "latency", "stall"]
         assert FAULTS.canonical("error") == "exception"
         assert FAULTS.canonical("spike") == "latency"
         assert FAULTS.canonical("hang") == "stall"
-        assert FAULTS.canonical("crash") == "kill"
         with pytest.raises(KeyError):
             FAULTS.canonical("oom")
 
@@ -616,162 +612,3 @@ class TestStatsAndStrictMode:
         rids = [server.submit(x) for x in reqs]
         served = server.flush()
         assert [s.request_id for s in served] == sorted(rids)
-
-
-class TestKillFault:
-    """The `kill` fault kind (ISSUE 7): a worker crash as a schedulable event."""
-
-    def test_registry_and_fire(self):
-        fault = FAULTS.create("kill")
-        assert isinstance(fault, KillFault)
-        with pytest.raises(WorkerKilled):
-            fault.fire(1, 0, 0)
-        assert issubclass(WorkerKilled, InjectedFault)
-
-    @pytest.mark.parametrize("executor", ["inline", "threaded"])
-    def test_kill_is_ordinary_transient_failure_in_process_free_executors(
-        self, executor
-    ):
-        # without a process boundary there is nothing to SIGKILL: the kill
-        # fault degrades to an injected failure the retry path clears
-        layers = _layers(140)
-        reqs = _requests(141, n=4)
-        want = _oracle_outputs(layers, reqs)
-        server = _server(
-            layers,
-            executor=executor,
-            max_wave_rows=4,
-            max_retries=2,
-            watchdog_s=20.0 if executor == "threaded" else None,
-            faults="kill:wave=0",
-        )
-        rids = [server.submit(x) for x in reqs]
-        served = server.flush()
-        by_id = {s.request_id: s for s in served}
-        assert all(by_id[rid].status == "ok" for rid in rids)
-        for rid, ref in zip(rids, want):
-            np.testing.assert_array_equal(by_id[rid].output, ref)
-        assert server.config.faults.fired_by_kind.get("kill", 0) >= 1
-        assert server.stats.retries >= 1
-
-
-class TestProcessChaos:
-    """ISSUE 7 chaos contract: a worker process killed mid-wave leaves
-    every request terminal, ok outputs bit-identical to the fault-free
-    inline oracle, and not one shared-memory segment behind after close."""
-
-    @pytest.mark.parametrize("placement_kind", [None, "replicated", "layer_sharded"])
-    def test_worker_killed_mid_wave_recovers(self, placement_kind):
-        from repro.gpu.device import T4, V100
-        from repro.runtime.placement import Placement
-
-        shm_before = set(arena.leaked_segments())
-        layers = _layers(142)
-        reqs = _requests(143, n=6)
-        want = _oracle_outputs(layers, reqs)
-        placement = (
-            None if placement_kind is None
-            else Placement(placement_kind, (V100, T4))
-        )
-        server = _server(
-            layers,
-            executor="process",
-            max_wave_rows=4,
-            max_retries=2,
-            placement=placement,
-            faults="kill:wave=1",  # 3 waves; the second one's worker dies
-        )
-        try:
-            rids = [server.submit(x) for x in reqs]
-            served = server.flush()
-        finally:
-            server.close()
-        by_id = {s.request_id: s for s in served}
-        assert set(by_id) == set(rids)
-        assert all(s.status in TERMINAL for s in served)
-        for rid, ref in zip(rids, want):
-            assert by_id[rid].status == "ok"
-            np.testing.assert_array_equal(by_id[rid].output, ref)
-        assert server.stats.retries >= 1
-        assert not set(arena.leaked_segments()) - shm_before
-
-    def test_persistent_kill_terminates_failed_and_stays_clean(self):
-        from repro.runtime.executor import WorkerCrashed
-
-        shm_before = set(arena.leaked_segments())
-        layers = _layers(144)
-        reqs = _requests(145, n=2)
-        server = _server(
-            layers,
-            executor="process",
-            max_wave_rows=4,
-            max_retries=0,  # straight to bisection: 3 kill/respawn cycles
-            faults="kill:layer=0",  # fires on every wave, retries included
-        )
-        try:
-            rids = [server.submit(x) for x in reqs]
-            served = server.flush()
-        finally:
-            server.close()
-        by_id = {s.request_id: s for s in served}
-        assert set(by_id) == set(rids)
-        assert all(s.status == "failed" for s in served)
-        assert all(isinstance(s.error, WorkerCrashed) for s in served)
-        assert server.stats.poisoned == len(reqs)
-        assert not set(arena.leaked_segments()) - shm_before
-
-    def test_faultfree_process_matches_inline_across_placements(self):
-        from repro.gpu.device import T4, V100
-        from repro.runtime.placement import Placement
-
-        shm_before = set(arena.leaked_segments())
-        layers = _layers(146)
-        reqs = _requests(147, n=6)
-        want = _oracle_outputs(layers, reqs)
-        for kind in (None, "replicated", "layer_sharded"):
-            placement = None if kind is None else Placement(kind, (V100, T4))
-            server = _server(
-                layers, executor="process", max_wave_rows=4,
-                placement=placement,
-            )
-            try:
-                rids = [server.submit(x) for x in reqs]
-                served = server.flush()
-            finally:
-                server.close()
-            by_id = {s.request_id: s for s in served}
-            for rid, ref in zip(rids, want):
-                assert by_id[rid].status == "ok"
-                np.testing.assert_array_equal(by_id[rid].output, ref)
-        assert not set(arena.leaked_segments()) - shm_before
-
-    def test_mixed_schedule_with_kills_keeps_invariant(self):
-        # kills + exceptions + latency in one schedule: the strongest
-        # version of the terminal-status invariant across the boundary
-        shm_before = set(arena.leaked_segments())
-        layers = _layers(148)
-        reqs = _requests(149, n=6)
-        want = _oracle_outputs(layers, reqs)
-        server = _server(
-            layers,
-            executor="process",
-            max_wave_rows=4,
-            max_retries=2,
-            faults="kill:wave=2;exception:wave=0;"
-                   "latency:rate=0.3:duration=0.001:seed=6",
-        )
-        try:
-            rids = [server.submit(x) for x in reqs]
-            served = server.flush()
-        finally:
-            server.close()
-        by_id = {s.request_id: s for s in served}
-        assert set(by_id) == set(rids)
-        assert all(s.status in TERMINAL for s in served)
-        for rid, ref in zip(rids, want):
-            if by_id[rid].status == "ok":
-                np.testing.assert_array_equal(by_id[rid].output, ref)
-        # exception fires are merged back from workers; kill fires cannot
-        # be (the killed worker never reports) -- only assert the former
-        assert server.config.faults.fired_by_kind.get("exception", 0) >= 1
-        assert not set(arena.leaked_segments()) - shm_before

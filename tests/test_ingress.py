@@ -115,23 +115,6 @@ class TestBitIdentity:
         for s, ref in zip(served, want):
             np.testing.assert_array_equal(s.output, ref)
 
-    def test_matches_sequential_drain_process_executor(self):
-        from repro.gpu.device import V100
-        from repro.runtime import Placement
-
-        layers = _layers(12)
-        reqs = _requests(13, n=4)
-        want = _oracle_outputs(layers, reqs)
-        server = _server(
-            layers, executor="process", workers=2,
-            placement=Placement("replicated", (V100, V100)), max_wave_rows=4,
-        )
-        with server:
-            served = _stream(server, reqs, pause_every=2)
-        assert [s.status for s in served] == ["ok"] * len(reqs)
-        for s, ref in zip(served, want):
-            np.testing.assert_array_equal(s.output, ref)
-
     def test_single_submit_roundtrip(self):
         layers = _layers(14)
         (req,) = _requests(15, n=1)

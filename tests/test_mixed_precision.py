@@ -2,7 +2,7 @@
 
 The dtype matrix: every storage dtype ``{float64, float32, float16,
 int8}`` through every execution surface ``{compile→run, serve,
-serve-async (ingress), process executor}`` must agree with the float64
+serve-async (ingress)}`` must agree with the float64
 oracle within the documented per-dtype tolerance
 (:data:`repro.kernels.masked.DTYPE_TOLERANCES`; int8 within its
 quantisation-error bound).  Fused epilogues must be bit-identical to
@@ -29,7 +29,6 @@ from repro.kernels.fusion import (
     resolve_epilogue_spec,
 )
 from repro.kernels.masked import DTYPE_TOLERANCES
-from repro.runtime import arena
 from repro.runtime.server import ServerConfig
 
 DTYPES = ["float64", "float32", "float16", "int8"]
@@ -118,17 +117,6 @@ class TestDtypeMatrix:
         model = _compile(ws, dtype=dtype)
         np.testing.assert_array_equal(_serve_async(model, x), model.run(x))
 
-    @pytest.mark.parametrize("dtype", ["float16", "int8"])
-    def test_process_executor_bit_identical_to_run(self, dtype):
-        # the expensive surface: spawn workers + shm arenas; reduced to the
-        # two quantised dtypes (float32/float64 ride the existing executor
-        # suite).  int8 exercises the arena's per-tile scale carriage.
-        ws, x = _stack()
-        model = _compile(ws, dtype=dtype)
-        got = _serve_once(model, x, executor="process", workers=2)
-        np.testing.assert_array_equal(got, model.run(x))
-        assert arena.leaked_segments() == []
-
     def test_int8_serve_splits_storage_from_activation_dtype(self):
         ws, _ = _stack()
         model = _compile(ws, dtype="int8")
@@ -182,9 +170,7 @@ class TestFusedEpilogues:
         with pytest.raises(ValueError, match="square"):
             _compile(ws, epilogue="dropout_residual_layernorm")
 
-    @pytest.mark.parametrize(
-        "kwargs", [{}, {"executor": "threaded"}, {"executor": "process", "workers": 2}]
-    )
+    @pytest.mark.parametrize("kwargs", [{}, {"executor": "threaded"}])
     def test_serve_matches_run_under_every_executor(self, kwargs):
         ws, x = _stack()
         model = _compile(ws, epilogue="bias_gelu")
@@ -260,34 +246,14 @@ class TestCacheKeys:
             server.close()
 
 
-class TestArenaRoundTrip:
-    """Non-float64 payloads and per-tile scales survive the shm hop."""
-
-    @pytest.mark.parametrize("dtype", ["float32", "float16", "int8"])
-    def test_attach_preserves_dtype_and_scales(self, dtype):
-        ws, _ = _stack()
-        tw = _compile(ws, dtype=dtype).layers[0].tw
-        ref = arena.place(("mp-test", dtype), tw)
-        try:
-            got = arena.attach(ref)
-            assert [t.data.dtype for t in got.tiles] == [
-                t.data.dtype for t in tw.tiles
-            ]
-            assert [t.scale for t in got.tiles] == [t.scale for t in tw.tiles]
-            np.testing.assert_array_equal(got.to_dense(), tw.to_dense())
-        finally:
-            arena.detach_all()
-            arena.release(("mp-test", dtype))
-        assert arena.leaked_segments() == []
-
+class TestSaveLoadRoundTrip:
     def test_int8_scales_are_not_neutral(self):
+        # keeps the scale round-trip check below from passing trivially
         ws, _ = _stack()
         tw = _compile(ws, dtype="int8").layers[0].tw
         assert tw.quantized
         assert any(t.scale != 1.0 for t in tw.tiles)
 
-
-class TestSaveLoadRoundTrip:
     @pytest.mark.parametrize("dtype", ["float16", "int8"])
     def test_dtype_models_round_trip(self, dtype, tmp_path):
         ws, x = _stack()

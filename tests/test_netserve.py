@@ -379,11 +379,25 @@ class TestBitIdentityOverHttp:
         # the chaos invariant one network hop out: with faults injected,
         # every HTTP request still gets a terminal response, and every
         # 200 body is bit-identical to the fault-free inline oracle
+        self._check_chaos_over_http(spec, all_ok)
+
+    @pytest.mark.parametrize("placement", ["replicated", "layer_sharded"])
+    def test_chaos_over_http_threaded_across_placements(self, placement):
+        from repro.gpu.device import T4, V100
+        from repro.runtime.placement import Placement
+
+        self._check_chaos_over_http(
+            "exception:wave=1", True,
+            executor="threaded", watchdog_s=20.0,
+            placement=Placement(placement, (V100, T4)),
+        )
+
+    def _check_chaos_over_http(self, spec, all_ok, **cfg_kw):
         layers = _layers(52)
         n_clients, per_client = 3, 2
         reqs = _requests(53, n=n_clients * per_client)
         want = _oracle_outputs(layers, reqs)
-        server = _server(layers, max_retries=2, faults=spec)
+        server = _server(layers, max_retries=2, faults=spec, **cfg_kw)
         results: dict[int, object] = {}
         errors: list = []
         with server, _serving(server) as net:

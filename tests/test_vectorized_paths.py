@@ -601,8 +601,9 @@ def _openblas_thread_controls():
 
 
 class TestBlasThreadInvariance:
-    # process workers pin BLAS to one thread while an inline parent may
-    # run two: tw_gemm's padded depths make the thread count irrelevant
+    # float32 results reproduce across BLAS thread counts (hosts, or
+    # OPENBLAS_NUM_THREADS settings): tw_gemm's padded depths make the
+    # thread count irrelevant
 
     @pytest.mark.parametrize("m", [16, 128])
     def test_float32_output_independent_of_blas_threads(self, m):
