@@ -34,8 +34,9 @@ future PR has a perf trajectory to regress against:
   ``bias_layernorm``, ``dropout_residual_layernorm``) against their
   unfused ``*_reference`` compositions at BERT-base tail shapes, with
   float64 bit-identity asserted before timing.
-- **server** — ``TWModelServer`` cold-vs-warm request latency (format/plan
-  cache amortisation) and micro-batched vs sequential throughput.
+- **server** — cold request latency (``repro.compile`` → ``serve()`` →
+  first request) against a warm request, which only pays the GEMMs, and
+  micro-batched vs sequential throughput.
 - **server_sharded** — the BERT-base encoder layer stack compiled through
   ``repro.compile`` and served under each placement policy (``single``,
   ``replicated`` x2, ``layer_sharded`` x2): rows/s, per-device GEMM busy
@@ -318,42 +319,32 @@ def bench_tw_gemm(quick: bool) -> dict:
 
 
 def bench_server(quick: bool) -> dict:
-    from repro.core.tile_sparsity import TWPruneConfig, tw_prune_step
-    from repro.runtime.server import ServerConfig, TWModelServer
+    import repro
 
     n_layers, k, g, sparsity = 4, 768, 16, 0.75
     rng = np.random.default_rng(5)
     weights = [rng.standard_normal((k, k)) for _ in range(n_layers)]
-    cfg = TWPruneConfig(granularity=g)
-    pruned = []
-    for w in weights:
-        step = tw_prune_step([np.abs(w)], sparsity, cfg)
-        pruned.append((w, step.col_keeps[0], step.row_masks[0]))
-
-    def build() -> TWModelServer:
-        server = TWModelServer(ServerConfig(granularity=g, dtype="float32"))
-        for w, ck, rm in pruned:
-            server.add_layer(w, ck, rm)
-        return server
 
     x = rng.standard_normal((32, k)).astype(np.float32)
-    server = build()
+    # cold: the offline compile, then serve() and the first request
     t0 = time.perf_counter()
+    model = repro.compile(weights, sparsity=sparsity, granularity=g, dtype=np.float32)
+    server = model.serve()
     server.serve(x)
     cold_ms = (time.perf_counter() - t0) * 1e3
     warm_ms = _best_of(lambda: server.serve(x), 3 if quick else 5)
-    assert server.stats.format_misses == n_layers
-    assert server.stats.format_hits >= n_layers  # warm requests hit the cache
+    assert server.stats.plan_misses == 0  # compiled plans served as-is
+    assert server.stats.format_hits >= n_layers
 
     n_req, req_rows = (16, 8) if quick else (64, 8)
     reqs = [rng.standard_normal((req_rows, k)).astype(np.float32) for _ in range(n_req)]
-    seq_server = build()
+    seq_server = model.serve()
     seq_server.warm()
     t0 = time.perf_counter()
     for r in reqs:
         seq_server.serve(r)
     seq_s = time.perf_counter() - t0
-    mb_server = build()
+    mb_server = model.serve()
     mb_server.warm()
     t0 = time.perf_counter()
     for r in reqs:
@@ -416,8 +407,7 @@ def _sharded_case(blocks: int, n_req: int, g: int, sparsity: float, dtype: str) 
         # cap waves at 4 requests so the queue splits into several waves —
         # otherwise one giant wave pins a replicated placement to one slot
         server = model.serve(ServerConfig(
-            granularity=g, dtype=dtype, placement=placement,
-            max_wave_rows=4 * req_rows,
+            placement=placement, max_wave_rows=4 * req_rows,
         ))
         t0 = time.perf_counter()
         for r in reqs:
@@ -500,11 +490,11 @@ def _parallel_case(
         per_exec = {}
         for executor in ("inline", "threaded"):
             server = model.serve(ServerConfig(
-                granularity=g, dtype=dtype, placement=placement,
+                placement=placement,
                 max_wave_rows=2 * req_rows,  # 2 requests per wave -> several
                 executor=executor, pace=pace,  # waves stream through slots
             ))
-            server.serve(reqs[0])  # warm: plans + tile operands built
+            server.serve(reqs[0])  # warm: tile operands built
             server.stats = ServerStats()  # timed run starts from zero
             for r in reqs:
                 server.submit(r)
@@ -616,10 +606,9 @@ def bench_faults_server(quick: bool) -> dict:
 
         def once():
             server = model.serve(ServerConfig(
-                granularity=g, dtype=dtype, max_wave_rows=2 * req_rows,
-                max_retries=2,
+                max_wave_rows=2 * req_rows, max_retries=2,
             ))
-            server.serve(reqs[0])  # warm: formats + plans built (wave 0)
+            server.serve(reqs[0])  # warm: tile operands built (wave 0)
             object.__setattr__(server.config, "faults", resolve_faults(spec))
             for r in reqs:
                 server.submit(r)
@@ -704,10 +693,8 @@ def bench_ingress_server(quick: bool) -> dict:
         return xs[i % len(xs)]
 
     def new_server():
-        server = model.serve(ServerConfig(
-            granularity=g, dtype=dtype, max_wave_rows=8 * req_rows,
-        ))
-        server.serve(xs[0])  # warm: formats + plans built
+        server = model.serve(ServerConfig(max_wave_rows=8 * req_rows))
+        server.serve(xs[0])  # warm: tile operands built
         server.stats = ServerStats()  # measure traffic only
         return server
 
@@ -834,10 +821,8 @@ def bench_http_server(quick: bool) -> dict:
         return xs[i % len(xs)]
 
     def new_server():
-        server = model.serve(ServerConfig(
-            granularity=g, dtype=dtype, max_wave_rows=8 * req_rows,
-        ))
-        server.serve(xs[0])  # warm: formats + plans built
+        server = model.serve(ServerConfig(max_wave_rows=8 * req_rows))
+        server.serve(xs[0])  # warm: tile operands built
         server.stats = ServerStats()  # measure traffic only
         return server
 

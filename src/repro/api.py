@@ -15,7 +15,7 @@ every call site, callers write::
     y = model.run(x)          # batched TW forward (bit-identical to the
                               # hand-wired pipeline)
     model.save("model.npz")   # offline artifact (repro.load round-trips)
-    server = model.serve()    # warm TWModelServer, caches pre-seeded
+    server = model.serve()    # TWModelServer over the compiled layers
 
 :func:`compile` one-shot-prunes *frozen* weights.  The paper's headline
 accuracy numbers come from the **training-time** procedure instead —
@@ -75,7 +75,7 @@ from repro.kernels.fusion import (
     apply_epilogue,
     resolve_epilogue_spec,
 )
-from repro.kernels.masked import tw_gemm
+from repro.kernels.masked import activation_dtype, tw_gemm
 from repro.kernels.spmm import csc_left_spmm
 from repro.models.registry import GemmShape
 from repro.patterns.registry import PATTERNS, make_pattern, resolve_engine
@@ -88,7 +88,7 @@ from repro.runtime.engine import (
 )
 from repro.runtime.placement import Placement, resolve_placement
 from repro.runtime.scheduler import ExecutionPlan, build_execution_plan
-from repro.runtime.server import ServerConfig, TWModelServer, weight_fingerprint
+from repro.runtime.server import ServerConfig, TWModelServer
 
 __all__ = [
     "compile",
@@ -124,7 +124,7 @@ _NON_REGISTRY_PATTERNS = ("dense", "tew")
 
 @dataclass(frozen=True)
 class CompiledLayer:
-    """One layer of a compiled model: formats, plans, cache identity.
+    """One layer of a compiled model: weights, masks, format, plans.
 
     For TW compilations every field is populated; for mask-only patterns
     (``ew``/``vw``/``bw``/``nm``) only ``dense`` + ``mask`` are (execution
@@ -141,7 +141,6 @@ class CompiledLayer:
     tw: TiledTWMatrix | None = None
     plans: dict[DeviceSpec, ExecutionPlan] = field(default_factory=dict)
     epilogue: EpilogueSpec | None = None
-    fingerprint: str = ""
 
     @property
     def sparsity(self) -> float:
@@ -400,13 +399,14 @@ class CompiledTWModel:
 
         Activations are cast once, at entry, to the model's activation
         dtype — the compiled ``dtype`` for float models, ``float32`` for
-        ``int8`` (weights-only quantisation keeps float activations) — so
+        ``int8`` (weights-only quantisation keeps float activations; see
+        :func:`~repro.kernels.masked.activation_dtype`) — so
         ``run`` and ``serve`` execute the same numerics and stay
         bit-identical.
         """
         self._require_weights("run")
         a = np.atleast_2d(np.asarray(x))
-        act = np.dtype("float32") if self.dtype.kind in "iu" else self.dtype
+        act = activation_dtype(self.dtype)
         if a.dtype != act:
             a = a.astype(act)
         if self.layers and a.shape[1] != self.layers[0].shape[0]:
@@ -429,12 +429,13 @@ class CompiledTWModel:
         return a
 
     def serve(self, config: ServerConfig | None = None, **overrides) -> TWModelServer:
-        """A :class:`TWModelServer` over this model, caches pre-seeded.
+        """A :class:`TWModelServer` over this model's compiled layers.
 
-        With no ``config``, the server inherits the compiled granularity,
-        payload dtype and placement.  The compiled formats and per-device
-        plans are adopted into the server's caches (``preload``), so the
-        first request is already warm whenever the config matches.
+        The server serves this model's own formats and per-device plans,
+        so the first request only pays the GEMMs and every output is
+        bit-identical to :meth:`run`.  With no ``config`` it inherits the
+        compiled placement.  Granularity and payload dtype are fixed at
+        compile time; re-compile to change them.
 
         Keyword arguments override :class:`ServerConfig` fields by name
         (with or without an explicit ``config``) and are validated there;
@@ -443,9 +444,10 @@ class CompiledTWModel:
         wall-time (outputs stay bit-identical to ``inline``), and
         ``max_wave_rows``, ``max_retries``, ``max_queue_rows``,
         ``watchdog_s`` or ``faults`` configure batching and the
-        fault-tolerant serving path.  Call ``server.close()`` (or use the
-        server as a context manager) when done: that shuts the worker
-        threads down.
+        fault-tolerant serving path.  A ``placement`` override onto devices
+        the model has no plan for plans them once, at ``warm()`` or on the
+        first wave.  Call ``server.close()`` (or use the server as a
+        context manager) when done: that shuts the worker threads down.
         """
         self._require_weights("serve")
         if any(l.tw is None for l in self.layers):
@@ -453,22 +455,12 @@ class CompiledTWModel:
                 f"serving requires the TW pattern; this model was compiled "
                 f"with pattern={self.pattern!r}"
             )
-        if config is None:
-            quantized = self.dtype.kind in "iu"
-            config = ServerConfig(
-                granularity=self.granularity,
-                # int8 models store quantized tiles but serve float32
-                # activations (weights-only quantization, fp32 accumulate)
-                dtype="float32" if quantized else str(self.dtype),
-                storage_dtype=str(self.dtype) if quantized else "",
-                placement=self.placement,
-            )
+        config = config or ServerConfig(placement=self.placement)
         if overrides:
             config = dataclasses.replace(config, **overrides)
         server = TWModelServer(config)
-        for i, l in enumerate(self.layers):
-            server.add_layer(l.dense, l.col_keep, list(l.row_masks), epilogue=l.epilogue)
-            server.preload(i, l.tw, l.plans)
+        for l in self.layers:
+            server.add_layer(l.tw, l.plans, epilogue=l.epilogue)
         return server
 
     def serve_async(
@@ -615,9 +607,6 @@ class CompiledTWModel:
                     tw=tw,
                     plans=_build_plans(tw, placement, i, n),
                     epilogue=_epilogue_from_dict(raw.get("epilogue")),
-                    fingerprint=weight_fingerprint(
-                        dense, raw["col_keep"], list(raw["row_masks"])
-                    ),
                 )
             )
         return cls(
@@ -743,7 +732,6 @@ def _tw_layer(
         tw=tw,
         plans=_build_plans(tw, placement, index, n_layers),
         epilogue=epilogue,
-        fingerprint=weight_fingerprint(w, col_keep, row_masks),
     )
 
 

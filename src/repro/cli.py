@@ -37,6 +37,7 @@ import numpy as np
 from repro.core.importance import available_importance
 from repro.core.schedule import available_schedules
 from repro.kernels.fusion import EPILOGUES
+from repro.kernels.masked import activation_dtype
 from repro.patterns.registry import available_engines, available_patterns
 from repro.runtime.executor import available_executors
 from repro.runtime.faults import available_faults
@@ -158,9 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=_SERVER.workers,
                          help="worker cap for --executor threaded "
                               "(default: one per device slot)")
-    p_serve.add_argument("--cache-budget", type=int, default=_SERVER.cache_budget,
-                         help="LRU entry budget for the format/plan caches "
-                              "(0 = unbounded)")
     p_serve.add_argument("--max-retries", type=int, default=_SERVER.max_retries,
                          help="re-execution budget per failed wave group "
                               "before bisection isolates the poison request")
@@ -498,7 +496,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = model.serve(
             executor=args.executor,
             workers=args.workers,
-            cache_budget=args.cache_budget,
             pace=args.pace,
             max_retries=args.max_retries,
             max_queue_rows=args.max_queue_rows,
@@ -528,7 +525,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 rejected += 1
         served = server.flush()
     finally:
-        # deterministic teardown: worker threads down, caches dropped
+        # deterministic teardown: worker threads down
         server.close()
     st = server.stats
     by_status: dict[str, int] = {}
@@ -626,7 +623,7 @@ def _serve_http(args, model, placement, server) -> int:
         net.run()
     finally:
         # the loop does not own this server (the CLI built it); close for
-        # deterministic teardown — worker threads down, caches dropped
+        # deterministic teardown — worker threads down
         server.close()
     record = net.final_stats or {}
     st = record.get("latency_ms", {})
@@ -691,7 +688,7 @@ def _serve_continuous(args, model, placement, server, weights) -> int:
         return result, record
 
     try:
-        server.warm()  # formats + plans built before timed traffic
+        server.warm()  # any missing plans built before timed traffic
         result, record = asyncio.run(run())
     finally:
         server.close()
@@ -734,7 +731,7 @@ def _serve_continuous(args, model, placement, server, weights) -> int:
 def _request_dtype(dtype: str) -> str:
     """The dtype request activations travel in: ``int8`` models quantise
     weights only, so their requests stay ``float32``."""
-    return "float32" if np.dtype(dtype).kind in "iu" else dtype
+    return str(activation_dtype(dtype))
 
 
 def _shard_counts(layout: list[str]) -> list[tuple[str, int]]:

@@ -93,6 +93,7 @@ import numpy as np
 from repro.formats.tiled import TiledTWMatrix
 
 __all__ = [
+    "activation_dtype",
     "masked_gemm",
     "tw_gemm",
     "tw_gemm_reference",
@@ -288,6 +289,16 @@ def gemm_dtypes(a_dtype: np.dtype, w_dtype: np.dtype) -> tuple[np.dtype, np.dtyp
         out_dtype = np.result_type(a_dtype, w_dtype)
     compute = np.dtype(np.float32) if out_dtype == np.float16 else np.dtype(out_dtype)
     return compute, np.dtype(out_dtype)
+
+
+def activation_dtype(w_dtype: np.dtype) -> np.dtype:
+    """The dtype activations run in against weights stored as ``w_dtype``.
+
+    Quantised (int8) storage keeps float32 activations (weights-only
+    quantisation); float storage runs activations in its own dtype.
+    """
+    w_dtype = np.dtype(w_dtype)
+    return np.dtype(np.float32) if w_dtype.kind in "iu" else w_dtype
 
 
 def tile_operands(weight: TiledTWMatrix, dtype, tile_ids=()) -> dict:

@@ -37,7 +37,7 @@ Modules
   (``exception`` / ``latency`` / ``stall``) keyed by
   ``(wave, layer, slot)`` sites, for chaos testing the serving path;
 - :mod:`repro.runtime.server` — :class:`TWModelServer`, the serving layer
-  that caches formats/plans per weight fingerprint, micro-batches
+  that serves a compiled model's formats and plans, micro-batches
   concurrent requests into one GEMM per layer, dispatches waves across a
   :class:`~repro.runtime.placement.Placement`'s devices through the
   configured :class:`~repro.runtime.executor.Executor`, and degrades
@@ -103,7 +103,6 @@ from repro.runtime.server import (
     ServerConfig,
     ServerStats,
     TWModelServer,
-    weight_fingerprint,
 )
 
 __all__ = [
@@ -147,5 +146,4 @@ __all__ = [
     "HttpLoadTransport",
     "NetResult",
     "WireError",
-    "weight_fingerprint",
 ]

@@ -97,7 +97,7 @@ class WaveStep:
     """One layer of one wave, tagged with the device slot that runs it.
 
     The placement emits the ``(layer, slot)`` mapping; the server resolves
-    the cached format/plan and the optional pacing dwell; the executor
+    the compiled format/plan and the optional pacing dwell; the executor
     only ever consumes these finished work items.
     """
 

@@ -1,9 +1,9 @@
 """Placement policies: mapping a compiled layer stack onto devices.
 
-The ROADMAP's multi-device open item: the format/plan caches are keyed by
+The ROADMAP's multi-device open item: execution plans are keyed by
 device, so spreading a model over several :class:`~repro.gpu.device.DeviceSpec`
-instances is *cache composition*, not cache surgery.  A :class:`Placement`
-says which device owns which work:
+instances only needs a plan per (layer, device), not new formats.  A
+:class:`Placement` says which device owns which work:
 
 - ``single``        — everything on one device (the historical behaviour);
 - ``replicated``    — the full layer stack is planned on every device and
@@ -116,7 +116,7 @@ class Placement:
 
         Two replicas of the same device model are distinct *slots* even
         though their :class:`DeviceSpec`\\ s compare equal (and therefore
-        share plan-cache entries); stats must not collapse them or a
+        share plans); stats must not collapse them or a
         replicated placement would look like one busy device.
         """
         return [f"{d.name}#{i}" for i, d in enumerate(self.devices)]

@@ -90,7 +90,7 @@ def assign_streams(
 class ExecutionPlan:
     """One layer's full execution schedule: batch groups + stream mapping.
 
-    The single artifact the serving path caches per weight matrix — built
+    The single artifact compiled per weight matrix and device — built
     once by :func:`build_execution_plan`, then replayed by
     :func:`repro.kernels.masked.tw_gemm` for every request (the paper's
     pipeline: plan → batch → stream → execute).

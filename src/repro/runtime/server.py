@@ -5,15 +5,13 @@ The paper's pipeline makes weight-side work — compaction into
 assignment — a *per-model* cost, while every request only pays the batched
 GEMMs.  :class:`TWModelServer` operationalises that split:
 
-- **Format & plan caches** keyed by
-  ``(weight fingerprint, pattern, granularity, dtype)`` and
-  ``(format key, device)``: the first request compacts
-  and plans, every later request replays the cached
-  :class:`~repro.runtime.scheduler.ExecutionPlan` — amortising construction
-  across millions of calls (cache-hit counters make this observable).
-  :meth:`TWModelServer.preload` lets a compiled model
-  (:class:`repro.api.CompiledTWModel`) seed these caches so serving starts
-  warm.
+- **Compiled layers in, GEMMs out**: the server serves the formats and
+  per-device :class:`~repro.runtime.scheduler.ExecutionPlan`\\ s that
+  :func:`repro.compile` built (:meth:`repro.api.CompiledTWModel.serve`
+  registers them with :meth:`TWModelServer.add_layer`) and never compacts.
+  The only weight-side work left is planning a device the model has no
+  plan for (a ``placement`` override); :meth:`TWModelServer.warm`, or else
+  the first wave that needs it, builds that plan once.
 - **Micro-batching**: concurrent requests' activations stack into one
   matrix, so each layer runs *one* batched GEMM for the whole wave instead
   of one per request (``submit`` + ``flush``; ``serve`` is the
@@ -22,17 +20,16 @@ GEMMs.  :class:`TWModelServer` operationalises that split:
   :class:`~repro.runtime.placement.Placement` spreads work over several
   :class:`~repro.gpu.device.DeviceSpec`\\ s — ``replicated`` round-robins
   waves across full-model replicas, ``layer_sharded`` splits the layer
-  stack so each wave flows shard to shard.  The plan cache is already
-  device-keyed, so sharding composes with it rather than replacing it.
+  stack so each wave flows shard to shard.  Plans are keyed by
+  ``(layer, device)``, so each shard replays its own device's plan.
 - **Pluggable execution**: the placement emits a device→work
   mapping (:meth:`~repro.runtime.placement.Placement.wave_slots`) and an
   :class:`~repro.runtime.executor.Executor` — ``inline`` (the sequential
   oracle) or ``threaded`` (one worker thread per device slot, bounded
   wave pipeline) — decides how those device-tagged work items overlap in
   wall-time.  Outputs are bit-identical across executors; only wall-time
-  and the measured occupancy stats change.  Caches are bounded by
-  ``ServerConfig(cache_budget=...)`` and torn down deterministically by
-  :meth:`TWModelServer.close`.
+  and the measured occupancy stats change.  Worker threads are torn down
+  deterministically by :meth:`TWModelServer.close`.
 - **Stats**: per-request latency, per-flush batch sizes, rows/s and
   requests/s throughput, per-device busy time/GEMM counts, measured flush
   wall-time (``wall_time_s`` / ``parallel_efficiency()``), and
@@ -47,26 +44,26 @@ GEMMs.  :class:`TWModelServer` operationalises that split:
   :class:`~repro.runtime.faults.FaultInjector` through every wave for
   chaos testing and recovery benchmarks.
 
-Execution order inside a layer follows the cached plan's stream issue
+Execution order inside a layer follows the compiled plan's stream issue
 order, so what the cost model prices (plan → batch → stream) is exactly
 what executes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
 import numbers
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix
 from repro.gpu.device import DeviceSpec, V100
+from repro.kernels.masked import activation_dtype
 from repro.runtime.executor import EXECUTORS, WaveStep, WaveTask, resolve_executor
 from repro.runtime.faults import FaultInjector, resolve_faults
 from repro.runtime.placement import Placement
@@ -78,7 +75,6 @@ __all__ = [
     "ServedRequest",
     "ServerStats",
     "TWModelServer",
-    "weight_fingerprint",
     "write_stats_json",
 ]
 
@@ -86,100 +82,6 @@ __all__ = [
 class QueueFullError(RuntimeError):
     """Raised by ``submit`` when ``max_queue_rows`` is hit under the
     ``reject`` shed policy (or when a single request can never fit)."""
-
-
-class _LRUCache:
-    """Insertion/recency-ordered mapping with an entry budget.
-
-    ``budget=0`` means unbounded (the pre-ISSUE-7 behaviour).  Reads via
-    :meth:`get` and writes refresh recency; when a write pushes the cache
-    past its budget the least-recently-used entries are popped and handed
-    to ``on_evict(key, value)`` — the server uses that hook to count
-    evictions.
-    """
-
-    def __init__(self, budget: int = 0, on_evict=None) -> None:
-        self.budget = budget
-        self._on_evict = on_evict
-        self._data: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        hit = self._data.get(key)
-        if hit is not None:
-            self._data.move_to_end(key)
-        return hit
-
-    def put(self, key, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        self._trim()
-
-    def setdefault(self, key, value):
-        hit = self.get(key)
-        if hit is not None:
-            return hit
-        self.put(key, value)
-        return value
-
-    def _trim(self) -> None:
-        while self.budget and len(self._data) > self.budget:
-            key, value = self._data.popitem(last=False)
-            if self._on_evict is not None:
-                self._on_evict(key, value)
-
-    def values(self):
-        return self._data.values()
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-
-def _hash_array(h, tag: bytes, arr: np.ndarray) -> None:
-    """Feed one array into ``h`` with an unambiguous header.
-
-    The header carries a tag, the logical shape, the dtype and the
-    contiguous strides, each length-delimited — so arrays of different
-    shapes (a matrix vs its transpose, two masks vs one twice as long)
-    can never produce the same byte stream even when their raw bytes
-    coincide.  ``ascontiguousarray`` first normalises the memory order,
-    making the fingerprint a function of the *logical* array: an F-order
-    view and its C-order copy hash identically.
-    """
-    arr = np.ascontiguousarray(arr)
-    header = repr((arr.shape, arr.dtype.str, arr.strides, "C")).encode()
-    h.update(b"%s:%d:" % (tag, len(header)))
-    h.update(header)
-    h.update(b"%d:" % arr.nbytes)
-    h.update(arr.tobytes())
-
-
-def weight_fingerprint(
-    dense: np.ndarray,
-    col_keep: np.ndarray,
-    row_masks: list[np.ndarray],
-) -> str:
-    """Content hash of a layer's weights + pruning masks (cache identity).
-
-    Computed once at registration; two models sharing weights and masks
-    share format-cache entries regardless of object identity.  Every array
-    is hashed with a shape/dtype/strides header and a length delimiter, so
-    a matrix and its transpose (same bytes, different shape) or two short
-    row masks and one long one (same concatenated bytes) get distinct
-    fingerprints.
-    """
-    h = hashlib.sha1()
-    _hash_array(h, b"dense", np.asarray(dense))
-    _hash_array(h, b"col_keep", np.ascontiguousarray(col_keep, dtype=bool))
-    h.update(b"masks:%d:" % len(row_masks))
-    for mask in row_masks:
-        _hash_array(h, b"row_mask", np.ascontiguousarray(mask, dtype=bool))
-    return h.hexdigest()
 
 
 def _int_at_least(lo: int):
@@ -192,9 +94,7 @@ def _seconds(v) -> bool:
 
 #: ServerConfig field → (is the value valid?, what a valid value is)
 _CONFIG_RULES = {
-    "granularity": (_int_at_least(1), "a positive int"),
     "max_wave_rows": (_int_at_least(1), "a positive int"),
-    "cache_budget": (_int_at_least(0), "a non-negative int (0 = unbounded)"),
     "workers": (lambda v: v is None or _int_at_least(1)(v), "a positive int or None"),
     "pace": (_seconds, "finite and non-negative"),
     "max_retries": (_int_at_least(0), "a non-negative int"),
@@ -211,27 +111,17 @@ class ServerConfig:
     The one place a serving option is declared, defaulted and validated:
     :meth:`repro.api.CompiledTWModel.serve` forwards its keyword overrides
     here, and the ingress and HTTP fronts read the server's config.
-    Changing the granularity, payload dtype or placement re-plans on first
-    use.  Serving always runs the full plan (width-grouped batching and
-    stream assignment, paper Fig. 7 steps 3–4); the ablation switches live
-    in :func:`~repro.runtime.scheduler.build_execution_plan` for the cost
+    Granularity and payload dtype are not serving options: they are
+    properties of the compiled formats the server is given, and the
+    activation dtype follows from the payload dtype
+    (:func:`~repro.kernels.masked.activation_dtype`).  Serving always runs
+    the full plan (width-grouped batching and stream assignment, paper
+    Fig. 7 steps 3–4); the ablation switches live in
+    :func:`~repro.runtime.scheduler.build_execution_plan` for the cost
     model and experiments.
 
     Attributes
     ----------
-    granularity:
-        TW tile width the server compacts at.
-    dtype:
-        Activation dtype for serving (and, by default, the compact payload
-        dtype too).
-    storage_dtype:
-        Compact *weight payload* dtype when it differs from the activation
-        dtype (``""`` = same as ``dtype``).  The mixed-precision split:
-        an int8-quantized model stores ``storage_dtype="int8"`` tiles
-        (per-tile scales, weights-only quantization) while waves run
-        ``dtype="float32"`` activations with fp32 accumulation.  Part of
-        the format cache key, so the same weights served at two storage
-        precisions never share compacted formats.
     max_wave_rows:
         Row cap per micro-batch wave; larger queues split into successive
         waves (requests never split across waves).  The async ingress
@@ -245,11 +135,6 @@ class ServerConfig:
         ``threaded`` runs one worker thread per device slot so replicated
         waves and layer-sharded pipeline stages overlap wherever BLAS
         releases the GIL.  Outputs are bit-identical in every case.
-    cache_budget:
-        Entry budget shared by the format cache and the plan cache
-        (``0`` = unbounded, the historical behaviour).  When a cache
-        outgrows the budget its least-recently-used entries are evicted
-        (``stats.format_evictions``/``plan_evictions`` count them).
     workers:
         Worker cap for ``threaded`` (``None`` = one per device slot).
         Passing it with an executor that has no workers (``inline``) is
@@ -286,13 +171,9 @@ class ServerConfig:
         schedule.
     """
 
-    granularity: int = 128
-    dtype: str = "float64"
-    storage_dtype: str = ""
     max_wave_rows: int = 8192
     placement: Placement | None = None
     executor: str = "inline"
-    cache_budget: int = 0
     workers: int | None = None
     pace: float = 0.0
     max_retries: int = 2
@@ -309,9 +190,6 @@ class ServerConfig:
         ]
         if problems:  # one error naming every invalid field
             raise ValueError("invalid ServerConfig: " + "; ".join(problems))
-        np.dtype(self.dtype)  # raises on unknown dtype names
-        if self.storage_dtype:
-            np.dtype(self.storage_dtype)
         if self.placement is not None and not isinstance(self.placement, Placement):
             raise TypeError(
                 f"placement must be a Placement or None, got {type(self.placement).__name__}"
@@ -329,11 +207,6 @@ class ServerConfig:
     def resolved_placement(self) -> Placement:
         """The effective placement (``None`` is ``single`` on a V100)."""
         return self.placement or Placement("single", (V100,))
-
-    @property
-    def resolved_storage_dtype(self) -> str:
-        """The effective compact-payload dtype (falls back to ``dtype``)."""
-        return self.storage_dtype or self.dtype
 
 
 @dataclass
@@ -384,20 +257,23 @@ LATENCY_WINDOW = 4096
 @dataclass
 class ServerStats:
     """Running counters; throughput is derived from GEMM busy time
-    (format compaction and plan building are excluded — they are the
-    amortised cold path the hit counters track)."""
+    (building a plan the model lacked is excluded — that is the one-off
+    cold path ``plan_misses`` counts)."""
 
     requests: int = 0
     rows: int = 0
     batches: int = 0
     gemms: int = 0
+    #: compiled-format lookups, one per layer per assembled wave
     format_hits: int = 0
+    #: always 0: the server serves the compiled formats and never
+    #: compacts; kept so hit-rate readers see the same counter set
     format_misses: int = 0
+    #: per-device plan lookups served from the model's compiled plans (or
+    #: a plan built earlier for a device the model lacked)
     plan_hits: int = 0
+    #: plans built here, once per (layer, device) the model had no plan for
     plan_misses: int = 0
-    #: LRU entries dropped by a ``cache_budget`` (0 while unbounded)
-    format_evictions: int = 0
-    plan_evictions: int = 0
     busy_s: float = 0.0
     #: measured wall-clock seconds spent inside executor runs (``flush``);
     #: with a concurrent executor this is *less* than ``busy_s`` — the
@@ -525,13 +401,11 @@ class ServerStats:
                 "format_hit_rate": (
                     round(self.format_hits / fmt_total, 4) if fmt_total else 0.0
                 ),
-                "format_evictions": self.format_evictions,
                 "plan_hits": self.plan_hits,
                 "plan_misses": self.plan_misses,
                 "plan_hit_rate": (
                     round(self.plan_hits / plan_total, 4) if plan_total else 0.0
                 ),
-                "plan_evictions": self.plan_evictions,
             },
             "slo": {
                 "retries": self.retries,
@@ -552,20 +426,14 @@ def write_stats_json(path: str, record: dict) -> None:
 
 @dataclass(frozen=True)
 class _Layer:
-    """One registered weight layer (dense + masks + cache identity).
+    """One registered layer: its compiled format and optional epilogue.
 
     ``epilogue`` is the optional fused non-GEMM consumer
     (:class:`~repro.kernels.fusion.EpilogueSpec`) applied inside the wave
-    task right after this layer's GEMM.  It rides the wave step rather
-    than the format/plan caches — compaction and planning are
-    epilogue-independent, so two models differing only in epilogues still
-    share cached formats.
+    task right after this layer's GEMM.
     """
 
-    dense: np.ndarray
-    col_keep: np.ndarray
-    row_masks: tuple[np.ndarray, ...]
-    fingerprint: str
+    tw: TiledTWMatrix
     epilogue: object | None = None
 
 
@@ -587,13 +455,15 @@ class _Pending:
 
 
 class TWModelServer:
-    """Serve a stack of TW-pruned GEMM layers with cached plans.
+    """Serve a stack of compiled TW layers with their compiled plans.
 
-    Layers are registered as ``(dense weight, col_keep, row_masks)`` — the
-    pruner's outputs — and compacted lazily on first use.  A request's
-    activations flow through every layer in order (``K`` of layer ``l+1``
-    must equal ``N`` of layer ``l``); pruned output columns are exact
-    zeros, so chaining is closed under TW execution.
+    Layers are registered as compiled
+    :class:`~repro.formats.tiled.TiledTWMatrix` formats plus their
+    per-device plans (:meth:`add_layer`; :meth:`repro.api.CompiledTWModel.serve`
+    does this for a compiled model).  A request's activations flow through
+    every layer in order (``K`` of layer ``l+1`` must equal ``N`` of layer
+    ``l``); pruned output columns are exact zeros, so chaining is closed
+    under TW execution.
     """
 
     def __init__(self, config: ServerConfig | None = None) -> None:
@@ -606,12 +476,9 @@ class TWModelServer:
         )
         self.stats = ServerStats()
         self._layers: list[_Layer] = []
-        self._formats: _LRUCache = _LRUCache(
-            self.config.cache_budget, self._evict_format
-        )
-        self._plans: _LRUCache = _LRUCache(
-            self.config.cache_budget, self._evict_plan
-        )
+        #: (layer index, device) -> plan: the model's compiled plans, plus
+        #: any built here for a device the model had none for
+        self._plans: dict[tuple[int, DeviceSpec], ExecutionPlan] = {}
         self._closed = False
         self._dwell: dict[tuple, float] = {}
         self._pending: deque[_Pending] = deque()
@@ -627,34 +494,33 @@ class TWModelServer:
     # ------------------------------------------------------------------ #
     def add_layer(
         self,
-        dense: np.ndarray,
-        col_keep: np.ndarray,
-        row_masks: list[np.ndarray],
+        tw: TiledTWMatrix,
+        plans: dict[DeviceSpec, ExecutionPlan] | None = None,
         *,
         epilogue=None,
-    ) -> str:
-        """Register one pruned GEMM layer; returns its weight fingerprint.
+    ) -> None:
+        """Register one compiled layer and its per-device plans.
 
+        The server serves ``tw`` itself (never a copy, never a
+        recompaction) and replays ``plans`` for the devices they cover.
         ``epilogue`` optionally attaches a fused
         :class:`~repro.kernels.fusion.EpilogueSpec` that every wave applies
         right after this layer's GEMM (same semantics as
         :meth:`repro.api.CompiledTWModel.run`).
         """
-        dense = np.asarray(dense)
-        if dense.ndim != 2:
-            raise ValueError("layer weight must be 2-D")
-        if self._layers and self._layers[-1].dense.shape[1] != dense.shape[0]:
-            raise ValueError(
-                f"layer K={dense.shape[0]} does not chain onto previous "
-                f"layer N={self._layers[-1].dense.shape[1]}"
+        if not isinstance(tw, TiledTWMatrix):
+            raise TypeError(
+                f"add_layer takes a compiled TiledTWMatrix, got {type(tw).__name__}"
             )
-        fp = weight_fingerprint(dense, col_keep, row_masks)
-        self._layers.append(
-            _Layer(dense, np.asarray(col_keep, dtype=bool),
-                   tuple(np.asarray(m, dtype=bool) for m in row_masks), fp,
-                   epilogue)
-        )
-        return fp
+        if self._layers and self._layers[-1].tw.shape[1] != tw.shape[0]:
+            raise ValueError(
+                f"layer K={tw.shape[0]} does not chain onto previous "
+                f"layer N={self._layers[-1].tw.shape[1]}"
+            )
+        index = len(self._layers)
+        self._layers.append(_Layer(tw, epilogue))
+        for device, plan in (plans or {}).items():
+            self._plans[(index, device)] = plan
 
     @property
     def n_layers(self) -> int:
@@ -664,97 +530,30 @@ class TWModelServer:
     @property
     def model_k(self) -> int | None:
         """Input width a request row must have (``None`` before layers)."""
-        return int(self._layers[0].dense.shape[0]) if self._layers else None
+        return self._layers[0].tw.shape[0] if self._layers else None
 
     def shard_layout(self) -> list[str]:
         """Device slot (``name#index``) owning each layer under the placement."""
         return self.placement.shard_labels(self.n_layers)
 
     def warm(self) -> None:
-        """Prebuild every layer's format and plans (optional cold-start hide)."""
-        plan_devices = self.placement.plan_devices(self.n_layers)
-        for layer, devices in zip(self._layers, plan_devices):
-            tw = self._format_for(layer)
+        """Build every plan the placement needs and the model lacks."""
+        for index, devices in enumerate(self.placement.plan_devices(self.n_layers)):
             for device in devices:
-                self._plan_for(layer, tw, device)
+                self._plan_for(index, device)
 
-    def preload(
-        self,
-        index: int,
-        tw: TiledTWMatrix,
-        plans: dict[DeviceSpec, ExecutionPlan] | None = None,
-    ) -> bool:
-        """Seed the caches for layer ``index`` with prebuilt artifacts.
-
-        Called by :meth:`repro.api.CompiledTWModel.serve` so compilation
-        work is reused instead of redone.  The format and its plans are
-        only adopted when the format matches this server's config
-        (granularity and payload dtype).  Returns whether they were.
-        """
-        layer = self._layers[index]
-        storage = np.dtype(self.config.resolved_storage_dtype)
-        if tw.granularity != self.config.granularity or tw.dtype != storage:
-            return False
-        if tw.shape != layer.dense.shape:
-            return False
-        self._formats.setdefault(self._format_key(layer), tw)
-        for device, plan in (plans or {}).items():
-            self._plans.setdefault(self._plan_key(layer, device), plan)
-        return True
-
-    # ------------------------------------------------------------------ #
-    # caches
-    # ------------------------------------------------------------------ #
-    def _evict_format(self, key: tuple, tw: TiledTWMatrix) -> None:
-        self.stats.format_evictions += 1
-
-    def _evict_plan(self, key: tuple, plan: ExecutionPlan) -> None:
-        self.stats.plan_evictions += 1
-
-    def _format_key(self, layer: _Layer) -> tuple:
-        return (
-            layer.fingerprint,
-            "tw",
-            self.config.granularity,
-            self.config.resolved_storage_dtype,
-        )
-
-    def _format_for(self, layer: _Layer) -> TiledTWMatrix:
-        key = self._format_key(layer)
-        hit = self._formats.get(key)
-        if hit is not None:
-            self.stats.format_hits += 1
-            return hit
-        self.stats.format_misses += 1
-        tw = TiledTWMatrix.from_masks(
-            layer.dense,
-            self.config.granularity,
-            layer.col_keep,
-            list(layer.row_masks),
-            dtype=np.dtype(self.config.resolved_storage_dtype),
-        )
-        self._formats.put(key, tw)
-        return tw
-
-    def _plan_key(self, layer: _Layer, device: DeviceSpec) -> tuple:
-        return (self._format_key(layer), device)
-
-    def _plan_for(
-        self, layer: _Layer, tw: TiledTWMatrix, device: DeviceSpec | None = None
-    ) -> ExecutionPlan:
-        device = device if device is not None else self.placement.primary
-        key = self._plan_key(layer, device)
-        hit = self._plans.get(key)
-        if hit is not None:
+    def _plan_for(self, index: int, device: DeviceSpec) -> ExecutionPlan:
+        plan = self._plans.get((index, device))
+        if plan is not None:
             self.stats.plan_hits += 1
-            return hit
+            return plan
         self.stats.plan_misses += 1
-        plan = build_execution_plan(tw, device)
-        self._plans.put(key, plan)
+        plan = build_execution_plan(self._layers[index].tw, device)
+        self._plans[(index, device)] = plan
         return plan
 
     def stream_imbalance(self) -> list[float]:
-        """Per-cached-plan stream imbalance diagnostics (max/mean work)."""
+        """Per-plan stream imbalance diagnostics (max/mean work)."""
         return [p.assignment.imbalance() for p in self._plans.values()]
 
     # ------------------------------------------------------------------ #
@@ -788,10 +587,8 @@ class TWModelServer:
         ``status="shed"``).
         """
         x = np.atleast_2d(np.asarray(x))
-        if self._layers and x.shape[1] != self._layers[0].dense.shape[0]:
-            raise ValueError(
-                f"request K={x.shape[1]} != model K={self._layers[0].dense.shape[0]}"
-            )
+        if self._layers and x.shape[1] != self.model_k:
+            raise ValueError(f"request K={x.shape[1]} != model K={self.model_k}")
         if deadline_s is not None:
             deadline_s = float(deadline_s)
             if not np.isfinite(deadline_s) or deadline_s < 0:
@@ -924,11 +721,11 @@ class TWModelServer:
         execution fails the executor stops pulling — the unconsumed tail
         stays on ``work`` for the caller.  Expired requests are shed into
         ``served``; a group whose wave cannot even be assembled lands on
-        ``build_failures``.  Caches are resolved on the driver thread
+        ``build_failures``.  Plans are resolved on the driver thread
         inside ``_wave_task``, so ``busy_s`` times GEMM execution only.
-        The first wave is built *outside* the timed region: it resolves
-        every cold format/plan, so ``wall_time_s`` stays an execution
-        measurement even on a cold server.
+        The first wave is built *outside* the timed region: it builds any
+        plan the model lacked, so ``wall_time_s`` stays an execution
+        measurement even on an unwarmed server.
         """
 
         def task_stream():
@@ -1115,16 +912,13 @@ class TWModelServer:
     def close(self) -> None:
         """Tear the server down deterministically (idempotent).
 
-        Shuts the executor's worker threads down and drops the caches.
-        Serving after ``close()`` simply re-misses the caches: formats
-        recompact and worker threads respawn on the next run.
+        Shuts the executor's worker threads down.  Serving after
+        ``close()`` respawns them on the next run.
         """
         if self._closed:
             return
         self._closed = True
         self.executor.close()
-        self._formats.clear()
-        self._plans.clear()
 
     def __enter__(self) -> "TWModelServer":
         return self
@@ -1133,52 +927,56 @@ class TWModelServer:
         self.close()
 
     def _wave_task(self, wave: list[_Pending]) -> WaveTask:
-        """Resolve one wave into device-tagged, plan-carrying work items."""
-        dtype = np.dtype(self.config.dtype)
+        """Resolve one wave into device-tagged, plan-carrying work items.
+
+        The wave's activations are cast once to the activation dtype of
+        the compiled formats, by the rule :meth:`repro.api.CompiledTWModel.run`
+        uses, so serving and ``run()`` execute the same numerics.
+        """
         batch = np.concatenate([p.x for p in wave], axis=0)
+        if self._layers:
+            batch = batch.astype(activation_dtype(self._layers[0].tw.dtype), copy=False)
         slots = self.placement.wave_slots(self._batch_id, self.n_layers)
         labels = self.placement.device_labels()
         steps = []
         for li, (layer, slot) in enumerate(zip(self._layers, slots)):
-            tw = self._format_for(layer)
+            self.stats.format_hits += 1
             device = self.placement.devices[slot]
-            plan = self._plan_for(layer, tw, device)
             steps.append(
                 WaveStep(
                     layer=li,
-                    tw=tw,
-                    plan=plan,
+                    tw=layer.tw,
+                    plan=self._plan_for(li, device),
                     slot=slot,
                     label=labels[slot],
-                    dwell_s=self._dwell_for(layer, tw, device, batch.shape[0]),
+                    dwell_s=self._dwell_for(li, device, batch.shape[0]),
                     epilogue=layer.epilogue,
                 )
             )
         task = WaveTask(
             index=self._batch_id,
-            batch=batch.astype(dtype, copy=False),
+            batch=batch,
             steps=tuple(steps),
             faults=self.config.faults,
         )
         self._batch_id += 1
         return task
 
-    def _dwell_for(
-        self, layer: _Layer, tw: TiledTWMatrix, device: DeviceSpec, m: int
-    ) -> float:
+    def _dwell_for(self, index: int, device: DeviceSpec, m: int) -> float:
         """Paced slot occupancy for one GEMM (0.0 when pacing is off).
 
-        ``pace ×`` the cost model's predicted device time for this layer's
-        TW GEMM at ``m`` activation rows, memoised per (layer, device, m)
-        so the cost model prices each configuration once.
+        ``pace ×`` the cost model's predicted device time for layer
+        ``index``'s TW GEMM at ``m`` activation rows, memoised per
+        (layer, device, m) so the cost model prices each configuration once.
         """
         if self.config.pace <= 0.0:
             return 0.0
-        key = (self._format_key(layer), device, m)
+        key = (index, device, m)
         hit = self._dwell.get(key)
         if hit is None:
             from repro.gpu.tw_kernel import tw_gemm_cost
 
+            tw = self._layers[index].tw
             hit = tw_gemm_cost(m, tw, device).total_us * 1e-6 * self.config.pace
             self._dwell[key] = hit
         return hit

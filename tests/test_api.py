@@ -249,7 +249,7 @@ class TestPlacement:
         )
         server = model.serve()
         out = server.serve(x).output
-        # compiled formats and per-shard plans were adopted: zero misses
+        # compiled formats and per-shard plans are served: zero misses
         assert server.stats.format_misses == 0
         assert server.stats.plan_misses == 0
         np.testing.assert_array_equal(out, model.run(x))
@@ -266,16 +266,15 @@ class TestPlacement:
         server = model.serve(executor="threaded", workers=2)
         assert isinstance(server.executor, ThreadedExecutor)
         assert server.executor.workers == 2
-        # the threaded path still pre-seeds and stays bit-identical
+        # the threaded path serves the compiled plans and stays bit-identical
         out = server.serve(x).output
-        assert server.stats.format_misses == 0
+        assert server.stats.plan_misses == 0
         np.testing.assert_array_equal(out, model.run(x))
         # knobs also override an explicit config
-        cfg = ServerConfig(granularity=8, dtype=str(model.dtype),
-                           placement=model.placement)
+        cfg = ServerConfig(max_wave_rows=64, placement=model.placement)
         server2 = model.serve(cfg, executor="threaded", pace=0.0)
         assert server2.config.executor == "threaded"
-        assert server2.config.granularity == 8
+        assert server2.config.max_wave_rows == 64
 
     def test_serve_rejects_unknown_knob(self, stack):
         weights, _ = stack
@@ -505,7 +504,7 @@ class TestTune:
         np.testing.assert_array_equal(
             server.serve(x).output, result.compiled.run(x)
         )
-        assert server.stats.format_misses == 0
+        assert server.stats.plan_misses == 0
 
 
 class TestTuneFineTuning:

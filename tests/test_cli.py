@@ -260,11 +260,18 @@ class TestServe:
         assert rc == 2
 
     def test_bad_server_config_is_one_error_line(self, capsys):
-        rc = main(["serve", "bert", "--max-queue-rows", "-1", "--cache-budget", "-1"])
+        rc = main(["serve", "bert", "--max-queue-rows", "-1", "--max-retries", "-1"])
         assert rc == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "max_queue_rows" in lines[0] and "cache_budget" in lines[0]
+        assert "max_queue_rows" in lines[0] and "max_retries" in lines[0]
+
+    def test_cache_budget_flag_rejected_by_parser(self, capsys):
+        # the server serves the compiled formats; there is no cache to size
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "bert", "--cache-budget", "1"])
+        assert exc.value.code == 2
+        assert "--cache-budget" in capsys.readouterr().err
 
 
 class TestInfo:

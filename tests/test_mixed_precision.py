@@ -28,7 +28,7 @@ from repro.kernels.fusion import (
     layernorm,
     resolve_epilogue_spec,
 )
-from repro.kernels.masked import DTYPE_TOLERANCES
+from repro.kernels.masked import DTYPE_TOLERANCES, activation_dtype, gemm_dtypes
 from repro.runtime.server import ServerConfig
 
 DTYPES = ["float64", "float32", "float16", "int8"]
@@ -56,13 +56,14 @@ def _stack(seed=0):
     return ws, x
 
 
-def _compile(ws, dtype=None, epilogue=None):
+def _compile(ws, dtype=None, epilogue=None, placement=None):
     return repro.compile(
         ws,
         sparsity=0.5,
         granularity=8,
         dtype=None if dtype is None else np.dtype(dtype),
         epilogue=epilogue,
+        placement=placement,
     )
 
 
@@ -111,6 +112,28 @@ class TestDtypeMatrix:
         model = _compile(ws, dtype=dtype)
         np.testing.assert_array_equal(_serve_once(model, x), model.run(x))
 
+    @pytest.mark.parametrize("placement", ["single", "replicated", "layer_sharded"])
+    @pytest.mark.parametrize("executor", ["inline", "threaded"])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_serve_bit_identical_to_run_on_every_placement(
+        self, dtype, executor, placement
+    ):
+        from repro.gpu.device import T4, V100
+        from repro.runtime.placement import Placement
+
+        devices = (V100,) if placement == "single" else (V100, T4)
+        ws, x = _stack()
+        model = _compile(ws, dtype=dtype, placement=Placement(placement, devices))
+        reqs = [x[i : i + 2] for i in range(0, len(x), 2)]
+        with model.serve(executor=executor, max_wave_rows=2) as server:
+            for r in reqs:  # one wave each: replicas alternate
+                server.submit(r)
+            served = server.flush()
+            assert server.stats.plan_misses == 0
+        for s, r in zip(served, reqs):
+            assert s.status == "ok", s
+            np.testing.assert_array_equal(s.output, model.run(r))
+
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_serve_async_bit_identical_to_run(self, dtype):
         ws, x = _stack()
@@ -118,15 +141,21 @@ class TestDtypeMatrix:
         np.testing.assert_array_equal(_serve_async(model, x), model.run(x))
 
     def test_int8_serve_splits_storage_from_activation_dtype(self):
-        ws, _ = _stack()
+        # int8 tiles are served as stored, with float32 activations and
+        # float32 outputs (weights-only quantisation)
+        ws, x = _stack()
         model = _compile(ws, dtype="int8")
-        server = model.serve()
-        try:
-            assert server.config.dtype == "float32"
-            assert server.config.storage_dtype == "int8"
-            assert server.config.resolved_storage_dtype == "int8"
-        finally:
-            server.close()
+        assert all(l.tw.dtype == np.int8 for l in model.layers)
+        out = _serve_once(model, x)
+        assert out.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_served_output_dtype_matches_run(self, dtype):
+        ws, x = _stack()
+        model = _compile(ws, dtype=dtype)
+        want = activation_dtype(model.layers[-1].tw.dtype)
+        assert model.run(x).dtype == want
+        assert _serve_once(model, x).dtype == want
 
     def test_run_casts_activations_once_at_entry(self):
         # run() and serve() share numerics: a float64 request against a
@@ -196,56 +225,6 @@ class TestFusedEpilogues:
         assert _info_record()["registries"]["epilogues"] == EPILOGUES.names()
 
 
-class TestCacheKeys:
-    """Format-cache keys must split on storage dtype, never on epilogue."""
-
-    def test_format_keys_distinct_across_storage_dtypes(self):
-        ws, x = _stack()
-        keys = {}
-        for dtype in DTYPES:
-            model = _compile(ws, dtype=dtype)
-            server = model.serve()
-            try:
-                server.submit(x)
-                server.flush()
-                keys[dtype] = {
-                    server._format_key(l) for l in server._layers
-                }
-            finally:
-                server.close()
-        flat = [k for ks in keys.values() for k in ks]
-        assert len(flat) == len(set(flat)), "format keys collided across dtypes"
-
-    def test_epilogue_shares_formats_but_not_outputs(self):
-        # compaction/planning are epilogue-independent by design: two
-        # models differing only in epilogue produce identical format keys
-        # (the artifacts are shareable) yet different outputs
-        ws, x = _stack()
-        plain = _compile(ws)
-        fused = _compile(ws, epilogue="bias_gelu")
-        s_plain, s_fused = plain.serve(), fused.serve()
-        try:
-            k_plain = [s_plain._format_key(l) for l in s_plain._layers]
-            k_fused = [s_fused._format_key(l) for l in s_fused._layers]
-            assert k_plain == k_fused
-        finally:
-            s_plain.close()
-            s_fused.close()
-        assert not np.array_equal(plain.run(x), fused.run(x))
-
-    def test_preload_rejects_mismatched_storage_dtype(self):
-        ws, _ = _stack()
-        model = _compile(ws, dtype="float16")
-        server = model.serve()
-        try:
-            tw64 = _compile(ws).layers[0].tw
-            assert server.preload(0, tw64) is False
-            tw16 = model.layers[0].tw
-            assert server.preload(0, tw16) is True
-        finally:
-            server.close()
-
-
 class TestSaveLoadRoundTrip:
     def test_int8_scales_are_not_neutral(self):
         # keeps the scale round-trip check below from passing trivially
@@ -267,6 +246,36 @@ class TestSaveLoadRoundTrip:
             if a.epilogue is not None:
                 assert a.epilogue.name == b.epilogue.name
                 np.testing.assert_array_equal(a.epilogue.bias, b.epilogue.bias)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_loaded_model_serves_bit_identical_to_run(self, dtype, tmp_path):
+        # load() rebuilds the plans; serving registers the loaded formats
+        ws, x = _stack()
+        back = repro.load(_compile(ws, dtype=dtype).save(tmp_path / "m.npz"))
+        with back.serve() as server:
+            out = server.serve(x).output
+            assert all(s.tw is l.tw for s, l in zip(server._layers, back.layers))
+        np.testing.assert_array_equal(out, back.run(x))
+        assert server.stats.plan_misses == 0
+
+
+class TestActivationDtype:
+    """One rule decides the activation dtype for ``run()`` and serving."""
+
+    @pytest.mark.parametrize(
+        "storage, want",
+        [
+            ("float64", "float64"),
+            ("float32", "float32"),
+            ("float16", "float16"),
+            ("int8", "float32"),
+        ],
+    )
+    def test_rule_keeps_activations_in_gemm_output_dtype(self, storage, want):
+        act = activation_dtype(storage)
+        assert act == np.dtype(want)
+        # a layer's output is fed to the next layer unchanged
+        assert gemm_dtypes(act, np.dtype(storage))[1] == act
 
 
 class TestKernelDtypePolicy:

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.tile_sparsity import TWPruneConfig, tw_prune_step
+from repro.formats.tiled import TiledTWMatrix
 from repro.runtime import (
     InferClient,
     NetServer,
@@ -45,9 +46,10 @@ HTTP_TERMINAL = {200, 429, 500, 504}
 
 
 def _pruned_layer(rng, k, n, sparsity=0.5, g=8):
+    """One TW-pruned layer, compacted; the server plans it on first use."""
     dense = rng.standard_normal((k, n))
     step = tw_prune_step([np.abs(dense)], sparsity, TWPruneConfig(granularity=g))
-    return dense, step.col_keeps[0], step.row_masks[0]
+    return TiledTWMatrix.from_masks(dense, g, step.col_keeps[0], step.row_masks[0])
 
 
 def _layers(seed, n_layers=2, k=24, g=8):
@@ -56,11 +58,10 @@ def _layers(seed, n_layers=2, k=24, g=8):
 
 
 def _server(layers, **cfg_kw):
-    cfg_kw.setdefault("granularity", 8)
     cfg_kw.setdefault("max_wave_rows", 4)  # several waves per request stream
     server = TWModelServer(ServerConfig(**cfg_kw))
-    for dense, ck, rm in layers:
-        server.add_layer(dense, ck, rm)
+    for tw in layers:
+        server.add_layer(tw)
     return server
 
 

@@ -70,6 +70,7 @@ def test_quick_bench_under_ceilings(tmp_path):
         )
         assert row["batched_ms"] < row["reference_ms"]
 
-    # serving caches must amortise: warm requests skip format/plan builds
+    # the offline compile must amortise: cold pays compile -> serve() ->
+    # first request, a warm request pays only the GEMMs
     server = record["server"]
     assert server["warm_request_ms"] < server["cold_request_ms"]

@@ -1,124 +1,178 @@
-"""Tests for the TW serving layer: caches, micro-batching, stats."""
+"""Tests for the TW serving layer: compiled layers in, micro-batching, stats."""
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.tile_sparsity import TWPruneConfig, tw_prune_step
 from repro.kernels.masked import tw_gemm_reference
 from repro.formats.tiled import TiledTWMatrix
-from repro.runtime import ServerConfig, ServerStats, TWModelServer, weight_fingerprint
+from repro.runtime import ServerConfig, ServerStats, TWModelServer
 
 
-def _pruned_layer(rng, k, n, sparsity=0.5, g=8):
+def _pruned_layer(rng, k, n, sparsity=0.5, g=8, dtype=np.float64):
+    """One TW-pruned layer, compacted; the server plans it on first use."""
     dense = rng.standard_normal((k, n))
     step = tw_prune_step([np.abs(dense)], sparsity, TWPruneConfig(granularity=g))
-    return dense, step.col_keeps[0], step.row_masks[0]
+    return TiledTWMatrix.from_masks(
+        dense, g, step.col_keeps[0], step.row_masks[0], dtype=dtype
+    )
 
 
-def _server(rng, n_layers=2, k=24, g=8, **cfg_kw):
-    server = TWModelServer(ServerConfig(granularity=g, **cfg_kw))
+def _server(rng, n_layers=2, k=24, g=8, dtype=np.float64, **cfg_kw):
+    server = TWModelServer(ServerConfig(**cfg_kw))
     for _ in range(n_layers):
-        server.add_layer(*_pruned_layer(rng, k, k, g=g))
+        server.add_layer(_pruned_layer(rng, k, k, g=g, dtype=dtype))
     return server
 
 
+def _compiled(seed=0, n_layers=3, k=32, **compile_kw):
+    rng = np.random.default_rng(seed)
+    ws = [rng.standard_normal((k, k)) for _ in range(n_layers)]
+    x = rng.standard_normal((4, k))
+    compile_kw.setdefault("granularity", 8)
+    return repro.compile(ws, sparsity=0.5, **compile_kw), x
+
+
 class TestCaches:
+    def test_serve_never_compacts(self, monkeypatch):
+        model, x = _compiled()
+
+        def no_compaction(*args, **kwargs):
+            raise AssertionError("serving must not compact weights")
+
+        monkeypatch.setattr(TiledTWMatrix, "from_masks", no_compaction)
+        server = model.serve()
+        server.warm()
+        for _ in range(2):  # before and after a close()
+            res = server.serve(x)
+            server.close()
+            assert res.status == "ok", res
+            np.testing.assert_array_equal(res.output, model.run(x))
+        assert server.stats.format_misses == 0
+        assert server.stats.plan_misses == 0
+        assert server.stats.format_hits == 6  # 3 layers x 2 waves
+        # the server holds the model's own formats, not copies
+        assert all(s.tw is m.tw for s, m in zip(server._layers, model.layers))
+
     def test_second_request_skips_construction(self):
-        rng = np.random.default_rng(0)
-        server = _server(rng, n_layers=3)
-        server.serve(rng.standard_normal((4, 24)))
-        assert server.stats.format_misses == 3
-        assert server.stats.plan_misses == 3
-        assert server.stats.format_hits == 0
-        server.serve(rng.standard_normal((4, 24)))
-        # the whole point of the serving layer: construction amortised away
-        assert server.stats.format_misses == 3
-        assert server.stats.plan_misses == 3
-        assert server.stats.format_hits == 3
-        assert server.stats.plan_hits == 3
+        model, x = _compiled(seed=1)
+        server = model.serve()
+        try:
+            first = server.serve(x)
+            plans_after_first = dict(server._plans)
+            second = server.serve(x)
+        finally:
+            server.close()
+        np.testing.assert_array_equal(second.output, first.output)
+        # the second wave looks every layer up again and builds nothing
+        assert server.stats.format_hits == 2 * model.n_layers
+        assert server.stats.format_misses == 0
+        assert server.stats.plan_misses == 0
+        assert server.stats.plan_hits == 2 * model.n_layers
+        assert server._plans == plans_after_first
+
+    def test_compiled_plans_are_served_as_given(self):
+        from repro.gpu.device import V100
+
+        model, x = _compiled(seed=4)
+        with model.serve() as server:
+            np.testing.assert_array_equal(server.serve(x).output, model.run(x))
+            for i, layer in enumerate(model.layers):
+                assert server._plans[(i, V100)] is layer.plans[V100]
+        assert server.stats.plan_misses == 0
+
+    def test_stats_record_has_no_eviction_counters(self):
+        model, x = _compiled(seed=5)
+        with model.serve() as server:
+            server.serve(x)
+            caches = server.stats.record()["cache"]
+        assert not any("eviction" in key for key in caches), caches
+        assert caches["format_misses"] == 0
 
     def test_warm_prebuilds(self):
         rng = np.random.default_rng(1)
-        server = _server(rng)
+        server = _server(rng)  # layers registered without plans
         server.warm()
-        assert server.stats.format_misses == 2
+        assert server.stats.plan_misses == 2
         server.serve(rng.standard_normal((2, 24)))
-        assert server.stats.format_misses == 2
-        assert server.stats.format_hits >= 2
+        assert server.stats.plan_misses == 2
+        assert server.stats.plan_hits >= 2
+        assert server.stats.format_hits == 2
+        assert server.stats.format_misses == 0
 
-    def test_fingerprint_distinguishes_masks(self):
-        rng = np.random.default_rng(2)
-        dense, ck, rm = _pruned_layer(rng, 16, 16)
-        fp1 = weight_fingerprint(dense, ck, rm)
-        assert fp1 == weight_fingerprint(dense.copy(), ck.copy(), [m.copy() for m in rm])
-        flipped = ck.copy()
-        flipped[0] = not flipped[0]
-        assert fp1 != weight_fingerprint(dense, flipped, rm)
-        assert fp1 != weight_fingerprint(dense + 1.0, ck, rm)
+    def test_placement_override_plans_missing_devices_once(self):
+        from repro.gpu.device import T4, V100
+        from repro.runtime.placement import Placement
 
-
-class TestCacheBudget:
-    def test_validation(self):
-        assert ServerConfig(cache_budget=0).cache_budget == 0
-        with pytest.raises(ValueError, match="cache_budget"):
-            ServerConfig(cache_budget=-1)
-        with pytest.raises(ValueError, match="cache_budget"):
-            ServerConfig(cache_budget=1.5)
-
-    def test_unbounded_never_evicts(self):
-        rng = np.random.default_rng(40)
-        server = _server(rng, n_layers=3)
-        server.serve(rng.standard_normal((2, 24)))
-        server.serve(rng.standard_normal((2, 24)))
-        assert server.stats.format_evictions == 0
-        assert server.stats.plan_evictions == 0
-
-    def test_budget_evicts_and_recomputes(self):
-        rng = np.random.default_rng(41)
-        server = _server(rng, n_layers=3, cache_budget=1)
-        server.serve(rng.standard_normal((2, 24)))
-        # each layer's fill pushed the previous layer out
-        assert server.stats.format_evictions == 2
-        assert server.stats.plan_evictions == 2
-        assert server.stats.format_misses == 3
-        server.serve(rng.standard_normal((2, 24)))
-        # nothing survives a budget of 1 across a 3-layer chain: all misses
-        assert server.stats.format_misses == 6
-        assert server.stats.format_hits == 0
-
-    def test_budget_covering_model_behaves_like_unbounded(self):
-        rng = np.random.default_rng(42)
-        server = _server(rng, n_layers=3, cache_budget=3)
-        server.serve(rng.standard_normal((2, 24)))
-        server.serve(rng.standard_normal((2, 24)))
-        assert server.stats.format_evictions == 0
-        assert server.stats.format_hits == 3
-
-    @pytest.mark.parametrize("executor", ["inline", "threaded"])
-    def test_tiny_budget_serving_stays_bit_identical(self, executor):
-        rng = np.random.default_rng(43)
-        layers = [_pruned_layer(rng, 24, 24) for _ in range(3)]
-        batch = rng.standard_normal((4, 24))
-
-        oracle = TWModelServer(ServerConfig(granularity=8))
-        for layer in layers:
-            oracle.add_layer(*layer)
-        want = oracle.serve(batch)
-        assert want.status == "ok"
-
-        server = TWModelServer(
-            ServerConfig(granularity=8, cache_budget=1, executor=executor)
-        )
-        for layer in layers:
-            server.add_layer(*layer)
+        model, x = _compiled(seed=2)  # compiled with V100 plans only
+        server = model.serve(placement=Placement("replicated", (V100, T4)))
         try:
-            got = server.serve(batch)
-            assert got.status == "ok"
-            np.testing.assert_array_equal(got.output, want.output)
-            assert server.stats.format_evictions >= 2
+            for _ in range(3):  # waves alternate V100, T4, V100
+                np.testing.assert_array_equal(server.serve(x).output, model.run(x))
+            assert server.stats.plan_misses == model.n_layers  # T4, once each
         finally:
             server.close()
-        oracle.close()
+
+
+class TestServesCompiledModel:
+    """Granularity, payload dtype and compaction belong to ``repro.compile``."""
+
+    @pytest.mark.parametrize(
+        "override", [{"granularity": 4}, {"dtype": "float32"}], ids=["granularity", "dtype"]
+    )
+    def test_compile_time_option_override_is_rejected(self, override):
+        model, _ = _compiled()
+        with pytest.raises(TypeError, match=next(iter(override))):
+            model.serve(**override)
+
+    @pytest.mark.parametrize("name", ["storage_dtype", "cache_budget"])
+    def test_removed_server_option_is_rejected(self, name):
+        model, _ = _compiled()
+        with pytest.raises(TypeError, match=name):
+            model.serve(**{name: 1})
+        with pytest.raises(TypeError, match=name):
+            ServerConfig(**{name: 1})
+
+    @pytest.mark.parametrize("executor", ["inline", "threaded"])
+    def test_unreorganized_model_serves_bit_identical_to_run(self, executor):
+        # without column reorganisation the tile layout is compile's own
+        # decision; a server that re-compacted (e.g. after close()) lost it
+        model, x = _compiled(
+            seed=3, prune_config=TWPruneConfig(granularity=8, reorganize=False)
+        )
+        reqs = [x[:2], x[2:]]
+        with model.serve(executor=executor, max_wave_rows=2) as server:
+            for _ in range(2):  # before and after a close()
+                for r in reqs:
+                    server.submit(r)
+                served = server.flush()
+                server.close()
+                for s, r in zip(served, reqs):
+                    assert s.status == "ok", s
+                    np.testing.assert_array_equal(s.output, model.run(r))
+
+    @pytest.mark.parametrize("placement", ["replicated", "layer_sharded"])
+    def test_unreorganized_model_serves_bit_identical_across_placements(
+        self, placement
+    ):
+        from repro.gpu.device import T4, V100
+        from repro.runtime.placement import Placement
+
+        model, x = _compiled(
+            seed=6,
+            prune_config=TWPruneConfig(granularity=8, reorganize=False),
+            placement=Placement(placement, (V100, T4)),
+        )
+        reqs = [x[:2], x[2:]]
+        with model.serve(executor="threaded", max_wave_rows=2) as server:
+            for r in reqs:  # one wave each
+                server.submit(r)
+            served = server.flush()
+        for s, r in zip(served, reqs):
+            assert s.status == "ok", s
+            np.testing.assert_array_equal(s.output, model.run(r))
+        assert server.stats.plan_misses == 0
 
 
 class TestServing:
@@ -129,10 +183,7 @@ class TestServing:
         got = server.serve(x).output
         a = x
         for layer in server._layers:
-            tw = TiledTWMatrix.from_masks(
-                layer.dense, 8, layer.col_keep, list(layer.row_masks)
-            )
-            a = tw_gemm_reference(a, tw)
+            a = tw_gemm_reference(a, layer.tw)
         np.testing.assert_allclose(got, a, rtol=0, atol=1e-10)
 
     def test_microbatch_outputs_match_individual_serves(self):
@@ -169,7 +220,7 @@ class TestServing:
 
     def test_float32_serving_dtype(self):
         rng = np.random.default_rng(7)
-        server = _server(rng, dtype="float32")
+        server = _server(rng, dtype=np.float32)
         out = server.serve(rng.standard_normal((3, 24))).output
         assert out.dtype == np.float32
 
@@ -195,18 +246,18 @@ class TestServing:
         with pytest.raises(ValueError):
             server.submit(rng.standard_normal((2, 7)))  # wrong K
         with pytest.raises(ValueError):
-            server.add_layer(*_pruned_layer(rng, 7, 7))  # does not chain
-        with pytest.raises(ValueError):
-            ServerConfig(granularity=0)
+            server.add_layer(_pruned_layer(rng, 7, 7))  # does not chain
         with pytest.raises(TypeError):
-            ServerConfig(dtype="not-a-dtype")
+            server.add_layer(rng.standard_normal((24, 24)))  # not compiled
+        with pytest.raises(ValueError):
+            ServerConfig(max_wave_rows=0)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"granularity": 0},
-            {"granularity": -3},
-            {"granularity": 1.5},
+            {"max_retries": -1},
+            {"max_queue_rows": -3},
+            {"workers": 1.5},
             {"max_wave_rows": 0},
             {"max_wave_rows": -1},
             {"max_wave_rows": 2.5},
@@ -262,59 +313,14 @@ class TestServing:
 
     def test_config_reports_every_invalid_field_at_once(self):
         with pytest.raises(ValueError) as exc_info:
-            ServerConfig(granularity=0, pace=-1.0, shed_policy="drop_newest")
+            ServerConfig(max_wave_rows=0, pace=-1.0, shed_policy="drop_newest")
         message = str(exc_info.value)
-        for name in ("granularity", "pace", "shed_policy"):
+        for name in ("max_wave_rows", "pace", "shed_policy"):
             assert name in message
 
     def test_flush_empty_queue(self):
         server = TWModelServer()
         assert server.flush() == []
-
-
-class TestFingerprint:
-    """Regression tests for weight_fingerprint collision classes."""
-
-    def test_transpose_differs(self):
-        rng = np.random.default_rng(11)
-        w = rng.standard_normal((4, 6))
-        ck = np.ones(6, dtype=bool)
-        assert weight_fingerprint(w, ck, []) != weight_fingerprint(
-            w.T, np.ones(4, dtype=bool), []
-        )
-
-    def test_same_bytes_different_shape_differs(self):
-        # a row vector and a column vector share their raw bytes
-        v = np.arange(8.0)
-        assert weight_fingerprint(v.reshape(1, 8), np.ones(8, bool), []) != (
-            weight_fingerprint(v.reshape(8, 1), np.ones(1, bool), [])
-        )
-
-    def test_mask_boundaries_delimited(self):
-        # two K-masks vs one 2K-mask concatenate to the same bytes; the
-        # delimited hash must still tell them apart
-        rng = np.random.default_rng(12)
-        w = rng.standard_normal((4, 4))
-        ck = np.ones(4, dtype=bool)
-        m = np.array([True, False, True, True])
-        fp_two = weight_fingerprint(w, ck, [m, m])
-        fp_one = weight_fingerprint(w, ck, [np.concatenate([m, m])])
-        assert fp_two != fp_one
-
-    def test_order_normalised(self):
-        # an F-order view and its C-order copy are the same logical matrix
-        rng = np.random.default_rng(13)
-        w = rng.standard_normal((6, 4))
-        ck = np.ones(4, dtype=bool)
-        f_order = np.asfortranarray(w)
-        assert weight_fingerprint(w, ck, []) == weight_fingerprint(f_order, ck, [])
-
-    def test_dtype_distinguished(self):
-        w = np.zeros((2, 2), dtype=np.float64)
-        ck = np.ones(2, dtype=bool)
-        assert weight_fingerprint(w, ck, []) != weight_fingerprint(
-            w.astype(np.float32), ck, []
-        )
 
 
 class TestPlacementServing:
@@ -324,8 +330,8 @@ class TestPlacementServing:
 
     def _build(self, layers, config):
         server = TWModelServer(config)
-        for dense, ck, rm in layers:
-            server.add_layer(dense, ck, rm)
+        for tw in layers:
+            server.add_layer(tw)
         return server
 
     def test_layer_sharded_matches_single(self):
@@ -335,11 +341,10 @@ class TestPlacementServing:
         rng = np.random.default_rng(20)
         layers = self._chained(rng)
         reqs = [rng.standard_normal((3, 24)) for _ in range(4)]
-        single = self._build(layers, ServerConfig(granularity=8))
+        single = self._build(layers, ServerConfig())
         sharded = self._build(
             layers,
             ServerConfig(
-                granularity=8,
                 placement=Placement("layer_sharded", (V100, T4)),
             ),
         )
@@ -358,11 +363,10 @@ class TestPlacementServing:
 
         rng = np.random.default_rng(21)
         layers = self._chained(rng, n_layers=2)
-        single = self._build(layers, ServerConfig(granularity=8))
+        single = self._build(layers, ServerConfig())
         repl = self._build(
             layers,
             ServerConfig(
-                granularity=8,
                 max_wave_rows=4,
                 placement=Placement("replicated", (V100, V100)),
             ),
@@ -396,7 +400,6 @@ class TestPlacementServing:
         server = self._build(
             layers,
             ServerConfig(
-                granularity=8,
                 placement=Placement("replicated", (V100, T4)),
             ),
         )
@@ -415,9 +418,9 @@ class TestExecutorInvariance:
         return [_pruned_layer(rng, k, k, g=g) for _ in range(n_layers)]
 
     def _serve_all(self, layers, reqs, **cfg_kw):
-        server = TWModelServer(ServerConfig(granularity=8, **cfg_kw))
-        for dense, ck, rm in layers:
-            server.add_layer(dense, ck, rm)
+        server = TWModelServer(ServerConfig(**cfg_kw))
+        for tw in layers:
+            server.add_layer(tw)
         for r in reqs:
             server.submit(r)
         return server, server.flush()
@@ -526,11 +529,9 @@ class TestExecutorInvariance:
 
         rng = np.random.default_rng(48)
         layers = self._chained(rng, 1)
-        server = TWModelServer(ServerConfig(
-            granularity=8, max_wave_rows=2, executor="threaded",
-        ))
-        for dense, ck, rm in layers:
-            server.add_layer(dense, ck, rm)
+        server = TWModelServer(ServerConfig(max_wave_rows=2, executor="threaded"))
+        for tw in layers:
+            server.add_layer(tw)
         server._pending.append(
             _Pending(rid=99, x=rng.standard_normal((2, 7)), submitted_at=0.0)
         )
@@ -550,10 +551,10 @@ class TestExecutorInvariance:
         layers = self._chained(rng, 1)
         reqs = [rng.standard_normal((2, 24)) for _ in range(3)]
         server = TWModelServer(
-            ServerConfig(granularity=8, max_wave_rows=64, max_retries=1)
+            ServerConfig(max_wave_rows=64, max_retries=1)
         )
-        for dense, ck, rm in layers:
-            server.add_layer(dense, ck, rm)
+        for tw in layers:
+            server.add_layer(tw)
         server.submit(reqs[0])
         server.submit(reqs[1])
         server._pending.append(
@@ -567,9 +568,9 @@ class TestExecutorInvariance:
         assert isinstance(by_id[999].error, ValueError)
         assert server.stats.poisoned == 1
         assert server.stats.retries >= 1
-        solo = TWModelServer(ServerConfig(granularity=8))
-        for dense, ck, rm in layers:
-            solo.add_layer(dense, ck, rm)
+        solo = TWModelServer(ServerConfig())
+        for tw in layers:
+            solo.add_layer(tw)
         for rid, x in zip(sorted(r for r in by_id if r != 999), reqs):
             assert by_id[rid].status == "ok"
             np.testing.assert_array_equal(
@@ -594,20 +595,20 @@ class TestExecutorInvariance:
             Placement("layer_sharded", (V100, T4)),
         ]
         # fault-free inline oracle
-        oracle = TWModelServer(ServerConfig(granularity=8))
-        for dense, ck, rm in layers:
-            oracle.add_layer(dense, ck, rm)
+        oracle = TWModelServer(ServerConfig())
+        for tw in layers:
+            oracle.add_layer(tw)
         want = {}
         for x in reqs:
             req = oracle.serve(x)
             want[req.request_id] = req.output
         for placement in placements:
             server = TWModelServer(ServerConfig(
-                granularity=8, max_wave_rows=2, executor=executor,
+                max_wave_rows=2, executor=executor,
                 placement=placement, max_retries=1,
             ))
-            for dense, ck, rm in layers:
-                server.add_layer(dense, ck, rm)
+            for tw in layers:
+                server.add_layer(tw)
             rids = [server.submit(x) for x in reqs[:2]]
             # poison injected mid-stream, then more good requests
             server._pending.append(
@@ -637,11 +638,11 @@ class TestExecutorInvariance:
         outs = {}
         for executor in ("inline", "threaded"):
             server = TWModelServer(ServerConfig(
-                granularity=8, executor=executor, max_wave_rows=2,
+                executor=executor, max_wave_rows=2,
                 placement=Placement("replicated", (V100, V100)),
             ))
-            for dense, ck, rm in layers:
-                server.add_layer(dense, ck, rm)
+            for tw in layers:
+                server.add_layer(tw)
             served = []
             for i, r in enumerate(reqs):
                 server.submit(r)
