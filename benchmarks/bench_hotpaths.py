@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -654,280 +655,6 @@ def bench_faults_server(quick: bool) -> dict:
     }
 
 
-def bench_ingress_server(quick: bool) -> dict:
-    """Continuous-batching ingress: latency percentiles + saturation (ISSUE 8).
-
-    Two traffic shapes through the asyncio :class:`ServingLoop` over a
-    warm inline server: a *closed loop* (4 back-to-back clients) whose
-    achieved rate is the saturation throughput, then a seeded *open
-    loop* (Poisson and fixed arrivals) offered at ~40% of that
-    saturation rate, where percentile latencies measure steady-state
-    service rather than unbounded backlog growth.  Every request must
-    end ``ok``; latencies are enqueue→terminal (ingress queue wait
-    included — the ISSUE 8 accounting fix).
-    """
-    import asyncio
-
-    import repro
-    from repro.api import demo_layer_stack
-    from repro.runtime.ingress import ServingLoop
-    from repro.runtime.loadgen import run_closed_loop, run_open_loop
-    from repro.runtime.server import ServerConfig, ServerStats
-
-    g, sparsity, dtype = 64, 0.75, "float32"
-    req_rows = 8
-    clients, per_client = (4, 6) if quick else (4, 16)
-    duration_s = 0.5 if quick else 2.0
-    weights, names = demo_layer_stack("bert", blocks=1, seed=8, dtype=np.float32)
-    model = repro.compile(
-        weights, pattern="tw", sparsity=sparsity, granularity=g,
-        dtype=np.dtype(dtype), names=names,
-    )
-    rng = np.random.default_rng(12)
-    xs = [
-        rng.standard_normal((req_rows, weights[0].shape[0])).astype(dtype)
-        for _ in range(32)
-    ]
-
-    def make(i: int) -> np.ndarray:
-        return xs[i % len(xs)]
-
-    def new_server():
-        server = model.serve(ServerConfig(max_wave_rows=8 * req_rows))
-        server.serve(xs[0])  # warm: tile operands built
-        server.stats = ServerStats()  # measure traffic only
-        return server
-
-    async def closed_run():
-        server = new_server()
-        try:
-            async with ServingLoop(server) as loop:
-                return await run_closed_loop(
-                    loop, make, clients=clients, requests_per_client=per_client
-                )
-        finally:
-            server.close()
-
-    sat = asyncio.run(closed_run())
-    assert sat.all_ok, f"saturation run not all-ok: {sat.statuses}"
-    print(
-        f"ingress closed loop ({clients} clients): "
-        f"{sat.achieved_rps:8.1f} req/s  p99 {sat.latency_ms['p99']:.2f}ms"
-    )
-
-    offered_rps = max(20.0, round(0.4 * sat.achieved_rps, 1))
-    open_rows = {}
-    for arrival in ("poisson", "fixed"):
-
-        async def open_run():
-            server = new_server()
-            try:
-                async with ServingLoop(server) as loop:
-                    res = await run_open_loop(
-                        loop, make, rate=offered_rps, duration_s=duration_s,
-                        arrival=arrival, seed=13,
-                    )
-                    return res, loop.stats_record()
-            finally:
-                server.close()
-
-        res, rec = asyncio.run(open_run())
-        assert res.all_ok, f"open loop ({arrival}) not all-ok: {res.statuses}"
-        open_rows[arrival] = {
-            "offered_rps": offered_rps,
-            "achieved_rps": round(res.achieved_rps, 1),
-            "p50_ms": res.latency_ms["p50"],
-            "p95_ms": res.latency_ms["p95"],
-            "p99_ms": res.latency_ms["p99"],
-            # share of mean latency spent waiting (not a gated timing:
-            # at 40% load the absolute wait is sub-ms and too noisy)
-            "queue_wait_share": round(
-                res.queue_wait_ms["mean"] / max(res.latency_ms["mean"], 1e-9), 3
-            ),
-            "wave_occupancy": rec["waves"]["occupancy"],
-        }
-        print(
-            f"ingress open loop {arrival:<8s} @ {offered_rps:6.1f} req/s: "
-            f"p50 {res.latency_ms['p50']:.2f}  p95 {res.latency_ms['p95']:.2f}  "
-            f"p99 {res.latency_ms['p99']:.2f}ms"
-        )
-    return {
-        "model": "bert encoder x1 (768/3072)",
-        "granularity": g,
-        "sparsity": sparsity,
-        "dtype": dtype,
-        "rows_per_request": req_rows,
-        "executor": "inline",
-        "saturation": {
-            "clients": clients,
-            "requests": sat.requests,
-            "requests_per_s": round(sat.achieved_rps, 1),
-            "rows_per_s": round(sat.rows_per_s, 1),
-            "p50_ms": sat.latency_ms["p50"],
-            "p95_ms": sat.latency_ms["p95"],
-            "p99_ms": sat.latency_ms["p99"],
-        },
-        "open_loop": open_rows,
-        "note": (
-            "closed loop saturates (achieved rate = saturation "
-            "throughput); open loops offer ~40% of that rate so "
-            "percentiles measure steady-state service. Latency is "
-            "enqueue→terminal, ingress queue wait included."
-        ),
-    }
-
-
-def bench_http_server(quick: bool) -> dict:
-    """HTTP serving front vs in-process ingress (ISSUE 10).
-
-    The same warm inline server and the same traffic shapes as
-    ``server_ingress``, measured through two transports: submitting
-    straight into the :class:`ServingLoop`, and over real loopback
-    sockets through :class:`NetServer` + pooled keep-alive
-    ``HttpLoadTransport`` clients.  Closed loops give each transport's
-    saturation throughput; open Poisson loops at ~40% of the *HTTP*
-    saturation rate (the lower of the two) give steady-state
-    percentiles at an offered rate both transports can sustain.  HTTP
-    latencies are client-observed wall times, so the comparison columns
-    are the honest cost of the network hop — reported as ratios, not
-    timings, because sub-ms loopback deltas are host noise.
-    """
-    import asyncio
-
-    import repro
-    from repro.api import demo_layer_stack
-    from repro.runtime.ingress import ServingLoop
-    from repro.runtime.loadgen import run_closed_loop, run_open_loop
-    from repro.runtime.netclient import HttpLoadTransport
-    from repro.runtime.netserve import NetServer
-    from repro.runtime.server import ServerConfig, ServerStats
-
-    g, sparsity, dtype = 64, 0.75, "float32"
-    req_rows = 8
-    clients, per_client = (4, 6) if quick else (4, 16)
-    duration_s = 0.5 if quick else 2.0
-    weights, names = demo_layer_stack("bert", blocks=1, seed=8, dtype=np.float32)
-    model = repro.compile(
-        weights, pattern="tw", sparsity=sparsity, granularity=g,
-        dtype=np.dtype(dtype), names=names,
-    )
-    rng = np.random.default_rng(12)
-    xs = [
-        rng.standard_normal((req_rows, weights[0].shape[0])).astype(dtype)
-        for _ in range(32)
-    ]
-
-    def make(i: int) -> np.ndarray:
-        return xs[i % len(xs)]
-
-    def new_server():
-        server = model.serve(ServerConfig(max_wave_rows=8 * req_rows))
-        server.serve(xs[0])  # warm: tile operands built
-        server.stats = ServerStats()  # measure traffic only
-        return server
-
-    def inproc_run(shape, **kw):
-        async def go():
-            server = new_server()
-            try:
-                async with ServingLoop(server) as loop:
-                    if shape == "closed":
-                        return await run_closed_loop(
-                            loop, make, clients=clients,
-                            requests_per_client=per_client,
-                        )
-                    return await run_open_loop(
-                        loop, make, arrival="poisson", seed=13, **kw
-                    )
-            finally:
-                server.close()
-
-        return asyncio.run(go())
-
-    def http_run(shape, **kw):
-        server = new_server()
-        net = NetServer(ServingLoop(server), port=0, owns_loop=True)
-        try:
-            with net:
-                async def go():
-                    async with HttpLoadTransport(
-                        "127.0.0.1", net.port, connections=clients
-                    ) as transport:
-                        if shape == "closed":
-                            return await run_closed_loop(
-                                transport, make, clients=clients,
-                                requests_per_client=per_client,
-                            )
-                        return await run_open_loop(
-                            transport, make, arrival="poisson", seed=13, **kw
-                        )
-
-                return asyncio.run(go())
-        finally:
-            server.close()
-
-    rows = {}
-    for transport, runner in (("inproc", inproc_run), ("http", http_run)):
-        sat = runner("closed")
-        assert sat.all_ok, f"{transport} saturation not all-ok: {sat.statuses}"
-        rows[transport] = {"saturation_rps": round(sat.achieved_rps, 1)}
-        print(
-            f"http bench closed loop [{transport:>6s}]: "
-            f"{sat.achieved_rps:8.1f} req/s  p99 {sat.latency_ms['p99']:.2f}ms"
-        )
-
-    offered_rps = max(20.0, round(0.4 * rows["http"]["saturation_rps"], 1))
-    for transport, runner in (("inproc", inproc_run), ("http", http_run)):
-        res = runner("open", rate=offered_rps, duration_s=duration_s)
-        assert res.all_ok, f"{transport} open loop not all-ok: {res.statuses}"
-        rows[transport].update({
-            "offered_rps": offered_rps,
-            "achieved_rps": round(res.achieved_rps, 1),
-            "p50_ms": res.latency_ms["p50"],
-            "p95_ms": res.latency_ms["p95"],
-            "p99_ms": res.latency_ms["p99"],
-        })
-        print(
-            f"http bench open loop   [{transport:>6s}] @ {offered_rps:6.1f} "
-            f"req/s: p50 {res.latency_ms['p50']:.2f}  "
-            f"p95 {res.latency_ms['p95']:.2f}  p99 {res.latency_ms['p99']:.2f}ms"
-        )
-
-    # comparison columns as ratios: not *_ms so the BENCH gate doesn't
-    # fail on sub-ms loopback jitter between regenerations
-    overhead = {
-        "saturation_fraction_of_inproc": round(
-            rows["http"]["saturation_rps"]
-            / max(rows["inproc"]["saturation_rps"], 1e-9), 3
-        ),
-        "p50_ratio_vs_inproc": round(
-            rows["http"]["p50_ms"] / max(rows["inproc"]["p50_ms"], 1e-9), 2
-        ),
-        "p99_ratio_vs_inproc": round(
-            rows["http"]["p99_ms"] / max(rows["inproc"]["p99_ms"], 1e-9), 2
-        ),
-    }
-    return {
-        "model": "bert encoder x1 (768/3072)",
-        "granularity": g,
-        "sparsity": sparsity,
-        "dtype": dtype,
-        "rows_per_request": req_rows,
-        "executor": "inline",
-        "connections": clients,
-        "transports": rows,
-        "network_overhead": overhead,
-        "note": (
-            "same server + traffic as server_ingress, measured "
-            "in-process and over loopback HTTP (binary wire format, "
-            "pooled keep-alive connections). HTTP latency is "
-            "client-observed wall time; overhead columns are ratios so "
-            "the gate tracks structure, not loopback jitter."
-        ),
-    }
-
-
-#: section name -> bench function; ``--sections`` validates against this
 def bench_mixed_precision(quick: bool) -> dict:
     """Mixed-precision TW GEMM at BERT-base FFN serving shapes.
 
@@ -1086,6 +813,7 @@ def bench_fusion(quick: bool) -> dict:
     }
 
 
+#: section name -> bench function; ``--sections`` validates against this
 SECTIONS = {
     "prune_step": bench_prune,
     "spmm": bench_spmm,
@@ -1099,8 +827,6 @@ SECTIONS = {
     "server_sharded": bench_sharded_server,
     "server_parallel": bench_parallel_server,
     "server_faults": bench_faults_server,
-    "server_ingress": bench_ingress_server,
-    "server_http": bench_http_server,
 }
 
 
@@ -1138,23 +864,25 @@ def main() -> None:
         if not selected:
             parser.error("--sections given but no section names parsed")
 
-    # a partial run refreshes sections in place so the out file stays a
-    # complete record; a full run starts from scratch
-    record: dict = {}
-    if args.sections is not None and args.out.exists():
-        record = json.loads(args.out.read_text())
-    record["meta"] = {
+    record: dict = {"meta": {
         "quick": args.quick,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
         "note": (
             "reference_* columns time the seed scalar implementations "
             "(kept in-tree as oracles); vectorized_* time the production "
-            "paths. Wall-clock, best-of-N, single core."
+            "paths. Wall-clock, best-of-N."
         ),
-    }
+    }}
+    # a partial run refreshes sections in place so the out file stays a
+    # complete record, minus sections no longer in SECTIONS; a full run
+    # starts from scratch
     if args.sections is not None:
         record["meta"]["sections"] = selected
+        if args.out.exists():
+            old = json.loads(args.out.read_text())
+            record.update((name, old[name]) for name in SECTIONS if name in old)
     for name in SECTIONS:  # canonical order regardless of --sections order
         if name in selected:
             record[name] = SECTIONS[name](args.quick)

@@ -192,9 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--blocks", type=int, default=2,
                          help="encoder blocks (bert stack)")
     p_serve.add_argument("--requests", type=int, default=16,
-                         help="requests for the lock-step drain (ignored "
-                              "under --continuous, where --rate x --duration "
-                              "decides the offered load)")
+                         help="requests for the lock-step drain")
     p_serve.add_argument("--rows", type=int, default=8,
                          help="activation rows per request")
     p_serve.add_argument("--dtype", default="float32", choices=_DTYPES,
@@ -205,32 +203,20 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fuse this epilogue into every layer's wave "
                               "task (deterministic demo parameters)")
     p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--continuous", action="store_true",
-                         help="continuous-batching mode: stream requests "
-                              "through the async ingress (ServingLoop) on a "
-                              "seeded open-loop arrival schedule instead of "
-                              "one lock-step submit/flush drain")
-    p_serve.add_argument("--rate", type=float, default=50.0,
-                         help="offered request rate, req/s (--continuous)")
-    p_serve.add_argument("--duration", type=float, default=5.0,
-                         help="offered-load duration, seconds (--continuous)")
-    p_serve.add_argument("--arrival", default="poisson",
-                         choices=["poisson", "fixed"],
-                         help="open-loop arrival process (--continuous)")
     p_serve.add_argument("--stats-json", default=None, metavar="PATH",
                          help="dump the structured stats snapshot (queue "
                               "depth, wave occupancy, per-device busy %%, "
                               "cache hit rate, latency percentiles) as JSON")
     p_serve.add_argument("--stats-interval-s", type=float, default=0.0,
                          help="emit a one-line ingress stats log every N "
-                              "seconds during --continuous (0 = off)")
+                              "seconds during --http (0 = off)")
     p_serve.add_argument("--http", type=int, default=None, metavar="PORT",
                          help="network mode: serve POST /v1/infer (binary "
                               "tensor wire format or JSON), GET /healthz and "
                               "GET /v1/stats over HTTP on PORT (0 = pick a "
                               "free port) until SIGTERM/Ctrl-C, then drain "
-                              "gracefully; --requests/--rate/--duration are "
-                              "ignored — traffic comes from the network")
+                              "gracefully; --requests/--rows are ignored — "
+                              "traffic comes from the network")
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="bind address for --http (default loopback)")
     p_serve.add_argument("--drain-timeout-s", type=float, default=30.0,
@@ -457,16 +443,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.deadline_s is not None and args.deadline_s < 0:
         print("error: --deadline-s must be >= 0", file=sys.stderr)
         return 2
-    if args.continuous and (args.rate <= 0 or args.duration <= 0):
-        print("error: --continuous needs --rate > 0 and --duration > 0",
-              file=sys.stderr)
+    if args.requests < 0:
+        print("error: --requests must be >= 0", file=sys.stderr)
+        return 2
+    if args.rows < 1:
+        print("error: --rows must be >= 1", file=sys.stderr)
         return 2
     if args.stats_interval_s < 0:
         print("error: --stats-interval-s must be >= 0", file=sys.stderr)
-        return 2
-    if args.http is not None and args.continuous:
-        print("error: --http and --continuous are mutually exclusive",
-              file=sys.stderr)
         return 2
     if args.http is not None and not (0 <= args.http <= 65535):
         print("error: --http port must be in [0, 65535]", file=sys.stderr)
@@ -476,12 +460,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     from repro.gpu.device import V100
 
-    weights, names = demo_layer_stack(
-        args.model, scale=args.scale, blocks=args.blocks, seed=args.seed
-    )
-    # Placement, compile and ServerConfig validate every serving flag;
-    # their first complaint becomes the one error line
+    # demo_layer_stack, Placement, compile and ServerConfig validate every
+    # serving flag; their first complaint becomes the one error line
     try:
+        weights, names = demo_layer_stack(
+            args.model, scale=args.scale, blocks=args.blocks, seed=args.seed
+        )
         placement = Placement(args.placement, (V100,) * args.devices)
         model = repro.compile(
             weights,
@@ -508,8 +492,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if args.http is not None:
         return _serve_http(args, model, placement, server)
-    if args.continuous:
-        return _serve_continuous(args, model, placement, server, weights)
     from repro.runtime.server import QueueFullError
 
     rng = np.random.default_rng(args.seed + 1)
@@ -643,88 +625,6 @@ def _serve_http(args, model, placement, server) -> int:
     if server.config.faults is not None:
         rows.append(["faults injected", server.config.faults.total_fired])
     print(format_table(["metric", "value"], rows))
-    return 0
-
-
-def _serve_continuous(args, model, placement, server, weights) -> int:
-    """``repro serve --continuous``: open-loop traffic through the ingress.
-
-    Streams a seeded arrival schedule (``--arrival``/``--rate``/
-    ``--duration``) through a :class:`ServingLoop` over the already-built
-    server, then reports loadgen percentiles (enqueue→terminal, queue
-    wait included) next to the server's own stats.
-    """
-    import asyncio
-
-    from repro.analysis import format_table
-    from repro.runtime.ingress import ServingLoop
-    from repro.runtime.loadgen import run_open_loop
-
-    rng = np.random.default_rng(args.seed + 1)
-    k = weights[0].shape[0]
-    req_dtype = _request_dtype(args.dtype)
-    xs = [
-        rng.standard_normal((args.rows, k)).astype(req_dtype)
-        for _ in range(32)
-    ]
-
-    async def run():
-        ingress = ServingLoop(
-            server,
-            stats_interval_s=args.stats_interval_s,
-            stats_log=print,
-        )
-        async with ingress:
-            result = await run_open_loop(
-                ingress,
-                lambda i: xs[i % len(xs)],
-                rate=args.rate,
-                duration_s=args.duration,
-                arrival=args.arrival,
-                seed=args.seed + 2,
-                deadline_s=args.deadline_s,
-            )
-            record = ingress.stats_record()
-        return result, record
-
-    try:
-        server.warm()  # any missing plans built before timed traffic
-        result, record = asyncio.run(run())
-    finally:
-        server.close()
-    rows = [
-        ["model", f"{args.model} ({model.n_layers} layers, scale 1/{args.scale})"],
-        ["placement", f"{placement.kind} x{placement.n_devices}"],
-        ["executor", server.executor.describe()],
-        ["arrival", f"{args.arrival} @ {args.rate:g} req/s x {args.duration:g}s"],
-        ["requests offered", result.requests],
-        ["achieved rate", f"{result.achieved_rps:.1f} req/s"],
-        ["rows/s (end to end)", f"{result.rows_per_s:.0f}"],
-        ["waves admitted", record["ingress"]["waves_admitted"]],
-        ["wave occupancy", f"{record['waves']['occupancy']:.3f}"],
-        ["latency p50/p95/p99", "{p50:.3f} / {p95:.3f} / {p99:.3f} ms".format(
-            **result.latency_ms
-        )],
-        ["queue wait mean", f"{result.queue_wait_ms['mean']:.3f} ms"],
-        ["service mean (GEMM wall)", f"{result.service_ms['mean']:.3f} ms"],
-        ["statuses", " ".join(
-            f"{k}:{v}" for k, v in sorted(result.statuses.items())
-        ) or "-"],
-    ]
-    if server.config.faults is not None:
-        rows.append(["faults injected", server.config.faults.total_fired])
-    print(format_table(["metric", "value"], rows))
-    if args.stats_json:
-        record["loadgen"] = result.record()
-        _dump_stats_json(args.stats_json, record)
-    if args.expect_all_ok and (result.requests == 0 or not result.all_ok):
-        not_ok = sum(v for k, v in result.statuses.items() if k != "ok")
-        print(
-            f"error: --expect-all-ok: {result.statuses.get('ok', 0)}"
-            f"/{result.requests} ok, {not_ok} non-ok",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

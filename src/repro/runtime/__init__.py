@@ -48,9 +48,6 @@ Modules
   admission loop assembles the next wave from whatever is backlogged
   the moment the executor frees up), bit-identical to a sequential
   drain of the same stream;
-- :mod:`repro.runtime.loadgen` — seeded open/closed-loop load
-  generation (Poisson / fixed-rate arrivals) with latency percentiles,
-  driving :class:`ServingLoop` for benchmarks and the CLI;
 - :mod:`repro.runtime.wire` — the versioned binary tensor frame +
   JSON fallback and the shared HTTP/1.1 framing helpers;
 - :mod:`repro.runtime.netserve` — :class:`NetServer`, the dependency-free
@@ -58,8 +55,8 @@ Modules
   with deadline propagation and status→HTTP mapping, ``/healthz``,
   ``/v1/stats``, graceful SIGTERM drain);
 - :mod:`repro.runtime.netclient` — stdlib blocking + asyncio clients and
-  the pooled :class:`HttpLoadTransport` that lets the load generator
-  drive real sockets.
+  :class:`HttpLoadTransport`, the connection pool twbench's
+  ``http_small`` workload sends its load through.
 """
 
 from repro.runtime.engine import EndToEndReport, EngineConfig, InferenceEngine, LayerPlan

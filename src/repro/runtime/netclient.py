@@ -3,13 +3,12 @@
 Stdlib-only, mirroring the server's dependency posture:
 
 - :class:`AsyncInferClient` — one keep-alive connection on asyncio
-  streams; what the async load generator multiplexes.
+  streams.
 - :class:`InferClient` — a blocking facade over it on a private event
   loop; what a test, a script, or one worker thread uses.
-- :class:`HttpLoadTransport` — a pool of async clients exposing the
-  ``submit``/``submit_nowait`` surface of :class:`ServingLoop`, so
-  :func:`repro.runtime.loadgen.run_open_loop` / ``run_closed_loop``
-  drive real sockets unchanged (``--transport http``).
+- :class:`HttpLoadTransport` — a pool of async clients with a
+  ``submit_nowait`` that keeps up to ``connections`` requests on the
+  wire; twbench's ``http_small`` workload sends its load through it.
 
 Every call resolves to a :class:`NetResult`.  Its ``latency_s`` is the
 *client-observed* wall time (send → response read), so network overhead
@@ -46,13 +45,7 @@ _HTTP_STATUS_NAMES = {
 
 @dataclass
 class NetResult:
-    """One ``/v1/infer`` round trip, terminal either way.
-
-    Duck-type compatible with :class:`ServedRequest` where the load
-    generator cares (``status``/``rows``/``latency_s``/``queue_wait_s``/
-    ``service_s``), so :func:`loadgen.run_open_loop` summarises HTTP
-    results exactly like in-process ones.
-    """
+    """One ``/v1/infer`` round trip, terminal either way."""
 
     status: str
     http_status: int
@@ -363,110 +356,58 @@ class InferClient:
 
 
 # ---------------------------------------------------------------------- #
-# loadgen transport
+# pooled load transport
 # ---------------------------------------------------------------------- #
 class HttpLoadTransport:
-    """A :class:`ServingLoop`-shaped submit surface over real sockets.
+    """A pool of ``connections`` keep-alive :class:`AsyncInferClient`\\ s.
 
-    Holds ``connections`` keep-alive :class:`AsyncInferClient`\\ s in an
-    asyncio pool; each ``submit_nowait`` checks one out for the round
-    trip, so up to ``connections`` requests are on the wire at once and
-    the rest queue client-side — the same back-pressure shape a real
-    remote caller population has.
+    Each ``submit_nowait`` checks one client out for the round trip, so
+    up to ``connections`` requests are on the wire at once and the rest
+    queue client-side — the same back-pressure shape a real remote
+    caller population has.
 
     ::
 
-        async with HttpLoadTransport.from_url(url) as transport:
-            result = run_open_loop(transport, make_request, rate=100, ...)
+        async with HttpLoadTransport(host, port, connections=4) as transport:
+            results = await asyncio.gather(*map(transport.submit_nowait, xs))
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        connections: int = 16,
-        binary: bool = True,
-        timeout_s: float = 60.0,
-    ) -> None:
+    def __init__(self, host: str, port: int, *, connections: int = 16) -> None:
         if connections < 1:
             raise ValueError("connections must be positive")
         self.host = host
         self.port = int(port)
         self.connections = int(connections)
-        self.binary = binary
-        self.timeout_s = float(timeout_s)
         self._pool: asyncio.Queue[AsyncInferClient] | None = None
         self._clients: list[AsyncInferClient] = []
 
-    @classmethod
-    def from_url(cls, url: str, **kwargs) -> "HttpLoadTransport":
-        host, port = _split_http_url(url)
-        return cls(host, port, **kwargs)
-
-    async def start(self) -> None:
-        if self._pool is not None:
-            return
-        self._pool = asyncio.Queue()
-        for _ in range(self.connections):
-            client = AsyncInferClient(self.host, self.port, timeout_s=self.timeout_s)
-            self._clients.append(client)
-            self._pool.put_nowait(client)
-
-    def submit_nowait(
-        self,
-        x: np.ndarray,
-        *,
-        deadline_s: float | None = None,
-        enqueued_at: float | None = None,
-    ) -> "asyncio.Task[NetResult]":
-        """Fire one request; the returned task resolves to a NetResult.
-
-        ``enqueued_at`` is accepted for signature parity with
-        :class:`ServingLoop` but ignored — over the network the *server*
-        stamps arrival, which is the honest anchor.
-        """
+    def submit_nowait(self, x: np.ndarray) -> "asyncio.Task[NetResult]":
+        """Fire one request; the returned task resolves to a NetResult."""
         if self._pool is None:
             raise RuntimeError("HttpLoadTransport not started (use 'async with')")
-        return asyncio.get_running_loop().create_task(self._one(x, deadline_s))
+        return asyncio.get_running_loop().create_task(self._one(x))
 
-    async def submit(
-        self, x: np.ndarray, *, deadline_s: float | None = None
-    ) -> NetResult:
-        return await self.submit_nowait(x, deadline_s=deadline_s)
-
-    async def _one(self, x: np.ndarray, deadline_s: float | None) -> NetResult:
+    async def _one(self, x: np.ndarray) -> NetResult:
         assert self._pool is not None
         client = await self._pool.get()
         try:
-            return await client.infer(
-                x,
-                deadline_ms=None if deadline_s is None else deadline_s * 1e3,
-                binary=self.binary,
-            )
+            return await client.infer(x)
         finally:
             self._pool.put_nowait(client)
 
-    async def stats(self) -> dict:
-        assert self._pool is not None
-        client = await self._pool.get()
-        try:
-            return await client.stats()
-        finally:
+    async def __aenter__(self) -> "HttpLoadTransport":
+        self._pool = asyncio.Queue()
+        for _ in range(self.connections):
+            client = AsyncInferClient(self.host, self.port)
+            self._clients.append(client)
             self._pool.put_nowait(client)
+        return self
 
-    async def close(self) -> None:
+    async def __aexit__(self, *exc) -> None:
         for client in self._clients:
             await client.close()
         self._clients.clear()
         self._pool = None
-
-    async def __aenter__(self) -> "HttpLoadTransport":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.close()
 
 
 def _split_http_url(url: str) -> tuple[str, int]:

@@ -277,7 +277,7 @@ class NetServer:
         with contextlib.suppress(asyncio.CancelledError):
             await serving
 
-    # -- daemon-thread mode (tests, benchmarks, self-hosted loadgen) -- #
+    # -- daemon-thread mode (tests, benchmarks) -- #
     def __enter__(self) -> "NetServer":
         """Serve on a daemon thread until ``__exit__`` drains it.
 

@@ -273,6 +273,27 @@ class TestServe:
         assert exc.value.code == 2
         assert "--cache-budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["continuous", "rate", "duration"])
+    def test_load_generator_flags_rejected_by_parser(self, name, capsys):
+        # open- and closed-loop load comes from twbench http_small
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "bert", f"--{name}", "1"])
+        assert exc.value.code == 2
+        assert f"--{name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--scale", "0"],
+        ["--blocks", "0"],
+        ["--rows", "-1"],
+        ["--rows", "0"],
+        ["--requests", "-1"],
+    ])
+    def test_bad_demo_sizing_is_one_error_line(self, flags, capsys):
+        rc = main(["serve", "bert", *flags])
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
 
 class TestInfo:
     def test_dumps_device_and_calibration(self, capsys):

@@ -5,8 +5,7 @@ The core property: streaming requests through the asyncio
 admissions — produces bit-identical outputs to a sequential drain of
 the same requests on the ``inline`` executor.  Plus the satellite
 contracts: honest latency accounting (enqueue→terminal, queue wait and
-GEMM service split), the structured stats export, and the seeded load
-generator.
+GEMM service split) and the structured stats export.
 
 pytest-asyncio is not a dependency; every async body runs under
 ``asyncio.run`` inside a plain sync test.
@@ -25,12 +24,6 @@ from repro.runtime import (
     ServerConfig,
     ServingLoop,
     TWModelServer,
-)
-from repro.runtime.loadgen import (
-    arrival_times,
-    latency_summary_ms,
-    run_closed_loop,
-    run_open_loop,
 )
 
 TERMINAL = {"ok", "failed", "shed", "expired"}
@@ -363,89 +356,6 @@ class TestStatsExport:
         assert "p99=" in lines[-1]
 
 
-class TestLoadgen:
-    def test_arrival_times_deterministic_and_bounded(self):
-        a = arrival_times(200.0, 0.5, arrival="poisson", seed=9)
-        b = arrival_times(200.0, 0.5, arrival="poisson", seed=9)
-        assert np.array_equal(a, b)
-        assert (a >= 0).all() and (a < 0.5).all()
-        assert len(a) > 20  # ~100 expected
-        c = arrival_times(200.0, 0.5, arrival="poisson", seed=10)
-        assert not np.array_equal(a, c)
-
-    def test_fixed_arrivals_evenly_spaced(self):
-        t = arrival_times(100.0, 0.1, arrival="fixed")
-        assert np.allclose(np.diff(t), 0.01)
-        assert len(t) == 10
-
-    def test_arrival_validation(self):
-        with pytest.raises(ValueError, match="rate"):
-            arrival_times(0.0, 1.0)
-        with pytest.raises(ValueError, match="duration"):
-            arrival_times(1.0, 0.0)
-        with pytest.raises(ValueError, match="unknown arrival"):
-            arrival_times(1.0, 1.0, arrival="bursty")
-
-    def test_latency_summary_handles_empty(self):
-        empty = latency_summary_ms([])
-        assert empty == {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
-
-    def test_open_loop_all_terminal(self):
-        layers = _layers(60)
-        reqs = _requests(61, n=8)
-        server = _server(layers)
-
-        async def go():
-            async with ServingLoop(server, owns_server=True) as loop:
-                return await run_open_loop(
-                    loop,
-                    lambda i: reqs[i % len(reqs)],
-                    rate=400.0,
-                    duration_s=0.1,
-                    seed=3,
-                )
-
-        result = asyncio.run(go())
-        assert result.requests > 0
-        assert result.all_ok
-        assert result.statuses == {"ok": result.requests}
-        assert result.latency_ms["p99"] >= result.latency_ms["p50"] > 0
-        rec = result.record()
-        json.dumps(rec)
-        assert rec["mode"] == "open" and rec["arrival"] == "poisson"
-        assert "served" not in rec  # raw results stay out of the record
-
-    def test_closed_loop_counts_and_throughput(self):
-        layers = _layers(62)
-        reqs = _requests(63, n=8)
-        server = _server(layers)
-
-        async def go():
-            async with ServingLoop(server, owns_server=True) as loop:
-                return await run_closed_loop(
-                    loop,
-                    lambda i: reqs[i % len(reqs)],
-                    clients=2,
-                    requests_per_client=3,
-                )
-
-        result = asyncio.run(go())
-        assert result.requests == 6
-        assert result.all_ok
-        assert result.achieved_rps > 0
-        assert result.record()["mode"] == "closed"
-
-    def test_closed_loop_validation(self):
-        async def go():
-            async with ServingLoop(
-                _server(_layers(64)), owns_server=True
-            ) as loop:
-                with pytest.raises(ValueError, match="positive"):
-                    await run_closed_loop(loop, lambda i: None, clients=0)
-
-        asyncio.run(go())
-
-
 class TestServeAsyncFrontDoor:
     def test_compiled_model_serve_async(self):
         import repro
@@ -479,30 +389,3 @@ class TestServeAsyncFrontDoor:
         for s, ref in zip(served, want):
             assert s.status == "ok"
             np.testing.assert_array_equal(s.output, ref)
-
-
-class TestCLIContinuous:
-    def test_serve_continuous_smoke(self, capsys, tmp_path):
-        from repro.cli import main
-
-        stats = tmp_path / "stats.json"
-        rc = main([
-            "serve", "bert", "--scale", "32", "--blocks", "1",
-            "--continuous", "--rate", "300", "--duration", "0.2",
-            "--arrival", "fixed", "--expect-all-ok",
-            "--stats-json", str(stats),
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "latency p50/p95/p99" in out
-        assert "waves admitted" in out
-        rec = json.loads(stats.read_text())
-        assert "ingress" in rec and "loadgen" in rec
-        assert rec["loadgen"]["statuses"].get("ok", 0) > 0
-
-    def test_serve_continuous_rejects_bad_rate(self, capsys):
-        from repro.cli import main
-
-        rc = main(["serve", "bert", "--continuous", "--rate", "0"])
-        assert rc == 2
-        assert "--rate" in capsys.readouterr().err

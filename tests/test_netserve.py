@@ -35,7 +35,6 @@ from repro.runtime import (
     TWModelServer,
 )
 from repro.runtime import wire
-from repro.runtime.loadgen import run_open_loop
 from repro.runtime.netclient import (
     AsyncInferClient,
     HttpLoadTransport,
@@ -446,25 +445,39 @@ class TestAsyncClientAndTransport:
                     r = await client.infer(reqs[0])
                     assert r.status == "ok"
                     np.testing.assert_array_equal(r.output, want[0])
+                # more requests than connections: the rest queue client-side
                 async with HttpLoadTransport(
-                    "127.0.0.1", net.port, connections=4
+                    "127.0.0.1", net.port, connections=3
                 ) as transport:
-                    result = await run_open_loop(
-                        transport,
-                        lambda i: reqs[i % len(reqs)],
-                        rate=200.0,
-                        duration_s=0.2,
-                        arrival="fixed",
-                        seed=0,
+                    results = await asyncio.gather(
+                        *(transport.submit_nowait(x) for x in reqs)
                     )
-                assert result.all_ok and result.requests > 0
-                for i, r in enumerate(result.served):
-                    np.testing.assert_array_equal(
-                        r.output, want[i % len(reqs)]
-                    )
-                assert result.latency_ms["p99"] > 0.0
+                assert len(results) == len(reqs)
+                for r, ref in zip(results, want):
+                    assert r.status == "ok", r
+                    assert r.latency_s > 0.0
+                    np.testing.assert_array_equal(r.output, ref)
 
             asyncio.run(go())
+
+    def test_load_transport_rejects_empty_pool(self):
+        with pytest.raises(ValueError, match="connections"):
+            HttpLoadTransport("127.0.0.1", 1, connections=0)
+
+    def test_load_transport_submit_needs_async_with(self):
+        transport = HttpLoadTransport("127.0.0.1", 1, connections=1)
+
+        async def go():
+            with pytest.raises(RuntimeError, match="async with"):
+                transport.submit_nowait(np.zeros((1, 4), np.float32))
+            # exiting the context closes the pool; submitting again fails
+            async with transport:
+                assert len(transport._clients) == 1
+            assert transport._clients == []
+            with pytest.raises(RuntimeError, match="async with"):
+                transport.submit_nowait(np.zeros((1, 4), np.float32))
+
+        asyncio.run(go())
 
 
 class TestLifecycle:
