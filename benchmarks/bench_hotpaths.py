@@ -37,23 +37,14 @@ future PR has a perf trajectory to regress against:
 - **server** — cold request latency (``repro.compile`` → ``serve()`` →
   first request) against a warm request, which only pays the GEMMs, and
   micro-batched vs sequential throughput.
-- **server_sharded** — the BERT-base encoder layer stack compiled through
-  ``repro.compile`` and served under each placement policy (``single``,
-  ``replicated`` x2, ``layer_sharded`` x2): rows/s, per-device GEMM busy
-  time, and the busy/critical-path ratio (the parallel headroom a sharded
-  deployment would realise by overlapping shards).  Outputs are asserted
-  identical across placements.
-- **server_parallel** — measured wall-time of the ``threaded`` executor vs
-  the ``inline`` oracle for 2-device placements on the same BERT-base
-  stack.  Runs are *paced*: every GEMM occupies its device slot for
-  ``pace ×`` the cost model's predicted device time (sleeps release the
-  GIL), so the recorded ``wall_speedup_vs_inline`` measures the real
-  overlap of the simulated devices on any host — including single-core CI
-  boxes where concurrent *compute* cannot beat serial.  On multi-core
-  hosts the same executor additionally overlaps the NumPy compute.
-  Outputs are asserted bit-identical between executors; the measured
-  speedup is reported next to the modeled ``critical_path_s`` headroom
-  (their ratio is ``parallel_efficiency``).
+- **server_parallel** — the BERT-base encoder layer stack compiled through
+  ``repro.compile`` and served under each placement (``single`` on
+  ``inline``; ``replicated`` x2 and ``layer_sharded`` x2 on ``inline`` and
+  ``threaded``) in 64-row waves of four 16-row requests: median flush
+  wall-time per executor, the measured ``wall_speedup_vs_inline`` (no
+  floor), per-slot GEMM counts, and the busy/critical-path ``headroom``
+  from measured slot busy time.  Every output is asserted bit-identical
+  to the first placement's.
 - **server_faults** — recovery overhead of the fault-tolerant flush path:
   the same BERT-base request stream served fault-free and under seeded
   deterministic fault schedules (transient exceptions retried at fresh
@@ -379,7 +370,30 @@ def bench_server(quick: bool) -> dict:
     }
 
 
-def _sharded_case(blocks: int, n_req: int, g: int, sparsity: float, dtype: str) -> dict:
+def _timed_flushes(server, reqs, repeats: int):
+    """Median flush wall-time over ``repeats`` drains of ``reqs``.
+
+    One warm request first builds the tile operands; each timed drain
+    starts from fresh stats.  Returns the median seconds, the last drain's
+    stats and the last drain's stacked outputs.
+    """
+    from repro.runtime.server import ServerStats
+
+    server.serve(reqs[0])
+    walls = []
+    for _ in range(repeats):
+        server.stats = ServerStats()
+        for r in reqs:
+            server.submit(r)
+        served = server.flush()
+        walls.append(server.stats.wall_time_s)
+    out = np.concatenate([req.output for req in served])
+    return float(np.median(walls)), server.stats, out
+
+
+def _parallel_case(
+    blocks: int, n_req: int, g: int, sparsity: float, dtype: str, repeats: int
+) -> dict:
     import repro
     from repro.api import demo_layer_stack
     from repro.gpu.device import V100
@@ -387,94 +401,14 @@ def _sharded_case(blocks: int, n_req: int, g: int, sparsity: float, dtype: str) 
     from repro.runtime.server import ServerConfig
 
     req_rows = 16
-    weights, names = demo_layer_stack("bert", blocks=blocks, seed=6, dtype=np.float32)
-    placements = {
-        "single": Placement("single", (V100,)),
-        "replicated_x2": Placement("replicated", (V100, V100)),
-        "layer_sharded_x2": Placement("layer_sharded", (V100, V100)),
-    }
-    rng = np.random.default_rng(7)
-    reqs = [
-        rng.standard_normal((req_rows, weights[0].shape[0])).astype(dtype)
-        for _ in range(n_req)
-    ]
-    rows = {}
-    reference_out = None
-    for label, placement in placements.items():
-        model = repro.compile(
-            weights, pattern="tw", sparsity=sparsity, granularity=g,
-            dtype=np.dtype(dtype), names=names, placement=placement,
-        )
-        # cap waves at 4 requests so the queue splits into several waves —
-        # otherwise one giant wave pins a replicated placement to one slot
-        server = model.serve(ServerConfig(
-            placement=placement, max_wave_rows=4 * req_rows,
-        ))
-        t0 = time.perf_counter()
-        for r in reqs:
-            server.submit(r)
-        served = server.flush()
-        wall_s = time.perf_counter() - t0
-        out = served[0].output
-        if reference_out is None:
-            reference_out = out
-        else:
-            # placement must never change results, only where work runs
-            assert np.array_equal(out, reference_out), label
-        st = server.stats
-        critical = st.critical_path_s()
-        rows[label] = {
-            "serve_ms": round(wall_s * 1e3, 2),
-            "gemm_busy_ms": round(st.busy_s * 1e3, 2),
-            "critical_path_ms": round(critical * 1e3, 2),
-            "parallel_headroom": round(st.busy_s / critical, 2) if critical else 1.0,
-            "rows_per_s": round(st.rows_per_s()),
-            "device_gemms": dict(sorted(st.device_gemms.items())),
-        }
-        print(
-            f"shard  x{blocks} {label:<17s} serve {wall_s * 1e3:8.2f}ms  busy "
-            f"{st.busy_s * 1e3:7.2f}ms  critical {critical * 1e3:7.2f}ms  "
-            f"headroom {rows[label]['parallel_headroom']:.2f}x"
-        )
-    return {
-        "model": f"bert encoder x{blocks} (768/3072)",
-        "requests": n_req,
-        "rows_per_request": req_rows,
-        "placements": rows,
-    }
-
-
-def bench_sharded_server(quick: bool) -> dict:
-    g, sparsity, dtype = 64, 0.75, "float32"
-    # the small case runs in BOTH sweeps so `check_bench --quick` (the
-    # bench_gate pytest marker) still gates it against the full baseline;
-    # rows are matched by the "model" identity field, never by position
-    cases = [(1, 8)] if quick else [(1, 8), (2, 32)]
-    return {
-        "granularity": g,
-        "sparsity": sparsity,
-        "dtype": dtype,
-        "configs": [
-            _sharded_case(blocks, n_req, g, sparsity, dtype)
-            for blocks, n_req in cases
-        ],
-    }
-
-
-def _parallel_case(
-    blocks: int, n_req: int, g: int, sparsity: float, dtype: str, pace: float
-) -> dict:
-    import repro
-    from repro.api import demo_layer_stack
-    from repro.gpu.device import V100
-    from repro.runtime.placement import Placement
-    from repro.runtime.server import ServerConfig, ServerStats
-
-    req_rows = 16
     weights, names = demo_layer_stack("bert", blocks=blocks, seed=8, dtype=np.float32)
+    # one placement per row; `single` has one slot, so only the oracle runs
     placements = {
-        "replicated_x2": Placement("replicated", (V100, V100)),
-        "layer_sharded_x2": Placement("layer_sharded", (V100, V100)),
+        "single": (Placement("single", (V100,)), ("inline",)),
+        "replicated_x2": (Placement("replicated", (V100, V100)), ("inline", "threaded")),
+        "layer_sharded_x2": (
+            Placement("layer_sharded", (V100, V100)), ("inline", "threaded")
+        ),
     }
     rng = np.random.default_rng(9)
     reqs = [
@@ -483,49 +417,47 @@ def _parallel_case(
     ]
     rows = {}
     reference_out = None
-    for label, placement in placements.items():
+    for label, (placement, executors) in placements.items():
         model = repro.compile(
             weights, pattern="tw", sparsity=sparsity, granularity=g,
             dtype=np.dtype(dtype), names=names, placement=placement,
         )
-        per_exec = {}
-        for executor in ("inline", "threaded"):
-            server = model.serve(ServerConfig(
-                placement=placement,
-                max_wave_rows=2 * req_rows,  # 2 requests per wave -> several
-                executor=executor, pace=pace,  # waves stream through slots
-            ))
-            server.serve(reqs[0])  # warm: tile operands built
-            server.stats = ServerStats()  # timed run starts from zero
-            for r in reqs:
-                server.submit(r)
-            served = server.flush()
-            out = served[0].output
+        row = {}
+        for executor in executors:
+            # 4 requests per wave, so the queue splits into several waves —
+            # otherwise one giant wave pins a replicated placement to one slot
+            config = ServerConfig(
+                placement=placement, max_wave_rows=4 * req_rows, executor=executor
+            )
+            with model.serve(config) as server:
+                wall_s, st, out = _timed_flushes(server, reqs, repeats)
             if reference_out is None:
                 reference_out = out
             else:
                 # neither the executor nor the placement may change results
                 assert np.array_equal(out, reference_out), (label, executor)
-            per_exec[executor] = server.stats
-        inline, threaded = per_exec["inline"], per_exec["threaded"]
-        speedup = inline.wall_time_s / threaded.wall_time_s
-        rows[label] = {
-            "inline_wall_ms": round(inline.wall_time_s * 1e3, 2),
-            "threaded_wall_ms": round(threaded.wall_time_s * 1e3, 2),
-            "wall_speedup_vs_inline": round(speedup, 2),
-            "gemm_busy_ms": round(threaded.busy_s * 1e3, 2),
-            "critical_path_ms": round(threaded.critical_path_s() * 1e3, 2),
-            "modeled_headroom": round(
-                threaded.busy_s / threaded.critical_path_s(), 2
-            ) if threaded.critical_path_s() else 1.0,
-            "parallel_efficiency": round(threaded.parallel_efficiency(), 2),
-        }
+            row[f"{executor}_wall_ms"] = round(wall_s * 1e3, 2)
+        critical = st.critical_path_s()
+        if "threaded_wall_ms" in row:
+            # a measured ratio with no floor: at 64-row waves on a small
+            # host the second slot may not pay for its hand-offs
+            row["wall_speedup_vs_inline"] = round(
+                row["inline_wall_ms"] / row["threaded_wall_ms"], 2
+            )
+            row["parallel_efficiency"] = round(st.parallel_efficiency(), 2)
+        row.update({
+            "gemm_busy_ms": round(st.busy_s * 1e3, 2),
+            "critical_path_ms": round(critical * 1e3, 2),
+            "headroom": round(st.busy_s / critical, 2) if critical else 1.0,
+            "device_gemms": dict(sorted(st.device_gemms.items())),
+        })
+        rows[label] = row
         print(
-            f"parall x{blocks} {label:<17s} inline {inline.wall_time_s * 1e3:8.2f}ms"
-            f"  threaded {threaded.wall_time_s * 1e3:8.2f}ms  "
-            f"{speedup:5.2f}x measured  "
-            f"(headroom {rows[label]['modeled_headroom']:.2f}x, "
-            f"efficiency {rows[label]['parallel_efficiency']:.2f})"
+            f"parall x{blocks} {label:<17s} "
+            + "  ".join(f"{e} {row[f'{e}_wall_ms']:8.2f}ms" for e in executors)
+            + (f"  {row['wall_speedup_vs_inline']:5.2f}x measured"
+               if "wall_speedup_vs_inline" in row else "")
+            + f"  (headroom {row['headroom']:.2f}x)"
         )
     return {
         "model": f"bert encoder x{blocks} (768/3072)",
@@ -536,31 +468,20 @@ def _parallel_case(
 
 
 def bench_parallel_server(quick: bool) -> dict:
-    g, sparsity, dtype, pace = 64, 0.75, "float32", 150.0
-    # the small case runs in BOTH sweeps (same matching rule as
-    # server_sharded) so the bench_gate quick run still gates it
-    cases = [(1, 8)] if quick else [(1, 8), (2, 8)]
-    configs = [
-        _parallel_case(blocks, n_req, g, sparsity, dtype, pace)
-        for blocks, n_req in cases
-    ]
+    g, sparsity, dtype, repeats = 64, 0.75, "float32", 7
+    # the small case runs in BOTH sweeps so `check_bench --quick` (the
+    # bench_gate pytest marker) still gates it against the full baseline;
+    # rows are matched by the "model" identity field, never by position
+    cases = [(1, 8)] if quick else [(1, 8), (2, 32)]
     return {
         "granularity": g,
         "sparsity": sparsity,
         "dtype": dtype,
-        "pace": pace,
-        "note": (
-            "wall-times are paced: every GEMM occupies its device slot for "
-            "pace x the cost model's predicted device time, so the measured "
-            "speedup reflects simulated-device overlap on any host; outputs "
-            "are asserted bit-identical between executors"
-        ),
-        "configs": configs,
-        "headline_wall_speedup": max(
-            p["wall_speedup_vs_inline"]
-            for c in configs
-            for p in c["placements"].values()
-        ),
+        "flushes_per_median": repeats,
+        "configs": [
+            _parallel_case(blocks, n_req, g, sparsity, dtype, repeats)
+            for blocks, n_req in cases
+        ],
     }
 
 
@@ -824,7 +745,6 @@ SECTIONS = {
     "mixed_precision": bench_mixed_precision,
     "fusion": bench_fusion,
     "server": bench_server,
-    "server_sharded": bench_sharded_server,
     "server_parallel": bench_parallel_server,
     "server_faults": bench_faults_server,
 }

@@ -17,7 +17,6 @@ from repro.kernels import (
     gemm,
     im2col,
     tiled_gemm,
-    tw_batched_gemm,
     tw_gemm,
 )
 
@@ -50,12 +49,6 @@ def test_bench_tiled_gemm(benchmark, operands):
 def test_bench_tw_gemm(benchmark, operands):
     a, _, w_masked, tw = operands
     out = benchmark(lambda: tw_gemm(a, tw))
-    np.testing.assert_allclose(out, a @ w_masked, atol=1e-9)
-
-
-def test_bench_tw_batched_gemm(benchmark, operands):
-    a, _, w_masked, tw = operands
-    out = benchmark(lambda: tw_batched_gemm(a, tw))
     np.testing.assert_allclose(out, a @ w_masked, atol=1e-9)
 
 

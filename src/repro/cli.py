@@ -183,10 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--expect-all-ok", action="store_true",
                          help="exit non-zero unless every request ends "
                               "status=ok (CI smoke contract)")
-    p_serve.add_argument("--pace", type=float, default=_SERVER.pace,
-                         help="simulated-device pacing scale: each GEMM "
-                              "occupies its slot for pace x the cost-model "
-                              "device time (0 = run flat out)")
     p_serve.add_argument("--scale", type=int, default=8,
                          help="shrink model dims by this factor (demo sizing)")
     p_serve.add_argument("--blocks", type=int, default=2,
@@ -480,7 +476,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = model.serve(
             executor=args.executor,
             workers=args.workers,
-            pace=args.pace,
             max_retries=args.max_retries,
             max_queue_rows=args.max_queue_rows,
             shed_policy=args.shed_policy,

@@ -8,7 +8,6 @@ and cost separate lets tests pin numerical equivalence (e.g. TW masked GEMM
 - :mod:`repro.kernels.dense` — reference and explicitly-tiled dense GEMM.
 - :mod:`repro.kernels.masked` — the paper's TW masked GEMM (Listing 1),
   executed batched per width group.
-- :mod:`repro.kernels.batched` — batched GEMM over equal-width tile groups.
 - :mod:`repro.kernels.spmm` — CSR/CSC sparse×dense products (cuSparse path).
 - :mod:`repro.kernels.block_sparse` — BSR GEMM (BlockSparse path).
 - :mod:`repro.kernels.im2col` — convolution→GEMM lowering.
@@ -44,7 +43,6 @@ reductions).  ``tests/test_vectorized_paths.py`` enforces the contract, and
 
 from repro.kernels.dense import gemm, tiled_gemm
 from repro.kernels.masked import masked_gemm, tw_gemm, tw_gemm_reference
-from repro.kernels.batched import batched_gemm, tw_batched_gemm
 from repro.kernels.spmm import csr_spmm, csc_left_spmm
 from repro.kernels.block_sparse import bsr_left_gemm
 from repro.kernels.im2col import (
@@ -79,8 +77,6 @@ __all__ = [
     "masked_gemm",
     "tw_gemm",
     "tw_gemm_reference",
-    "batched_gemm",
-    "tw_batched_gemm",
     "csr_spmm",
     "csc_left_spmm",
     "bsr_left_gemm",

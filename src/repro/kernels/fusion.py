@@ -32,7 +32,6 @@ the executor and ``CompiledTWModel.run()`` both call.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -277,19 +276,6 @@ class EpilogueSpec:
     p: float = 0.0
     seed: int = 0
     eps: float = 1e-5
-
-    def fingerprint(self) -> str:
-        """Content hash — distinct specs must never share cache identity."""
-        h = hashlib.sha1()
-        h.update(f"{self.name}|{self.p}|{self.seed}|{self.eps}".encode())
-        for arr in (self.bias, self.gamma, self.beta):
-            if arr is None:
-                h.update(b"|none")
-            else:
-                a = np.ascontiguousarray(arr)
-                h.update(f"|{a.dtype.str}{a.shape}".encode())
-                h.update(a.tobytes())
-        return h.hexdigest()
 
 
 @dataclass(frozen=True)

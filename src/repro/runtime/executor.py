@@ -11,8 +11,7 @@ decides *how* that mapping executes in wall-time:
   different slots (``replicated``) run concurrently, and under
   ``layer_sharded`` successive waves *stream* through the shard pipeline.
   NumPy GEMMs release the GIL, so on a multi-core host the overlap is
-  real compute overlap; paced runs (see below) overlap their simulated
-  device dwell on any host.
+  real compute overlap.
 
 ``threaded`` runs on a single-threaded event loop (:class:`_Driver`) that
 pulls waves lazily, bounds the in-flight window, forwards each wave's
@@ -35,16 +34,7 @@ Each wave's layer chain is a fixed sequence of
 :func:`~repro.kernels.masked.tw_gemm` calls on the same operands and plans
 regardless of which worker runs it, and waves never share mutable state,
 so outputs are bit-identical across executors.  Only wall-time and the
-measured busy/dwell stats differ.
-
-Pacing (simulated device time)
-------------------------------
-Every :class:`WaveStep` may carry ``dwell_s``: a minimum wall-time the
-step occupies its device slot, derived by the server from the cost model's
-predicted device time.  The host GEMM computes the real output; the slot
-then stays busy until the dwell elapses.  Sleeping releases the GIL, so
-paced slots overlap in *measured* wall-time exactly as the simulated
-devices would, even on single-core hosts.
+measured busy stats differ.
 
 Fault tolerance
 ---------------
@@ -97,8 +87,8 @@ class WaveStep:
     """One layer of one wave, tagged with the device slot that runs it.
 
     The placement emits the ``(layer, slot)`` mapping; the server resolves
-    the compiled format/plan and the optional pacing dwell; the executor
-    only ever consumes these finished work items.
+    the compiled format/plan; the executor only ever consumes these
+    finished work items.
     """
 
     layer: int
@@ -106,8 +96,6 @@ class WaveStep:
     plan: ExecutionPlan
     slot: int
     label: str
-    #: minimum wall-time this step occupies its slot (0 = unpaced)
-    dwell_s: float = 0.0
     #: optional fused non-GEMM consumer applied right after this step's
     #: GEMM, inside the wave task (the step's input activations serve as
     #: the residual stream); its time counts in the slot's busy accounting
@@ -188,10 +176,6 @@ def _execute_steps(
         if step.epilogue is not None:
             y = apply_epilogue(y, step.epilogue, residual=a)
         a = y
-        if step.dwell_s > 0.0:
-            remaining = step.dwell_s - (time.perf_counter() - t0)
-            if remaining > 0.0:
-                time.sleep(remaining)
         result.merge({step.label: time.perf_counter() - t0}, {step.label: 1})
     return a
 
@@ -224,9 +208,9 @@ class Executor:
 class InlineExecutor(Executor):
     """Sequential execution on the calling thread (the bit-identity oracle).
 
-    Waves run one after another, each wave's layers in order.
-    ``critical_path_s()`` remains a *modeled* bound here — wall-time equals
-    the summed busy time.
+    Waves run one after another, each wave's layers in order, so wall-time
+    equals the summed busy time, not the busiest slot's
+    (``critical_path_s()``).
     """
 
     name = "inline"

@@ -96,7 +96,6 @@ def _seconds(v) -> bool:
 _CONFIG_RULES = {
     "max_wave_rows": (_int_at_least(1), "a positive int"),
     "workers": (lambda v: v is None or _int_at_least(1)(v), "a positive int or None"),
-    "pace": (_seconds, "finite and non-negative"),
     "max_retries": (_int_at_least(0), "a non-negative int"),
     "max_queue_rows": (_int_at_least(0), "a non-negative int (0 = unbounded)"),
     "shed_policy": (lambda v: v in ("reject", "shed_oldest"), "'reject' or 'shed_oldest'"),
@@ -139,12 +138,6 @@ class ServerConfig:
         Worker cap for ``threaded`` (``None`` = one per device slot).
         Passing it with an executor that has no workers (``inline``) is
         an error, not a silent no-op.
-    pace:
-        Simulated-device pacing scale.  ``0`` (default) runs flat out;
-        ``> 0`` makes every GEMM occupy its device slot for at least
-        ``pace ×`` the cost model's predicted device time, so the
-        *measured* ``wall_time_s`` reflects the placement's overlap on any
-        host (sleeps release the GIL and overlap across slots).
     max_retries:
         Re-execution budget per failed wave group in a graceful
         ``flush()`` (``0`` = no retries, failures go straight to
@@ -175,7 +168,6 @@ class ServerConfig:
     placement: Placement | None = None
     executor: str = "inline"
     workers: int | None = None
-    pace: float = 0.0
     max_retries: int = 2
     max_queue_rows: int = 0
     shed_policy: str = "reject"
@@ -277,7 +269,7 @@ class ServerStats:
     busy_s: float = 0.0
     #: measured wall-clock seconds spent inside executor runs (``flush``);
     #: with a concurrent executor this is *less* than ``busy_s`` — the
-    #: difference is realised overlap, not modeled headroom
+    #: difference is realised overlap
     wall_time_s: float = 0.0
     latency_total_s: float = 0.0
     #: wave-group re-executions after a failure (graceful ``flush`` only)
@@ -310,11 +302,12 @@ class ServerStats:
         return self.latency_total_s / self.requests if self.requests else 0.0
 
     def critical_path_s(self) -> float:
-        """Busiest single device's GEMM time — the sharded makespan bound.
+        """Busiest single slot's measured GEMM busy time — the makespan bound.
 
         With perfect overlap across shards/replicas, wall time approaches
-        this instead of :attr:`busy_s` (the sum over devices); the ratio
-        ``busy_s / critical_path_s`` is the placement's parallel headroom.
+        this instead of :attr:`busy_s` (the sum over slots); the ratio
+        ``busy_s / critical_path_s`` is the placement's parallel headroom,
+        computed from measured busy time, not from a cost model.
         """
         return max(self.device_busy_s.values(), default=0.0)
 
@@ -328,13 +321,14 @@ class ServerStats:
         return self.busy_s / self.wall_time_s if self.wall_time_s > 0 else 0.0
 
     def parallel_efficiency(self) -> float:
-        """Measured speedup as a fraction of the modeled headroom.
+        """Measured speedup as a fraction of the placement's headroom.
 
-        The modeled headroom is ``busy_s / critical_path_s()`` (perfect
-        overlap); the measured speedup is ``busy_s / wall_time_s``.  Their
-        ratio collapses to ``critical_path_s() / wall_time_s``: ``1.0``
-        means wall-time hit the modeled bound, ``~0.5`` means a 2-device
-        placement ran effectively serially (e.g. under ``inline``).
+        The headroom is ``busy_s / critical_path_s()`` (perfect overlap of
+        the measured slot busy times); the measured speedup is
+        ``busy_s / wall_time_s``.  Their ratio collapses to
+        ``critical_path_s() / wall_time_s``: ``1.0`` means wall-time hit
+        the busiest slot's busy time, ``~0.5`` means a 2-device placement
+        ran effectively serially (e.g. under ``inline``).
         """
         if self.wall_time_s <= 0:
             return 0.0
@@ -480,7 +474,6 @@ class TWModelServer:
         #: any built here for a device the model had none for
         self._plans: dict[tuple[int, DeviceSpec], ExecutionPlan] = {}
         self._closed = False
-        self._dwell: dict[tuple, float] = {}
         self._pending: deque[_Pending] = deque()
         self._queued_rows = 0
         #: requests shed at submit time (``shed_oldest``), surfaced by the
@@ -949,7 +942,6 @@ class TWModelServer:
                     plan=self._plan_for(li, device),
                     slot=slot,
                     label=labels[slot],
-                    dwell_s=self._dwell_for(li, device, batch.shape[0]),
                     epilogue=layer.epilogue,
                 )
             )
@@ -961,22 +953,3 @@ class TWModelServer:
         )
         self._batch_id += 1
         return task
-
-    def _dwell_for(self, index: int, device: DeviceSpec, m: int) -> float:
-        """Paced slot occupancy for one GEMM (0.0 when pacing is off).
-
-        ``pace ×`` the cost model's predicted device time for layer
-        ``index``'s TW GEMM at ``m`` activation rows, memoised per
-        (layer, device, m) so the cost model prices each configuration once.
-        """
-        if self.config.pace <= 0.0:
-            return 0.0
-        key = (index, device, m)
-        hit = self._dwell.get(key)
-        if hit is None:
-            from repro.gpu.tw_kernel import tw_gemm_cost
-
-            tw = self._layers[index].tw
-            hit = tw_gemm_cost(m, tw, device).total_us * 1e-6 * self.config.pace
-            self._dwell[key] = hit
-        return hit

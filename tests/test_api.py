@@ -272,7 +272,7 @@ class TestPlacement:
         np.testing.assert_array_equal(out, model.run(x))
         # knobs also override an explicit config
         cfg = ServerConfig(max_wave_rows=64, placement=model.placement)
-        server2 = model.serve(cfg, executor="threaded", pace=0.0)
+        server2 = model.serve(cfg, executor="threaded")
         assert server2.config.executor == "threaded"
         assert server2.config.max_wave_rows == 64
 

@@ -3,8 +3,9 @@
 The contract under test: ``threaded`` produces **bit-identical** outputs
 to ``inline`` for any wave list (the math is a fixed per-wave chain of
 ``tw_gemm`` calls regardless of which thread runs it), and it genuinely
-overlaps device slots in wall-time — verified with paced steps whose
-sleeps must overlap across slots.
+overlaps device slots in wall-time — verified with the fault injector's
+``latency`` rule, whose sleeps inside each timed step must overlap across
+slots.
 """
 
 import time
@@ -24,6 +25,7 @@ from repro.runtime.executor import (
     available_executors,
     resolve_executor,
 )
+from repro.runtime.faults import FaultInjector
 from repro.runtime.scheduler import build_execution_plan
 
 
@@ -34,18 +36,26 @@ def _tw_layer(rng, k=24, n=24, g=8, sparsity=0.5):
     return tw, build_execution_plan(tw)
 
 
-def _tasks(rng, n_layers=4, n_waves=3, slots=(0, 0, 1, 1), dwell=0.0, k=24):
+def _latency(seconds):
+    """A fault schedule that sleeps ``seconds`` inside every timed step."""
+    return FaultInjector.from_spec(f"latency:duration={seconds}")
+
+
+def _tasks(rng, n_layers=4, n_waves=3, slots=(0, 0, 1, 1), latency=0.0, k=24):
     layers = [_tw_layer(rng, k=k) for _ in range(n_layers)]
+    faults = _latency(latency) if latency > 0.0 else None
     tasks = []
     for w in range(n_waves):
         steps = tuple(
             WaveStep(
                 layer=i, tw=tw, plan=plan, slot=slots[i % len(slots)],
-                label=f"dev#{slots[i % len(slots)]}", dwell_s=dwell,
+                label=f"dev#{slots[i % len(slots)]}",
             )
             for i, (tw, plan) in enumerate(layers)
         )
-        tasks.append(WaveTask(index=w, batch=rng.standard_normal((3, k)), steps=steps))
+        tasks.append(
+            WaveTask(index=w, batch=rng.standard_normal((3, k)), steps=steps, faults=faults)
+        )
     return tasks
 
 
@@ -158,17 +168,19 @@ class TestAccounting:
             assert set(i.busy_by_label) == set(t.busy_by_label)
             assert all(v > 0 for v in t.busy_by_label.values())
 
-    def test_dwell_floors_slot_occupancy(self):
+    def test_latency_fault_floors_slot_occupancy(self):
+        # injected latency shows up in the slot's busy accounting
         rng = np.random.default_rng(5)
-        dwell = 0.02
-        tasks = _tasks(rng, n_layers=2, n_waves=1, slots=(0, 1), dwell=dwell)
+        latency = 0.02
+        tasks = _tasks(rng, n_layers=2, n_waves=1, slots=(0, 1), latency=latency)
         (result,) = InlineExecutor().run(tasks)
         for label in ("dev#0", "dev#1"):
-            assert result.busy_by_label[label] >= dwell
+            assert result.busy_by_label[label] >= latency
 
 
 class TestOverlap:
-    """Paced steps must overlap across slots in measured wall-time.
+    """Steps slowed by injected latency must overlap across slots in
+    measured wall-time.
 
     Sleeps release the GIL, so these hold even on a single-core host; the
     margins are generous to absorb scheduler jitter.
@@ -176,38 +188,41 @@ class TestOverlap:
 
     def test_replicated_style_waves_overlap(self):
         rng = np.random.default_rng(6)
-        dwell = 0.04
+        latency = 0.04
+        faults = _latency(latency)
         layers = [_tw_layer(rng)]
         tasks = []
         for w in range(4):  # waves alternate slots, one segment each
             (tw, plan) = layers[0]
             steps = (
-                WaveStep(layer=0, tw=tw, plan=plan, slot=w % 2,
-                         label=f"dev#{w % 2}", dwell_s=dwell),
+                WaveStep(layer=0, tw=tw, plan=plan, slot=w % 2, label=f"dev#{w % 2}"),
             )
             tasks.append(
-                WaveTask(index=w, batch=rng.standard_normal((3, 24)), steps=steps)
+                WaveTask(index=w, batch=rng.standard_normal((3, 24)), steps=steps,
+                         faults=faults)
             )
         t0 = time.perf_counter()
-        InlineExecutor().run(tasks)
+        inline = InlineExecutor().run(tasks)
         inline_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        ThreadedExecutor().run(tasks)
+        threaded = ThreadedExecutor().run(tasks)
         threaded_s = time.perf_counter() - t0
-        assert inline_s >= 4 * dwell * 0.9
+        for i, t in zip(inline, threaded):
+            np.testing.assert_array_equal(i.output, t.output)
+        assert inline_s >= 4 * latency * 0.9
         # two slots -> two waves each, overlapped: well under the serial sum
         assert threaded_s < inline_s * 0.75
 
     def test_sharded_pipeline_streams_waves(self):
         rng = np.random.default_rng(7)
-        dwell = 0.03
-        tasks = _tasks(rng, n_layers=2, n_waves=4, slots=(0, 1), dwell=dwell)
+        latency = 0.03
+        tasks = _tasks(rng, n_layers=2, n_waves=4, slots=(0, 1), latency=latency)
         t0 = time.perf_counter()
         ThreadedExecutor().run(tasks)
         threaded_s = time.perf_counter() - t0
-        # lock-step would cost 8 dwells; a streamed 2-stage pipeline over 4
-        # waves costs ~5 -> anything clearly below 8 proves streaming
-        assert threaded_s < 8 * dwell * 0.85
+        # lock-step would cost 8 latencies; a streamed 2-stage pipeline over
+        # 4 waves costs ~5 -> anything clearly below 8 proves streaming
+        assert threaded_s < 8 * latency * 0.85
 
 
 class TestErrors:
@@ -264,7 +279,7 @@ class TestPersistentWorkers:
 
     def test_lazy_pull_respects_inflight_window(self):
         rng = np.random.default_rng(11)
-        tasks = _tasks(rng, n_waves=6, slots=(0, 0, 0, 0), dwell=0.01)
+        tasks = _tasks(rng, n_waves=6, slots=(0, 0, 0, 0), latency=0.01)
         pulled_at = []
 
         def stream():

@@ -20,7 +20,7 @@ from repro.core.tile_sparsity import tw_prune_step
 from repro.formats import TiledTWMatrix
 from repro.formats.io import load_tiled, save_tiled
 from repro.gpu import dense_gemm_tc_cost, tw_gemm_cost
-from repro.kernels import tw_batched_gemm, tw_gemm
+from repro.kernels import tw_gemm
 from repro.nn.layers import Linear, Sequential
 from repro.nn.tensor import Tensor
 
@@ -61,7 +61,6 @@ class TestFullMatrixPipeline:
         save_tiled(tw, tmp_path / "w.npz")
         reloaded = load_tiled(tmp_path / "w.npz")
         np.testing.assert_allclose(tw_gemm(a, reloaded), expected, atol=1e-10)
-        np.testing.assert_allclose(tw_batched_gemm(a, reloaded), expected, atol=1e-10)
 
 
 class TestFailureInjection:

@@ -10,13 +10,11 @@ from repro.core.tiling import TileConfig
 from repro.core.tile_sparsity import TWPruneConfig, tw_prune_step
 from repro.formats import BSRMatrix, CSCMatrix, CSRMatrix, TiledTWMatrix
 from repro.kernels import (
-    batched_gemm,
     bsr_left_gemm,
     csc_left_spmm,
     csr_spmm,
     gemm,
     tiled_gemm,
-    tw_batched_gemm,
     tw_gemm,
 )
 from repro.kernels.masked import masked_gemm
@@ -94,12 +92,6 @@ class TestTWGemm:
         pruned_cols = ~tw.element_mask().any(axis=0)
         assert np.all(out[:, pruned_cols] == 0.0)
 
-    def test_batched_matches_unbatched(self):
-        rng = np.random.default_rng(6)
-        w, tw = make_tw(rng, k=40, n=64, g=8, sparsity=0.7)
-        a = rng.standard_normal((9, 40))
-        np.testing.assert_allclose(tw_batched_gemm(a, tw), tw_gemm(a, tw), atol=1e-10)
-
     def test_zero_sparsity_equals_dense(self):
         rng = np.random.default_rng(7)
         w = rng.standard_normal((16, 24))
@@ -139,22 +131,6 @@ class TestTWGemm:
         _, tw = make_tw(rng)
         with pytest.raises(ValueError):
             tw_gemm(rng.standard_normal((3, 31)), tw)
-
-    def test_batched_gemm_shape_checks(self):
-        with pytest.raises(ValueError):
-            batched_gemm(np.ones((2, 3, 4)), np.ones((3, 4, 5)))
-        with pytest.raises(ValueError):
-            batched_gemm(np.ones((2, 3, 4)), np.ones((2, 5, 6)))
-        with pytest.raises(ValueError):
-            batched_gemm(np.ones((2, 3)), np.ones((2, 3, 4)))
-
-    def test_batched_gemm_values(self):
-        rng = np.random.default_rng(10)
-        a = rng.standard_normal((3, 4, 5))
-        b = rng.standard_normal((3, 5, 2))
-        out = batched_gemm(a, b)
-        for i in range(3):
-            np.testing.assert_allclose(out[i], a[i] @ b[i], atol=1e-12)
 
 
 class TestSpmm:
@@ -218,7 +194,6 @@ def test_tw_gemm_equivalence_property(m, k, n, g, sparsity, seed):
     a = rng.standard_normal((m, k))
     expected = a @ (w * step.masks[0])
     np.testing.assert_allclose(tw_gemm(a, tw), expected, atol=1e-9)
-    np.testing.assert_allclose(tw_batched_gemm(a, tw), expected, atol=1e-9)
 
 
 @given(
