@@ -3,11 +3,10 @@
 
 Walks the library's core loop on a single GEMM — through the one front
 door, ``repro.compile`` (the ROADMAP contract: no hand-wired
-``tw_prune_step → from_masks → build_execution_plan → tw_gemm`` chains at
-call sites):
+``tw_prune_step → from_masks → tw_gemm`` chains at call sites):
 
-1. compile a weight matrix at 75 % tile-wise sparsity (pruning, compact
-   TW format and execution plans all happen inside ``compile``),
+1. compile a weight matrix at 75 % tile-wise sparsity (pruning and the
+   compact TW format both happen inside ``compile``),
 2. inspect what the pruner kept (``prune_report``),
 3. verify the compiled TW forward matches dense GEMM on the masked
    weights — the paper's correctness claim,
@@ -21,7 +20,7 @@ import numpy as np
 import repro
 
 # ----------------------------------------------------------------- #
-# 1. compile: prune -> compact TW format -> execution plan, one call
+# 1. compile: prune -> compact TW format, one call
 # ----------------------------------------------------------------- #
 rng = np.random.default_rng(0)
 K, N, G = 768, 768, 128

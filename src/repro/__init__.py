@@ -2,8 +2,8 @@
 
 Quickstart — one front door
 ---------------------------
-The paper's pipeline (tile-wise prune → compact TW format → batching/stream
-plan → batched GEMM execution) is exposed as a single call::
+The paper's pipeline (tile-wise prune → compact TW format → per-tile
+gather GEMM execution) is exposed as a single call::
 
     import numpy as np, repro
 

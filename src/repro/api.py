@@ -1,10 +1,9 @@
 """One front door for the paper's pipeline: :func:`compile` and :func:`tune`.
 
 The reproduction's contribution is a *pipeline* — tile-wise prune → compact
-TW format → batching/stream plan → batched GEMM execution — and this module
-is its single entry point.  Instead of hand-wiring ``tw_prune_step`` →
-``TiledTWMatrix.from_masks`` → ``build_execution_plan`` → ``tw_gemm`` at
-every call site, callers write::
+TW format → per-tile gather GEMM execution — and this module is its single
+entry point.  Instead of hand-wiring ``tw_prune_step`` →
+``TiledTWMatrix.from_masks`` → ``tw_gemm`` at every call site, callers write::
 
     import repro
 
@@ -12,7 +11,7 @@ every call site, callers write::
                           granularity=128, engine="tensor_core")
     model.prune_report()      # what the pruner kept
     model.price(m=8192)       # cost-model latency vs the dense baseline
-    y = model.run(x)          # batched TW forward (bit-identical to the
+    y = model.run(x)          # TW forward (bit-identical to the
                               # hand-wired pipeline)
     model.save("model.npz")   # offline artifact (repro.load round-trips)
     server = model.serve()    # TWModelServer over the compiled layers
@@ -42,7 +41,7 @@ registration, not a new code path.
 Two compilation sources:
 
 - **weight matrices** (arrays, or an ``repro.nn`` module) — the full
-  pipeline runs: pruning, compaction, per-device plans, execution;
+  pipeline runs: pruning, compaction, execution;
 - **a model name** (``"bert"``, ``"vgg"``, ``"nmt"``) — the paper's
   full-size GEMM shape tables are compiled for *pricing only* (the cost
   model needs no weights); ``run``/``serve``/``save`` explain what to pass
@@ -139,6 +138,8 @@ class CompiledLayer:
     col_keep: np.ndarray | None = None
     row_masks: tuple[np.ndarray, ...] = ()
     tw: TiledTWMatrix | None = None
+    #: per-device GPU launch plans; nothing in the program executes or
+    #: prices them, but the repository benchmark (``twbench/``) reads them
     plans: dict[DeviceSpec, ExecutionPlan] = field(default_factory=dict)
     epilogue: EpilogueSpec | None = None
 
@@ -190,10 +191,9 @@ class PriceReport:
 
 
 class CompiledTWModel:
-    """A pruned, compacted, planned model — the pipeline's one artifact.
+    """A pruned, compacted model — the pipeline's one artifact.
 
-    Owns per-layer compact formats and per-device
-    :class:`~repro.runtime.scheduler.ExecutionPlan`\\ s, so every consumer
+    Owns per-layer compact formats, so every consumer
     (forward execution, cost-model pricing, serialization, serving) reads
     the *same* compiled state instead of re-running parts of the pipeline.
     """
@@ -387,10 +387,8 @@ class CompiledTWModel:
     def run(self, x: np.ndarray) -> np.ndarray:
         """Forward ``x`` through the compiled layer stack.
 
-        TW layers execute as per-tile gather GEMMs replaying the
-        compiled per-device plans (bit-identical to the hand-wired
-        ``tw_prune → from_masks → build_execution_plan → tw_gemm``
-        pipeline); mask-only patterns execute dense GEMM against the
+        TW layers execute as per-tile gather GEMMs (bit-identical to the
+        hand-wired ``tw_prune → from_masks → tw_gemm`` pipeline); mask-only patterns execute dense GEMM against the
         mask-expanded weights.  A layer carrying an
         :class:`~repro.kernels.fusion.EpilogueSpec` applies its *fused*
         epilogue right after the GEMM (the layer's own input serves as the
@@ -413,7 +411,6 @@ class CompiledTWModel:
             raise ValueError(
                 f"input K={a.shape[1]} != model K={self.layers[0].shape[0]}"
             )
-        n = self.n_layers
         for i, l in enumerate(self.layers):
             if i and l.shape[0] != self.layers[i - 1].shape[1]:
                 raise ValueError(
@@ -421,8 +418,7 @@ class CompiledTWModel:
                     f"{i - 1} N={self.layers[i - 1].shape[1]}"
                 )
             if l.tw is not None:
-                device = self.placement.device_for_layer(i, n)
-                y = tw_gemm(a, l.tw, plan=l.plans.get(device))
+                y = tw_gemm(a, l.tw)
             else:
                 y = a @ l.masked_dense()
             a = apply_epilogue(y, l.epilogue, residual=a) if l.epilogue else y
@@ -431,9 +427,9 @@ class CompiledTWModel:
     def serve(self, config: ServerConfig | None = None, **overrides) -> TWModelServer:
         """A :class:`TWModelServer` over this model's compiled layers.
 
-        The server serves this model's own formats and per-device plans,
-        so the first request only pays the GEMMs and every output is
-        bit-identical to :meth:`run`.  With no ``config`` it inherits the
+        The server serves this model's own formats, and its ``warm()``
+        builds their tile operands, so the first request only pays the
+        GEMMs; every output is bit-identical to :meth:`run`.  With no ``config`` it inherits the
         compiled placement.  Granularity and payload dtype are fixed at
         compile time; re-compile to change them.
 
@@ -444,9 +440,8 @@ class CompiledTWModel:
         wall-time (outputs stay bit-identical to ``inline``), and
         ``max_wave_rows``, ``max_retries``, ``max_queue_rows``,
         ``watchdog_s`` or ``faults`` configure batching and the
-        fault-tolerant serving path.  A ``placement`` override onto devices
-        the model has no plan for plans them once, at ``warm()`` or on the
-        first wave.  Call ``server.close()`` (or use the server as a
+        fault-tolerant serving path.  A ``placement`` override needs no
+        re-compilation: every device runs the same formats.  Call ``server.close()`` (or use the server as a
         context manager) when done: that shuts the worker threads down.
         """
         self._require_weights("serve")
@@ -460,7 +455,7 @@ class CompiledTWModel:
             config = dataclasses.replace(config, **overrides)
         server = TWModelServer(config)
         for l in self.layers:
-            server.add_layer(l.tw, l.plans, epilogue=l.epilogue)
+            server.add_layer(l.tw, epilogue=l.epilogue)
         return server
 
     def serve_async(
@@ -580,8 +575,8 @@ class CompiledTWModel:
     def load(cls, path: str | Path) -> "CompiledTWModel":
         """Reconstruct a compiled model saved with :meth:`save`.
 
-        Tile payloads round-trip bit-exactly; execution plans are rebuilt
-        (deterministic), and the dense view is re-expanded from the tiles
+        Tile payloads round-trip bit-exactly; ``CompiledLayer.plans`` are
+        rebuilt (deterministic), and the dense view is re-expanded from the tiles
         (values at pruned positions are zero — they never participate in
         execution).
         """
@@ -715,7 +710,7 @@ def _tw_layer(
 
     The single construction path shared by :func:`compile` and
     :func:`tune` — both therefore execute the identical
-    ``from_masks → build_execution_plan → tw_gemm`` chain, which is what
+    ``from_masks → tw_gemm`` chain, which is what
     makes their bit-identity contracts structural rather than incidental.
     """
     tw = TiledTWMatrix.from_masks(
@@ -1021,10 +1016,8 @@ class TuneResult:
         if self.residuals is None:
             return self.compiled.run(x)
         a = np.atleast_2d(np.asarray(x))
-        n = self.compiled.n_layers
         for i, l in enumerate(self.compiled.layers):
-            device = self.compiled.placement.device_for_layer(i, n)
-            a = tw_gemm(a, l.tw, plan=l.plans.get(device)) + csc_left_spmm(
+            a = tw_gemm(a, l.tw) + csc_left_spmm(
                 a, self.residuals[i]
             )
         return a

@@ -15,7 +15,7 @@ Usage (``python -m repro <command> ...``):
 - ``serve``   — stand up a :class:`~repro.runtime.server.TWModelServer`
   over a demo weight stack, optionally sharded/replicated across devices
   (``--executor threaded`` overlaps the device slots in wall-time), and
-  report throughput plus measured parallel efficiency;
+  report throughput, busy time and measured wall time;
 - ``info``    — show the device spec, calibration constants and registry
   contents (``--json`` for machine-readable output).
 
@@ -514,7 +514,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ["placement", f"{placement.kind} x{placement.n_devices}"],
         ["executor", server.executor.describe()],
         ["shard layout", " ".join(
-            f"{name}:{n}" for name, n in _shard_counts(server.shard_layout())
+            f"{name}:{n}"
+            for name, n in _slot_layer_counts(server.placement, server.n_layers)
         )],
         ["requests", st.requests],
         ["rows", st.rows],
@@ -525,8 +526,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ["busy (sum over devices)", f"{st.busy_s * 1e3:.3f} ms"],
         ["critical path (max device)", f"{st.critical_path_s() * 1e3:.3f} ms"],
         ["wall time (measured)", f"{st.wall_time_s * 1e3:.3f} ms"],
-        ["measured speedup (busy/wall)", f"{st.measured_speedup():.2f}x"],
-        ["parallel efficiency", f"{st.parallel_efficiency():.2f}"],
         ["statuses", " ".join(
             f"{k}:{v}" for k, v in sorted(by_status.items())
         ) or "-"],
@@ -629,10 +628,17 @@ def _request_dtype(dtype: str) -> str:
     return str(activation_dtype(dtype))
 
 
-def _shard_counts(layout: list[str]) -> list[tuple[str, int]]:
+def _slot_layer_counts(placement, n_layers: int) -> list[tuple[str, int]]:
+    """Layers each device slot runs; a ``replicated`` slot runs them all."""
     from collections import Counter
 
-    return sorted(Counter(layout).items())
+    labels = placement.device_labels()
+    runs = {
+        (slot, layer)
+        for wave in range(placement.n_devices)
+        for layer, slot in enumerate(placement.wave_slots(wave, n_layers))
+    }
+    return sorted(Counter(labels[slot] for slot, _ in runs).items())
 
 
 def _info_record() -> dict:

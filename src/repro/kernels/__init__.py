@@ -7,7 +7,7 @@ and cost separate lets tests pin numerical equivalence (e.g. TW masked GEMM
 
 - :mod:`repro.kernels.dense` — reference and explicitly-tiled dense GEMM.
 - :mod:`repro.kernels.masked` — the paper's TW masked GEMM (Listing 1),
-  executed batched per width group.
+  executed as one gather GEMM per tile.
 - :mod:`repro.kernels.spmm` — CSR/CSC sparse×dense products (cuSparse path).
 - :mod:`repro.kernels.block_sparse` — BSR GEMM (BlockSparse path).
 - :mod:`repro.kernels.im2col` — convolution→GEMM lowering.
@@ -16,13 +16,14 @@ and cost separate lets tests pin numerical equivalence (e.g. TW masked GEMM
 
 Execution pipeline (paper Fig. 7)
 ---------------------------------
-The TW hot path follows **plan → batch → stream → execute**: a
-:func:`repro.runtime.batching.batching_plan` width-groups the tiles, a
+On a GPU the TW hot path follows **plan → batch → stream → execute**: a
+:func:`repro.runtime.batching.batching_plan` width-groups the tiles and a
 :class:`repro.runtime.scheduler.StreamAssignment` orders the groups across
-streams, and :func:`repro.kernels.masked.tw_gemm` executes each group's
+streams; the cost model in :mod:`repro.gpu.tw_kernel` prices that launch
+schedule.  On the host, :func:`repro.kernels.masked.tw_gemm` walks the
 tiles as gather GEMMs (each tile loads only the activation rows it keeps,
-depth zero-padded to a multiple of 32).  The cost model in
-:mod:`repro.gpu.tw_kernel` prices the *same* plan the executor runs.
+depth zero-padded to a multiple of 32).  Each tile writes only its own
+output columns, so the launch order cannot change a value.
 
 Vectorisation contract
 ----------------------

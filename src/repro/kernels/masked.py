@@ -8,9 +8,7 @@ block, loading only the rows of ``A`` that survive the tile's ``mask_k``
 - :func:`masked_gemm` — one tile: dense ``A`` panel × compact ``B`` panel
   under explicit ``mask_k`` / column-index vectors;
 - :func:`tw_gemm` — the whole product ``A @ W`` for a
-  :class:`~repro.formats.tiled.TiledTWMatrix`, one gather GEMM per tile
-  in the order of the paper's pipeline
-  (plan → batch → stream → execute, Fig. 7 steps 3–4);
+  :class:`~repro.formats.tiled.TiledTWMatrix`, one gather GEMM per tile;
 - :func:`tw_gemm_work` — the executed and useful multiply-adds of that
   execution;
 - :func:`tw_gemm_reference` — the one-kernel-per-tile loop (the "Normal
@@ -21,10 +19,14 @@ All are tested equivalent to dense GEMM against the mask-expanded weights,
 which is the core correctness claim of the TW execution scheme: *pruned
 rows/columns contribute exactly zero, so skipping them changes nothing*.
 
-Execution pipeline
-------------------
-``tw_gemm`` consumes the same :class:`~repro.runtime.batching.BatchGroup`
-plan the cost model prices and walks its groups in stream issue order.
+Execution
+---------
+``tw_gemm`` walks ``weight.tiles`` in index order.  Each tile writes only
+its own output columns (``Store_C_Tile_with_Mask``), so the order tiles
+run in cannot change an output bit; the batching and stream plan of
+Fig. 7 steps 3–4 is a GPU launch schedule and stays with the cost model
+(:func:`~repro.runtime.scheduler.build_execution_plan`).
+
 Every tile runs as one *gather GEMM*, the NumPy analogue of
 ``Load_A_Tile_with_Mask``:
 
@@ -51,13 +53,10 @@ NaN or Inf in a row that every tile prunes cannot reach the output, and
 non-finite values in kept rows propagate as in :func:`tw_gemm_reference`.
 
 Each tile's compute operand (its padded gather indices and its weight
-panel in the compute dtype) is memoised on the weight per compute dtype.
-Weights are frozen, so payloads never change under a live memo.  fp16 is
-upcast once and int8 is dequantised once, and a serving loop that replays
-a cached :class:`~repro.runtime.scheduler.ExecutionPlan` pays only the
-gathers and GEMMs.  Pass ``plan=StreamAssignment.execution_order()`` (or an
-``ExecutionPlan``) to execute groups in the scheduler's per-stream issue
-order.
+panel in the compute dtype) is memoised on the weight per compute dtype
+(:func:`tile_operands`).  Weights are frozen, so payloads never change
+under a live memo.  fp16 is upcast once and int8 is dequantised once, so a
+serving loop pays only the gathers and GEMMs.
 
 Mixed precision
 ---------------
@@ -189,7 +188,7 @@ def tw_gemm_reference(a: np.ndarray, weight: TiledTWMatrix) -> np.ndarray:
     return out
 
 
-def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
+def tw_gemm(a: np.ndarray, weight: TiledTWMatrix) -> np.ndarray:
     """Compute ``A @ W`` for a TW-compacted weight matrix, one gather GEMM per tile.
 
     Columns of the output that belong to no tile (pruned columns) are exact
@@ -201,13 +200,6 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
         Dense activations ``M×K``.
     weight:
         The TW-compacted weight.
-    plan:
-        Batch groups to execute, in order — a sequence of
-        :class:`~repro.runtime.batching.BatchGroup` or an
-        :class:`~repro.runtime.scheduler.ExecutionPlan` (executed in its
-        stream issue order).  Defaults to
-        :func:`~repro.runtime.batching.batching_plan` over ``weight``.
-        ``tile_ids`` index into ``weight.tiles``.
 
     Notes
     -----
@@ -231,13 +223,9 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
         raise ValueError(f"A columns {a.shape[1]} != weight K {k}")
     compute_dtype, out_dtype = gemm_dtypes(a.dtype, weight.dtype)
     m = a.shape[0]
-    tiles = weight.tiles
-    if not tiles:
+    if not weight.tiles:
         return np.zeros((m, n), dtype=out_dtype)
-    groups = _resolve_plan(weight, plan)
-    operands = tile_operands(
-        weight, compute_dtype, [tid for group in groups for tid in group.tile_ids]
-    )
+    operands = tile_operands(weight, compute_dtype)
     # one transpose (and upcast) per call: every tile then gathers whole
     # contiguous rows, and padded depths gather the trailing zero row.  A
     # chained layer's input is the previous layer's transposed view, so
@@ -247,33 +235,29 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
     at[k] = 0
     # the output is built transposed too: each tile stores whole rows
     out_t = np.zeros((n, m), dtype=compute_dtype)
-    for group in groups:
-        for tid in group.tile_ids:
-            operand = operands[tid]
-            if operand is None:
-                continue
-            rows, panel = operand
-            # every output column belongs to exactly one tile
-            out_t[tiles[tid].col_indices] = panel.T @ at.take(rows, axis=0)
+    for tile, operand in zip(weight.tiles, operands):
+        if operand is None:
+            continue
+        rows, panel = operand
+        # every output column belongs to exactly one tile
+        out_t[tile.col_indices] = panel.T @ at.take(rows, axis=0)
     out = out_t.T
     return out if compute_dtype == out_dtype else out.astype(out_dtype)
 
 
-def tw_gemm_work(weight: TiledTWMatrix, plan=None) -> tuple[int, int]:
+def tw_gemm_work(weight: TiledTWMatrix) -> tuple[int, int]:
     """Executed and useful multiply-adds per activation row of :func:`tw_gemm`.
 
     A tile executes its padded depth times ``kept_n`` and needs only
     ``kept_k × kept_n``, so ``executed / useful`` is at most
     ``⌈kept_k / DEPTH_QUANTUM⌉ · DEPTH_QUANTUM / kept_k`` per tile.  Both
-    counts scale with ``m`` alike; ``plan`` is resolved as in ``tw_gemm``.
+    counts scale with ``m`` alike.
     """
     executed = useful = 0
-    for group in _resolve_plan(weight, plan):
-        for tid in group.tile_ids:
-            t = weight.tiles[tid]
-            if t.kept_k and t.kept_n:
-                executed += _padded_depth(t.kept_k) * t.kept_n
-                useful += t.kept_k * t.kept_n
+    for t in weight.tiles:
+        if t.kept_k and t.kept_n:
+            executed += _padded_depth(t.kept_k) * t.kept_n
+            useful += t.kept_k * t.kept_n
     return executed, useful
 
 
@@ -301,28 +285,27 @@ def activation_dtype(w_dtype: np.dtype) -> np.dtype:
     return np.dtype(np.float32) if w_dtype.kind in "iu" else w_dtype
 
 
-def tile_operands(weight: TiledTWMatrix, dtype, tile_ids=()) -> dict:
-    """The weight's per-tile operand memo for one compute dtype.
+def tile_operands(weight: TiledTWMatrix, dtype) -> list:
+    """The weight's per-tile compute operands for one compute dtype.
 
-    Maps tile id to ``(gather rows, weight panel)``, or ``None`` for a tile
-    with nothing to compute; the entries of ``tile_ids`` are built if
-    missing.  The frozen dataclass carries the memo in its
-    instance ``__dict__``.
+    One entry per tile of ``weight.tiles``: ``(gather rows, weight
+    panel)``, or ``None`` for a tile with nothing to compute.  Built on
+    the first call per dtype and memoised on the weight; the frozen
+    dataclass carries the memo in its instance ``__dict__``.
     """
     dtype = np.dtype(dtype)
     memo = weight.__dict__.get("_tile_operands")
     if memo is None:
         memo = {}
         object.__setattr__(weight, "_tile_operands", memo)
-    operands = memo.setdefault(dtype.str, {})
-    for tid in tile_ids:
-        if tid not in operands:
-            operands[tid] = _tile_operand(weight, tid, dtype)
+    operands = memo.get(dtype.str)
+    if operands is None:
+        operands = memo[dtype.str] = [_tile_operand(weight, t, dtype) for t in weight.tiles]
     return operands
 
 
 def _tile_operand(
-    weight: TiledTWMatrix, tid: int, dtype: np.dtype
+    weight: TiledTWMatrix, tile, dtype: np.dtype
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Build one tile's gather indices and compute-dtype weight panel.
 
@@ -330,7 +313,6 @@ def _tile_operand(
     point at the zero row ``K`` of ``tw_gemm``'s transposed activations and
     meet zero weight rows.  int8 payloads dequantise by the tile's scale.
     """
-    tile = weight.tiles[tid]
     if not (tile.kept_k and tile.kept_n):
         return None
     depth = _padded_depth(tile.kept_k)
@@ -345,18 +327,3 @@ def _tile_operand(
 
 def _padded_depth(kept_k: int) -> int:
     return -(-kept_k // DEPTH_QUANTUM) * DEPTH_QUANTUM
-
-
-def _resolve_plan(weight: TiledTWMatrix, plan):
-    """The batch groups ``tw_gemm`` walks, in order (see its ``plan``)."""
-    if plan is None:
-        plan = weight.__dict__.get("_default_plan")
-        if plan is None:
-            # deferred import: repro.runtime imports this module for the server
-            from repro.runtime.batching import batching_plan
-
-            plan = batching_plan(weight)
-            object.__setattr__(weight, "_default_plan", plan)
-    elif hasattr(plan, "execution_order"):
-        plan = plan.execution_order()
-    return plan

@@ -6,8 +6,7 @@ end-to-end breakdowns and the Fig. 14 accuracy-latency trade-off points.
 
 Execution pipeline (paper Fig. 7, steps 3–4)
 --------------------------------------------
-One plan representation flows through the whole stack —
-**plan → batch → stream → execute**:
+On a GPU a TW layer launches as **plan → batch → stream → execute**:
 
 1. :func:`~repro.runtime.batching.batching_plan` groups a layer's
    equal-width tiles into :class:`~repro.runtime.batching.BatchGroup`
@@ -16,10 +15,15 @@ One plan representation flows through the whole stack —
    concurrent streams (:class:`~repro.runtime.scheduler.StreamAssignment`,
    whose ``execution_order`` is the observable issue order);
 3. :func:`~repro.runtime.scheduler.build_execution_plan` bundles both into
-   a cacheable :class:`~repro.runtime.scheduler.ExecutionPlan`;
-4. the *same* plan is priced by the cost model
-   (:func:`repro.gpu.tw_kernel.tw_gemm_cost`) and executed functionally by
-   :func:`repro.kernels.masked.tw_gemm`.
+   an :class:`~repro.runtime.scheduler.ExecutionPlan`;
+4. :func:`repro.gpu.tw_kernel.tw_gemm_cost` models the same batching and
+   streaming from the layer's tile statistics
+   (:class:`~repro.gpu.tw_kernel.TWShapeStats`); it reads no
+   ``ExecutionPlan``.
+
+The host runs none of these plans: :func:`repro.kernels.masked.tw_gemm`
+walks the weight's tiles as gather GEMMs, and since each tile writes only
+its own output columns, no launch order could change a value.
 
 Modules
 -------
@@ -37,7 +41,7 @@ Modules
   (``exception`` / ``latency`` / ``stall``) keyed by
   ``(wave, layer, slot)`` sites, for chaos testing the serving path;
 - :mod:`repro.runtime.server` — :class:`TWModelServer`, the serving layer
-  that serves a compiled model's formats and plans, micro-batches
+  that serves a compiled model's formats, micro-batches
   concurrent requests into one GEMM per layer, dispatches waves across a
   :class:`~repro.runtime.placement.Placement`'s devices through the
   configured :class:`~repro.runtime.executor.Executor`, and degrades

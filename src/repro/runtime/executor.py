@@ -31,7 +31,7 @@ server.
 Determinism contract
 --------------------
 Each wave's layer chain is a fixed sequence of
-:func:`~repro.kernels.masked.tw_gemm` calls on the same operands and plans
+:func:`~repro.kernels.masked.tw_gemm` calls on the same compiled formats
 regardless of which worker runs it, and waves never share mutable state,
 so outputs are bit-identical across executors.  Only wall-time and the
 measured busy stats differ.
@@ -65,7 +65,6 @@ from repro.kernels.fusion import EpilogueSpec, apply_epilogue
 from repro.kernels.masked import tw_gemm
 from repro.patterns.registry import Registry
 from repro.runtime.faults import FaultInjector
-from repro.runtime.scheduler import ExecutionPlan
 
 __all__ = [
     "EXECUTORS",
@@ -86,14 +85,13 @@ EXECUTORS = Registry("executor")
 class WaveStep:
     """One layer of one wave, tagged with the device slot that runs it.
 
-    The placement emits the ``(layer, slot)`` mapping; the server resolves
-    the compiled format/plan; the executor only ever consumes these
+    The placement emits the ``(layer, slot)`` mapping; the server attaches
+    the compiled format; the executor only ever consumes these
     finished work items.
     """
 
     layer: int
     tw: TiledTWMatrix
-    plan: ExecutionPlan
     slot: int
     label: str
     #: optional fused non-GEMM consumer applied right after this step's
@@ -172,7 +170,7 @@ def _execute_steps(
         t0 = time.perf_counter()
         if faults is not None:
             faults.before_step(wave_index, step.layer, step.slot)
-        y = tw_gemm(a, step.tw, plan=step.plan)
+        y = tw_gemm(a, step.tw)
         if step.epilogue is not None:
             y = apply_epilogue(y, step.epilogue, residual=a)
         a = y

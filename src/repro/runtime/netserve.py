@@ -165,8 +165,8 @@ class NetServer:
         """Bind the listener, then warm the model off the event loop.
 
         The socket opens *before* the (potentially slow) ``warm()`` so
-        orchestrators can poll ``/healthz`` — it answers 503 until the
-        formats, plans, and executor workers are fully up, then 200.
+        orchestrators can poll ``/healthz`` — it answers 503 until
+        ``warm()`` has built every layer's tile operands, then 200.
         """
         if self._listener is not None:
             raise RuntimeError("NetServer already started")

@@ -1,16 +1,15 @@
 """Placement policies: mapping a compiled layer stack onto devices.
 
-The ROADMAP's multi-device open item: execution plans are keyed by
-device, so spreading a model over several :class:`~repro.gpu.device.DeviceSpec`
-instances only needs a plan per (layer, device), not new formats.  A
-:class:`Placement` says which device owns which work:
+Every device runs the same compiled formats, so spreading a model over
+several :class:`~repro.gpu.device.DeviceSpec` instances needs no new
+formats.  A :class:`Placement` says which device owns which work:
 
 - ``single``        — everything on one device (the historical behaviour);
-- ``replicated``    — the full layer stack is planned on every device and
+- ``replicated``    — the full layer stack runs on every device and
   micro-batch *waves* round-robin across the replicas (throughput scaling);
 - ``layer_sharded`` — layers are split contiguously across the devices and
   each wave flows shard to shard (model parallelism: each device only
-  holds its shard's formats and plans).
+  runs its shard's layers).
 
 Placements are resolved through :data:`PLACEMENTS` (same registry class as
 patterns/engines) so new policies — e.g. width-sharded tiles — are registry
@@ -81,12 +80,6 @@ class Placement:
         d = min(self.n_devices, max(1, n_layers))
         return [min(i * d // n_layers, d - 1) for i in range(n_layers)]
 
-    def device_for_layer(self, layer: int, n_layers: int) -> DeviceSpec:
-        """The device owning ``layer`` of an ``n_layers`` stack."""
-        if not (0 <= layer < n_layers):
-            raise IndexError(f"layer {layer} out of range for {n_layers} layers")
-        return self.devices[self.layer_shards(n_layers)[layer]]
-
     def replica_for_wave(self, wave_index: int) -> int:
         """Replica device index serving micro-batch wave ``wave_index``.
 
@@ -115,8 +108,7 @@ class Placement:
         """Unique per-slot labels (``name#slot``) for stats attribution.
 
         Two replicas of the same device model are distinct *slots* even
-        though their :class:`DeviceSpec`\\ s compare equal (and therefore
-        share plans); stats must not collapse them or a
+        though their :class:`DeviceSpec`\\ s compare equal; stats must not collapse them or a
         replicated placement would look like one busy device.
         """
         return [f"{d.name}#{i}" for i, d in enumerate(self.devices)]

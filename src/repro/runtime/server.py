@@ -1,17 +1,15 @@
 """High-throughput TW model serving (ROADMAP north star: many requests).
 
 The paper's pipeline makes weight-side work — compaction into
-:class:`~repro.formats.tiled.TiledTWMatrix`, width-grouped batching, stream
-assignment — a *per-model* cost, while every request only pays the batched
-GEMMs.  :class:`TWModelServer` operationalises that split:
+:class:`~repro.formats.tiled.TiledTWMatrix` and each tile's compute
+operand — a *per-model* cost, while every request only pays the GEMMs.  :class:`TWModelServer` operationalises that split:
 
-- **Compiled layers in, GEMMs out**: the server serves the formats and
-  per-device :class:`~repro.runtime.scheduler.ExecutionPlan`\\ s that
+- **Compiled layers in, GEMMs out**: the server serves the formats that
   :func:`repro.compile` built (:meth:`repro.api.CompiledTWModel.serve`
   registers them with :meth:`TWModelServer.add_layer`) and never compacts.
-  The only weight-side work left is planning a device the model has no
-  plan for (a ``placement`` override); :meth:`TWModelServer.warm`, or else
-  the first wave that needs it, builds that plan once.
+  The only weight-side work left is building each tile's compute operand
+  (:func:`~repro.kernels.masked.tile_operands`);
+  :meth:`TWModelServer.warm`, or else the first wave, builds them once.
 - **Micro-batching**: concurrent requests' activations stack into one
   matrix, so each layer runs *one* batched GEMM for the whole wave instead
   of one per request (``submit`` + ``flush``; ``serve`` is the
@@ -20,8 +18,8 @@ GEMMs.  :class:`TWModelServer` operationalises that split:
   :class:`~repro.runtime.placement.Placement` spreads work over several
   :class:`~repro.gpu.device.DeviceSpec`\\ s — ``replicated`` round-robins
   waves across full-model replicas, ``layer_sharded`` splits the layer
-  stack so each wave flows shard to shard.  Plans are keyed by
-  ``(layer, device)``, so each shard replays its own device's plan.
+  stack so each wave flows shard to shard.  Every device runs the same
+  compiled formats, so a placement needs no per-device state.
 - **Pluggable execution**: the placement emits a device→work
   mapping (:meth:`~repro.runtime.placement.Placement.wave_slots`) and an
   :class:`~repro.runtime.executor.Executor` — ``inline`` (the sequential
@@ -31,9 +29,8 @@ GEMMs.  :class:`TWModelServer` operationalises that split:
   and the measured occupancy stats change.  Worker threads are torn down
   deterministically by :meth:`TWModelServer.close`.
 - **Stats**: per-request latency, per-flush batch sizes, rows/s and
-  requests/s throughput, per-device busy time/GEMM counts, measured flush
-  wall-time (``wall_time_s`` / ``parallel_efficiency()``), and
-  stream-imbalance diagnostics from the plans.
+  requests/s throughput, per-device busy time/GEMM counts, and measured
+  flush wall-time (``wall_time_s``).
 - **Fault tolerance & SLOs** (ISSUE 6): every submitted request reaches a
   *terminal* :attr:`ServedRequest.status` — ``ok``, ``failed`` (poison
   isolated after retries/bisection), ``shed`` (backpressure) or
@@ -43,10 +40,6 @@ GEMMs.  :class:`TWModelServer` operationalises that split:
   ``ServerConfig(faults=...)`` wires a deterministic
   :class:`~repro.runtime.faults.FaultInjector` through every wave for
   chaos testing and recovery benchmarks.
-
-Execution order inside a layer follows the compiled plan's stream issue
-order, so what the cost model prices (plan → batch → stream) is exactly
-what executes.
 """
 
 from __future__ import annotations
@@ -62,12 +55,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix
-from repro.gpu.device import DeviceSpec, V100
-from repro.kernels.masked import activation_dtype
+from repro.gpu.device import V100
+from repro.kernels.masked import activation_dtype, gemm_dtypes, tile_operands
 from repro.runtime.executor import EXECUTORS, WaveStep, WaveTask, resolve_executor
 from repro.runtime.faults import FaultInjector, resolve_faults
 from repro.runtime.placement import Placement
-from repro.runtime.scheduler import ExecutionPlan, build_execution_plan
+# unused here: kept only because twbench/spans.py wraps this module-level
+# name; it goes when the benchmark stops reading it
+from repro.runtime.scheduler import build_execution_plan  # noqa: F401
 
 __all__ = [
     "QueueFullError",
@@ -113,11 +108,9 @@ class ServerConfig:
     Granularity and payload dtype are not serving options: they are
     properties of the compiled formats the server is given, and the
     activation dtype follows from the payload dtype
-    (:func:`~repro.kernels.masked.activation_dtype`).  Serving always runs
-    the full plan (width-grouped batching and stream assignment, paper
-    Fig. 7 steps 3–4); the ablation switches live in
-    :func:`~repro.runtime.scheduler.build_execution_plan` for the cost
-    model and experiments.
+    (:func:`~repro.kernels.masked.activation_dtype`).  Every device slot
+    runs the same per-tile gather GEMMs; the GPU launch schedule of paper
+    Fig. 7 steps 3–4 belongs to the cost model.
 
     Attributes
     ----------
@@ -248,9 +241,9 @@ LATENCY_WINDOW = 4096
 
 @dataclass
 class ServerStats:
-    """Running counters; throughput is derived from GEMM busy time
-    (building a plan the model lacked is excluded — that is the one-off
-    cold path ``plan_misses`` counts)."""
+    """Running counters; throughput is derived from GEMM busy time (on a
+    server that was not ``warm()``\\ ed, the first wave's GEMMs also build
+    the tile operands)."""
 
     requests: int = 0
     rows: int = 0
@@ -261,15 +254,15 @@ class ServerStats:
     #: always 0: the server serves the compiled formats and never
     #: compacts; kept so hit-rate readers see the same counter set
     format_misses: int = 0
-    #: per-device plan lookups served from the model's compiled plans (or
-    #: a plan built earlier for a device the model lacked)
+    #: always 0 (the server runs no plans); kept only because
+    #: twbench/common.py reads it, like ``format_misses``
     plan_hits: int = 0
-    #: plans built here, once per (layer, device) the model had no plan for
+    #: always 0; kept only because twbench/common.py reads it
     plan_misses: int = 0
     busy_s: float = 0.0
     #: measured wall-clock seconds spent inside executor runs (``flush``);
-    #: with a concurrent executor this is *less* than ``busy_s`` — the
-    #: difference is realised overlap
+    #: compare it across executors for a speed-up — slot busy time grows
+    #: when worker threads share cores, so ``busy_s / wall_time_s`` is not one
     wall_time_s: float = 0.0
     latency_total_s: float = 0.0
     #: wave-group re-executions after a failure (graceful ``flush`` only)
@@ -311,29 +304,6 @@ class ServerStats:
         """
         return max(self.device_busy_s.values(), default=0.0)
 
-    def measured_speedup(self) -> float:
-        """Measured wall-time speedup over serial execution.
-
-        ``busy_s / wall_time_s``: how much faster the executor ran the
-        work than executing every slot's occupancy back to back.  ``1.0``
-        for the ``inline`` executor (up to timing noise).
-        """
-        return self.busy_s / self.wall_time_s if self.wall_time_s > 0 else 0.0
-
-    def parallel_efficiency(self) -> float:
-        """Measured speedup as a fraction of the placement's headroom.
-
-        The headroom is ``busy_s / critical_path_s()`` (perfect overlap of
-        the measured slot busy times); the measured speedup is
-        ``busy_s / wall_time_s``.  Their ratio collapses to
-        ``critical_path_s() / wall_time_s``: ``1.0`` means wall-time hit
-        the busiest slot's busy time, ``~0.5`` means a 2-device placement
-        ran effectively serially (e.g. under ``inline``).
-        """
-        if self.wall_time_s <= 0:
-            return 0.0
-        return self.critical_path_s() / self.wall_time_s
-
     def percentile_latency_s(self, q: float) -> float:
         """Latency percentile over the retained window (0.0 when empty).
 
@@ -366,7 +336,6 @@ class ServerStats:
         """
         wall = self.wall_time_s
         fmt_total = self.format_hits + self.format_misses
-        plan_total = self.plan_hits + self.plan_misses
         return {
             "requests": self.requests,
             "rows": self.rows,
@@ -382,8 +351,6 @@ class ServerStats:
             },
             "busy_s": round(self.busy_s, 6),
             "wall_time_s": round(wall, 6),
-            "measured_speedup": round(self.measured_speedup(), 3),
-            "parallel_efficiency": round(self.parallel_efficiency(), 3),
             "device_busy_pct": {
                 label: round(100.0 * busy / wall, 1) if wall > 0 else 0.0
                 for label, busy in sorted(self.device_busy_s.items())
@@ -394,11 +361,6 @@ class ServerStats:
                 "format_misses": self.format_misses,
                 "format_hit_rate": (
                     round(self.format_hits / fmt_total, 4) if fmt_total else 0.0
-                ),
-                "plan_hits": self.plan_hits,
-                "plan_misses": self.plan_misses,
-                "plan_hit_rate": (
-                    round(self.plan_hits / plan_total, 4) if plan_total else 0.0
                 ),
             },
             "slo": {
@@ -449,12 +411,12 @@ class _Pending:
 
 
 class TWModelServer:
-    """Serve a stack of compiled TW layers with their compiled plans.
+    """Serve a stack of compiled TW layers.
 
     Layers are registered as compiled
-    :class:`~repro.formats.tiled.TiledTWMatrix` formats plus their
-    per-device plans (:meth:`add_layer`; :meth:`repro.api.CompiledTWModel.serve`
-    does this for a compiled model).  A request's activations flow through
+    :class:`~repro.formats.tiled.TiledTWMatrix` formats (:meth:`add_layer`;
+    :meth:`repro.api.CompiledTWModel.serve` does this for a compiled
+    model).  A request's activations flow through
     every layer in order (``K`` of layer ``l+1`` must equal ``N`` of layer
     ``l``); pruned output columns are exact zeros, so chaining is closed
     under TW execution.
@@ -470,9 +432,6 @@ class TWModelServer:
         )
         self.stats = ServerStats()
         self._layers: list[_Layer] = []
-        #: (layer index, device) -> plan: the model's compiled plans, plus
-        #: any built here for a device the model had none for
-        self._plans: dict[tuple[int, DeviceSpec], ExecutionPlan] = {}
         self._closed = False
         self._pending: deque[_Pending] = deque()
         self._queued_rows = 0
@@ -485,18 +444,11 @@ class TWModelServer:
     # ------------------------------------------------------------------ #
     # model registration
     # ------------------------------------------------------------------ #
-    def add_layer(
-        self,
-        tw: TiledTWMatrix,
-        plans: dict[DeviceSpec, ExecutionPlan] | None = None,
-        *,
-        epilogue=None,
-    ) -> None:
-        """Register one compiled layer and its per-device plans.
+    def add_layer(self, tw: TiledTWMatrix, *, epilogue=None) -> None:
+        """Register one compiled layer.
 
         The server serves ``tw`` itself (never a copy, never a
-        recompaction) and replays ``plans`` for the devices they cover.
-        ``epilogue`` optionally attaches a fused
+        recompaction).  ``epilogue`` optionally attaches a fused
         :class:`~repro.kernels.fusion.EpilogueSpec` that every wave applies
         right after this layer's GEMM (same semantics as
         :meth:`repro.api.CompiledTWModel.run`).
@@ -510,10 +462,7 @@ class TWModelServer:
                 f"layer K={tw.shape[0]} does not chain onto previous "
                 f"layer N={self._layers[-1].tw.shape[1]}"
             )
-        index = len(self._layers)
         self._layers.append(_Layer(tw, epilogue))
-        for device, plan in (plans or {}).items():
-            self._plans[(index, device)] = plan
 
     @property
     def n_layers(self) -> int:
@@ -525,29 +474,15 @@ class TWModelServer:
         """Input width a request row must have (``None`` before layers)."""
         return self._layers[0].tw.shape[0] if self._layers else None
 
-    def shard_layout(self) -> list[str]:
-        """Device slot (``name#index``) owning each layer under the placement."""
-        return self.placement.shard_labels(self.n_layers)
-
     def warm(self) -> None:
-        """Build every plan the placement needs and the model lacks."""
-        for index, devices in enumerate(self.placement.plan_devices(self.n_layers)):
-            for device in devices:
-                self._plan_for(index, device)
+        """Build every layer's tile operands in its compute dtype.
 
-    def _plan_for(self, index: int, device: DeviceSpec) -> ExecutionPlan:
-        plan = self._plans.get((index, device))
-        if plan is not None:
-            self.stats.plan_hits += 1
-            return plan
-        self.stats.plan_misses += 1
-        plan = build_execution_plan(self._layers[index].tw, device)
-        self._plans[(index, device)] = plan
-        return plan
-
-    def stream_imbalance(self) -> list[float]:
-        """Per-plan stream imbalance diagnostics (max/mean work)."""
-        return [p.assignment.imbalance() for p in self._plans.values()]
+        The operands are memoised on the compiled formats (shared with
+        ``run()``), so the first request then only pays the GEMMs.
+        """
+        for layer in self._layers:
+            tw = layer.tw
+            tile_operands(tw, gemm_dtypes(activation_dtype(tw.dtype), tw.dtype)[0])
 
     # ------------------------------------------------------------------ #
     # serving
@@ -714,11 +649,10 @@ class TWModelServer:
         execution fails the executor stops pulling — the unconsumed tail
         stays on ``work`` for the caller.  Expired requests are shed into
         ``served``; a group whose wave cannot even be assembled lands on
-        ``build_failures``.  Plans are resolved on the driver thread
-        inside ``_wave_task``, so ``busy_s`` times GEMM execution only.
-        The first wave is built *outside* the timed region: it builds any
-        plan the model lacked, so ``wall_time_s`` stays an execution
-        measurement even on an unwarmed server.
+        ``build_failures``.  Waves are assembled on the driver thread
+        inside ``_wave_task``, so ``busy_s`` times GEMM execution only; a
+        pass whose groups all expired or failed to build never starts the
+        executor.
         """
 
         def task_stream():
@@ -920,7 +854,7 @@ class TWModelServer:
         self.close()
 
     def _wave_task(self, wave: list[_Pending]) -> WaveTask:
-        """Resolve one wave into device-tagged, plan-carrying work items.
+        """Resolve one wave into device-tagged work items.
 
         The wave's activations are cast once to the activation dtype of
         the compiled formats, by the rule :meth:`repro.api.CompiledTWModel.run`
@@ -934,12 +868,10 @@ class TWModelServer:
         steps = []
         for li, (layer, slot) in enumerate(zip(self._layers, slots)):
             self.stats.format_hits += 1
-            device = self.placement.devices[slot]
             steps.append(
                 WaveStep(
                     layer=li,
                     tw=layer.tw,
-                    plan=self._plan_for(li, device),
                     slot=slot,
                     label=labels[slot],
                     epilogue=layer.epilogue,

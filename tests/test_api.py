@@ -17,7 +17,6 @@ from repro.formats.tiled import TiledTWMatrix
 from repro.gpu.device import T4, V100
 from repro.kernels.masked import tw_gemm
 from repro.runtime.placement import Placement, resolve_placement
-from repro.runtime.scheduler import build_execution_plan
 
 
 @pytest.fixture()
@@ -37,8 +36,7 @@ def _hand_wired(weights, x, sparsity, g):
     a = x
     for i, w in enumerate(weights):
         tw = TiledTWMatrix.from_masks(w, g, step.col_keeps[i], step.row_masks[i])
-        plan = build_execution_plan(tw, V100)
-        a = tw_gemm(a, tw, plan=plan)
+        a = tw_gemm(a, tw)
     return a
 
 
@@ -57,7 +55,7 @@ def _hand_wired_tuned(weights, x, sparsity, g, n_stages, apriori=None):
         tw = TiledTWMatrix.from_masks(
             w, g, result.step.col_keeps[i], result.step.row_masks[i]
         )
-        a = tw_gemm(a, tw, plan=build_execution_plan(tw, V100))
+        a = tw_gemm(a, tw)
     return a
 
 
@@ -249,9 +247,8 @@ class TestPlacement:
         )
         server = model.serve()
         out = server.serve(x).output
-        # compiled formats and per-shard plans are served: zero misses
+        # the compiled formats are served: zero misses
         assert server.stats.format_misses == 0
-        assert server.stats.plan_misses == 0
         np.testing.assert_array_equal(out, model.run(x))
 
     def test_serve_executor_knobs(self, stack):
@@ -266,9 +263,8 @@ class TestPlacement:
         server = model.serve(executor="threaded", workers=2)
         assert isinstance(server.executor, ThreadedExecutor)
         assert server.executor.workers == 2
-        # the threaded path serves the compiled plans and stays bit-identical
+        # the threaded path serves the compiled formats and stays bit-identical
         out = server.serve(x).output
-        assert server.stats.plan_misses == 0
         np.testing.assert_array_equal(out, model.run(x))
         # knobs also override an explicit config
         cfg = ServerConfig(max_wave_rows=64, placement=model.placement)
@@ -504,7 +500,6 @@ class TestTune:
         np.testing.assert_array_equal(
             server.serve(x).output, result.compiled.run(x)
         )
-        assert server.stats.plan_misses == 0
 
 
 class TestTuneFineTuning:

@@ -239,7 +239,9 @@ class TestServe:
         out = capsys.readouterr().out
         assert "threaded" in out
         assert "wall time (measured)" in out
-        assert "parallel efficiency" in out
+        assert "critical path (max device)" in out
+        assert "parallel efficiency" not in out
+        assert "busy/wall" not in out
 
     def test_replicated_threaded_runs_waves_on_both_slots(self, tmp_path, capsys):
         # 2048 x 8-row requests overflow one 8192-row wave (the default
@@ -252,6 +254,9 @@ class TestServe:
             "--stats-json", str(stats), "--expect-all-ok",
         ])
         assert rc == 0
+        # every replica runs every layer (1 block = 6 layers)
+        out = capsys.readouterr().out
+        assert "Tesla V100-SXM2#0:6 Tesla V100-SXM2#1:6" in out
         record = json.loads(stats.read_text())
         assert record["waves"]["count"] == 2
         gemms = record["device_gemms"]

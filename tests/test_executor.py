@@ -26,14 +26,12 @@ from repro.runtime.executor import (
     resolve_executor,
 )
 from repro.runtime.faults import FaultInjector
-from repro.runtime.scheduler import build_execution_plan
 
 
 def _tw_layer(rng, k=24, n=24, g=8, sparsity=0.5):
     dense = rng.standard_normal((k, n))
     step = tw_prune_step([np.abs(dense)], sparsity, TWPruneConfig(granularity=g))
-    tw = TiledTWMatrix.from_masks(dense, g, step.col_keeps[0], step.row_masks[0])
-    return tw, build_execution_plan(tw)
+    return TiledTWMatrix.from_masks(dense, g, step.col_keeps[0], step.row_masks[0])
 
 
 def _latency(seconds):
@@ -48,10 +46,10 @@ def _tasks(rng, n_layers=4, n_waves=3, slots=(0, 0, 1, 1), latency=0.0, k=24):
     for w in range(n_waves):
         steps = tuple(
             WaveStep(
-                layer=i, tw=tw, plan=plan, slot=slots[i % len(slots)],
+                layer=i, tw=tw, slot=slots[i % len(slots)],
                 label=f"dev#{slots[i % len(slots)]}",
             )
-            for i, (tw, plan) in enumerate(layers)
+            for i, tw in enumerate(layers)
         )
         tasks.append(
             WaveTask(index=w, batch=rng.standard_normal((3, k)), steps=steps, faults=faults)
@@ -190,12 +188,11 @@ class TestOverlap:
         rng = np.random.default_rng(6)
         latency = 0.04
         faults = _latency(latency)
-        layers = [_tw_layer(rng)]
+        tw = _tw_layer(rng)
         tasks = []
         for w in range(4):  # waves alternate slots, one segment each
-            (tw, plan) = layers[0]
             steps = (
-                WaveStep(layer=0, tw=tw, plan=plan, slot=w % 2, label=f"dev#{w % 2}"),
+                WaveStep(layer=0, tw=tw, slot=w % 2, label=f"dev#{w % 2}"),
             )
             tasks.append(
                 WaveTask(index=w, batch=rng.standard_normal((3, 24)), steps=steps,

@@ -129,7 +129,6 @@ class TestDtypeMatrix:
             for r in reqs:  # one wave each: replicas alternate
                 server.submit(r)
             served = server.flush()
-            assert server.stats.plan_misses == 0
         for s, r in zip(served, reqs):
             assert s.status == "ok", s
             np.testing.assert_array_equal(s.output, model.run(r))
@@ -174,10 +173,8 @@ class TestFusedEpilogues:
         ws, x = _stack()
         model = _compile(ws, epilogue=name)
         a = np.atleast_2d(x)
-        n = model.n_layers
-        for i, layer in enumerate(model.layers):
-            y = tw_gemm(a, layer.tw, plan=layer.plans.get(
-                model.placement.device_for_layer(i, n)))
+        for layer in model.layers:
+            y = tw_gemm(a, layer.tw)
             a = apply_epilogue(y, layer.epilogue, residual=a, reference=True)
         np.testing.assert_array_equal(model.run(x), a)
 
@@ -187,9 +184,8 @@ class TestFusedEpilogues:
         x = rng.standard_normal((6, 48))
         model = _compile(ws, epilogue="dropout_residual_layernorm")
         a = np.atleast_2d(x)
-        for i, layer in enumerate(model.layers):
-            y = tw_gemm(a, layer.tw, plan=layer.plans.get(
-                model.placement.device_for_layer(i, model.n_layers)))
+        for layer in model.layers:
+            y = tw_gemm(a, layer.tw)
             a = apply_epilogue(y, layer.epilogue, residual=a, reference=True)
         np.testing.assert_array_equal(model.run(x), a)
         np.testing.assert_array_equal(_serve_once(model, x), model.run(x))
@@ -249,14 +245,13 @@ class TestSaveLoadRoundTrip:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_loaded_model_serves_bit_identical_to_run(self, dtype, tmp_path):
-        # load() rebuilds the plans; serving registers the loaded formats
+        # serving registers the loaded formats themselves
         ws, x = _stack()
         back = repro.load(_compile(ws, dtype=dtype).save(tmp_path / "m.npz"))
         with back.serve() as server:
             out = server.serve(x).output
             assert all(s.tw is l.tw for s, l in zip(server._layers, back.layers))
         np.testing.assert_array_equal(out, back.run(x))
-        assert server.stats.plan_misses == 0
 
 
 class TestActivationDtype:

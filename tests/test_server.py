@@ -5,13 +5,13 @@ import pytest
 
 import repro
 from repro.core.tile_sparsity import TWPruneConfig, tw_prune_step
-from repro.kernels.masked import tw_gemm_reference
+from repro.kernels.masked import tw_gemm, tw_gemm_reference
 from repro.formats.tiled import TiledTWMatrix
 from repro.runtime import ServerConfig, ServerStats, TWModelServer
 
 
 def _pruned_layer(rng, k, n, sparsity=0.5, g=8, dtype=np.float64):
-    """One TW-pruned layer, compacted; the server plans it on first use."""
+    """One TW-pruned layer, compacted."""
     dense = rng.standard_normal((k, n))
     step = tw_prune_step([np.abs(dense)], sparsity, TWPruneConfig(granularity=g))
     return TiledTWMatrix.from_masks(
@@ -50,7 +50,6 @@ class TestCaches:
             assert res.status == "ok", res
             np.testing.assert_array_equal(res.output, model.run(x))
         assert server.stats.format_misses == 0
-        assert server.stats.plan_misses == 0
         assert server.stats.format_hits == 6  # 3 layers x 2 waves
         # the server holds the model's own formats, not copies
         assert all(s.tw is m.tw for s, m in zip(server._layers, model.layers))
@@ -60,7 +59,6 @@ class TestCaches:
         server = model.serve()
         try:
             first = server.serve(x)
-            plans_after_first = dict(server._plans)
             second = server.serve(x)
         finally:
             server.close()
@@ -68,19 +66,6 @@ class TestCaches:
         # the second wave looks every layer up again and builds nothing
         assert server.stats.format_hits == 2 * model.n_layers
         assert server.stats.format_misses == 0
-        assert server.stats.plan_misses == 0
-        assert server.stats.plan_hits == 2 * model.n_layers
-        assert server._plans == plans_after_first
-
-    def test_compiled_plans_are_served_as_given(self):
-        from repro.gpu.device import V100
-
-        model, x = _compiled(seed=4)
-        with model.serve() as server:
-            np.testing.assert_array_equal(server.serve(x).output, model.run(x))
-            for i, layer in enumerate(model.layers):
-                assert server._plans[(i, V100)] is layer.plans[V100]
-        assert server.stats.plan_misses == 0
 
     def test_stats_record_has_no_eviction_counters(self):
         model, x = _compiled(seed=5)
@@ -90,29 +75,61 @@ class TestCaches:
         assert not any("eviction" in key for key in caches), caches
         assert caches["format_misses"] == 0
 
-    def test_warm_prebuilds(self):
-        rng = np.random.default_rng(1)
-        server = _server(rng)  # layers registered without plans
-        server.warm()
-        assert server.stats.plan_misses == 2
-        server.serve(rng.standard_normal((2, 24)))
-        assert server.stats.plan_misses == 2
-        assert server.stats.plan_hits >= 2
-        assert server.stats.format_hits == 2
-        assert server.stats.format_misses == 0
+    @pytest.mark.parametrize(
+        "dtype, compute",
+        [("float64", "float64"), ("float32", "float32"),
+         ("float16", "float32"), ("int8", "float32")],
+    )
+    def test_warm_builds_every_tile_operand(self, dtype, compute):
+        model, x = _compiled(seed=1, dtype=dtype)
+        with model.serve() as server:
+            server.warm()
+            memos = []
+            for layer in model.layers:
+                memo = layer.tw.__dict__["_tile_operands"]
+                assert list(memo) == [np.dtype(compute).str]  # one compute dtype
+                operands = memo[np.dtype(compute).str]
+                assert len(operands) == len(layer.tw.tiles)
+                memos.append((operands, [id(op) for op in operands]))
+            res = server.serve(x)
+        assert res.status == "ok", res
+        np.testing.assert_array_equal(res.output, model.run(x))
+        # the first flush built no entry: same lists holding the same operands
+        for layer, (operands, ids) in zip(model.layers, memos):
+            memo = layer.tw.__dict__["_tile_operands"]
+            assert len(memo) == 1
+            assert next(iter(memo.values())) is operands
+            assert [id(op) for op in operands] == ids
 
-    def test_placement_override_plans_missing_devices_once(self):
+    def test_placement_override_serves_without_planning(self, monkeypatch):
+        import repro.api
+        import repro.runtime.batching
+        import repro.runtime.scheduler
+        import repro.runtime.server
         from repro.gpu.device import T4, V100
         from repro.runtime.placement import Placement
 
-        model, x = _compiled(seed=2)  # compiled with V100 plans only
+        model, x = _compiled(seed=2)  # compiled for a single V100
+
+        def no_planning(*args, **kwargs):
+            raise AssertionError("serving must not plan")
+
+        for mod, name in [
+            (repro.api, "build_execution_plan"),
+            (repro.runtime.server, "build_execution_plan"),
+            (repro.runtime.scheduler, "build_execution_plan"),
+            (repro.runtime.scheduler, "assign_streams"),
+            (repro.runtime.batching, "batching_plan"),
+        ]:
+            monkeypatch.setattr(mod, name, no_planning)
         server = model.serve(placement=Placement("replicated", (V100, T4)))
         try:
+            server.warm()
             for _ in range(3):  # waves alternate V100, T4, V100
                 np.testing.assert_array_equal(server.serve(x).output, model.run(x))
-            assert server.stats.plan_misses == model.n_layers  # T4, once each
         finally:
             server.close()
+        assert set(server.stats.device_gemms) == {"Tesla V100-SXM2#0", "Tesla T4#1"}
 
 
 class TestServesCompiledModel:
@@ -133,6 +150,16 @@ class TestServesCompiledModel:
             model.serve(**{name: 1})
         with pytest.raises(TypeError, match=name):
             ServerConfig(**{name: 1})
+
+    def test_removed_plan_arguments_are_rejected(self):
+        # host execution walks the tiles: neither the kernel nor the
+        # server takes a plan
+        model, x = _compiled()
+        layer = model.layers[0]
+        with pytest.raises(TypeError, match="plan"):
+            tw_gemm(x, layer.tw, plan=layer.plans)
+        with pytest.raises(TypeError):
+            TWModelServer().add_layer(layer.tw, layer.plans)
 
     @pytest.mark.parametrize("executor", ["inline", "threaded"])
     def test_unreorganized_model_serves_bit_identical_to_run(self, executor):
@@ -172,7 +199,6 @@ class TestServesCompiledModel:
         for s, r in zip(served, reqs):
             assert s.status == "ok", s
             np.testing.assert_array_equal(s.output, model.run(r))
-        assert server.stats.plan_misses == 0
 
 
 class TestServing:
@@ -238,7 +264,6 @@ class TestServing:
         assert st.requests_per_s() > 0
         assert st.mean_latency_s() > 0
         assert len(st.latencies_s) == 2
-        assert server.stream_imbalance()  # one diagnostic per cached plan
 
     def test_validation(self):
         rng = np.random.default_rng(9)
@@ -285,16 +310,19 @@ class TestServing:
         with pytest.raises(ValueError):
             ServerConfig(workers=0)
 
-    def test_wall_time_and_parallel_efficiency_tracked(self):
+    def test_wall_time_and_critical_path_tracked(self):
         rng = np.random.default_rng(30)
         server = _server(rng)
         server.serve(rng.standard_normal((2, 24)))
         st = server.stats
         assert st.wall_time_s > 0
-        assert st.measured_speedup() > 0
-        assert 0 < st.parallel_efficiency() <= 1.5  # inline ~= serial
-        assert ServerStats().parallel_efficiency() == 0.0
-        assert ServerStats().measured_speedup() == 0.0
+        # inline runs one slot: its busy time is the whole critical path
+        assert st.critical_path_s() == st.busy_s > 0
+        record = st.record()
+        assert record["wall_time_s"] == round(st.wall_time_s, 6)
+        assert "measured_speedup" not in record
+        assert "parallel_efficiency" not in record
+        assert ServerStats().critical_path_s() == 0.0
 
     def test_latency_fault_floors_served_busy_time(self):
         # serving reports measured host time: a sleep injected inside each
@@ -350,7 +378,6 @@ class TestPlacementServing:
             got = sharded.serve(r).output
             want = single.serve(r).output
             np.testing.assert_array_equal(got, want)  # bit-identical
-        assert set(sharded.shard_layout()) == {"Tesla V100-SXM2#0", "Tesla T4#1"}
         assert set(sharded.stats.device_gemms) == {"Tesla V100-SXM2#0", "Tesla T4#1"}
         assert sharded.stats.device_gemms["Tesla V100-SXM2#0"] == 8  # 2 layers x 4 waves
         assert sharded.stats.critical_path_s() <= sharded.stats.busy_s
@@ -389,7 +416,7 @@ class TestPlacementServing:
         assert isinstance(threaded.executor, ThreadedExecutor)
         assert threaded.executor.workers == 3
 
-    def test_warm_builds_all_shard_plans(self):
+    def test_replicas_share_warmed_operands(self):
         from repro.gpu.device import T4, V100
         from repro.runtime.placement import Placement
 
@@ -402,9 +429,12 @@ class TestPlacementServing:
             ),
         )
         server.warm()
-        assert server.stats.plan_misses == 6  # 3 layers x 2 replica devices
-        server.serve(rng.standard_normal((2, 24)))
-        assert server.stats.plan_misses == 6  # serving replays the cache
+        warmed = [tw.__dict__["_tile_operands"][np.dtype(np.float64).str] for tw in layers]
+        for _ in range(2):  # one wave on each replica
+            server.serve(rng.standard_normal((2, 24)))
+        assert len(server.stats.device_gemms) == 2
+        for tw, operands in zip(layers, warmed):
+            assert tw.__dict__["_tile_operands"] == {np.dtype(np.float64).str: operands}
 
 
 class TestExecutorInvariance:
