@@ -39,8 +39,8 @@ future PR has a perf trajectory to regress against:
   micro-batched vs sequential throughput.
 - **server_parallel** — the BERT-base encoder layer stack compiled through
   ``repro.compile`` and served under each placement (``single`` on
-  ``inline``; ``replicated`` x2 and ``layer_sharded`` x2 on ``inline`` and
-  ``threaded``) in 64-row waves of four 16-row requests: median flush
+  ``inline``; ``replicated`` x2 on ``inline`` and ``threaded``) in 64-row
+  waves of four 16-row requests: median flush
   wall-time per executor, the measured ``wall_speedup_vs_inline`` (no
   floor), per-slot GEMM counts, and the busy/critical-path ``headroom``
   from measured slot busy time.  Every output is asserted bit-identical
@@ -407,9 +407,6 @@ def _parallel_case(
     placements = {
         "single": (Placement("single", (V100,)), ("inline",)),
         "replicated_x2": (Placement("replicated", (V100, V100)), ("inline", "threaded")),
-        "layer_sharded_x2": (
-            Placement("layer_sharded", (V100, V100)), ("inline", "threaded")
-        ),
     }
     rng = np.random.default_rng(9)
     reqs = [

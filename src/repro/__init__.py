@@ -22,9 +22,9 @@ Multi-device placement (the serving scale-out axis)::
     from repro.gpu.device import V100
     from repro.runtime.placement import Placement
 
-    sharded = repro.compile(
-        weights, placement=Placement("layer_sharded", (V100, V100)))
-    server = sharded.serve()              # waves flow shard to shard
+    replicated = repro.compile(
+        weights, placement=Placement("replicated", (V100, V100)))
+    server = replicated.serve(executor="threaded")  # waves alternate slots
 
 Training-time pruning (the paper's accuracy procedure) has its own front
 door, terminating in the same compiled artifact::
@@ -35,7 +35,7 @@ door, terminating in the same compiled artifact::
     server = result.compiled.serve()      # tune → compile → serve
 
 Patterns (``tw ew vw bw nm``), engines (``tensor_core cuda_core``),
-placements (``single replicated layer_sharded``), schedules
+placements (``single replicated``), schedules
 (``gradual oneshot``) and importance metrics (``taylor magnitude``) are
 string-registry entries — see :mod:`repro.patterns.registry`,
 :mod:`repro.runtime.placement`, :mod:`repro.core.schedule` and

@@ -34,7 +34,7 @@ Patterns (``tw``, ``ew``, ``vw``, ``bw``, ``nm``), engines
 importance metrics (``taylor``, ``magnitude``) are resolved through string
 registries (:mod:`repro.patterns.registry`, :mod:`repro.core.schedule`,
 :mod:`repro.core.importance`); multi-device placement (``single``,
-``replicated``, ``layer_sharded``) through
+``replicated``) through
 :mod:`repro.runtime.placement` — every new entry is a registry
 registration, not a new code path.
 
@@ -259,10 +259,6 @@ class CompiledTWModel:
                 "pass weight matrices (or an repro.nn module) to repro.compile() "
                 "to get an executable model"
             )
-
-    def shard_layout(self) -> list[str]:
-        """Device slot (``name#index``) owning each layer under the placement."""
-        return self.placement.shard_labels(self.n_layers)
 
     def prune_report(self) -> dict:
         """What pruning kept: per-layer and overall sparsity, tile geometry."""
@@ -588,7 +584,6 @@ class CompiledTWModel:
             tuple(DeviceSpec(**d) for d in meta["devices"]),
         )
         layers = []
-        n = len(raw_layers)
         for i, raw in enumerate(raw_layers):
             tw: TiledTWMatrix = raw["tw"]
             dense = tw.to_dense()
@@ -600,7 +595,7 @@ class CompiledTWModel:
                     col_keep=raw["col_keep"],
                     row_masks=tuple(raw["row_masks"]),
                     tw=tw,
-                    plans=_build_plans(tw, placement, i, n),
+                    plans=_build_plans(tw, placement),
                     epilogue=_epilogue_from_dict(raw.get("epilogue")),
                 )
             )
@@ -685,12 +680,9 @@ def _layer_epilogues(
     return specs
 
 
-def _build_plans(
-    tw: TiledTWMatrix, placement: Placement, layer: int, n_layers: int
-) -> dict[DeviceSpec, ExecutionPlan]:
-    """Execution plans for every device this layer may run on."""
-    devices = placement.plan_devices(n_layers)[layer] if n_layers else ()
-    return {d: build_execution_plan(tw, d) for d in devices}
+def _build_plans(tw: TiledTWMatrix, placement: Placement) -> dict[DeviceSpec, ExecutionPlan]:
+    """Execution plans for every device of the placement (any slot runs any wave)."""
+    return {d: build_execution_plan(tw, d) for d in placement.devices}
 
 
 def _tw_layer(
@@ -701,8 +693,6 @@ def _tw_layer(
     row_masks: list[np.ndarray],
     mask: np.ndarray,
     placement: Placement,
-    index: int,
-    n_layers: int,
     dtype,
     epilogue: EpilogueSpec | None = None,
 ) -> CompiledLayer:
@@ -725,7 +715,7 @@ def _tw_layer(
         col_keep=col_keep,
         row_masks=tuple(row_masks),
         tw=tw,
-        plans=_build_plans(tw, placement, index, n_layers),
+        plans=_build_plans(tw, placement),
         epilogue=epilogue,
     )
 
@@ -846,7 +836,6 @@ def compile(
     if len(score_mats) != len(weights):
         raise ValueError(f"{len(score_mats)} score matrices for {len(weights)} weights")
 
-    n = len(weights)
     layers: list[CompiledLayer] = []
     epilogues = _layer_epilogues(epilogue, weights, dtype)
     if pattern == "tw":
@@ -857,7 +846,7 @@ def compile(
             layers.append(
                 _tw_layer(
                     w, layer_names[i], cfg, step.col_keeps[i],
-                    step.row_masks[i], step.masks[i], placement, i, n, dtype,
+                    step.row_masks[i], step.masks[i], placement, dtype,
                     epilogue=epilogues[i],
                 )
             )
@@ -1273,11 +1262,10 @@ def tune(
 
         final_weights = [np.array(w) for w in model.weight_matrices()]
         _, layer_names = _normalize_weights(final_weights, names)
-        n = len(final_weights)
         layers = [
             _tw_layer(
                 w, layer_names[i], cfg, step.col_keeps[i],
-                step.row_masks[i], step.masks[i], placement, i, n, dtype,
+                step.row_masks[i], step.masks[i], placement, dtype,
             )
             for i, w in enumerate(final_weights)
         ]

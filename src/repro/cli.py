@@ -13,7 +13,7 @@ Usage (``python -m repro <command> ...``):
   simulated V100, GEMM-only and end-to-end;
 - ``sweep``   — print a speedup-vs-sparsity table for one pattern;
 - ``serve``   — stand up a :class:`~repro.runtime.server.TWModelServer`
-  over a demo weight stack, optionally sharded/replicated across devices
+  over a demo weight stack, optionally replicated across devices
   (``--executor threaded`` overlaps the device slots in wall-time), and
   report throughput, busy time and measured wall time;
 - ``info``    — show the device spec, calibration constants and registry
@@ -52,7 +52,7 @@ _DTYPES = ("float64", "float32", "float16", "int8")
 _PRICE_PATTERNS = sorted(set(available_patterns()) | {"dense", "tew"})
 _SWEEP_PATTERNS = sorted(set(available_patterns()) | {"tew"})
 _TUNE_PATTERNS = sorted(set(available_patterns()) | {"tew"})
-_PLACEMENTS = ("single", "replicated", "layer_sharded")
+_PLACEMENTS = ("single", "replicated")
 #: ``repro serve`` server flags default to ServerConfig's own defaults,
 #: and ServerConfig validates them
 _SERVER = ServerConfig()
@@ -156,9 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="wave executor: inline (sequential oracle) "
                               "or threaded (worker threads overlap device "
                               "slots)")
-    p_serve.add_argument("--workers", type=int, default=_SERVER.workers,
-                         help="worker cap for --executor threaded "
-                              "(default: one per device slot)")
     p_serve.add_argument("--max-retries", type=int, default=_SERVER.max_retries,
                          help="re-execution budget per failed wave group "
                               "before bisection isolates the poison request")
@@ -475,7 +472,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         server = model.serve(
             executor=args.executor,
-            workers=args.workers,
             max_retries=args.max_retries,
             max_queue_rows=args.max_queue_rows,
             shed_policy=args.shed_policy,
@@ -513,10 +509,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ["achieved sparsity", model.achieved_sparsity],
         ["placement", f"{placement.kind} x{placement.n_devices}"],
         ["executor", server.executor.describe()],
-        ["shard layout", " ".join(
-            f"{name}:{n}"
-            for name, n in _slot_layer_counts(server.placement, server.n_layers)
-        )],
         ["requests", st.requests],
         ["rows", st.rows],
         ["waves", st.batches],
@@ -626,19 +618,6 @@ def _request_dtype(dtype: str) -> str:
     """The dtype request activations travel in: ``int8`` models quantise
     weights only, so their requests stay ``float32``."""
     return str(activation_dtype(dtype))
-
-
-def _slot_layer_counts(placement, n_layers: int) -> list[tuple[str, int]]:
-    """Layers each device slot runs; a ``replicated`` slot runs them all."""
-    from collections import Counter
-
-    labels = placement.device_labels()
-    runs = {
-        (slot, layer)
-        for wave in range(placement.n_devices)
-        for layer, slot in enumerate(placement.wave_slots(wave, n_layers))
-    }
-    return sorted(Counter(labels[slot] for slot, _ in runs).items())
 
 
 def _info_record() -> dict:

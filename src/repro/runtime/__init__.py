@@ -32,13 +32,13 @@ Modules
 - :mod:`repro.runtime.batching` — cross-tile batching plans;
 - :mod:`repro.runtime.scheduler` — stream assignment + execution plans;
 - :mod:`repro.runtime.placement` — multi-device placement policies
-  (``single`` / ``replicated`` / ``layer_sharded``);
+  (``single`` / ``replicated``): which device slot runs each wave;
 - :mod:`repro.runtime.executor` — pluggable wave executors
-  (``inline`` / ``threaded``): how the placement's device→work mapping
-  actually runs in wall-time (bit-identical outputs in every case;
-  ``inline`` is the standing oracle);
+  (``inline`` / ``threaded``): how placed waves actually run in
+  wall-time (bit-identical outputs in every case; ``inline`` is the
+  standing oracle);
 - :mod:`repro.runtime.faults` — seeded, deterministic fault injection
-  (``exception`` / ``latency`` / ``stall``) keyed by
+  (``exception`` / ``latency``) keyed by
   ``(wave, layer, slot)`` sites, for chaos testing the serving path;
 - :mod:`repro.runtime.server` — :class:`TWModelServer`, the serving layer
   that serves a compiled model's formats, micro-batches

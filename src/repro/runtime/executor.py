@@ -1,22 +1,20 @@
 """Pluggable wave executors: how placed work actually runs.
 
-:class:`~repro.runtime.placement.Placement` decides *where* each layer of a
-micro-batch wave runs (the device→work mapping,
-:meth:`~repro.runtime.placement.Placement.wave_slots`); an :class:`Executor`
-decides *how* that mapping executes in wall-time:
+:class:`~repro.runtime.placement.Placement` decides *where* each
+micro-batch wave runs — one device slot per wave
+(:meth:`~repro.runtime.placement.Placement.slot_for_wave`); an
+:class:`Executor` decides *how* waves execute in wall-time:
 
 - ``inline``   — every wave's layers run sequentially on the calling
   thread.  The bit-identity oracle ``threaded`` is tested against.
 - ``threaded`` — one worker thread per device slot.  Waves bound for
-  different slots (``replicated``) run concurrently, and under
-  ``layer_sharded`` successive waves *stream* through the shard pipeline.
-  NumPy GEMMs release the GIL, so on a multi-core host the overlap is
-  real compute overlap.
+  different slots (``replicated``) run concurrently.  NumPy GEMMs release
+  the GIL, so on a multi-core host the overlap is real compute overlap.
 
 ``threaded`` runs on a single-threaded event loop (:class:`_Driver`) that
-pulls waves lazily, bounds the in-flight window, forwards each wave's
-per-slot segments from worker to worker, runs the watchdog, discards late
-results, and respawns stalled workers.
+pulls waves lazily, bounds the in-flight window, hands each wave whole to
+its slot's worker, runs the watchdog, discards late results, and respawns
+stalled workers.
 
 Oracle contract
 ---------------
@@ -83,17 +81,14 @@ EXECUTORS = Registry("executor")
 
 @dataclass(frozen=True)
 class WaveStep:
-    """One layer of one wave, tagged with the device slot that runs it.
+    """One layer of a wave: the compiled format and its optional epilogue.
 
-    The placement emits the ``(layer, slot)`` mapping; the server attaches
-    the compiled format; the executor only ever consumes these
-    finished work items.
+    The same for every wave, so the server builds its steps once, at
+    :meth:`~repro.runtime.server.TWModelServer.add_layer`.
     """
 
     layer: int
     tw: TiledTWMatrix
-    slot: int
-    label: str
     #: optional fused non-GEMM consumer applied right after this step's
     #: GEMM, inside the wave task (the step's input activations serve as
     #: the residual stream); its time counts in the slot's busy accounting
@@ -102,62 +97,54 @@ class WaveStep:
 
 @dataclass(frozen=True)
 class WaveTask:
-    """One micro-batch wave: stacked activations + its device-tagged steps.
+    """One micro-batch wave: stacked activations, its steps, and its slot.
 
-    ``faults`` optionally carries the server's
-    :class:`~repro.runtime.faults.FaultInjector`: attaching the schedule
-    to the task keeps executors config-free and guarantees every executor
-    consults the same schedule at the same ``(wave index, layer, slot)``
-    sites.
+    ``slot`` is the device slot that runs every step (the placement's
+    :meth:`~repro.runtime.placement.Placement.slot_for_wave`) and
+    ``label`` its stats name (``name#slot``).  ``faults`` optionally
+    carries the server's :class:`~repro.runtime.faults.FaultInjector`:
+    attaching the schedule to the task keeps executors config-free and
+    guarantees every executor consults the same schedule at the same
+    ``(wave index, layer, slot)`` sites.
     """
 
     index: int
     batch: np.ndarray
     steps: tuple[WaveStep, ...]
+    slot: int = 0
+    label: str = "slot#0"
     faults: FaultInjector | None = None
 
 
 @dataclass
 class WaveResult:
-    """One executed wave: output + measured per-slot occupancy.
+    """One executed wave: output + measured occupancy of the slot that ran it.
 
-    ``busy_by_label``/``gemms_by_label`` are keyed by the placement's slot
-    labels (``name#slot``); ``started_at``/``done_at`` are ``perf_counter``
-    timestamps bracketing the wave's executor service — ``started_at`` is
-    set when the wave is launched into its executor, so the server can
-    split request latency into queue wait (``started_at - submit time``)
-    and wave service (``done_at - started_at``).
+    ``label`` is the wave's slot label (``name#slot``); ``busy_s`` and
+    ``gemms`` are that slot's measured step time and GEMM count for this
+    wave.  ``started_at``/``done_at`` are ``perf_counter`` timestamps
+    bracketing the wave's executor service — ``started_at`` is set when
+    the wave is launched into its executor, so the server can split
+    request latency into queue wait (``started_at - submit time``) and
+    wave service (``done_at - started_at``).
 
     ``error`` records a step failure instead of raising from the
     executor: the caller can then account the work that *did* complete —
-    including this wave's pre-failure steps, whose busy/gemm numbers are
-    already merged in — before surfacing the error.
+    this wave's pre-failure steps are already counted in ``busy_s`` and
+    ``gemms`` — before surfacing the error.
     """
 
     output: np.ndarray
-    busy_by_label: dict[str, float] = field(default_factory=dict)
-    gemms_by_label: dict[str, int] = field(default_factory=dict)
+    label: str = "slot#0"
+    busy_s: float = 0.0
+    gemms: int = 0
     started_at: float = 0.0
     done_at: float = 0.0
     error: BaseException | None = None
 
-    def merge(self, busy: dict[str, float], gemms: dict[str, int]) -> None:
-        """Add one segment's per-slot occupancy into this wave's totals."""
-        for label, t in busy.items():
-            self.busy_by_label[label] = self.busy_by_label.get(label, 0.0) + t
-        for label, n in gemms.items():
-            self.gemms_by_label[label] = self.gemms_by_label.get(label, 0) + n
 
-
-def _execute_steps(
-    a: np.ndarray,
-    steps,
-    result: WaveResult,
-    *,
-    wave_index: int = 0,
-    faults: FaultInjector | None = None,
-) -> np.ndarray:
-    """Run ``steps`` sequentially on ``a``, timing slot occupancy.
+def _execute_steps(task: WaveTask, result: WaveResult) -> np.ndarray:
+    """Run ``task``'s steps sequentially on its batch, timing slot occupancy.
 
     Shared by every executor so the math — and therefore the output bits —
     cannot diverge between them.  The optional fault injector is consulted
@@ -166,15 +153,17 @@ def _execute_steps(
     latency spike shows up in the slot's busy accounting like any real
     slow step would.
     """
-    for step in steps:
+    a = task.batch
+    for step in task.steps:
         t0 = time.perf_counter()
-        if faults is not None:
-            faults.before_step(wave_index, step.layer, step.slot)
+        if task.faults is not None:
+            task.faults.before_step(task.index, step.layer, task.slot)
         y = tw_gemm(a, step.tw)
         if step.epilogue is not None:
             y = apply_epilogue(y, step.epilogue, residual=a)
         a = y
-        result.merge({step.label: time.perf_counter() - t0}, {step.label: 1})
+        result.busy_s += time.perf_counter() - t0
+        result.gemms += 1
     return a
 
 
@@ -216,16 +205,12 @@ class InlineExecutor(Executor):
     def run(self, tasks) -> list[WaveResult]:
         results = []
         for task in tasks:  # lazy: one wave materialised at a time
-            result = WaveResult(output=task.batch, started_at=time.perf_counter())
+            result = WaveResult(
+                output=task.batch, label=task.label, started_at=time.perf_counter()
+            )
             results.append(result)
             try:
-                result.output = _execute_steps(
-                    task.batch,
-                    task.steps,
-                    result,
-                    wave_index=task.index,
-                    faults=task.faults,
-                )
+                result.output = _execute_steps(task, result)
             except (KeyboardInterrupt, SystemExit):
                 raise  # never swallow an interpreter-level shutdown
             except BaseException as exc:
@@ -236,44 +221,42 @@ class InlineExecutor(Executor):
         return results
 
 
-def _run_segment(seg) -> tuple:
-    """Execute one wave segment on a worker thread; never raises.
+def _run_wave(ti: int, task: WaveTask) -> tuple:
+    """Execute one wave on a worker thread; never raises.
 
-    ``seg`` is ``(ti, seg_idx, wave_index, a, steps, faults)``.  The reply
-    is ``(ti, seg_idx, error, output, busy_by_label, gemms_by_label)``.
+    The reply is ``(ti, error, output, busy_s, gemms)``; the worker times
+    into a scratch result, so a late reply can never touch the driver's.
     """
-    ti, seg_idx, wave_index, a, steps, faults = seg
-    scratch = WaveResult(output=a)
+    scratch = WaveResult(output=task.batch)
     error = out = None
     try:
-        out = _execute_steps(a, steps, scratch, wave_index=wave_index, faults=faults)
+        out = _execute_steps(task, scratch)
     except BaseException as exc:
         error = exc  # recorded, not raised: a worker thread must outlive any failure
-    return (ti, seg_idx, error, out, scratch.busy_by_label, scratch.gemms_by_label)
+    return (ti, error, out, scratch.busy_s, scratch.gemms)
 
 
-#: segments a worker thread may hold at once: two, so a thread starts its
-#: next segment without a round trip through the driver loop
+#: waves a worker thread may hold at once: two, so a thread starts its
+#: next wave without a round trip through the driver loop
 _DEPTH = 2
 
 
 class _Driver:
     """One ``run()`` of :class:`ThreadedExecutor`: a single-threaded event loop.
 
-    Only the driver touches this state — no locks.  Contracts:
+    Only the driver touches this state — no locks.  Worker ``w`` serves
+    device slot ``w``.  Contracts:
 
     - **lazy pull, bounded window**: a wave is pulled from the iterable
-      only while fewer than ``limit()`` waves are in flight, and pulling
-      stops after the first failure (the tail stays with the caller);
-    - **segments**: a wave's steps group into contiguous per-worker
-      segments; finishing one forwards the activations to the next
-      segment's worker;
-    - **bounded per-worker depth**: at most :data:`_DEPTH` segments are
+      only while fewer than ``2 ×`` the slots seen so far are in flight,
+      and pulling stops after the first failure (the tail stays with the
+      caller);
+    - **bounded per-worker depth**: at most :data:`_DEPTH` waves are
       handed to a worker at once; the rest queue here;
     - **watchdog and respawn**: a wave older than ``watchdog_s`` fails
       with :class:`TimeoutError` and the worker holding it is respawned;
     - **late results are discarded**: a reply that is not its worker's
-      oldest outstanding segment (an abandoned worker waking up) or that
+      oldest outstanding wave (an abandoned worker waking up) or that
       belongs to a terminal wave is dropped.
     """
 
@@ -282,31 +265,11 @@ class _Driver:
         self.channel: queue.SimpleQueue = queue.SimpleQueue()  # this run's replies
         self.tasks: list[WaveTask] = []
         self.results: list[WaveResult] = []
-        self.segments: list[list[tuple[int, list[WaveStep]]]] = []
         self.terminal: list[bool] = []
-        self.worker_of: dict[int, int] = {}  # slot -> worker
-        self.ready: dict[int, deque] = {}    # worker -> queued segments
-        #: worker -> segments handed to it, oldest first: (ti, seg_idx, a)
-        self.outstanding: dict[int, deque] = {}
+        self.ready: dict[int, deque] = {}        # worker -> queued wave indices
+        self.outstanding: dict[int, deque] = {}  # worker -> handed-out waves, oldest first
         self.in_flight = 0
         self.failed = False
-
-    def worker_for(self, slot: int) -> int:
-        hit = self.worker_of.get(slot)
-        if hit is not None:
-            return hit
-        idx = len(self.worker_of)
-        w = idx if self.ex.workers is None else idx % self.ex.workers
-        self.ex._ensure_workers(w + 1)
-        self.worker_of[slot] = w
-        self.ready.setdefault(w, deque())
-        self.outstanding.setdefault(w, deque())
-        return w
-
-    def limit(self) -> int:
-        if self.ex.inflight:
-            return self.ex.inflight
-        return 2 * max(1, len(self.ready))
 
     def drive(self, tasks) -> list[WaveResult]:
         it = iter(tasks)
@@ -314,7 +277,11 @@ class _Driver:
         while True:
             # the failure check precedes the pull: a pulled task is always
             # launched, so every task handed out gets a result
-            while not exhausted and not self.failed and self.in_flight < self.limit():
+            while (
+                not exhausted
+                and not self.failed
+                and self.in_flight < 2 * max(1, len(self.ready))
+            ):
                 task = next(it, None)
                 if task is None:
                     exhausted = True
@@ -328,36 +295,31 @@ class _Driver:
 
     def launch(self, task: WaveTask) -> None:
         ti = len(self.results)
-        segs: list[tuple[int, list[WaveStep]]] = []
-        for step in task.steps:
-            w = self.worker_for(step.slot)
-            if not segs or segs[-1][0] != w:
-                segs.append((w, []))
-            segs[-1][1].append(step)
         self.tasks.append(task)
-        self.results.append(WaveResult(output=task.batch, started_at=time.perf_counter()))
-        self.segments.append(segs)
+        self.results.append(
+            WaveResult(output=task.batch, label=task.label, started_at=time.perf_counter())
+        )
         self.terminal.append(False)
         self.in_flight += 1
-        if segs:
-            self.enqueue(segs[0][0], ti, 0, task.batch)
-        else:  # degenerate zero-layer wave: pass the batch through
+        if not task.steps:  # degenerate zero-layer wave: pass the batch through
             self.finish(ti)
-
-    def enqueue(self, w: int, ti: int, seg_idx: int, a) -> None:
-        self.ready[w].append((ti, seg_idx, a))
+            return
+        w = task.slot
+        if w not in self.ready:
+            self.ex._ensure_workers(w + 1)
+            self.ready[w] = deque()
+            self.outstanding[w] = deque()
+        self.ready[w].append(ti)
         self.pump(w)
 
     def pump(self, w: int) -> None:
-        """Hand worker ``w`` queued segments up to :data:`_DEPTH`."""
+        """Hand worker ``w`` queued waves up to :data:`_DEPTH`."""
         while len(self.outstanding[w]) < _DEPTH and self.ready[w]:
-            ti, seg_idx, a = self.ready[w].popleft()
+            ti = self.ready[w].popleft()
             if self.terminal[ti]:
                 continue  # watchdog already failed this wave; skip stale work
-            task = self.tasks[ti]
-            seg = (ti, seg_idx, task.index, a, self.segments[ti][seg_idx][1], task.faults)
-            self.ex._queues[w].put((self.channel, w, seg))
-            self.outstanding[w].append((ti, seg_idx, a))
+            self.ex._queues[w].put((self.channel, w, ti, self.tasks[ti]))
+            self.outstanding[w].append(ti)
 
     def finish(self, ti: int) -> None:
         if self.terminal[ti]:
@@ -371,14 +333,14 @@ class _Driver:
     def crash(self, w: int, error: BaseException) -> None:
         """Replace a condemned worker; fail the wave it was running.
 
-        Segments handed to the worker behind the running one never ran:
-        they go back to the front of its queue for the replacement.
+        Waves handed to the worker behind the running one never ran: they
+        go back to the front of its queue for the replacement.
         """
         out = self.outstanding[w]
         self.outstanding[w] = deque()
         self.ex._respawn(w)
         if out:
-            ti = out.popleft()[0]
+            ti = out.popleft()
             if not self.terminal[ti]:
                 self.results[ti].error = error
                 self.finish(ti)
@@ -386,22 +348,19 @@ class _Driver:
         self.pump(w)
 
     def handle(self, w: int, reply) -> None:
-        ti, seg_idx, error, out, busy, gemms = reply
+        ti, error, out, busy_s, gemms = reply
         held = self.outstanding.get(w)
-        if not held or held[0][:2] != (ti, seg_idx):
+        if not held or held[0] != ti:
             return  # late reply from an abandoned worker
         held.popleft()
         if not self.terminal[ti]:
             result = self.results[ti]
-            result.merge(busy, gemms)
-            if error is not None:
-                result.error = error
-                self.finish(ti)
-            elif seg_idx + 1 < len(self.segments[ti]):
-                self.enqueue(self.segments[ti][seg_idx + 1][0], ti, seg_idx + 1, out)
-            else:
+            result.busy_s += busy_s
+            result.gemms += gemms
+            result.error = error
+            if error is None:
                 result.output = out
-                self.finish(ti)
+            self.finish(ti)
         self.pump(w)
 
     def poll(self) -> None:
@@ -433,14 +392,14 @@ class _Driver:
                 f"wave {self.tasks[ti].index} stalled past the {wd:g}s watchdog"
             )
             stalled_on = next(
-                (w for w, out in self.outstanding.items() if out and out[0][0] == ti),
+                (w for w, out in self.outstanding.items() if out and out[0] == ti),
                 None,
             )
             if stalled_on is not None:
                 self.crash(stalled_on, err)
             else:
                 # queued behind a stalled sibling: fail it in place; its
-                # queued segments are skipped, its late replies dropped
+                # queued entry is skipped, its late reply dropped
                 result.error = err
                 self.finish(ti)
 
@@ -448,23 +407,16 @@ class _Driver:
 class ThreadedExecutor(Executor):
     """One persistent daemon worker thread per device slot, run by :class:`_Driver`.
 
-    Each worker thread reads ``(reply channel, worker index, segment)``
-    items from its own queue and puts its reply on the run's channel, so
-    persistent threads serve successive ``run`` calls (one at a time).  A
-    respawn empties the stalled thread's queue, retires the thread (it
-    exits after its current segment) and starts a fresh one on a fresh
-    queue; its late reply, if any, no longer matches the driver's
-    bookkeeping and is discarded.
+    Each worker thread reads ``(reply channel, worker index, wave index,
+    task)`` items from its own queue and puts its reply on the run's
+    channel, so persistent threads serve successive ``run`` calls (one at
+    a time).  Workers spawn on a slot's first wave.  A respawn empties the
+    stalled thread's queue, retires the thread (it exits after its current
+    wave) and starts a fresh one on a fresh queue; its late reply, if any,
+    no longer matches the driver's bookkeeping and is discarded.
 
     Parameters
     ----------
-    workers:
-        Cap on workers.  ``None`` (default) = one per device slot seen in
-        the submitted waves (spawned on first use).  Fewer workers than
-        slots folds slots onto workers round-robin.
-    inflight:
-        Bound on concurrently admitted waves (default ``2 ×`` the workers
-        active in the run).
     watchdog_s:
         Wall-time bound on any single wave (default 60s); ``None``/``0``
         disables it.
@@ -472,17 +424,7 @@ class ThreadedExecutor(Executor):
 
     name = "threaded"
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        inflight: int | None = None,
-        watchdog_s: float | None = 60.0,
-    ) -> None:
-        found = [
-            f"{name} must be a positive int or None, got {value!r}"
-            for name, value in (("workers", workers), ("inflight", inflight))
-            if value is not None and (not isinstance(value, int) or value < 1)
-        ]
+    def __init__(self, watchdog_s: float | None = 60.0) -> None:
         try:
             watchdog_ok = watchdog_s is None or (
                 np.isfinite(float(watchdog_s)) and float(watchdog_s) >= 0
@@ -490,25 +432,14 @@ class ThreadedExecutor(Executor):
         except (TypeError, ValueError):
             watchdog_ok = False
         if not watchdog_ok:
-            found.append(
-                f"watchdog_s must be finite and >= 0 (0/None disables), "
-                f"got {watchdog_s!r}"
-            )
-        if found:
-            # one error naming every invalid option, not the first one only
             raise ValueError(
-                f"invalid options for executor {self.name!r}: " + "; ".join(found)
+                f"invalid options for executor {self.name!r}: watchdog_s must be "
+                f"finite and >= 0 (0/None disables), got {watchdog_s!r}"
             )
-        self.workers = workers
-        self.inflight = inflight
         self.watchdog_s = float(watchdog_s) if watchdog_s else None  # 0 → disabled
         self._queues: list[queue.SimpleQueue] = []
         self._threads: list[threading.Thread] = []
         self._spawn_lock = threading.Lock()
-
-    def describe(self) -> str:
-        w = self.workers if self.workers is not None else "per-slot"
-        return f"{self.name}(workers={w})"
 
     def run(self, tasks) -> list[WaveResult]:
         return _Driver(self).drive(tasks)
@@ -520,8 +451,8 @@ class ThreadedExecutor(Executor):
             if item is None:
                 return  # close() or respawn retired this thread
             try:
-                reply_to, w, seg = item
-                reply_to.put((w, _run_segment(seg)))
+                reply_to, w, ti, task = item
+                reply_to.put((w, _run_wave(ti, task)))
             except Exception:
                 continue  # malformed item: drop it, keep the worker alive
 
@@ -561,8 +492,8 @@ def _factory(cls):
     """Registry factory for ``cls`` that rejects options it does not accept.
 
     ``None``-valued options mean "executor default" and are dropped, so
-    ``EXECUTORS.create("inline", workers=None)`` works while
-    ``EXECUTORS.create("inline", workers=3)`` is an error, not a no-op.
+    ``EXECUTORS.create("inline", watchdog_s=None)`` works while
+    ``EXECUTORS.create("inline", watchdog_s=3)`` is an error, not a no-op.
     """
     accepted = set(inspect.signature(cls).parameters)
 
@@ -589,31 +520,27 @@ def available_executors() -> list[str]:
 def resolve_executor(
     executor: "Executor | str | None",
     *,
-    workers: int | None = None,
-    inflight: int | None = None,
     watchdog_s: float | None = None,
 ) -> Executor:
     """Normalise an ``executor=`` argument to a ready :class:`Executor`.
 
-    Accepts a ready instance (``workers``/``inflight``/``watchdog_s``
-    must then be ``None`` — they belong to the instance), a registry
-    name, or ``None`` (inline).  Only the options actually given are
-    forwarded, and factories reject options they do not accept —
-    ``resolve_executor("inline", workers=3)`` is an error, not a no-op.
+    Accepts a ready instance (``watchdog_s`` must then be ``None`` — it
+    belongs to the instance), a registry name, or ``None`` (inline).  The
+    watchdog is forwarded only when given, and factories reject options
+    they do not accept — ``resolve_executor("inline", watchdog_s=3)`` is
+    an error, not a no-op.
     """
     if executor is None:
         executor = "inline"
     if isinstance(executor, Executor):
-        if workers is not None or inflight is not None or watchdog_s is not None:
+        if watchdog_s is not None:
             raise ValueError(
-                "pass workers/inflight/watchdog_s to the Executor "
-                "constructor, not alongside a ready instance"
+                "pass watchdog_s to the Executor constructor, not alongside "
+                "a ready instance"
             )
         return executor
     if isinstance(executor, str):
-        return EXECUTORS.create(
-            executor, workers=workers, inflight=inflight, watchdog_s=watchdog_s
-        )
+        return EXECUTORS.create(executor, watchdog_s=watchdog_s)
     raise TypeError(
         f"executor must be an Executor instance, a registry name "
         f"({', '.join(available_executors())}) or None, "

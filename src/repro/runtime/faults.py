@@ -10,12 +10,11 @@ sites identified by ``(wave index, layer, slot)``:
 - ``exception`` — raise :class:`InjectedFault` *before* the step's GEMM
   runs (a failing kernel launch);
 - ``latency``   — sleep ``duration_s`` before the GEMM (a latency spike;
-  the time shows up in the slot's busy accounting);
-- ``stall``     — sleep ``duration_s`` before the GEMM (a hung worker;
-  identical mechanics to ``latency`` but intended to exceed the driver's
-  watchdog, which fails the wave and respawns the worker — under the
-  ``inline`` executor a stall is just a bounded latency spike, since the
-  calling thread *is* the worker).
+  the time shows up in the slot's busy accounting).  A ``duration_s``
+  past the threaded driver's watchdog models a hung worker: the watchdog
+  fails the wave and respawns the worker.  Under ``inline`` there is no
+  watchdog (the calling thread *is* the worker), so it stays a bounded
+  spike.
 
 Fault kinds resolve through :data:`FAULTS` — the same
 :class:`~repro.registry.Registry` class as patterns, engines, placements
@@ -55,7 +54,6 @@ __all__ = [
     "Fault",
     "ExceptionFault",
     "LatencyFault",
-    "StallFault",
     "FaultRule",
     "FaultInjector",
     "InjectedFault",
@@ -119,24 +117,8 @@ class LatencyFault(Fault):
         return f"{self.kind}({self.duration_s}s)"
 
 
-@dataclass(frozen=True)
-class StallFault(LatencyFault):
-    """A hung worker: occupy the slot for ``duration_s`` before the GEMM.
-
-    Mechanically a sleep, semantically distinct: a stall is expected to
-    exceed the threaded driver's watchdog, which then fails the wave with
-    :class:`TimeoutError` and respawns the worker instead of hanging
-    ``flush()``.  Under ``inline`` there is no watchdog (the caller *is*
-    the worker), so a stall degrades to a bounded latency spike.
-    """
-
-    duration_s: float = 0.25
-    kind = "stall"
-
-
 FAULTS.register("exception", lambda **kw: ExceptionFault(**kw), aliases=("error",))
 FAULTS.register("latency", lambda **kw: LatencyFault(**kw), aliases=("spike",))
-FAULTS.register("stall", lambda **kw: StallFault(**kw), aliases=("hang",))
 
 
 def available_faults() -> list[str]:
@@ -269,7 +251,7 @@ class FaultInjector:
         seconds, fault-kind option), ``seed`` (int, overrides the shared
         default).  Example::
 
-            exception:wave=1;latency:rate=0.25:duration=0.01;stall:layer=0:max_fires=1
+            exception:wave=1;latency:rate=0.25:duration=0.01;latency:layer=0:duration=1:max_fires=1
         """
         rules: list[FaultRule] = []
         for chunk in spec.split(";"):

@@ -21,7 +21,9 @@ Endpoints
         failed   -> 500  request_failed        (the poison-isolated error)
 
     Invalid payloads get 400 with a structured JSON error body — a
-    traceback never crosses the wire.
+    traceback never crosses the wire.  A request whose headers and body
+    do not arrive within ``_READ_DEADLINE_S`` of its start line gets 408
+    ``request_timeout`` and its connection is closed.
 ``GET /healthz``
     Readiness: 503 while ``server.warm()`` runs, 200 after.
 ``GET /v1/stats``
@@ -68,6 +70,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -83,6 +86,11 @@ _STATUS_HTTP = {
 }
 
 _RETRY_AFTER_S = 1
+
+#: seconds a request's headers and body may take once its start line has
+#: arrived; a slower client is answered 408 and its connection closed
+#: (idle keep-alive waits before a start line stay unbounded)
+_READ_DEADLINE_S = 10.0
 
 
 class NetServer:
@@ -355,8 +363,17 @@ class NetServer:
         while not self._closing:
             try:
                 message = await wire.read_http_message(
-                    reader, max_body_bytes=self.max_body_bytes
+                    reader,
+                    max_body_bytes=self.max_body_bytes,
+                    rest_timeout_s=_READ_DEADLINE_S,
                 )
+            except asyncio.TimeoutError:
+                await self._respond_error(
+                    writer, 408, "request_timeout",
+                    f"request incomplete {_READ_DEADLINE_S:g}s after its start line",
+                    keep_alive=False,
+                )
+                return
             except wire.ProtocolError as exc:
                 code = 413 if "limit" in str(exc) else 400
                 await self._respond_error(

@@ -2,14 +2,15 @@
 
 Every device runs the same compiled formats, so spreading a model over
 several :class:`~repro.gpu.device.DeviceSpec` instances needs no new
-formats.  A :class:`Placement` says which device owns which work:
+formats.  A :class:`Placement` says which device slot runs each
+micro-batch *wave*; a wave's layers all run on that one slot:
 
-- ``single``        — everything on one device (the historical behaviour);
-- ``replicated``    — the full layer stack runs on every device and
-  micro-batch *waves* round-robin across the replicas (throughput scaling);
-- ``layer_sharded`` — layers are split contiguously across the devices and
-  each wave flows shard to shard (model parallelism: each device only
-  runs its shard's layers).
+- ``single``     — everything on one device (the historical behaviour);
+- ``replicated`` — the full layer stack runs on every device and waves
+  round-robin across the replicas (throughput scaling).
+
+The paper's parallelism lives inside one GEMM (tiles batched across SMs
+and streams), so no placement splits a wave's layers across slots.
 
 Placements are resolved through :data:`PLACEMENTS` (same registry class as
 patterns/engines) so new policies — e.g. width-sharded tiles — are registry
@@ -26,7 +27,7 @@ from repro.patterns.registry import Registry
 __all__ = ["Placement", "PLACEMENTS", "resolve_placement"]
 
 PLACEMENTS = Registry("placement")
-for _kind in ("single", "replicated", "layer_sharded"):
+for _kind in ("single", "replicated"):
     PLACEMENTS.register(_kind, (lambda k: lambda **kw: Placement(k, **kw))(_kind))
 
 
@@ -34,8 +35,8 @@ for _kind in ("single", "replicated", "layer_sharded"):
 class Placement:
     """One placement policy over an ordered device list.
 
-    ``devices`` order is meaningful: ``single`` uses the first entry,
-    ``layer_sharded`` assigns shard 0 to the first, and so on.  Frozen and
+    ``devices`` order is meaningful: ``single`` uses the first entry and
+    ``replicated`` sends wave 0 to the first.  Frozen and
     hashable, so a placement can sit inside cache keys and ``ServerConfig``.
     """
 
@@ -66,43 +67,14 @@ class Placement:
         """The device that anchors single-device work (first in the list)."""
         return self.devices[0]
 
-    def layer_shards(self, n_layers: int) -> list[int]:
-        """Device index owning each layer (contiguous balanced split).
+    def slot_for_wave(self, wave_index: int) -> int:
+        """Device slot that runs every layer of micro-batch wave ``wave_index``.
 
-        ``single`` and ``replicated`` map every layer to device 0 — for
-        ``replicated`` the *wave*, not the layer, picks the replica (see
-        :meth:`replica_for_wave`).
+        ``replicated`` round-robins waves across its replicas; ``single``
+        (one device) always answers slot 0.  A pure function of the wave
+        index, so executors may reorder *when* a wave runs, never *where*.
         """
-        if n_layers < 0:
-            raise ValueError("n_layers must be non-negative")
-        if self.kind != "layer_sharded" or self.n_devices == 1:
-            return [0] * n_layers
-        d = min(self.n_devices, max(1, n_layers))
-        return [min(i * d // n_layers, d - 1) for i in range(n_layers)]
-
-    def replica_for_wave(self, wave_index: int) -> int:
-        """Replica device index serving micro-batch wave ``wave_index``.
-
-        Only ``replicated`` spreads waves; other kinds pin them to the
-        primary device.
-        """
-        if self.kind != "replicated":
-            return 0
         return wave_index % self.n_devices
-
-    def wave_slots(self, wave_index: int, n_layers: int) -> list[int]:
-        """Device slot executing each layer of micro-batch wave ``wave_index``.
-
-        This is the device→work mapping an
-        :class:`~repro.runtime.executor.Executor` consumes: ``replicated``
-        pins the whole wave to :meth:`replica_for_wave`'s slot, every other
-        kind follows the per-layer shard map.  The mapping is a pure
-        function of ``(wave_index, n_layers)`` — executors may reorder
-        *when* work runs, never *where*.
-        """
-        if self.kind == "replicated":
-            return [self.replica_for_wave(wave_index)] * n_layers
-        return self.layer_shards(n_layers)
 
     def device_labels(self) -> list[str]:
         """Unique per-slot labels (``name#slot``) for stats attribution.
@@ -112,23 +84,6 @@ class Placement:
         replicated placement would look like one busy device.
         """
         return [f"{d.name}#{i}" for i, d in enumerate(self.devices)]
-
-    def shard_labels(self, n_layers: int) -> list[str]:
-        """Per-layer owning slot label under this placement."""
-        labels = self.device_labels()
-        return [labels[s] for s in self.layer_shards(n_layers)]
-
-    def plan_devices(self, n_layers: int) -> list[tuple[DeviceSpec, ...]]:
-        """Devices each layer needs execution plans for.
-
-        ``replicated`` plans every layer on every device (any replica can
-        serve any wave); ``layer_sharded`` plans each layer only on its
-        shard; ``single`` only on the primary.
-        """
-        if self.kind == "replicated":
-            return [self.devices] * n_layers
-        shards = self.layer_shards(n_layers)
-        return [(self.devices[s],) for s in shards]
 
 
 def resolve_placement(

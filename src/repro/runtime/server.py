@@ -15,16 +15,15 @@ operand — a *per-model* cost, while every request only pays the GEMMs.  :class
   of one per request (``submit`` + ``flush``; ``serve`` is the
   single-request convenience).
 - **Multi-device placement** (ROADMAP PR 2 open item): a
-  :class:`~repro.runtime.placement.Placement` spreads work over several
+  :class:`~repro.runtime.placement.Placement` spreads waves over several
   :class:`~repro.gpu.device.DeviceSpec`\\ s — ``replicated`` round-robins
-  waves across full-model replicas, ``layer_sharded`` splits the layer
-  stack so each wave flows shard to shard.  Every device runs the same
+  whole waves across full-model replicas.  Every device runs the same
   compiled formats, so a placement needs no per-device state.
-- **Pluggable execution**: the placement emits a device→work
-  mapping (:meth:`~repro.runtime.placement.Placement.wave_slots`) and an
+- **Pluggable execution**: the placement picks each wave's slot
+  (:meth:`~repro.runtime.placement.Placement.slot_for_wave`) and an
   :class:`~repro.runtime.executor.Executor` — ``inline`` (the sequential
   oracle) or ``threaded`` (one worker thread per device slot, bounded
-  wave pipeline) — decides how those device-tagged work items overlap in
+  in-flight window) — decides how waves on different slots overlap in
   wall-time.  Outputs are bit-identical across executors; only wall-time
   and the measured occupancy stats change.  Worker threads are torn down
   deterministically by :meth:`TWModelServer.close`.
@@ -90,7 +89,6 @@ def _seconds(v) -> bool:
 #: ServerConfig field → (is the value valid?, what a valid value is)
 _CONFIG_RULES = {
     "max_wave_rows": (_int_at_least(1), "a positive int"),
-    "workers": (lambda v: v is None or _int_at_least(1)(v), "a positive int or None"),
     "max_retries": (_int_at_least(0), "a non-negative int"),
     "max_queue_rows": (_int_at_least(0), "a non-negative int (0 = unbounded)"),
     "shed_policy": (lambda v: v in ("reject", "shed_oldest"), "'reject' or 'shed_oldest'"),
@@ -125,12 +123,8 @@ class ServerConfig:
         :data:`~repro.runtime.executor.EXECUTORS` registry name
         (``inline``/``threaded``).  ``inline`` is the sequential oracle;
         ``threaded`` runs one worker thread per device slot so replicated
-        waves and layer-sharded pipeline stages overlap wherever BLAS
-        releases the GIL.  Outputs are bit-identical in every case.
-    workers:
-        Worker cap for ``threaded`` (``None`` = one per device slot).
-        Passing it with an executor that has no workers (``inline``) is
-        an error, not a silent no-op.
+        waves overlap wherever BLAS releases the GIL.  Outputs are
+        bit-identical in every case.
     max_retries:
         Re-execution budget per failed wave group in a graceful
         ``flush()`` (``0`` = no retries, failures go straight to
@@ -160,7 +154,6 @@ class ServerConfig:
     max_wave_rows: int = 8192
     placement: Placement | None = None
     executor: str = "inline"
-    workers: int | None = None
     max_retries: int = 2
     max_queue_rows: int = 0
     shed_policy: str = "reject"
@@ -297,7 +290,7 @@ class ServerStats:
     def critical_path_s(self) -> float:
         """Busiest single slot's measured GEMM busy time — the makespan bound.
 
-        With perfect overlap across shards/replicas, wall time approaches
+        With perfect overlap across replicas, wall time approaches
         this instead of :attr:`busy_s` (the sum over slots); the ratio
         ``busy_s / critical_path_s`` is the placement's parallel headroom,
         computed from measured busy time, not from a cost model.
@@ -380,19 +373,6 @@ def write_stats_json(path: str, record: dict) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class _Layer:
-    """One registered layer: its compiled format and optional epilogue.
-
-    ``epilogue`` is the optional fused non-GEMM consumer
-    (:class:`~repro.kernels.fusion.EpilogueSpec`) applied inside the wave
-    task right after this layer's GEMM.
-    """
-
-    tw: TiledTWMatrix
-    epilogue: object | None = None
-
-
 @dataclass
 class _Pending:
     """One queued request: activations plus its admission metadata.
@@ -426,12 +406,11 @@ class TWModelServer:
         self.config = config or ServerConfig()
         self.placement = self.config.resolved_placement()
         self.executor = resolve_executor(
-            self.config.executor,
-            workers=self.config.workers,
-            watchdog_s=self.config.watchdog_s,
+            self.config.executor, watchdog_s=self.config.watchdog_s
         )
         self.stats = ServerStats()
-        self._layers: list[_Layer] = []
+        #: one step per registered layer, shared by every wave
+        self._layers: list[WaveStep] = []
         self._closed = False
         self._pending: deque[_Pending] = deque()
         self._queued_rows = 0
@@ -462,7 +441,7 @@ class TWModelServer:
                 f"layer K={tw.shape[0]} does not chain onto previous "
                 f"layer N={self._layers[-1].tw.shape[1]}"
             )
-        self._layers.append(_Layer(tw, epilogue))
+        self._layers.append(WaveStep(layer=len(self._layers), tw=tw, epilogue=epilogue))
 
     @property
     def n_layers(self) -> int:
@@ -576,8 +555,8 @@ class TWModelServer:
         Waves larger than ``max_wave_rows`` split into successive
         micro-batches; requests never split across waves, and waves
         assemble shortest-deadline-first (FIFO among requests without
-        deadlines).  The placement maps every wave's layers to device
-        slots (:meth:`~repro.runtime.placement.Placement.wave_slots`) and
+        deadlines).  The placement picks each wave's device slot
+        (:meth:`~repro.runtime.placement.Placement.slot_for_wave`) and
         the configured executor runs the whole wave list.  Outputs are
         bit-identical across executors.
 
@@ -726,16 +705,13 @@ class TWModelServer:
     def _merge_accounting(self, result) -> None:
         """Merge one wave's measured occupancy — including a failed wave's
         pre-failure work — so stats never lose busy time."""
-        for label, busy in result.busy_by_label.items():
-            self.stats.device_busy_s[label] = (
-                self.stats.device_busy_s.get(label, 0.0) + busy
-            )
-            self.stats.busy_s += busy
-        for label, n in result.gemms_by_label.items():
-            self.stats.device_gemms[label] = (
-                self.stats.device_gemms.get(label, 0) + n
-            )
-            self.stats.gemms += n
+        if not result.gemms:
+            return  # nothing ran: the slot stays out of the stats
+        st, label = self.stats, result.label
+        st.device_busy_s[label] = st.device_busy_s.get(label, 0.0) + result.busy_s
+        st.device_gemms[label] = st.device_gemms.get(label, 0) + result.gemms
+        st.busy_s += result.busy_s
+        st.gemms += result.gemms
 
     def _emit_ok(
         self,
@@ -854,7 +830,7 @@ class TWModelServer:
         self.close()
 
     def _wave_task(self, wave: list[_Pending]) -> WaveTask:
-        """Resolve one wave into device-tagged work items.
+        """Resolve one wave into a task on its placement slot.
 
         The wave's activations are cast once to the activation dtype of
         the compiled formats, by the rule :meth:`repro.api.CompiledTWModel.run`
@@ -863,24 +839,14 @@ class TWModelServer:
         batch = np.concatenate([p.x for p in wave], axis=0)
         if self._layers:
             batch = batch.astype(activation_dtype(self._layers[0].tw.dtype), copy=False)
-        slots = self.placement.wave_slots(self._batch_id, self.n_layers)
-        labels = self.placement.device_labels()
-        steps = []
-        for li, (layer, slot) in enumerate(zip(self._layers, slots)):
-            self.stats.format_hits += 1
-            steps.append(
-                WaveStep(
-                    layer=li,
-                    tw=layer.tw,
-                    slot=slot,
-                    label=labels[slot],
-                    epilogue=layer.epilogue,
-                )
-            )
+        slot = self.placement.slot_for_wave(self._batch_id)
+        self.stats.format_hits += self.n_layers
         task = WaveTask(
             index=self._batch_id,
             batch=batch,
-            steps=tuple(steps),
+            steps=tuple(self._layers),
+            slot=slot,
+            label=self.placement.device_labels()[slot],
             faults=self.config.faults,
         )
         self._batch_id += 1

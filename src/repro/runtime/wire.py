@@ -188,7 +188,10 @@ _MAX_HEADERS = 64
 
 
 async def read_http_message(
-    reader: asyncio.StreamReader, *, max_body_bytes: int
+    reader: asyncio.StreamReader,
+    *,
+    max_body_bytes: int,
+    rest_timeout_s: float | None = None,
 ) -> tuple[str, dict[str, str], bytes] | None:
     """Read one HTTP/1.1 message: ``(start_line, headers, body)``.
 
@@ -199,7 +202,9 @@ async def read_http_message(
     Returns ``None`` on a clean EOF before the start line (peer closed
     an idle keep-alive connection).  Raises :class:`ProtocolError` on
     malformed framing and ``asyncio.IncompleteReadError`` on mid-message
-    disconnect.
+    disconnect.  The wait for the start line is unbounded; once it has
+    arrived, headers and body must follow within ``rest_timeout_s``
+    (``None`` = no bound) or ``asyncio.TimeoutError`` is raised.
     """
     try:
         start = await reader.readline()
@@ -210,6 +215,16 @@ async def read_http_message(
     start_line = start.decode("latin-1").rstrip("\r\n")
     if len(start_line) > _MAX_START_LINE or not start_line:
         raise ProtocolError("malformed start line")
+    headers, body = await asyncio.wait_for(
+        _read_headers_and_body(reader, max_body_bytes), rest_timeout_s
+    )
+    return start_line, headers, body
+
+
+async def _read_headers_and_body(
+    reader: asyncio.StreamReader, max_body_bytes: int
+) -> tuple[dict[str, str], bytes]:
+    """The rest of a message after its start line (see :func:`read_http_message`)."""
     headers: dict[str, str] = {}
     for _ in range(_MAX_HEADERS):
         try:
@@ -241,7 +256,7 @@ async def read_http_message(
             f"body of {length} bytes exceeds the {max_body_bytes}-byte limit"
         )
     body = await reader.readexactly(length) if length else b""
-    return start_line, headers, body
+    return headers, body
 
 
 def format_message(

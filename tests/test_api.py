@@ -172,12 +172,25 @@ class TestSaveLoad:
         weights, x = stack
         model = repro.compile(
             weights, sparsity=0.5, granularity=8,
-            placement=Placement("layer_sharded", (V100, T4)),
+            placement=Placement("replicated", (V100, T4)),
         )
         loaded = repro.load(model.save(tmp_path / "m.npz"))
-        assert loaded.placement.kind == "layer_sharded"
+        assert loaded.placement.kind == "replicated"
         assert [d.name for d in loaded.placement.devices] == [V100.name, T4.name]
         np.testing.assert_array_equal(loaded.run(x), model.run(x))
+
+    def test_load_rejects_removed_placement_kind(self, stack, tmp_path):
+        import types
+
+        weights, _ = stack
+        model = repro.compile(weights, sparsity=0.5, granularity=8)
+        # an artifact written when layer_sharded was still a placement kind
+        model.placement = types.SimpleNamespace(
+            kind="layer_sharded", devices=model.placement.devices
+        )
+        path = model.save(tmp_path / "m.npz")
+        with pytest.raises(KeyError, match="'layer_sharded'.*available: replicated, single"):
+            repro.load(path)
 
     def test_loaded_model_serves(self, stack, tmp_path):
         weights, x = stack
@@ -194,14 +207,10 @@ class TestSaveLoad:
 
 
 class TestPlacement:
-    def test_layer_sharded_matches_single(self, stack):
-        weights, x = stack
-        single = repro.compile(weights, sparsity=0.5, granularity=8)
-        sharded = repro.compile(
-            weights, sparsity=0.5, granularity=8,
-            placement=Placement("layer_sharded", (V100, T4)),
-        )
-        np.testing.assert_array_equal(sharded.run(x), single.run(x))
+    def test_layer_sharded_is_rejected(self):
+        # a wave runs on one slot: no placement splits its layers
+        with pytest.raises(KeyError, match="'layer_sharded'.*available: replicated, single"):
+            Placement("layer_sharded", (V100, T4))
 
     def test_replicated_matches_single(self, stack):
         weights, x = stack
@@ -212,21 +221,21 @@ class TestPlacement:
         )
         np.testing.assert_array_equal(repl.run(x), single.run(x))
 
-    def test_shard_layout_contiguous(self, stack):
-        weights, _ = stack
-        model = repro.compile(
-            weights, sparsity=0.5, granularity=8,
-            placement=Placement("layer_sharded", (V100, T4)),
-        )
-        layout = model.shard_layout()
-        assert layout == [f"{V100.name}#0", f"{V100.name}#0", f"{T4.name}#1"]
+    def test_slot_for_wave_round_robins(self):
+        assert [Placement("replicated", (V100, T4)).slot_for_wave(w) for w in range(5)] == [
+            0, 1, 0, 1, 0,
+        ]
+        assert [Placement("single", (V100,)).slot_for_wave(w) for w in range(3)] == [0, 0, 0]
 
-    def test_layer_shards_balanced(self):
-        p = Placement("layer_sharded", (V100, T4))
-        assert p.layer_shards(4) == [0, 0, 1, 1]
-        assert p.layer_shards(3) == [0, 0, 1]
-        assert p.layer_shards(1) == [0]
-        assert p.layer_shards(0) == []
+    def test_plans_cover_every_device(self, stack):
+        weights, _ = stack
+        single = repro.compile(weights, sparsity=0.5, granularity=8)
+        assert all(list(l.plans) == [V100] for l in single.layers)
+        repl = repro.compile(
+            weights, sparsity=0.5, granularity=8,
+            placement=Placement("replicated", (V100, T4)),
+        )
+        assert all(list(l.plans) == [V100, T4] for l in repl.layers)
 
     def test_single_requires_one_device(self):
         with pytest.raises(ValueError, match="exactly one device"):
@@ -243,7 +252,7 @@ class TestPlacement:
         weights, x = stack
         model = repro.compile(
             weights, sparsity=0.5, granularity=8,
-            placement=Placement("layer_sharded", (V100, T4)),
+            placement=Placement("replicated", (V100, T4)),
         )
         server = model.serve()
         out = server.serve(x).output
@@ -258,11 +267,11 @@ class TestPlacement:
         weights, x = stack
         model = repro.compile(
             weights, sparsity=0.5, granularity=8,
-            placement=Placement("layer_sharded", (V100, T4)),
+            placement=Placement("replicated", (V100, T4)),
         )
-        server = model.serve(executor="threaded", workers=2)
+        server = model.serve(executor="threaded", watchdog_s=5.0)
         assert isinstance(server.executor, ThreadedExecutor)
-        assert server.executor.workers == 2
+        assert server.executor.watchdog_s == 5.0
         # the threaded path serves the compiled formats and stays bit-identical
         out = server.serve(x).output
         np.testing.assert_array_equal(out, model.run(x))
@@ -345,13 +354,13 @@ class TestDemoStack:
         for prev, nxt in zip(weights, weights[1:]):
             assert prev.shape[1] == nxt.shape[0]
 
-    def test_bert_stack_serves_sharded(self):
+    def test_bert_stack_serves_replicated(self):
         from repro.api import demo_layer_stack
 
         weights, names = demo_layer_stack("bert", scale=32, blocks=1, seed=3)
         model = repro.compile(
             weights, sparsity=0.5, granularity=4, names=names,
-            placement=Placement("layer_sharded", (V100, V100, T4)),
+            placement=Placement("replicated", (V100, V100, T4)),
         )
         server = model.serve()
         rng = np.random.default_rng(4)

@@ -218,15 +218,16 @@ class TestServe:
         assert "rows/s" in out
         assert "single x1" in out
 
-    def test_layer_sharded_devices(self, capsys):
-        rc = main([
-            "serve", "bert", "--scale", "32", "--blocks", "1",
-            "--requests", "4", "--rows", "2", "-G", "4",
-            "--devices", "2", "--placement", "layer_sharded",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "layer_sharded x2" in out
+    @pytest.mark.parametrize(
+        "flags", [["--placement", "layer_sharded"], ["--workers", "2"]],
+        ids=["layer_sharded", "workers"],
+    )
+    def test_removed_serve_flags_rejected(self, flags, capsys):
+        # a wave runs on one slot, one worker thread per slot
+        with pytest.raises(SystemExit) as exc_info:
+            main(["serve", "bert", "--devices", "2", "--executor", "threaded", *flags])
+        assert exc_info.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
     def test_threaded_executor(self, capsys):
         rc = main([
@@ -254,33 +255,21 @@ class TestServe:
             "--stats-json", str(stats), "--expect-all-ok",
         ])
         assert rc == 0
-        # every replica runs every layer (1 block = 6 layers)
+        # one wave per replica, and a wave runs every layer (1 block = 6)
         out = capsys.readouterr().out
-        assert "Tesla V100-SXM2#0:6 Tesla V100-SXM2#1:6" in out
+        assert "shard layout" not in out
+        assert "6 GEMMs" in out
         record = json.loads(stats.read_text())
         assert record["waves"]["count"] == 2
         gemms = record["device_gemms"]
-        assert len(gemms) == 2 and all(n > 0 for n in gemms.values()), gemms
+        assert gemms == {"Tesla V100-SXM2#0": 6, "Tesla V100-SXM2#1": 6}, gemms
 
-    def test_layer_sharded_threaded_forwards_segments(self, tmp_path, capsys):
-        # every wave runs its first shard on one worker and forwards the
-        # segment to the other worker's shard
-        stats = tmp_path / "stats.json"
+    def test_bad_watchdog_rejected(self, capsys):
         rc = main([
-            "serve", "bert", "--scale", "32", "--blocks", "1", "-G", "4",
-            "--devices", "2", "--placement", "layer_sharded",
-            "--executor", "threaded", "--requests", "8", "--rows", "8",
-            "--stats-json", str(stats), "--expect-all-ok",
-        ])
-        assert rc == 0
-        gemms = json.loads(stats.read_text())["device_gemms"]
-        assert len(gemms) == 2 and all(n > 0 for n in gemms.values()), gemms
-
-    def test_bad_workers_rejected(self, capsys):
-        rc = main([
-            "serve", "bert", "--executor", "threaded", "--workers", "0",
+            "serve", "bert", "--executor", "threaded", "--watchdog-s", "-1",
         ])
         assert rc == 2
+        assert "watchdog_s" in capsys.readouterr().err
 
     def test_single_with_many_devices_rejected(self, capsys):
         rc = main([
@@ -347,7 +336,7 @@ class TestInfo:
         assert record["device"]["sm_count"] == 80
         assert "tw" in record["registries"]["patterns"]
         assert record["registries"]["engines"] == ["cuda_core", "tensor_core"]
-        assert "layer_sharded" in record["registries"]["placements"]
+        assert record["registries"]["placements"] == ["replicated", "single"]
         assert record["registries"]["executors"] == ["inline", "threaded"]
         assert record["registries"]["schedules"] == ["gradual", "oneshot"]
         assert record["registries"]["importance"] == ["magnitude", "taylor"]

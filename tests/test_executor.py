@@ -39,20 +39,20 @@ def _latency(seconds):
     return FaultInjector.from_spec(f"latency:duration={seconds}")
 
 
-def _tasks(rng, n_layers=4, n_waves=3, slots=(0, 0, 1, 1), latency=0.0, k=24):
+def _tasks(rng, n_layers=4, n_waves=3, slots=(0, 1), latency=0.0, k=24):
+    """``n_waves`` waves over one layer chain; wave ``w`` runs on
+    ``slots[w % len(slots)]``."""
     layers = [_tw_layer(rng, k=k) for _ in range(n_layers)]
     faults = _latency(latency) if latency > 0.0 else None
+    steps = tuple(WaveStep(layer=i, tw=tw) for i, tw in enumerate(layers))
     tasks = []
     for w in range(n_waves):
-        steps = tuple(
-            WaveStep(
-                layer=i, tw=tw, slot=slots[i % len(slots)],
-                label=f"dev#{slots[i % len(slots)]}",
-            )
-            for i, tw in enumerate(layers)
-        )
+        slot = slots[w % len(slots)]
         tasks.append(
-            WaveTask(index=w, batch=rng.standard_normal((3, k)), steps=steps, faults=faults)
+            WaveTask(
+                index=w, batch=rng.standard_normal((3, k)), steps=steps,
+                slot=slot, label=f"dev#{slot}", faults=faults,
+            )
         )
     return tasks
 
@@ -68,15 +68,15 @@ class TestRegistry:
     def test_resolve_returns_instances(self):
         assert isinstance(resolve_executor(None), InlineExecutor)
         assert isinstance(resolve_executor("inline"), InlineExecutor)
-        threaded = resolve_executor("threaded", workers=2)
+        threaded = resolve_executor("threaded", watchdog_s=2.0)
         assert isinstance(threaded, ThreadedExecutor)
-        assert threaded.workers == 2
+        assert threaded.watchdog_s == 2.0
 
     def test_resolve_passes_instances_through(self):
-        ex = ThreadedExecutor(workers=3)
+        ex = ThreadedExecutor(watchdog_s=3.0)
         assert resolve_executor(ex) is ex
         with pytest.raises(ValueError):
-            resolve_executor(ex, workers=2)  # knobs belong to the instance
+            resolve_executor(ex, watchdog_s=2.0)  # knobs belong to the instance
 
     def test_resolve_rejects_bad_types(self):
         with pytest.raises(TypeError) as exc_info:
@@ -87,33 +87,29 @@ class TestRegistry:
             assert name in message
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            ThreadedExecutor(workers=0)
-        with pytest.raises(ValueError):
-            ThreadedExecutor(inflight=0)
+        for bad in (-1.0, float("nan"), "soon"):
+            with pytest.raises(ValueError, match="watchdog_s"):
+                ThreadedExecutor(watchdog_s=bad)
 
-    def test_validation_reports_all_problems_at_once(self):
-        # first-wins reporting made callers fix one option per crash; the
-        # aggregated error names every bad value
-        with pytest.raises(ValueError) as exc_info:
-            ThreadedExecutor(workers=0, inflight=-3, watchdog_s=float("nan"))
-        message = str(exc_info.value)
-        assert "workers" in message
-        assert "inflight" in message
-        assert "watchdog_s" in message
+    def test_removed_caps_are_rejected(self):
+        # one worker per slot and a window of 2 x slots: neither is a knob
+        with pytest.raises(TypeError, match="inflight"):
+            ThreadedExecutor(inflight=1)
+        with pytest.raises(TypeError, match="workers"):
+            ThreadedExecutor(workers=2)
 
     def test_describe(self):
         assert InlineExecutor().describe() == "inline"
-        assert "2" in ThreadedExecutor(workers=2).describe()
+        assert ThreadedExecutor().describe() == "threaded"
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize(
         "slots",
         [
-            (0, 0, 0, 0),  # single slot
-            (0, 0, 1, 1),  # two contiguous shards
-            (0, 1, 2, 3),  # one slot per layer
+            (0,),          # single slot
+            (0, 1),        # two replicas, waves alternate
+            (0, 1, 2, 3),  # four replicas
         ],
     )
     def test_threaded_matches_inline(self, slots):
@@ -125,20 +121,17 @@ class TestBitIdentity:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.output, w.output)
 
-    def test_fewer_workers_than_slots_fold(self):
-        rng = np.random.default_rng(1)
-        tasks = _tasks(rng, slots=(0, 1, 2, 3))
-        want = InlineExecutor().run(tasks)
-        got = ThreadedExecutor(workers=2).run(tasks)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.output, w.output)
-
     def test_bounded_inflight_still_correct(self):
+        # more waves than the 2 x slots window holds: the driver admits
+        # them in turns and every output still matches inline
         rng = np.random.default_rng(2)
-        tasks = _tasks(rng, n_waves=6, slots=(0, 0, 1, 1))
+        tasks = _tasks(rng, n_waves=12, slots=(0, 1))
         want = InlineExecutor().run(tasks)
-        got = ThreadedExecutor(inflight=1).run(tasks)
+        got = ThreadedExecutor().run(tasks)
+        assert len(got) == len(want)
         for g, w in zip(got, want):
+            assert g.error is None
+            assert g.label == w.label
             np.testing.assert_array_equal(g.output, w.output)
 
     def test_empty_task_list(self):
@@ -158,22 +151,23 @@ class TestBitIdentity:
 class TestAccounting:
     def test_busy_and_gemm_counts_match_inline(self):
         rng = np.random.default_rng(4)
-        tasks = _tasks(rng, n_waves=2, slots=(0, 0, 1, 1))
+        tasks = _tasks(rng, n_waves=2, slots=(0, 1))
         inline = InlineExecutor().run(tasks)
         threaded = ThreadedExecutor().run(tasks)
+        assert [r.label for r in threaded] == ["dev#0", "dev#1"]
         for i, t in zip(inline, threaded):
-            assert i.gemms_by_label == t.gemms_by_label
-            assert set(i.busy_by_label) == set(t.busy_by_label)
-            assert all(v > 0 for v in t.busy_by_label.values())
+            assert (i.label, i.gemms) == (t.label, t.gemms) == (t.label, 4)
+            assert t.busy_s > 0
 
     def test_latency_fault_floors_slot_occupancy(self):
         # injected latency shows up in the slot's busy accounting
         rng = np.random.default_rng(5)
         latency = 0.02
-        tasks = _tasks(rng, n_layers=2, n_waves=1, slots=(0, 1), latency=latency)
-        (result,) = InlineExecutor().run(tasks)
-        for label in ("dev#0", "dev#1"):
-            assert result.busy_by_label[label] >= latency
+        tasks = _tasks(rng, n_layers=2, n_waves=2, slots=(0, 1), latency=latency)
+        results = InlineExecutor().run(tasks)
+        assert [r.label for r in results] == ["dev#0", "dev#1"]
+        for result in results:
+            assert result.busy_s >= 2 * latency  # two layers, one sleep each
 
 
 class TestOverlap:
@@ -188,16 +182,12 @@ class TestOverlap:
         rng = np.random.default_rng(6)
         latency = 0.04
         faults = _latency(latency)
-        tw = _tw_layer(rng)
-        tasks = []
-        for w in range(4):  # waves alternate slots, one segment each
-            steps = (
-                WaveStep(layer=0, tw=tw, slot=w % 2, label=f"dev#{w % 2}"),
-            )
-            tasks.append(
-                WaveTask(index=w, batch=rng.standard_normal((3, 24)), steps=steps,
-                         faults=faults)
-            )
+        steps = (WaveStep(layer=0, tw=_tw_layer(rng)),)
+        tasks = [  # waves alternate slots
+            WaveTask(index=w, batch=rng.standard_normal((3, 24)), steps=steps,
+                     slot=w % 2, label=f"dev#{w % 2}", faults=faults)
+            for w in range(4)
+        ]
         t0 = time.perf_counter()
         inline = InlineExecutor().run(tasks)
         inline_s = time.perf_counter() - t0
@@ -209,17 +199,6 @@ class TestOverlap:
         assert inline_s >= 4 * latency * 0.9
         # two slots -> two waves each, overlapped: well under the serial sum
         assert threaded_s < inline_s * 0.75
-
-    def test_sharded_pipeline_streams_waves(self):
-        rng = np.random.default_rng(7)
-        latency = 0.03
-        tasks = _tasks(rng, n_layers=2, n_waves=4, slots=(0, 1), latency=latency)
-        t0 = time.perf_counter()
-        ThreadedExecutor().run(tasks)
-        threaded_s = time.perf_counter() - t0
-        # lock-step would cost 8 latencies; a streamed 2-stage pipeline over
-        # 4 waves costs ~5 -> anything clearly below 8 proves streaming
-        assert threaded_s < 8 * latency * 0.85
 
 
 class TestErrors:
@@ -267,16 +246,24 @@ class TestPersistentWorkers:
     def test_threads_reused_across_runs(self):
         rng = np.random.default_rng(10)
         ex = ThreadedExecutor()
-        first = ex.run(_tasks(rng, n_waves=2, slots=(0, 0, 1, 1)))
+        first = ex.run(_tasks(rng, n_waves=2, slots=(0, 1)))
         n_threads = len(ex._threads)
         assert n_threads == 2  # one per slot
-        second = ex.run(_tasks(rng, n_waves=2, slots=(0, 0, 1, 1)))
+        second = ex.run(_tasks(rng, n_waves=2, slots=(0, 1)))
         assert len(ex._threads) == n_threads  # reused, not respawned
         assert all(r.error is None for r in first + second)
 
-    def test_lazy_pull_respects_inflight_window(self):
-        rng = np.random.default_rng(11)
-        tasks = _tasks(rng, n_waves=6, slots=(0, 0, 0, 0), latency=0.01)
+    def test_one_worker_per_slot(self):
+        rng = np.random.default_rng(12)
+        ex = ThreadedExecutor()
+        results = ex.run(_tasks(rng, n_waves=3, slots=(0, 1, 2)))
+        assert [r.label for r in results] == ["dev#0", "dev#1", "dev#2"]
+        assert len(ex._threads) == 3
+        ex.close()
+
+    def test_inflight_window_scales_with_slots(self):
+        rng = np.random.default_rng(13)
+        tasks = _tasks(rng, n_waves=8, slots=(0, 1), latency=0.01)
         pulled_at = []
 
         def stream():
@@ -284,26 +271,50 @@ class TestPersistentWorkers:
                 pulled_at.append(time.perf_counter())
                 yield t
 
-        ex = ThreadedExecutor(inflight=1)
-        results = ex.run(stream())
+        results = ThreadedExecutor().run(stream())
+        assert len(results) == 8
+        # two slots -> a window of 4: waves 0-3 are all pulled before the
+        # first one finishes its four 10 ms steps
+        assert pulled_at[3] < results[0].done_at
+        # ... and wave i is pulled only once at most 3 earlier waves are
+        # still in flight
+        for i in range(4, len(tasks)):
+            done = sum(r.done_at <= pulled_at[i] for r in results[:i])
+            assert done >= i - 3, (i, done)
+
+    def test_lazy_pull_respects_inflight_window(self):
+        rng = np.random.default_rng(11)
+        tasks = _tasks(rng, n_waves=6, slots=(0,), latency=0.01)
+        pulled_at = []
+
+        def stream():
+            for t in tasks:
+                pulled_at.append(time.perf_counter())
+                yield t
+
+        results = ThreadedExecutor().run(stream())
         assert len(results) == 6
-        # window of 1: admitting wave i-1 waited for wave i-2 to finish,
-        # so the driver can never slurp the whole stream upfront
+        # one slot -> a window of 2: wave i is pulled only once at most one
+        # earlier wave is in flight, so wave i-2 has finished; the driver
+        # never slurps the whole stream upfront
         for i in range(2, len(tasks)):
             assert results[i - 2].done_at <= pulled_at[i]
+        # ... and the window is 2, not 1: wave 1 is pulled while wave 0
+        # still sleeps through its four 10 ms steps
+        assert pulled_at[1] < results[0].done_at
 
 
 class TestOneDriver:
     """The event-loop driver's watchdog, respawn and close contracts."""
 
     def test_stalled_wave_fails_and_pool_recovers(self):
-        from repro.runtime.faults import FaultInjector, FaultRule, StallFault
+        from repro.runtime.faults import FaultInjector, FaultRule, LatencyFault
 
         rng = np.random.default_rng(30)
         tasks = _tasks(rng, n_layers=1, n_waves=2, slots=(0,))
-        stall = FaultInjector([FaultRule(fault=StallFault(duration_s=0.6), wave=0)])
+        stall = FaultInjector([FaultRule(fault=LatencyFault(duration_s=0.6), wave=0)])
         stalled = [WaveTask(t.index, t.batch, t.steps, faults=stall) for t in tasks]
-        ex = ThreadedExecutor(workers=1, watchdog_s=0.15)
+        ex = ThreadedExecutor(watchdog_s=0.15)
         try:
             t0 = time.perf_counter()
             results = ex.run(stalled)
@@ -318,12 +329,12 @@ class TestOneDriver:
             ex.close()
 
     def test_abandoned_thread_retires_after_its_stall(self):
-        from repro.runtime.faults import FaultInjector, FaultRule, StallFault
+        from repro.runtime.faults import FaultInjector, FaultRule, LatencyFault
 
         rng = np.random.default_rng(31)
         (task,) = _tasks(rng, n_layers=1, n_waves=1, slots=(0,))
-        stall = FaultInjector([FaultRule(fault=StallFault(duration_s=0.3))])
-        ex = ThreadedExecutor(workers=1, watchdog_s=0.1)
+        stall = FaultInjector([FaultRule(fault=LatencyFault(duration_s=0.3))])
+        ex = ThreadedExecutor(watchdog_s=0.1)
         (result,) = ex.run([WaveTask(0, task.batch, task.steps, faults=stall)])
         assert isinstance(result.error, TimeoutError)
         abandoned = ex._threads[0]
@@ -333,9 +344,8 @@ class TestOneDriver:
         assert ex._threads[0].is_alive()
 
     def test_close_is_idempotent(self):
-        ex = ThreadedExecutor(workers=1)
-        (result,) = ex.run(_tasks(np.random.default_rng(26), n_waves=1,
-                                  slots=(0, 0, 0, 0)))
+        ex = ThreadedExecutor()
+        (result,) = ex.run(_tasks(np.random.default_rng(26), n_waves=1, slots=(0,)))
         assert result.error is None
         ex.close()
         ex.close()
@@ -343,7 +353,7 @@ class TestOneDriver:
 
     def test_threaded_close_retires_workers_and_run_respawns(self):
         rng = np.random.default_rng(32)
-        tasks = _tasks(rng, n_waves=2, slots=(0, 0, 1, 1))
+        tasks = _tasks(rng, n_waves=2, slots=(0, 1))
         ex = ThreadedExecutor()
         ex.run(tasks)
         threads = list(ex._threads)
@@ -371,5 +381,5 @@ class TestOneDriver:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.error is None
-            assert g.gemms_by_label == w.gemms_by_label  # no lost update
+            assert (g.label, g.gemms) == (w.label, w.gemms)  # no lost update
             np.testing.assert_array_equal(g.output, w.output)

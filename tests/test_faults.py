@@ -1,7 +1,8 @@
 """Chaos suite for the fault-tolerant serving path (ISSUE 6).
 
 The invariant under test: under every seeded fault schedule (exceptions,
-latency spikes, stalls, poison requests) and both executors, each
+latency spikes, stalls past the watchdog, poison requests) and both
+executors, each
 submitted request reaches a terminal status, ``ok`` outputs are
 bit-identical to a fault-free ``inline`` run of the same requests, and no
 ``flush()`` hangs (the threaded driver's watchdog bounds every wait).
@@ -29,7 +30,6 @@ from repro.runtime.faults import (
     FaultRule,
     InjectedFault,
     LatencyFault,
-    StallFault,
     available_faults,
     resolve_faults,
 )
@@ -69,18 +69,17 @@ def _oracle_outputs(layers, reqs):
 
 class TestRegistry:
     def test_names_and_aliases(self):
-        assert available_faults() == ["exception", "latency", "stall"]
+        assert available_faults() == ["exception", "latency"]
         assert FAULTS.canonical("error") == "exception"
         assert FAULTS.canonical("spike") == "latency"
-        assert FAULTS.canonical("hang") == "stall"
-        with pytest.raises(KeyError):
-            FAULTS.canonical("oom")
+        for gone in ("oom", "stall", "hang"):
+            with pytest.raises(KeyError):
+                FAULTS.canonical(gone)
 
     def test_create_with_options(self):
         f = FAULTS.create("latency", duration_s=0.01)
         assert isinstance(f, LatencyFault)
         assert f.duration_s == 0.01
-        assert isinstance(FAULTS.create("stall"), StallFault)
 
     def test_duration_validation(self):
         with pytest.raises(ValueError):
@@ -138,7 +137,7 @@ class TestFromSpec:
     def test_round_trip(self):
         inj = FaultInjector.from_spec(
             "exception:wave=1;latency:rate=0.25:duration=0.01;"
-            "stall:layer=0|2:max_fires=1"
+            "latency:layer=0|2:duration=1:max_fires=1"
         )
         assert len(inj.rules) == 3
         assert isinstance(inj.rules[0].fault, ExceptionFault)
@@ -146,6 +145,7 @@ class TestFromSpec:
         assert inj.rules[1].rate == 0.25
         assert inj.rules[1].fault.duration_s == 0.01
         assert inj.rules[2].layer == (0, 2)
+        assert inj.rules[2].fault.duration_s == 1.0
         assert inj.rules[2].max_fires == 1
 
     def test_aliases_and_seed(self):
@@ -155,8 +155,9 @@ class TestFromSpec:
         assert inj.rules[0].seed == 1
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            FaultInjector.from_spec("oom")
+        for gone in ("oom", "stall"):
+            with pytest.raises(ValueError, match="available: exception, latency"):
+                FaultInjector.from_spec(gone)
         with pytest.raises(ValueError):
             FaultInjector.from_spec("exception:wave")
         with pytest.raises(ValueError):
@@ -343,11 +344,12 @@ class TestChaosInvariantIngress:
 
 class TestPlacementsUnderFaults:
     @pytest.mark.parametrize("executor", ["inline", "threaded"])
-    @pytest.mark.parametrize("placement_kind", ["replicated", "layer_sharded"])
+    @pytest.mark.parametrize("placement_kind", ["single", "replicated"])
     def test_multi_device_recovery_bit_identical(self, executor, placement_kind):
         from repro.gpu.device import T4, V100
         from repro.runtime.placement import Placement
 
+        devices = (V100,) if placement_kind == "single" else (V100, T4)
         layers = _layers(106)
         reqs = _requests(107, n=6)
         want = _oracle_outputs(layers, reqs)
@@ -356,7 +358,7 @@ class TestPlacementsUnderFaults:
             executor=executor,
             max_wave_rows=4,
             max_retries=2,
-            placement=Placement(placement_kind, (V100, T4)),
+            placement=Placement(placement_kind, devices),
             watchdog_s=20.0 if executor == "threaded" else None,
             faults="exception:wave=1;latency:rate=0.2:duration=0.001:seed=4",
         )
@@ -469,7 +471,7 @@ class TestWatchdog:
             max_retries=1,
             watchdog_s=0.2,
             faults=FaultInjector(
-                [FaultRule(fault=StallFault(duration_s=1.0), wave=0)]
+                [FaultRule(fault=LatencyFault(duration_s=1.0), wave=0)]
             ),
         )
         rids = [server.submit(x) for x in reqs]
@@ -494,7 +496,7 @@ class TestWatchdog:
             max_retries=0,
             watchdog_s=0.15,
             faults=FaultInjector(
-                [FaultRule(fault=StallFault(duration_s=0.6), layer=0)]
+                [FaultRule(fault=LatencyFault(duration_s=0.6), layer=0)]
             ),
         )
         rid = server.submit(np.zeros((2, 24)))
@@ -514,7 +516,7 @@ class TestWatchdog:
         object.__setattr__(
             server.config,
             "faults",
-            FaultInjector([FaultRule(fault=StallFault(duration_s=0.5), layer=0)]),
+            FaultInjector([FaultRule(fault=LatencyFault(duration_s=0.5), layer=0)]),
         )
         server.submit(np.zeros((2, 24)))
         (req,) = server.flush()
@@ -535,20 +537,22 @@ class TestWatchdog:
 
 class TestExecutorHardening:
     def test_strict_option_validation(self):
-        # ISSUE 6 satellite: inline used to silently swallow workers
+        # an option an executor does not take is an error, not a no-op
         with pytest.raises(ValueError, match="does not accept"):
-            EXECUTORS.create("inline", workers=3)
+            EXECUTORS.create("inline", watchdog_s=3)
         with pytest.raises(ValueError, match="does not accept"):
             EXECUTORS.create("threaded", turbo=True)
         with pytest.raises(ValueError, match="does not accept"):
-            resolve_executor("inline", workers=3)
+            EXECUTORS.create("threaded", workers=2)  # removed: one worker per slot
+        with pytest.raises(ValueError, match="does not accept"):
+            resolve_executor("inline", watchdog_s=3)
         from repro.runtime.executor import InlineExecutor
 
         assert isinstance(EXECUTORS.create("inline"), InlineExecutor)
 
-    def test_server_config_rejects_inline_workers(self):
+    def test_server_config_rejects_inline_watchdog(self):
         with pytest.raises(ValueError, match="does not accept"):
-            TWModelServer(ServerConfig(executor="inline", workers=2))
+            TWModelServer(ServerConfig(executor="inline", watchdog_s=2))
 
     def test_worker_survives_base_exception(self):
         # a non-Exception error must fail the wave visibly, not kill the
@@ -583,7 +587,7 @@ class TestExecutorHardening:
         assert all(t.is_alive() for t in server.executor._threads)
 
     def test_worker_loop_survives_malformed_queue_item(self):
-        ex = ThreadedExecutor(workers=1)
+        ex = ThreadedExecutor()
         ex._ensure_workers(1)
         ex._queues[0].put("garbage")  # would have killed the old loop
         time.sleep(0.05)

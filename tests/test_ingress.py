@@ -84,7 +84,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("executor", ["inline", "threaded"])
     @pytest.mark.parametrize("n_devices,placement", [
-        (1, "single"), (2, "replicated"), (2, "layer_sharded"),
+        (1, "single"), (2, "replicated"), (3, "replicated"),
     ])
     @pytest.mark.parametrize("pause_every", [0, 2])
     def test_matches_sequential_drain(

@@ -112,7 +112,7 @@ class TestDtypeMatrix:
         model = _compile(ws, dtype=dtype)
         np.testing.assert_array_equal(_serve_once(model, x), model.run(x))
 
-    @pytest.mark.parametrize("placement", ["single", "replicated", "layer_sharded"])
+    @pytest.mark.parametrize("placement", ["single", "replicated", "replicated_x3"])
     @pytest.mark.parametrize("executor", ["inline", "threaded"])
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_serve_bit_identical_to_run_on_every_placement(
@@ -121,12 +121,13 @@ class TestDtypeMatrix:
         from repro.gpu.device import T4, V100
         from repro.runtime.placement import Placement
 
-        devices = (V100,) if placement == "single" else (V100, T4)
+        kind, _, n = placement.partition("_x")
+        devices = (V100,) if kind == "single" else (V100, T4, V100)[: int(n or 2)]
         ws, x = _stack()
-        model = _compile(ws, dtype=dtype, placement=Placement(placement, devices))
+        model = _compile(ws, dtype=dtype, placement=Placement(kind, devices))
         reqs = [x[i : i + 2] for i in range(0, len(x), 2)]
         with model.serve(executor=executor, max_wave_rows=2) as server:
-            for r in reqs:  # one wave each: replicas alternate
+            for r in reqs:  # one wave each: replicas take turns, x3 wraps round
                 server.submit(r)
             served = server.flush()
         for s, r in zip(served, reqs):

@@ -143,7 +143,7 @@ class TestServesCompiledModel:
         with pytest.raises(TypeError, match=next(iter(override))):
             model.serve(**override)
 
-    @pytest.mark.parametrize("name", ["storage_dtype", "cache_budget", "pace"])
+    @pytest.mark.parametrize("name", ["storage_dtype", "cache_budget", "pace", "workers"])
     def test_removed_server_option_is_rejected(self, name):
         model, _ = _compiled()
         with pytest.raises(TypeError, match=name):
@@ -179,17 +179,18 @@ class TestServesCompiledModel:
                     assert s.status == "ok", s
                     np.testing.assert_array_equal(s.output, model.run(r))
 
-    @pytest.mark.parametrize("placement", ["replicated", "layer_sharded"])
+    @pytest.mark.parametrize("placement", ["single", "replicated"])
     def test_unreorganized_model_serves_bit_identical_across_placements(
         self, placement
     ):
         from repro.gpu.device import T4, V100
         from repro.runtime.placement import Placement
 
+        devices = (V100,) if placement == "single" else (V100, T4)
         model, x = _compiled(
             seed=6,
             prune_config=TWPruneConfig(granularity=8, reorganize=False),
-            placement=Placement(placement, (V100, T4)),
+            placement=Placement(placement, devices),
         )
         reqs = [x[:2], x[2:]]
         with model.serve(executor="threaded", max_wave_rows=2) as server:
@@ -282,7 +283,6 @@ class TestServing:
         [
             {"max_retries": -1},
             {"max_queue_rows": -3},
-            {"workers": 1.5},
             {"max_wave_rows": 0},
             {"max_wave_rows": -1},
             {"max_wave_rows": 2.5},
@@ -297,9 +297,19 @@ class TestServing:
         with pytest.raises(ValueError):
             ServerConfig(**kwargs)
 
+    def test_config_reports_all_problems_at_once(self):
+        # first-wins reporting made callers fix one option per crash; the
+        # aggregated error names every bad value
+        with pytest.raises(ValueError) as exc_info:
+            ServerConfig(max_retries=-1, max_wave_rows=0, watchdog_s=float("nan"))
+        message = str(exc_info.value)
+        assert "max_retries" in message
+        assert "max_wave_rows" in message
+        assert "watchdog_s" in message
+
     def test_config_placement_type_checked(self):
         with pytest.raises(TypeError):
-            ServerConfig(placement="layer_sharded")  # must be a Placement
+            ServerConfig(placement="replicated")  # must be a Placement
 
     def test_config_executor_validated(self):
         assert ServerConfig(executor="threads").executor == "threaded"  # alias
@@ -307,8 +317,6 @@ class TestServing:
             ServerConfig(executor="gpu")
         with pytest.raises(TypeError):
             ServerConfig(executor=42)
-        with pytest.raises(ValueError):
-            ServerConfig(workers=0)
 
     def test_wall_time_and_critical_path_tracked(self):
         rng = np.random.default_rng(30)
@@ -360,28 +368,6 @@ class TestPlacementServing:
             server.add_layer(tw)
         return server
 
-    def test_layer_sharded_matches_single(self):
-        from repro.gpu.device import T4, V100
-        from repro.runtime.placement import Placement
-
-        rng = np.random.default_rng(20)
-        layers = self._chained(rng)
-        reqs = [rng.standard_normal((3, 24)) for _ in range(4)]
-        single = self._build(layers, ServerConfig())
-        sharded = self._build(
-            layers,
-            ServerConfig(
-                placement=Placement("layer_sharded", (V100, T4)),
-            ),
-        )
-        for r in reqs:
-            got = sharded.serve(r).output
-            want = single.serve(r).output
-            np.testing.assert_array_equal(got, want)  # bit-identical
-        assert set(sharded.stats.device_gemms) == {"Tesla V100-SXM2#0", "Tesla T4#1"}
-        assert sharded.stats.device_gemms["Tesla V100-SXM2#0"] == 8  # 2 layers x 4 waves
-        assert sharded.stats.critical_path_s() <= sharded.stats.busy_s
-
     def test_replicated_round_robins_waves(self):
         from repro.gpu.device import V100
         from repro.runtime.placement import Placement
@@ -412,9 +398,9 @@ class TestPlacementServing:
         from repro.runtime.executor import InlineExecutor, ThreadedExecutor
 
         assert isinstance(TWModelServer().executor, InlineExecutor)
-        threaded = TWModelServer(ServerConfig(executor="threaded", workers=3))
+        threaded = TWModelServer(ServerConfig(executor="threaded", watchdog_s=3.0))
         assert isinstance(threaded.executor, ThreadedExecutor)
-        assert threaded.executor.workers == 3
+        assert threaded.executor.watchdog_s == 3.0
 
     def test_replicas_share_warmed_operands(self):
         from repro.gpu.device import T4, V100
@@ -454,10 +440,7 @@ class TestExecutorInvariance:
         return server, server.flush()
 
     def _assert_executors_agree(self, layers, reqs, **cfg_kw):
-        # workers is a threaded-only knob; inline now *rejects* it instead
-        # of silently ignoring it, so only the threaded build gets it
-        inline_kw = {k: v for k, v in cfg_kw.items() if k != "workers"}
-        inline_server, inline_out = self._serve_all(layers, reqs, **inline_kw)
+        inline_server, inline_out = self._serve_all(layers, reqs, **cfg_kw)
         threaded_server, threaded_out = self._serve_all(
             layers, reqs, executor="threaded", **cfg_kw
         )
@@ -477,35 +460,6 @@ class TestExecutorInvariance:
         layers = self._chained(rng, 3)
         reqs = [rng.standard_normal((3, 24)) for _ in range(4)]
         self._assert_executors_agree(layers, reqs)
-
-    def test_layer_sharded_two_devices(self):
-        from repro.gpu.device import T4, V100
-        from repro.runtime.placement import Placement
-
-        rng = np.random.default_rng(41)
-        layers = self._chained(rng, 4)
-        reqs = [rng.standard_normal((2, 24)) for _ in range(5)]
-        self._assert_executors_agree(
-            layers, reqs,
-            max_wave_rows=4,
-            placement=Placement("layer_sharded", (V100, T4)),
-        )
-
-    def test_layer_sharded_more_devices_than_layers(self):
-        from repro.gpu.device import V100
-        from repro.runtime.placement import Placement
-
-        rng = np.random.default_rng(42)
-        layers = self._chained(rng, 2)  # 2 layers over 4 devices
-        reqs = [rng.standard_normal((2, 24)) for _ in range(3)]
-        inline_server, _ = self._assert_executors_agree(
-            layers, reqs,
-            placement=Placement("layer_sharded", (V100,) * 4),
-        )
-        # only the first two slots ever receive work
-        assert set(inline_server.stats.device_gemms) == {
-            "Tesla V100-SXM2#0", "Tesla V100-SXM2#1",
-        }
 
     def test_single_device_replicated(self):
         from repro.gpu.device import V100
@@ -539,18 +493,40 @@ class TestExecutorInvariance:
                 "Tesla V100-SXM2#0": 6, "Tesla V100-SXM2#1": 6,
             }
 
-    def test_threaded_respects_worker_cap(self):
+    def test_replicated_mixed_devices(self):
+        from repro.gpu.device import T4, V100
+        from repro.runtime.placement import Placement
+
+        rng = np.random.default_rng(41)
+        layers = self._chained(rng, 4)
+        reqs = [rng.standard_normal((2, 24)) for _ in range(5)]
+        inline_server, _ = self._assert_executors_agree(
+            layers, reqs,
+            max_wave_rows=4,  # 3 waves: slots 0, 1, 0
+            placement=Placement("replicated", (V100, T4)),
+        )
+        assert inline_server.stats.device_gemms == {
+            "Tesla V100-SXM2#0": 8, "Tesla T4#1": 4,
+        }
+
+    def test_replicated_more_devices_than_waves(self):
         from repro.gpu.device import V100
         from repro.runtime.placement import Placement
 
-        rng = np.random.default_rng(45)
-        layers = self._chained(rng, 4)
-        reqs = [rng.standard_normal((2, 24)) for _ in range(4)]
-        self._assert_executors_agree(
+        rng = np.random.default_rng(42)
+        layers = self._chained(rng, 2)
+        reqs = [rng.standard_normal((2, 24)) for _ in range(2)]  # 2 waves, 4 slots
+        inline_server, threaded_server = self._assert_executors_agree(
             layers, reqs,
-            workers=1,  # folds both shards onto one worker; results identical
-            placement=Placement("layer_sharded", (V100, V100)),
+            max_wave_rows=2,
+            placement=Placement("replicated", (V100,) * 4),
         )
+        # only the first two slots ever receive work
+        assert set(inline_server.stats.device_gemms) == {
+            "Tesla V100-SXM2#0", "Tesla V100-SXM2#1",
+        }
+        # and the threaded pool spawned no worker for an idle slot
+        assert len(threaded_server.executor._threads) == 2
 
     def test_failed_wave_keeps_threaded_server_usable(self):
         from repro.runtime.server import _Pending
@@ -620,7 +596,6 @@ class TestExecutorInvariance:
         placements = [
             None,
             Placement("replicated", (V100, T4)),
-            Placement("layer_sharded", (V100, T4)),
         ]
         # fault-free inline oracle
         oracle = TWModelServer(ServerConfig())
