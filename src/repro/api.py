@@ -1,15 +1,16 @@
 """One front door for the paper's pipeline: :func:`compile` and :func:`tune`.
 
 The reproduction's contribution is a *pipeline* — tile-wise prune → compact
-TW format → per-tile gather GEMM execution — and this module is its single
-entry point.  Instead of hand-wiring ``tw_prune_step`` →
-``TiledTWMatrix.from_masks`` → ``tw_gemm`` at every call site, callers write::
+TW format → cross-layer liveness → per-tile gather GEMM execution — and
+this module is its single entry point.  Instead of hand-wiring
+``tw_prune_step`` → ``TiledTWMatrix.from_masks`` → ``tighten_chain`` →
+``tw_gemm`` at every call site, callers write::
 
     import repro
 
     model = repro.compile(weights, pattern="tw", sparsity=0.75,
                           granularity=128, engine="tensor_core")
-    model.prune_report()      # what the pruner kept
+    model.prune_report()      # what the pruner kept, what executes
     model.price(m=8192)       # cost-model latency vs the dense baseline
     y = model.run(x)          # TW forward (bit-identical to the
                               # hand-wired pipeline)
@@ -74,6 +75,7 @@ from repro.kernels.fusion import (
     apply_epilogue,
     resolve_epilogue_spec,
 )
+from repro.kernels.liveness import tighten_chain
 from repro.kernels.masked import activation_dtype, tw_gemm
 from repro.kernels.spmm import csc_left_spmm
 from repro.models.registry import GemmShape
@@ -123,12 +125,24 @@ _NON_REGISTRY_PATTERNS = ("dense", "tew")
 
 @dataclass(frozen=True)
 class CompiledLayer:
-    """One layer of a compiled model: weights, masks, format, plans.
+    """One layer of a compiled model: weights, masks, formats, plans.
 
     For TW compilations every field is populated; for mask-only patterns
     (``ew``/``vw``/``bw``/``nm``) only ``dense`` + ``mask`` are (execution
     falls back to masked-dense GEMM); for shape-only compilations only
     ``shape`` is.
+
+    A TW layer holds two formats.  ``pruned_tw`` is what pruning kept:
+    ``save()``, ``sparsity``, ``price()`` and the plans read it, and
+    ``mask``, ``epilogue`` and :meth:`masked_dense` describe the same
+    pruned function.  ``tw`` is the *execution* format that ``run()``,
+    every serving executor and ``TuneResult.run()`` pass to ``tw_gemm``:
+    the liveness stage (:func:`~repro.kernels.liveness.tighten_chain`)
+    drops the kept rows that read a column the previous layer never
+    writes, and may carry a folded ``out_bias``.  It keeps every tile of
+    ``pruned_tw`` in the same order, and is ``pruned_tw`` itself when
+    nothing was dropped.  A layer built without the stage executes its
+    pruned format (``pruned_tw`` defaults to ``tw``).
     """
 
     name: str
@@ -142,12 +156,17 @@ class CompiledLayer:
     #: prices them, but the repository benchmark (``twbench/``) reads them
     plans: dict[DeviceSpec, ExecutionPlan] = field(default_factory=dict)
     epilogue: EpilogueSpec | None = None
+    pruned_tw: TiledTWMatrix | None = None
+
+    def __post_init__(self) -> None:
+        if self.pruned_tw is None:
+            object.__setattr__(self, "pruned_tw", self.tw)
 
     @property
     def sparsity(self) -> float:
         """Element sparsity of this layer after pruning."""
-        if self.tw is not None:
-            return self.tw.sparsity
+        if self.pruned_tw is not None:
+            return self.pruned_tw.sparsity
         if self.mask is not None:
             return 1.0 - float(np.asarray(self.mask).mean())
         return 0.0
@@ -261,7 +280,13 @@ class CompiledTWModel:
             )
 
     def prune_report(self) -> dict:
-        """What pruning kept: per-layer and overall sparsity, tile geometry."""
+        """What pruning kept: per-layer and overall sparsity, tile geometry.
+
+        A TW layer's ``sparsity`` is its pruned sparsity; its
+        ``executed_density`` is the multiply-adds its execution format
+        keeps after the liveness stage, over ``K·N``.  The tile geometry
+        describes the pruned format.
+        """
         self._require_weights("report pruning")
         rows = []
         for l in self.layers:
@@ -272,10 +297,11 @@ class CompiledTWModel:
             }
             if l.tw is not None:
                 row.update(
-                    tiles=l.tw.n_tiles,
-                    kept_columns=l.tw.kept_columns,
-                    load_imbalance=round(l.tw.load_imbalance(), 4),
-                    memory_bytes=l.tw.memory_bytes(),
+                    executed_density=round(l.tw.flops_fraction, 6),
+                    tiles=l.pruned_tw.n_tiles,
+                    kept_columns=l.pruned_tw.kept_columns,
+                    load_imbalance=round(l.pruned_tw.load_imbalance(), 4),
+                    memory_bytes=l.pruned_tw.memory_bytes(),
                 )
             rows.append(row)
         return {
@@ -360,7 +386,10 @@ class CompiledTWModel:
                 pattern=price_pattern,
                 sparsity=min(l.sparsity, 1.0),
                 granularity=self.granularity,
-                tw_stats=TWShapeStats.from_matrix(l.tw) if l.tw is not None else None,
+                tw_stats=(
+                    TWShapeStats.from_matrix(l.pruned_tw)
+                    if l.pruned_tw is not None else None
+                ),
             )
             if price_pattern == "dense":
                 sparse_us += infer.gemm_cost(LayerPlan(shape), config).total_us
@@ -383,9 +412,17 @@ class CompiledTWModel:
     def run(self, x: np.ndarray) -> np.ndarray:
         """Forward ``x`` through the compiled layer stack.
 
-        TW layers execute as per-tile gather GEMMs (bit-identical to the
-        hand-wired ``tw_prune → from_masks → tw_gemm`` pipeline); mask-only patterns execute dense GEMM against the
-        mask-expanded weights.  A layer carrying an
+        TW layers execute their execution format ``CompiledLayer.tw`` as
+        per-tile gather GEMMs, bit-identical to the hand-wired
+        ``tw_prune → from_masks → tighten_chain → tw_gemm`` pipeline.  The
+        liveness stage (:mod:`repro.kernels.liveness`) has dropped the kept
+        rows that read a column the previous layer never writes, so the
+        function is still the pruned model's: exact against the pruned
+        formats on dyadic float64 data across edges with no epilogue, and
+        within :data:`~repro.kernels.masked.DTYPE_TOLERANCES` where a
+        ``bias_gelu`` constant was folded into ``out_bias``.  Mask-only
+        patterns execute dense GEMM against the mask-expanded weights.
+        A layer carrying an
         :class:`~repro.kernels.fusion.EpilogueSpec` applies its *fused*
         epilogue right after the GEMM (the layer's own input serves as the
         residual stream for residual epilogues) — bit-identical in float64
@@ -558,7 +595,7 @@ class CompiledTWModel:
         }
         layers = [
             {
-                "tw": l.tw,
+                "tw": l.pruned_tw,
                 "col_keep": l.col_keep,
                 "row_masks": list(l.row_masks),
                 "epilogue": _epilogue_dict(l.epilogue),
@@ -571,10 +608,12 @@ class CompiledTWModel:
     def load(cls, path: str | Path) -> "CompiledTWModel":
         """Reconstruct a compiled model saved with :meth:`save`.
 
-        Tile payloads round-trip bit-exactly; ``CompiledLayer.plans`` are
-        rebuilt (deterministic), and the dense view is re-expanded from the tiles
-        (values at pruned positions are zero — they never participate in
-        execution).
+        Tile payloads round-trip bit-exactly.  Everything derived from
+        them is rebuilt deterministically: ``CompiledLayer.plans``, the
+        pruning ``mask`` and the dense view (zero at pruned positions), and
+        the execution formats, by the same liveness stage as
+        :func:`compile`, so the loaded ``run()`` is bit-identical to the
+        saved model's.
         """
         from repro.formats.io import load_compiled_arrays
 
@@ -586,12 +625,12 @@ class CompiledTWModel:
         layers = []
         for i, raw in enumerate(raw_layers):
             tw: TiledTWMatrix = raw["tw"]
-            dense = tw.to_dense()
             layers.append(
                 CompiledLayer(
                     name=meta["layer_names"][i],
                     shape=tw.shape,
-                    dense=dense,
+                    dense=tw.to_dense(),
+                    mask=tw.element_mask(),
                     col_keep=raw["col_keep"],
                     row_masks=tuple(raw["row_masks"]),
                     tw=tw,
@@ -600,7 +639,7 @@ class CompiledTWModel:
                 )
             )
         return cls(
-            layers,
+            _execution_formats(layers),
             pattern=meta["pattern"],
             sparsity=meta["sparsity"],
             granularity=meta["granularity"],
@@ -678,6 +717,18 @@ def _layer_epilogues(
                 f"{w.shape[0]}x{w.shape[1]}"
             )
     return specs
+
+
+def _execution_formats(layers: list[CompiledLayer]) -> list[CompiledLayer]:
+    """The liveness stage over a TW layer stack (after compaction).
+
+    Each layer keeps its pruned format as ``pruned_tw`` and executes the
+    format :func:`~repro.kernels.liveness.tighten_chain` derives from it.
+    """
+    formats = tighten_chain(
+        [l.pruned_tw for l in layers], [l.epilogue for l in layers]
+    )
+    return [dataclasses.replace(l, tw=tw) for l, tw in zip(layers, formats)]
 
 
 def _build_plans(tw: TiledTWMatrix, placement: Placement) -> dict[DeviceSpec, ExecutionPlan]:
@@ -850,6 +901,7 @@ def compile(
                     epilogue=epilogues[i],
                 )
             )
+        layers = _execution_formats(layers)
         achieved = step.achieved_sparsity
     elif pattern == "dense":
         for i, w in enumerate(weights):
@@ -1269,6 +1321,9 @@ def tune(
             )
             for i, w in enumerate(final_weights)
         ]
+        if tew_sol is None:
+            # a TEW residual writes pruned positions: every column is live
+            layers = _execution_formats(layers)
         compiled = CompiledTWModel(
             layers,
             pattern="tw",

@@ -513,7 +513,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ["rows", st.rows],
         ["waves", st.batches],
         ["GEMMs", st.gemms],
-        ["rows/s (GEMM busy)", f"{st.rows_per_s():.0f}"],
+        ["rows/s (flush wall)", f"{st.rows_per_s():.0f}"],
         ["mean latency", f"{st.mean_latency_s() * 1e3:.3f} ms"],
         ["busy (sum over devices)", f"{st.busy_s * 1e3:.3f} ms"],
         ["critical path (max device)", f"{st.critical_path_s() * 1e3:.3f} ms"],

@@ -129,6 +129,11 @@ def load_tiled(path: str | Path) -> TiledTWMatrix:
 
 def _tiled_payload(matrix: TiledTWMatrix, prefix: str = "") -> dict[str, np.ndarray]:
     """The npz entry set of one TW matrix, keys prefixed by ``prefix``."""
+    if matrix.out_bias is not None:
+        raise ValueError(
+            "a format with a folded out_bias is an execution format derived "
+            "at compile/load time; save the pruned format instead"
+        )
     payload: dict[str, np.ndarray] = {
         f"{prefix}shape": np.array(matrix.shape, dtype=np.int64),
         f"{prefix}granularity": np.array([matrix.granularity], dtype=np.int64),

@@ -108,11 +108,19 @@ class TiledTWMatrix:
         Tile width ``G`` (the paper's tunable hyper-parameter).
     tiles:
         Column tiles; together they own every *surviving* column exactly once.
+    out_bias:
+        Optional ``float[N]`` added to every output row after the tile
+        products (``A @ W + out_bias``).  Only execution formats derived by
+        :func:`~repro.kernels.liveness.tighten_chain` carry one: it holds
+        the folded contribution of rows whose constant input was dropped.
+        It is zero in every column no tile owns, so pruned output columns
+        stay exact zeros.
     """
 
     shape: tuple[int, int]
     granularity: int
     tiles: tuple[TWTile, ...] = field(default_factory=tuple)
+    out_bias: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.validate()
@@ -248,6 +256,11 @@ class TiledTWMatrix:
             if np.any(seen[t.col_indices]):
                 raise ValueError(f"tile {i}: column owned by more than one tile")
             seen[t.col_indices] = True
+        if self.out_bias is not None:
+            if self.out_bias.shape != (n,):
+                raise ValueError(f"out_bias shape {self.out_bias.shape} != ({n},)")
+            if np.any(self.out_bias[~seen]):
+                raise ValueError("out_bias is nonzero in a column no tile owns")
 
     @property
     def n_tiles(self) -> int:

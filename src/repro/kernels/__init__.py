@@ -8,6 +8,8 @@ and cost separate lets tests pin numerical equivalence (e.g. TW masked GEMM
 - :mod:`repro.kernels.dense` — reference and explicitly-tiled dense GEMM.
 - :mod:`repro.kernels.masked` — the paper's TW masked GEMM (Listing 1),
   executed as one gather GEMM per tile.
+- :mod:`repro.kernels.liveness` — the compile stage that drops the tile
+  rows reading a column the previous layer never writes.
 - :mod:`repro.kernels.spmm` — CSR/CSC sparse×dense products (cuSparse path).
 - :mod:`repro.kernels.block_sparse` — BSR GEMM (BlockSparse path).
 - :mod:`repro.kernels.im2col` — convolution→GEMM lowering.

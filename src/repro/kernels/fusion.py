@@ -280,12 +280,21 @@ class EpilogueSpec:
 
 @dataclass(frozen=True)
 class Epilogue:
-    """A registry entry: the fused consumer and its unfused oracle."""
+    """A registry entry: the fused consumer and its unfused oracle.
+
+    ``elementwise`` marks an epilogue whose every output element depends
+    only on the GEMM output at the same position and the column's own
+    parameters (no residual, no row statistics).  A column the GEMM never
+    writes then leaves it as one constant per column, which lets
+    :func:`~repro.kernels.liveness.tighten_chain` fold that column into
+    the next layer.
+    """
 
     name: str
     fused: Callable[..., np.ndarray]
     reference: Callable[..., np.ndarray]
     uses_residual: bool = False
+    elementwise: bool = False
 
 
 EPILOGUES = Registry("epilogue")
@@ -319,7 +328,9 @@ def _reference_dropout_residual_layernorm(y, spec, residual):
     )
 
 
-_BIAS_GELU = Epilogue("bias_gelu", _fused_bias_gelu, _reference_bias_gelu)
+_BIAS_GELU = Epilogue(
+    "bias_gelu", _fused_bias_gelu, _reference_bias_gelu, elementwise=True
+)
 _BIAS_LAYERNORM = Epilogue(
     "bias_layernorm", _fused_bias_layernorm, _reference_bias_layernorm
 )

@@ -52,6 +52,17 @@ zero weight rows: they add exact zeros and never read an activation, so a
 NaN or Inf in a row that every tile prunes cannot reach the output, and
 non-finite values in kept rows propagate as in :func:`tw_gemm_reference`.
 
+The format ``tw_gemm`` runs need not be the pruned one.  A compiled model
+executes the format the liveness stage derives
+(:func:`~repro.kernels.liveness.tighten_chain`): there a tile's ``mask_k``
+may be tighter than its pruning mask, because the rows that read a column
+the previous layer never writes are dropped.  When those columns held a
+constant (after an elementwise epilogue such as ``bias_gelu``), their
+products are folded into the format's ``out_bias``, which ``tw_gemm`` adds
+to every output row after the tile products, in the compute dtype.  A
+tile left with no rows then outputs only its bias, and a column no tile
+owns stays an exact zero.
+
 Each tile's compute operand (its padded gather indices and its weight
 panel in the compute dtype) is memoised on the weight per compute dtype
 (:func:`tile_operands`).  Weights are frozen, so payloads never change
@@ -175,6 +186,7 @@ def tw_gemm_reference(a: np.ndarray, weight: TiledTWMatrix) -> np.ndarray:
     ``DTYPE_TOLERANCES`` for the comparison policy).  Defined for *float*
     payloads only — quantised int8 weights have no scalar oracle and are
     checked against the float64 path on the dequantised weights instead.
+    A format's ``out_bias`` is part of its product and is added last.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -185,6 +197,8 @@ def tw_gemm_reference(a: np.ndarray, weight: TiledTWMatrix) -> np.ndarray:
     out = np.zeros((a.shape[0], n), dtype=np.result_type(a, np.float64))
     for tile in weight.tiles:
         masked_gemm(a, tile.data, tile.mask_k, tile.col_indices, out)
+    if weight.out_bias is not None:
+        out += weight.out_bias
     return out
 
 
@@ -192,7 +206,9 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix) -> np.ndarray:
     """Compute ``A @ W`` for a TW-compacted weight matrix, one gather GEMM per tile.
 
     Columns of the output that belong to no tile (pruned columns) are exact
-    zeros, matching dense GEMM against the mask-expanded weights.
+    zeros, matching dense GEMM against the mask-expanded weights.  A
+    format carrying an ``out_bias`` (an execution format from the liveness
+    stage) adds it to every output row.
 
     Parameters
     ----------
@@ -241,12 +257,17 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix) -> np.ndarray:
         rows, panel = operand
         # every output column belongs to exactly one tile
         out_t[tile.col_indices] = panel.T @ at.take(rows, axis=0)
+    if weight.out_bias is not None:
+        out_t += weight.out_bias[:, None]
     out = out_t.T
     return out if compute_dtype == out_dtype else out.astype(out_dtype)
 
 
 def tw_gemm_work(weight: TiledTWMatrix) -> tuple[int, int]:
     """Executed and useful multiply-adds per activation row of :func:`tw_gemm`.
+
+    Counts the format it is given: a compiled layer executes
+    ``CompiledLayer.tw``, the format the liveness stage tightened.
 
     A tile executes its padded depth times ``kept_n`` and needs only
     ``kept_k × kept_n``, so ``executed / useful`` is at most

@@ -28,8 +28,8 @@ operand — a *per-model* cost, while every request only pays the GEMMs.  :class
   and the measured occupancy stats change.  Worker threads are torn down
   deterministically by :meth:`TWModelServer.close`.
 - **Stats**: per-request latency, per-flush batch sizes, rows/s and
-  requests/s throughput, per-device busy time/GEMM counts, and measured
-  flush wall-time (``wall_time_s``).
+  requests/s over measured flush wall-time (``wall_time_s``), and
+  per-device busy time/GEMM counts.
 - **Fault tolerance & SLOs** (ISSUE 6): every submitted request reaches a
   *terminal* :attr:`ServedRequest.status` — ``ok``, ``failed`` (poison
   isolated after retries/bisection), ``shed`` (backpressure) or
@@ -276,12 +276,16 @@ class ServerStats:
     device_gemms: dict[str, int] = field(default_factory=dict)
 
     def rows_per_s(self) -> float:
-        """Activation rows served per second of GEMM busy time."""
-        return self.rows / self.busy_s if self.busy_s > 0 else 0.0
+        """Activation rows served per second of flush wall time.
+
+        Wall time, not :attr:`busy_s`: busy time adds up every slot's
+        GEMM time, so with two slots overlapping it would halve the rate.
+        """
+        return self.rows / self.wall_time_s if self.wall_time_s > 0 else 0.0
 
     def requests_per_s(self) -> float:
-        """Requests completed per second of GEMM busy time."""
-        return self.requests / self.busy_s if self.busy_s > 0 else 0.0
+        """Requests completed per second of flush wall time."""
+        return self.requests / self.wall_time_s if self.wall_time_s > 0 else 0.0
 
     def mean_latency_s(self) -> float:
         """Mean per-request latency (queueing + execution) over all requests."""

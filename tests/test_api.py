@@ -1,5 +1,7 @@
 """Tests for the front doors: repro.compile() and repro.tune()."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from repro.core import (
 from repro.core.tile_sparsity import TWPruneConfig, tw_prune_step
 from repro.formats.tiled import TiledTWMatrix
 from repro.gpu.device import T4, V100
-from repro.kernels.masked import tw_gemm
+from repro.kernels.fusion import EpilogueSpec
+from repro.kernels.liveness import tighten_chain
+from repro.kernels.masked import tw_gemm, tw_gemm_reference, tw_gemm_work
 from repro.runtime.placement import Placement, resolve_placement
 
 
@@ -32,10 +36,14 @@ def stack():
 
 
 def _hand_wired(weights, x, sparsity, g):
+    """prune -> from_masks -> liveness stage -> tw_gemm chain."""
     step = tw_prune_step([np.abs(w) for w in weights], sparsity, TWPruneConfig(granularity=g))
+    pruned = [
+        TiledTWMatrix.from_masks(w, g, step.col_keeps[i], step.row_masks[i])
+        for i, w in enumerate(weights)
+    ]
     a = x
-    for i, w in enumerate(weights):
-        tw = TiledTWMatrix.from_masks(w, g, step.col_keeps[i], step.row_masks[i])
+    for tw in tighten_chain(pruned, [None] * len(pruned)):
         a = tw_gemm(a, tw)
     return a
 
@@ -50,13 +58,29 @@ def _hand_wired_tuned(weights, x, sparsity, g, n_stages, apriori=None):
         apriori,
     )
     result = pruner.prune(model)
-    a = x
-    for i, w in enumerate(model.weight_matrices()):
-        tw = TiledTWMatrix.from_masks(
+    pruned = [
+        TiledTWMatrix.from_masks(
             w, g, result.step.col_keeps[i], result.step.row_masks[i]
         )
+        for i, w in enumerate(model.weight_matrices())
+    ]
+    a = x
+    for tw in tighten_chain(pruned, [None] * len(pruned)):
         a = tw_gemm(a, tw)
     return a
+
+
+def _untightened(model):
+    """``model`` with every layer executing its pruned format."""
+    return repro.api.CompiledTWModel(
+        [dataclasses.replace(l, tw=l.pruned_tw) for l in model.layers],
+        pattern=model.pattern,
+        sparsity=model.sparsity,
+        granularity=model.granularity,
+        engine=model.engine,
+        placement=model.placement,
+        achieved_sparsity=model.achieved_sparsity,
+    )
 
 
 class TestCompileRun:
@@ -128,6 +152,65 @@ class TestCompileRun:
         assert len(rep["layers"]) == 3
         assert all("tiles" in l and "load_imbalance" in l for l in rep["layers"])
 
+    def test_prune_report_separates_pruned_and_executed(self, stack):
+        weights, _ = stack
+        model = repro.compile(weights, sparsity=0.5, granularity=8)
+        rows = model.prune_report()["layers"]
+        for row, l in zip(rows, model.layers):
+            k, n = l.shape
+            assert row["sparsity"] == round(l.pruned_tw.sparsity, 6)
+            assert row["executed_density"] == round(
+                sum(t.kept_k * t.kept_n for t in l.tw.tiles) / (k * n), 6
+            )
+            assert row["executed_density"] <= 1 - row["sparsity"] + 1e-9
+        # the first layer reads the model input, which is fully live
+        assert rows[0]["executed_density"] == round(1 - rows[0]["sparsity"], 6)
+        assert any(
+            r["executed_density"] < round(1 - r["sparsity"], 6) for r in rows[1:]
+        )
+
+
+class TestLivenessStage:
+    """compile() executes tightened formats and describes the pruned model."""
+
+    def test_execution_format_keeps_every_tile_in_order(self, stack):
+        weights, _ = stack
+        model = repro.compile(weights, sparsity=0.5, granularity=8)
+        assert model.layers[0].tw is model.layers[0].pruned_tw
+        assert any(l.tw is not l.pruned_tw for l in model.layers[1:])
+        for l in model.layers:
+            assert l.tw.n_tiles == l.pruned_tw.n_tiles
+            for t, p in zip(l.tw.tiles, l.pruned_tw.tiles):
+                np.testing.assert_array_equal(t.col_indices, p.col_indices)
+                assert not np.any(t.mask_k & ~p.mask_k)
+            assert tw_gemm_work(l.tw)[1] <= tw_gemm_work(l.pruned_tw)[1]
+
+    def test_pruned_description_unchanged(self, stack):
+        weights, x = stack
+        model = repro.compile(weights, sparsity=0.5, granularity=8)
+        for l in model.layers:
+            np.testing.assert_array_equal(l.mask, l.pruned_tw.element_mask())
+            assert l.sparsity == l.pruned_tw.sparsity
+        dense = x
+        for l in model.layers:
+            dense = dense @ l.masked_dense()
+        # dyadic data: the tightened chain is exact against the pruned model
+        np.testing.assert_array_equal(model.run(x), dense)
+        want = x
+        for l in model.layers:
+            want = tw_gemm_reference(want, l.pruned_tw)
+        np.testing.assert_array_equal(model.run(x), want)
+
+    def test_price_reads_the_pruned_format(self, stack):
+        weights, _ = stack
+        model = repro.compile(weights, sparsity=0.5, granularity=8)
+        untight = _untightened(model)
+        for dtype in (None, "float16", "float32"):
+            assert model.price(m=512, dtype=dtype) == untight.price(m=512, dtype=dtype)
+        assert model.achieved_sparsity == untight.achieved_sparsity
+        for l, u in zip(model.layers, untight.layers):
+            assert l.plans.keys() == u.plans.keys()
+
 
 class TestRegistryErrors:
     def test_unknown_pattern_lists_available(self, stack):
@@ -155,6 +238,33 @@ class TestRegistryErrors:
 
 
 class TestSaveLoad:
+    def test_loaded_mask_and_run_match_compiled(self, tmp_path):
+        rng = np.random.default_rng(11)
+        weights = [rng.standard_normal((64, 64)) for _ in range(2)]
+        model = repro.compile(
+            weights, sparsity=0.5, granularity=16,
+            epilogue=[EpilogueSpec("bias_gelu", bias=rng.standard_normal(64)), None],
+        )
+        loaded = repro.load(model.save(tmp_path / "m.npz"))
+        for got, want in zip(loaded.layers, model.layers):
+            np.testing.assert_array_equal(got.mask, want.mask)
+            np.testing.assert_array_equal(got.masked_dense(), want.masked_dense())
+        assert loaded.layers[1].tw.out_bias is not None
+        x = rng.standard_normal((5, 64))
+        np.testing.assert_array_equal(loaded.run(x), model.run(x))
+
+    def test_save_writes_the_pruned_format(self, stack, tmp_path):
+        weights, _ = stack
+        model = repro.compile(
+            weights, sparsity=0.5, granularity=8, epilogue=["bias_gelu", None, None]
+        )
+        a = np.load(model.save(tmp_path / "a.npz"))
+        b = np.load(_untightened(model).save(tmp_path / "b.npz"))
+        assert sorted(a.files) == sorted(b.files)
+        for key in a.files:
+            assert a[key].dtype == b[key].dtype
+            assert a[key].tobytes() == b[key].tobytes(), key
+
     def test_round_trip_bit_identical(self, stack, tmp_path):
         weights, x = stack
         model = repro.compile(weights, sparsity=0.5, granularity=8)

@@ -266,6 +266,15 @@ class TestServing:
         assert st.mean_latency_s() > 0
         assert len(st.latencies_s) == 2
 
+    def test_throughput_is_over_wall_time_not_summed_busy_time(self):
+        # two slots busy for the whole flush: their busy times sum to
+        # twice the wall time, which must not halve the reported rate
+        st = ServerStats(requests=8, rows=64, wall_time_s=0.5, busy_s=1.0,
+                         device_busy_s={"a#0": 0.5, "a#1": 0.5})
+        assert st.rows_per_s() == 64 / 0.5
+        assert st.requests_per_s() == 8 / 0.5
+        assert ServerStats(rows=4, busy_s=1.0).rows_per_s() == 0.0
+
     def test_validation(self):
         rng = np.random.default_rng(9)
         server = _server(rng, n_layers=1, k=24)
