@@ -16,7 +16,7 @@ Accuracy side (trained MiniBERT at 75 %):
 from repro.analysis import ExperimentRecord, format_table, save_results
 from repro.core.tile_sparsity import TWPruneConfig
 from repro.experiments import gemm_speedup
-from repro.runtime import EngineConfig, TransposePlan
+from repro.gpu.engine import EngineConfig, TransposePlan
 
 SPARSITY = 0.75
 

@@ -12,7 +12,7 @@ sparsity.
 
 from repro.analysis import ExperimentRecord, ascii_bars, format_table, save_results
 from repro.experiments.latency import MODEL_SHAPES
-from repro.runtime import EngineConfig, InferenceEngine, LayerPlan
+from repro.gpu.engine import EngineConfig, InferenceEngine, LayerPlan
 
 # accuracy-matched sparsities (each pattern pruned until ~1% drop; these are
 # the levels our Fig. 12 accuracy sweeps support for the two models)

@@ -15,7 +15,7 @@ for tensor-core-less devices.
 from repro.analysis import ExperimentRecord, format_table, save_results
 from repro.experiments import gemm_speedup
 from repro.experiments.latency import MODEL_SHAPES
-from repro.runtime import EngineConfig, InferenceEngine, LayerPlan
+from repro.gpu.engine import EngineConfig, InferenceEngine, LayerPlan
 
 SPARSITY = 0.75
 DELTAS = (0.01, 0.05, 0.10)

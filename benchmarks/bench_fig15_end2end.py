@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis import ExperimentRecord, format_table, save_results
 from repro.experiments.latency import end_to_end_report
-from repro.runtime import EngineConfig, TransposePlan
+from repro.gpu.engine import EngineConfig, TransposePlan
 
 SPARSITY = 0.75
 

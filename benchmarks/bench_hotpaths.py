@@ -231,7 +231,7 @@ def bench_formats(quick: bool) -> dict:
 
 def bench_end_to_end(quick: bool) -> dict:
     from repro.models.registry import bert_base_gemm_shapes
-    from repro.runtime.engine import EngineConfig, InferenceEngine, LayerPlan
+    from repro.gpu.engine import EngineConfig, InferenceEngine, LayerPlan
 
     shapes = bert_base_gemm_shapes()
     plans = [LayerPlan(shape=s, pattern="tw", sparsity=0.75) for s in shapes]
@@ -588,7 +588,7 @@ def bench_mixed_precision(quick: bool) -> dict:
     from repro.formats.tiled import TiledTWMatrix
     from repro.gpu.tw_kernel import TWExecutionOptions, tw_gemm_cost
     from repro.kernels.masked import tw_gemm
-    from repro.runtime.engine import _DTYPE_BYTES, engine_for_dtype
+    from repro.gpu.engine import _DTYPE_BYTES, engine_for_dtype
 
     g, sparsity = 64, 0.75
     ms = [128] if quick else [128, 512]

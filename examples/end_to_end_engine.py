@@ -15,7 +15,7 @@ Run:  python examples/end_to_end_engine.py
 
 from repro.analysis import ascii_bars, format_table
 from repro.experiments.latency import end_to_end_report
-from repro.runtime import EngineConfig, TransposePlan
+from repro.gpu.engine import EngineConfig, TransposePlan
 
 CONFIGS = {
     "Dense (fused)": ("dense", 0.0, EngineConfig()),

@@ -68,6 +68,13 @@ from repro.core.tile_sparsity import TWPruneConfig, TWStepResult, tw_prune_step
 from repro.formats.csc import CSCMatrix
 from repro.formats.tiled import TiledTWMatrix
 from repro.gpu.device import DeviceSpec
+from repro.gpu.engine import (
+    EndToEndReport,
+    EngineConfig,
+    InferenceEngine,
+    LayerPlan,
+    engine_for_dtype,
+)
 from repro.gpu.tw_kernel import TWShapeStats
 from repro.kernels.fusion import (
     EPILOGUES,
@@ -80,13 +87,6 @@ from repro.kernels.masked import activation_dtype, tw_gemm
 from repro.kernels.spmm import csc_left_spmm
 from repro.models.registry import GemmShape
 from repro.patterns.registry import PATTERNS, make_pattern, resolve_engine
-from repro.runtime.engine import (
-    EndToEndReport,
-    EngineConfig,
-    InferenceEngine,
-    LayerPlan,
-    engine_for_dtype,
-)
 from repro.runtime.placement import Placement, resolve_placement
 from repro.runtime.scheduler import ExecutionPlan, build_execution_plan
 from repro.runtime.server import ServerConfig, TWModelServer
@@ -228,7 +228,6 @@ class CompiledTWModel:
         placement: Placement,
         achieved_sparsity: float | None = None,
         model_name: str | None = None,
-        price_shapes: list[GemmShape] | None = None,
     ) -> None:
         self.layers = layers
         self.pattern = pattern
@@ -237,7 +236,6 @@ class CompiledTWModel:
         self.engine = engine
         self.placement = placement
         self.model_name = model_name
-        self._price_shapes = price_shapes
         if achieved_sparsity is None:
             total = sum(l.shape[0] * l.shape[1] for l in layers) or 1
             kept = sum((1.0 - l.sparsity) * l.shape[0] * l.shape[1] for l in layers)
@@ -332,70 +330,47 @@ class CompiledTWModel:
         (GEMM-only speedup + the Fig. 15 end-to-end breakdown); weight
         compilations price each layer at ``m`` activation rows using the
         *real* compiled tile geometry (``TWShapeStats.from_matrix``), not a
-        synthetic sparsity model.
+        synthetic sparsity model.  Both price on the placement's primary
+        device unless ``infer`` is given, and both sum through
+        :meth:`~repro.gpu.engine.InferenceEngine.gemm_totals`.
 
         ``dtype`` selects the cost model's precision axis: ``"float16"``
         and ``"int8"`` price the tensor-core pipeline at 2-/1-byte traffic,
         ``"float32"``/``"float64"`` the CUDA-core pipeline at 4-/8-byte
         traffic (the engine follows
-        :func:`~repro.runtime.engine.engine_for_dtype`).  ``None`` keeps
+        :func:`~repro.gpu.engine.engine_for_dtype`).  ``None`` keeps
         the compiled ``engine`` and the engine's historical default width —
         the pre-mixed-precision behaviour.
         """
         engine = engine_for_dtype(dtype) if dtype else self.engine
-        if self.model_name is not None and self._price_shapes is None:
-            # named-model path: delegate to the latency experiment, which
-            # shares dense-baseline memos across sweeps
-            from repro.experiments.latency import end_to_end_report, gemm_speedup
-
-            price_pattern = _PRICE_AS[self.pattern]
-            cfg = EngineConfig(engine=engine, dtype=dtype or "")
-            speedup = gemm_speedup(
-                self.model_name, price_pattern, self.sparsity,
-                engine=engine, granularity=self.granularity, infer=infer,
-                config=cfg,
-            )
-            rep = end_to_end_report(
-                self.model_name, price_pattern, self.sparsity,
-                cfg,
-                granularity=self.granularity, infer=infer,
-            )
-            return PriceReport(
-                label=self.model_name,
-                pattern=self.pattern,
-                engine=engine,
-                m=0,
-                sparse_gemm_us=rep.gemm_us,
-                dense_gemm_us=rep.gemm_us * speedup,
-                end_to_end=rep,
-                dtype=dtype or "",
-            )
-        if m <= 0:
-            raise ValueError(f"m must be positive, got {m}")
-        from repro.experiments.latency import baseline_engine_config
-
-        price_pattern = _PRICE_AS[self.pattern]
         infer = infer or InferenceEngine(device=self.placement.primary)
         config = EngineConfig(engine=engine, dtype=dtype or "")
-        baseline_cfg = baseline_engine_config(price_pattern, config)
-        sparse_us = dense_us = 0.0
-        for l in self.layers:
-            shape = GemmShape(m, l.shape[0], l.shape[1], name=l.name)
-            plan = LayerPlan(
-                shape,
-                pattern=price_pattern,
-                sparsity=min(l.sparsity, 1.0),
+        price_pattern = _PRICE_AS[self.pattern]
+        if self.model_name is not None:
+            from repro.experiments.latency import model_plans
+
+            m = 0
+            plans = model_plans(
+                self.model_name, price_pattern, self.sparsity,
                 granularity=self.granularity,
-                tw_stats=(
-                    TWShapeStats.from_matrix(l.pruned_tw)
-                    if l.pruned_tw is not None else None
-                ),
             )
-            if price_pattern == "dense":
-                sparse_us += infer.gemm_cost(LayerPlan(shape), config).total_us
-            else:
-                sparse_us += infer.gemm_cost(plan, config).total_us
-            dense_us += infer.gemm_cost(LayerPlan(shape), baseline_cfg).total_us
+        else:
+            if m <= 0:
+                raise ValueError(f"m must be positive, got {m}")
+            plans = [
+                LayerPlan(
+                    GemmShape(m, l.shape[0], l.shape[1], name=l.name),
+                    pattern=price_pattern,
+                    sparsity=min(l.sparsity, 1.0),
+                    granularity=self.granularity,
+                    tw_stats=(
+                        TWShapeStats.from_matrix(l.pruned_tw)
+                        if l.pruned_tw is not None else None
+                    ),
+                )
+                for l in self.layers
+            ]
+        sparse_us, dense_us = infer.gemm_totals(plans, config)
         return PriceReport(
             label=self.model_name or f"{self.n_layers}-layer stack",
             pattern=self.pattern,
@@ -403,6 +378,10 @@ class CompiledTWModel:
             m=m,
             sparse_gemm_us=sparse_us,
             dense_gemm_us=dense_us,
+            end_to_end=(
+                infer.end_to_end(self.model_name, plans, config)
+                if self.model_name is not None else None
+            ),
             dtype=dtype or "",
         )
 

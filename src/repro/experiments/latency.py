@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
+from repro.gpu.engine import EndToEndReport, EngineConfig, InferenceEngine, LayerPlan
 from repro.models.registry import (
     GemmShape,
     bert_base_gemm_shapes,
@@ -17,12 +18,10 @@ from repro.models.registry import (
     vgg16_gemm_shapes,
 )
 from repro.patterns.registry import resolve_engine
-from repro.runtime.engine import EndToEndReport, EngineConfig, InferenceEngine, LayerPlan
 
 __all__ = [
     "MODEL_SHAPES",
     "model_plans",
-    "baseline_engine_config",
     "gemm_speedup",
     "sparsity_sweep",
     "end_to_end_report",
@@ -36,12 +35,8 @@ MODEL_SHAPES: dict[str, Callable[[], list[GemmShape]]] = {
 }
 
 # A sweep prices hundreds of sparse configs against the *same* dense
-# baselines, so both the engine (with its per-shape memos) and the summed
-# per-model dense totals are shared module-wide.  The totals memo only
-# applies to the shared default engine — a caller-supplied engine may carry
-# a different device/calibration.
+# baselines, so the engine (with its per-shape memos) is shared module-wide.
 _SHARED_ENGINE: InferenceEngine | None = None
-_DENSE_BASELINE_US: dict[tuple[str, str], float] = {}
 
 
 def _default_engine() -> InferenceEngine:
@@ -49,39 +44,6 @@ def _default_engine() -> InferenceEngine:
     if _SHARED_ENGINE is None:
         _SHARED_ENGINE = InferenceEngine()
     return _SHARED_ENGINE
-
-
-def _dense_baseline_us(
-    model: str,
-    plans: list[LayerPlan],
-    baseline_cfg: EngineConfig,
-    infer: InferenceEngine,
-    memoizable: bool,
-) -> float:
-    key = (model, baseline_cfg.engine)
-    if memoizable:
-        hit = _DENSE_BASELINE_US.get(key)
-        if hit is not None:
-            return hit
-    dense_us = sum(
-        infer.gemm_cost(LayerPlan(p.shape), baseline_cfg).total_us * p.shape.count
-        for p in plans
-    )
-    if memoizable:
-        _DENSE_BASELINE_US[key] = dense_us
-    return dense_us
-
-
-def baseline_engine_config(pattern: str, config: EngineConfig) -> EngineConfig:
-    """The dense baseline's engine for a pattern (the paper's pairing).
-
-    EW/VW run through cuSparse on CUDA cores, so their dense baseline is
-    the CUDA-core GEMM; every other pattern compares against the requested
-    engine.  Single source of this rule — the facade's pricing
-    (:meth:`repro.api.CompiledTWModel.price`) and :func:`gemm_speedup`
-    both resolve through it.
-    """
-    return EngineConfig(engine="cuda_core") if pattern in ("ew", "vw") else config
 
 
 def model_plans(
@@ -125,21 +87,17 @@ def gemm_speedup(
 
     This is the paper's main reported quantity ("we focus on the GEMM
     execution time unless explicitly mentioned", §VII-A).  The baseline
-    engine follows the paper's pairing: EW/VW compare against dense CUDA
-    cores, BW/TW/TEW against the requested engine.
+    engine follows the paper's pairing
+    (:func:`~repro.gpu.engine.baseline_engine_config`): EW/VW compare
+    against dense CUDA cores, BW/TW/TEW against the requested engine.
     """
-    shared = infer is None
     infer = infer or _default_engine()
     config = config or EngineConfig(engine=resolve_engine(engine))
-    baseline_cfg = baseline_engine_config(pattern, config)
     plans = model_plans(
         model, pattern, sparsity,
         granularity=granularity, block_size=block_size, tew_delta=tew_delta,
     )
-    sparse_us = sum(
-        infer.gemm_cost(p, config).total_us * p.shape.count for p in plans
-    )
-    dense_us = _dense_baseline_us(model, plans, baseline_cfg, infer, shared)
+    sparse_us, dense_us = infer.gemm_totals(plans, config)
     if sparse_us <= 0:
         raise ValueError("sparse configuration has zero latency")
     return dense_us / sparse_us

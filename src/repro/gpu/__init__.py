@@ -24,6 +24,11 @@ Engines (one per execution path in the paper):
 All engines return a :class:`~repro.gpu.costmodel.CostBreakdown` carrying
 latency components *and* performance counters (load/store transactions,
 FLOPS efficiency) so Fig. 11 can be regenerated.
+
+:mod:`repro.gpu.engine` prices a whole forward pass over them
+(:class:`~repro.gpu.engine.InferenceEngine`: per-layer GEMMs, transpose
+placement, the non-GEMM Amdahl share); import it from there, since it
+reads the model shape tables.
 """
 
 from repro.gpu.device import A100, T4, V100, DeviceSpec

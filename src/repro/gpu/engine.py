@@ -4,7 +4,8 @@
 
 - every weight GEMM through the pattern-appropriate engine
   (dense / TW / TEW / EW / VW / BW);
-- the transpose kernels implied by the layout plan;
+- the transpose kernels implied by the layout plan
+  (:class:`TransposePlan`, priced by :func:`transpose_cost`);
 - the non-GEMM kernels (Add-bias, LayerNorm, softmax, …) as an Amdahl
   fraction of the dense GEMM time, fused or unfused (paper: 39 % → 29 %
   for BERT).
@@ -12,6 +13,11 @@
 The TEW hybrid runs its TW part on the selected engine and its CSC
 residual through cuSparse on CUDA cores, sequentially — the reason δ=1 %
 already erases the tensor-core speedup in Fig. 10b.
+
+:meth:`InferenceEngine.gemm_totals` is the one place that sums a model's
+sparse GEMM time against its dense baseline (paired per pattern by
+:func:`baseline_engine_config`); ``CompiledTWModel.price()`` and
+:func:`repro.experiments.latency.gemm_speedup` both read it.
 """
 
 from __future__ import annotations
@@ -20,22 +26,93 @@ from dataclasses import dataclass, field, replace
 
 from repro.gpu.blocksparse import bsr_gemm_cost
 from repro.gpu.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.gpu.costmodel import CostBreakdown
+from repro.gpu.costmodel import CostBreakdown, PerfCounters
 from repro.gpu.cuda_core import dense_gemm_cuda_cost
 from repro.gpu.cusparse import csr_spmm_cost
 from repro.gpu.device import DeviceSpec, V100
 from repro.gpu.tensor_core import dense_gemm_tc_cost
 from repro.gpu.tw_kernel import TWExecutionOptions, TWShapeStats, tw_gemm_cost
 from repro.models.registry import GemmShape, nongemm_time_fraction
-from repro.runtime.layout import TransposePlan, transpose_cost
 
 __all__ = [
     "LayerPlan",
     "EngineConfig",
     "EndToEndReport",
     "InferenceEngine",
+    "TransposePlan",
+    "transpose_cost",
+    "baseline_engine_config",
     "engine_for_dtype",
 ]
+
+
+@dataclass(frozen=True)
+class TransposePlan:
+    """How many transpose kernels a schedule needs (paper §VI "Memory
+    Accesses Coalesce").
+
+    The TW GEMM wants its operands transposed.  ``per_layer`` — one
+    transpose at every GEMM boundary (n_gemms + 1, ~10 % of end-to-end
+    latency in Fig. 15); ``boundary_only`` — first-layer A and last-layer
+    C only (the paper's fused layout: the non-GEMM kernels consume and
+    produce the transposed layout); ``none`` — untransposed execution
+    (the GEMM then pays the uncoalesced penalty instead).
+    """
+
+    mode: str = "boundary_only"
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("per_layer", "boundary_only", "none"):
+            raise ValueError(f"unknown transpose mode {self.mode!r}")
+
+    def kernel_count(self, n_gemms: int) -> int:
+        """Transpose kernels for a chain of ``n_gemms`` weight GEMMs."""
+        if n_gemms < 0:
+            raise ValueError(f"negative GEMM count {n_gemms}")
+        if self.mode == "none" or n_gemms == 0:
+            return 0
+        if self.mode == "per_layer":
+            return n_gemms + 1
+        return 2
+
+
+def transpose_cost(
+    rows: int,
+    cols: int,
+    count: int,
+    device: DeviceSpec = V100,
+    calib: Calibration = DEFAULT_CALIBRATION,
+    dtype_bytes: int = 2,
+) -> CostBreakdown:
+    """Price ``count`` transpose kernels of a ``rows×cols`` matrix.
+
+    A transpose is a pure copy with one strided stream; it achieves only
+    :attr:`Calibration.transpose_bw_fraction` of DRAM bandwidth.
+    """
+    if rows < 0 or cols < 0 or count < 0:
+        raise ValueError("negative transpose geometry")
+    if rows == 0 or cols == 0 or count == 0:
+        return CostBreakdown(kernels=0, label="transpose")
+    bytes_each = rows * cols * dtype_bytes
+    loads = float(bytes_each * count)
+    stores = float(bytes_each * count)
+    memory_us = (loads + stores) / (
+        device.mem_bandwidth * calib.transpose_bw_fraction
+    ) * 1e6
+    return CostBreakdown(
+        compute_us=0.0,
+        memory_us=memory_us,
+        launch_us=count * device.kernel_launch_us,
+        kernels=count,
+        counters=PerfCounters(
+            flops=0.0,
+            bytes_loaded=loads,
+            bytes_stored=stores,
+            sector_bytes=device.sector_bytes,
+        ),
+        label="transpose",
+    )
+
 
 _PATTERNS = ("dense", "tw", "tew", "ew", "vw", "bw")
 
@@ -127,6 +204,16 @@ def engine_for_dtype(dtype: str) -> str:
     return "tensor_core" if dtype in ("float16", "int8") else "cuda_core"
 
 
+def baseline_engine_config(pattern: str, config: EngineConfig) -> EngineConfig:
+    """The dense baseline's engine for a pattern (the paper's pairing).
+
+    EW/VW run through cuSparse on CUDA cores, so their dense baseline is
+    the CUDA-core GEMM; every other pattern compares against the requested
+    engine.  :meth:`InferenceEngine.gemm_totals` applies it per plan.
+    """
+    return EngineConfig(engine="cuda_core") if pattern in ("ew", "vw") else config
+
+
 @dataclass
 class EndToEndReport:
     """Latency decomposition of one forward pass (the Fig. 15 bars)."""
@@ -206,7 +293,7 @@ class InferenceEngine:
         shape = plan.shape
         if plan.pattern == "dense":
             return self._dense_cost(shape, config)
-        if plan.pattern == "tw":
+        if plan.pattern in ("tw", "tew"):
             opts = TWExecutionOptions(
                 transpose=config.transpose.mode != "none",
                 batching=config.batching,
@@ -214,21 +301,17 @@ class InferenceEngine:
                 engine=config.engine,
                 dtype_bytes=config.dtype_bytes if config.dtype else None,
             )
-            return tw_gemm_cost(shape.m, self._tw_stats(plan), self.device, self.calib, opts)
-        if plan.pattern == "tew":
+            if plan.pattern == "tw":
+                return tw_gemm_cost(
+                    shape.m, self._tw_stats(plan), self.device, self.calib, opts
+                )
             # TW part pruned to sparsity + delta, EW residual of delta·K·N
             tw_part = tw_gemm_cost(
                 shape.m,
                 self._tw_stats(plan, min(plan.sparsity + plan.tew_delta, 0.999)),
                 self.device,
                 self.calib,
-                TWExecutionOptions(
-                    transpose=config.transpose.mode != "none",
-                    batching=config.batching,
-                    streams=config.streams,
-                    engine=config.engine,
-                    dtype_bytes=config.dtype_bytes if config.dtype else None,
-                ),
+                opts,
             )
             residual_nnz = int(plan.tew_delta * shape.k * shape.n)
             ew_part = csr_spmm_cost(
@@ -250,6 +333,23 @@ class InferenceEngine:
     # ------------------------------------------------------------------ #
     # whole model
     # ------------------------------------------------------------------ #
+    def gemm_totals(
+        self, plans: list[LayerPlan], config: EngineConfig
+    ) -> tuple[float, float]:
+        """Count-weighted GEMM time of ``plans``: ``(sparse_us, dense_us)``.
+
+        ``sparse_us`` prices each plan under ``config``; ``dense_us``
+        prices each plan's shape as a dense GEMM under its own
+        :func:`baseline_engine_config`, so a mixed list pairs every layer
+        with its pattern's baseline.
+        """
+        sparse_us = dense_us = 0.0
+        for p in plans:
+            baseline = baseline_engine_config(p.pattern, config)
+            sparse_us += self.gemm_cost(p, config).total_us * p.shape.count
+            dense_us += self._dense_cost(p.shape, baseline).total_us * p.shape.count
+        return sparse_us, dense_us
+
     def end_to_end(
         self, model_name: str, plans: list[LayerPlan], config: EngineConfig
     ) -> EndToEndReport:

@@ -21,11 +21,13 @@ Execution pipeline (paper Fig. 7)
 On a GPU the TW hot path follows **plan → batch → stream → execute**: a
 :func:`repro.runtime.batching.batching_plan` width-groups the tiles and a
 :class:`repro.runtime.scheduler.StreamAssignment` orders the groups across
-streams; the cost model in :mod:`repro.gpu.tw_kernel` prices that launch
-schedule.  On the host, :func:`repro.kernels.masked.tw_gemm` walks the
-tiles as gather GEMMs (each tile loads only the activation rows it keeps,
-depth zero-padded to a multiple of 32).  Each tile writes only its own
-output columns, so the launch order cannot change a value.
+streams.  The cost model (:func:`repro.gpu.tw_kernel.tw_gemm_cost`) prices
+the same launch schedule by grouping the tiles by width itself; it reads
+no :class:`~repro.runtime.scheduler.ExecutionPlan`.  On the host,
+:func:`repro.kernels.masked.tw_gemm` walks the tiles as gather GEMMs
+(each tile loads only the activation rows it keeps, depth zero-padded to
+a multiple of 32).  Each tile writes only its own output columns, so the
+launch order cannot change a value.
 
 Vectorisation contract
 ----------------------

@@ -121,13 +121,15 @@ def layernorm(
     Preserves the input storage dtype (float16 in → float16 out) while
     accumulating the mean/variance in float32 (float64 inputs accumulate in
     float64) — the mixed-precision dtype contract.  Integer inputs promote
-    to float64, the historical behaviour.
+    to float64, the historical behaviour.  The row statistics are taken on
+    a C-ordered array, because numpy sums a row in memory order: equal
+    values in C and Fortran order then give equal bits.
     """
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.floating):
         x = x.astype(np.float64)
     acc = _acc_dtype(x.dtype)
-    xa = x.astype(acc, copy=False)
+    xa = x.astype(acc, order="C", copy=False)
     mean = xa.mean(axis=-1, keepdims=True)
     var = xa.var(axis=-1, keepdims=True)
     out = (xa - mean) / np.sqrt(var + eps)
@@ -210,10 +212,14 @@ def bias_layernorm(
 ) -> np.ndarray:
     """Fused Add-bias + LayerNorm — the paper's flagship fusion example
     ("the previous Add-bias operation can execute with LayerNormalization
-    when the data is loaded into the register file")."""
+    when the data is loaded into the register file").
+
+    The biased sum is written C-ordered, so the row statistics (and the
+    output bits) do not depend on the input's memory order.
+    """
     x = np.asarray(x)
     acc = _acc_dtype(x.dtype)
-    h = x.astype(acc, copy=False) + np.asarray(bias, dtype=acc)
+    h = np.add(x.astype(acc, copy=False), np.asarray(bias, dtype=acc), order="C")
     mean = h.mean(axis=-1, keepdims=True)
     var = h.var(axis=-1, keepdims=True)
     h -= mean
@@ -234,7 +240,10 @@ def dropout_residual_layernorm(
     seed: int = 0,
     eps: float = 1e-5,
 ) -> np.ndarray:
-    """Fused Dropout + residual-add + LayerNorm (transformer block tail)."""
+    """Fused Dropout + residual-add + LayerNorm (transformer block tail).
+
+    The residual sum is written C-ordered, as in :func:`bias_layernorm`.
+    """
     x = np.asarray(x)
     acc = _acc_dtype(x.dtype)
     if p:
@@ -242,10 +251,8 @@ def dropout_residual_layernorm(
             raise ValueError(f"dropout rate must be in [0, 1), got {p}")
         keep = np.random.default_rng(seed).random(x.shape) >= p
         scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
-        h = x * (keep.astype(x.dtype) * scale)
-        h = h.astype(acc, copy=False) + np.asarray(residual, dtype=acc)
-    else:
-        h = x.astype(acc, copy=False) + np.asarray(residual, dtype=acc)
+        x = x * (keep.astype(x.dtype) * scale)
+    h = np.add(x.astype(acc, copy=False), np.asarray(residual, dtype=acc), order="C")
     mean = h.mean(axis=-1, keepdims=True)
     var = h.var(axis=-1, keepdims=True)
     h -= mean

@@ -2,11 +2,10 @@
 
 Equal-width TW tiles batch into one kernel; this module builds the explicit
 plan (which tiles go to which kernel, padded depth, launch savings) that
-:mod:`repro.runtime.scheduler` assigns to streams, the engine prices, *and*
-the functional executor (:func:`repro.kernels.masked.tw_gemm`) runs.  There
-is exactly one plan representation — a list of :class:`BatchGroup` — shared
-by the cost model and the executor, so what gets priced is what executes
-(plan → batch → stream → execute).
+:mod:`repro.runtime.scheduler` assigns to streams.  The plan describes the
+GPU launch schedule only: the host's :func:`repro.kernels.masked.tw_gemm`
+walks the tiles in index order, and the cost model
+(:func:`repro.gpu.tw_kernel.tw_gemm_cost`) groups the tiles by width itself.
 """
 
 from __future__ import annotations

@@ -234,9 +234,9 @@ LATENCY_WINDOW = 4096
 
 @dataclass
 class ServerStats:
-    """Running counters; throughput is derived from GEMM busy time (on a
-    server that was not ``warm()``\\ ed, the first wave's GEMMs also build
-    the tile operands)."""
+    """Running counters; throughput is rows (or requests) over flush wall
+    time, :attr:`wall_time_s` (on a server that was not ``warm()``\\ ed,
+    the first wave's GEMMs also build the tile operands)."""
 
     requests: int = 0
     rows: int = 0

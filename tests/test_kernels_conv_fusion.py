@@ -9,11 +9,14 @@ from repro.kernels import (
     add_bias,
     bias_gelu,
     bias_layernorm,
+    bias_layernorm_reference,
     bias_relu,
     blocked_transpose,
     col2im,
     conv2d_gemm,
     conv_output_shape,
+    dropout_residual_layernorm,
+    dropout_residual_layernorm_reference,
     gelu,
     im2col,
     layernorm,
@@ -185,6 +188,61 @@ class TestFusion:
             bias_layernorm(x, b, gamma, beta),
             layernorm(add_bias(x, b), gamma, beta),
             atol=1e-12,
+        )
+
+
+class TestLayerNormMemoryOrder:
+    """Equal values in C and Fortran order give equal LayerNorm bits.
+
+    ``tw_gemm`` returns a Fortran-ordered view and ``tw_gemm_reference`` a
+    C-ordered array; numpy sums a row in memory order, so the row
+    statistics are taken on a C-ordered array in all four functions.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_c_and_f_order_equal_bits(self, dtype, p):
+        rng = np.random.default_rng(11)
+        gamma = rng.standard_normal(300)
+        beta = rng.standard_normal(300)
+        for _ in range(20):
+            x = rng.standard_normal((8, 300)).astype(dtype)
+            bias = rng.standard_normal(300)
+            res = rng.standard_normal((8, 300)).astype(dtype)
+            xf, resf = np.asfortranarray(x), np.asfortranarray(res)
+            for fn, args, args_f in (
+                (bias_layernorm, (x, bias, gamma, beta), (xf, bias, gamma, beta)),
+                (bias_layernorm_reference, (x, bias, gamma, beta), (xf, bias, gamma, beta)),
+                (
+                    dropout_residual_layernorm,
+                    (x, res, gamma, beta, p, 5),
+                    (xf, resf, gamma, beta, p, 5),
+                ),
+                (
+                    dropout_residual_layernorm_reference,
+                    (x, res, gamma, beta, p, 5),
+                    (xf, resf, gamma, beta, p, 5),
+                ),
+            ):
+                np.testing.assert_array_equal(fn(*args), fn(*args_f), err_msg=fn.__name__)
+                # mixed layouts too: a Fortran activation with a C residual
+                np.testing.assert_array_equal(
+                    fn(*args), fn(xf, *args[1:]), err_msg=fn.__name__
+                )
+
+    def test_fused_equals_reference_across_layouts_float64(self):
+        """A Fortran GEMM output through the fused epilogue equals a
+        C-ordered one through the oracle, bit for bit."""
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((8, 300))
+        bias, res = rng.standard_normal(300), rng.standard_normal((8, 300))
+        xf = np.asfortranarray(x)
+        np.testing.assert_array_equal(
+            bias_layernorm(xf, bias), bias_layernorm_reference(x, bias)
+        )
+        np.testing.assert_array_equal(
+            dropout_residual_layernorm(xf, res),
+            dropout_residual_layernorm_reference(x, res),
         )
 
 
