@@ -33,7 +33,9 @@ future PR has a perf trajectory to regress against:
 - **fusion** — the fused epilogue consumers (``bias_gelu``,
   ``bias_layernorm``, ``dropout_residual_layernorm``) against their
   unfused ``*_reference`` compositions at BERT-base tail shapes, with
-  float64 bit-identity asserted before timing.
+  float64 bit-identity asserted before timing; ``fused_fortran_ms``
+  times the fused consumer on the Fortran-ordered input ``tw_gemm``
+  returns.
 - **server** — cold request latency (``repro.compile`` → ``serve()`` →
   first request) against a warm request, which only pays the GEMMs, and
   micro-batched vs sequential throughput.
@@ -669,7 +671,9 @@ def bench_fusion(quick: bool) -> dict:
     fused consumers run in-place ufunc chains (~2 temporaries); the
     references compose the standalone kernels (~9 temporaries), which is
     exactly the memory traffic fusion removes.  Float64 outputs are
-    asserted bit-identical before timing.
+    asserted bit-identical before timing, and the fused output on a
+    Fortran-ordered copy of the input (the layout every ``tw_gemm`` output
+    has), timed as ``fused_fortran_ms``, bit-identical to the C-ordered one.
     """
     import dataclasses
 
@@ -696,9 +700,16 @@ def bench_fusion(quick: bool) -> dict:
             residual = rng.standard_normal((m, n)) if needs_res else None
             fused = apply_epilogue(y, spec, residual=residual)
             ref = apply_epilogue(y, spec, residual=residual, reference=True)
-            identical = bool(np.array_equal(fused, ref))
+            y_f = np.asfortranarray(y)
+            identical = bool(
+                np.array_equal(fused, ref)
+                and np.array_equal(apply_epilogue(y_f, spec, residual=residual), fused)
+            )
             fused_ms = _best_of(
                 lambda: apply_epilogue(y, spec, residual=residual), 5
+            )
+            fused_fortran_ms = _best_of(
+                lambda: apply_epilogue(y_f, spec, residual=residual), 5
             )
             ref_ms = _best_of(
                 lambda: apply_epilogue(
@@ -712,6 +723,7 @@ def bench_fusion(quick: bool) -> dict:
                     "shape": f"{m}x{n}",
                     "epilogue": name,
                     "fused_ms": round(fused_ms, 3),
+                    "fused_fortran_ms": round(fused_fortran_ms, 3),
                     "reference_unfused_ms": round(ref_ms, 3),
                     "speedup_vs_unfused": round(ref_ms / fused_ms, 2),
                     "bit_identical_float64": identical,
@@ -719,6 +731,7 @@ def bench_fusion(quick: bool) -> dict:
             )
             print(
                 f"fusion m={m:<4d} {name:<27s} fused {fused_ms:6.3f}ms  "
+                f"(Fortran input {fused_fortran_ms:6.3f}ms)  "
                 f"unfused {ref_ms:6.3f}ms  {ref_ms / fused_ms:4.2f}x  "
                 f"{'bit-identical' if identical else 'MISMATCH'}"
             )

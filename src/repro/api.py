@@ -1,10 +1,10 @@
 """One front door for the paper's pipeline: :func:`compile` and :func:`tune`.
 
 The reproduction's contribution is a *pipeline* — tile-wise prune → compact
-TW format → cross-layer liveness → per-tile gather GEMM execution — and
-this module is its single entry point.  Instead of hand-wiring
-``tw_prune_step`` → ``TiledTWMatrix.from_masks`` → ``tighten_chain`` →
-``tw_gemm`` at every call site, callers write::
+TW format → cross-layer liveness into live coordinates → per-tile gather
+GEMM execution — and this module is its single entry point.  Instead of
+hand-wiring ``tw_prune_step`` → ``TiledTWMatrix.from_masks`` →
+``tighten_chain`` → ``tw_gemm`` at every call site, callers write::
 
     import repro
 
@@ -134,15 +134,23 @@ class CompiledLayer:
 
     A TW layer holds two formats.  ``pruned_tw`` is what pruning kept:
     ``save()``, ``sparsity``, ``price()`` and the plans read it, and
-    ``mask``, ``epilogue`` and :meth:`masked_dense` describe the same
-    pruned function.  ``tw`` is the *execution* format that ``run()``,
-    every serving executor and ``TuneResult.run()`` pass to ``tw_gemm``:
-    the liveness stage (:func:`~repro.kernels.liveness.tighten_chain`)
-    drops the kept rows that read a column the previous layer never
-    writes, and may carry a folded ``out_bias``.  It keeps every tile of
-    ``pruned_tw`` in the same order, and is ``pruned_tw`` itself when
-    nothing was dropped.  A layer built without the stage executes its
-    pruned format (``pruned_tw`` defaults to ``tw``).
+    ``shape``, ``mask``, ``epilogue`` and :meth:`masked_dense` describe
+    the same pruned function.  ``tw`` is the *execution* format that
+    ``run()``, every serving executor and ``TuneResult.run()`` pass to
+    ``tw_gemm``, and ``tw_epilogue`` the epilogue they apply after it.
+    The liveness stage (:func:`~repro.kernels.liveness.tighten_chain`)
+    derives both in *live coordinates*: it drops the kept rows that read a
+    column the previous layer never writes (folding constants into
+    ``out_bias``), shrinks ``K`` and ``N`` to the columns the chain can
+    see, and slices the epilogue's parameters to the same columns.  So
+    ``tw.shape`` may be smaller than ``shape``; only the first layer's
+    ``K`` and the last layer's ``N`` are always the model's.  ``tw``
+    keeps every tile of ``pruned_tw`` in the same order, and is
+    ``pruned_tw`` itself when nothing changed.  A layer built without the
+    stage executes its pruned format and epilogue (``pruned_tw`` defaults
+    to ``tw``, ``tw_epilogue`` to ``epilogue``).  The two execution fields
+    change together: a ``tw_epilogue`` parameter vector whose length is
+    not ``tw``'s ``N`` raises ``ValueError`` at construction.
     """
 
     name: str
@@ -157,10 +165,22 @@ class CompiledLayer:
     plans: dict[DeviceSpec, ExecutionPlan] = field(default_factory=dict)
     epilogue: EpilogueSpec | None = None
     pruned_tw: TiledTWMatrix | None = None
+    tw_epilogue: EpilogueSpec | None = None
 
     def __post_init__(self) -> None:
         if self.pruned_tw is None:
             object.__setattr__(self, "pruned_tw", self.tw)
+        if self.tw_epilogue is None:
+            object.__setattr__(self, "tw_epilogue", self.epilogue)
+        if self.tw is not None and self.tw_epilogue is not None:
+            # the pair changes together: replacing one alone must not run
+            for name in ("bias", "gamma", "beta"):
+                vec = getattr(self.tw_epilogue, name)
+                if vec is not None and np.shape(vec) != (self.tw.shape[1],):
+                    raise ValueError(
+                        f"layer {self.name!r}: tw_epilogue.{name} has shape "
+                        f"{np.shape(vec)}, tw has {self.tw.shape[1]} columns"
+                    )
 
     @property
     def sparsity(self) -> float:
@@ -282,7 +302,9 @@ class CompiledTWModel:
 
         A TW layer's ``sparsity`` is its pruned sparsity; its
         ``executed_density`` is the multiply-adds its execution format
-        keeps after the liveness stage, over ``K·N``.  The tile geometry
+        keeps after the liveness stage, over the pruned ``K·N``, so the
+        live-coordinate re-indexing cannot move it.  ``exec_shape`` is the
+        execution format's ``K×N`` in live coordinates.  The tile geometry
         describes the pruned format.
         """
         self._require_weights("report pruning")
@@ -294,8 +316,10 @@ class CompiledTWModel:
                 "sparsity": round(l.sparsity, 6),
             }
             if l.tw is not None:
+                k, n = l.pruned_tw.shape
                 row.update(
-                    executed_density=round(l.tw.flops_fraction, 6),
+                    executed_density=round(sum(t.work for t in l.tw.tiles) / (k * n), 6),
+                    exec_shape=list(l.tw.shape),
                     tiles=l.pruned_tw.n_tiles,
                     kept_columns=l.pruned_tw.kept_columns,
                     load_imbalance=round(l.pruned_tw.load_imbalance(), 4),
@@ -392,13 +416,17 @@ class CompiledTWModel:
         """Forward ``x`` through the compiled layer stack.
 
         TW layers execute their execution format ``CompiledLayer.tw`` as
-        per-tile gather GEMMs, bit-identical to the hand-wired
+        per-tile gather GEMMs and then their execution epilogue
+        ``CompiledLayer.tw_epilogue``, bit-identical to the hand-wired
         ``tw_prune → from_masks → tighten_chain → tw_gemm`` pipeline.  The
         liveness stage (:mod:`repro.kernels.liveness`) has dropped the kept
-        rows that read a column the previous layer never writes, so the
-        function is still the pruned model's: exact against the pruned
-        formats on dyadic float64 data across edges with no epilogue, and
-        within :data:`~repro.kernels.masked.DTYPE_TOLERANCES` where a
+        rows that read a column the previous layer never writes and moved
+        each layer into live coordinates, so the activations between two
+        layers hold only the columns the chain can see; the input and
+        output widths are the model's.  The function is still the pruned
+        model's: exact against the pruned formats on dyadic float64 data
+        across edges with no epilogue, and within
+        :data:`~repro.kernels.masked.DTYPE_TOLERANCES` where a
         ``bias_gelu`` constant was folded into ``out_bias``.  Mask-only
         patterns execute dense GEMM against the mask-expanded weights.
         A layer carrying an
@@ -433,15 +461,17 @@ class CompiledTWModel:
                 y = tw_gemm(a, l.tw)
             else:
                 y = a @ l.masked_dense()
-            a = apply_epilogue(y, l.epilogue, residual=a) if l.epilogue else y
+            a = apply_epilogue(y, l.tw_epilogue, residual=a) if l.tw_epilogue else y
         return a
 
     def serve(self, config: ServerConfig | None = None, **overrides) -> TWModelServer:
         """A :class:`TWModelServer` over this model's compiled layers.
 
-        The server serves this model's own formats, and its ``warm()``
-        builds their tile operands, so the first request only pays the
-        GEMMs; every output is bit-identical to :meth:`run`.  With no ``config`` it inherits the
+        The server serves this model's own execution formats and
+        epilogues (``CompiledLayer.tw``/``tw_epilogue``, in live
+        coordinates), and its ``warm()`` builds their tile operands, so the
+        first request only pays the GEMMs; every output is bit-identical to
+        :meth:`run`.  With no ``config`` it inherits the
         compiled placement.  Granularity and payload dtype are fixed at
         compile time; re-compile to change them.
 
@@ -467,7 +497,7 @@ class CompiledTWModel:
             config = dataclasses.replace(config, **overrides)
         server = TWModelServer(config)
         for l in self.layers:
-            server.add_layer(l.tw, epilogue=l.epilogue)
+            server.add_layer(l.tw, epilogue=l.tw_epilogue)
         return server
 
     def serve_async(
@@ -590,9 +620,9 @@ class CompiledTWModel:
         Tile payloads round-trip bit-exactly.  Everything derived from
         them is rebuilt deterministically: ``CompiledLayer.plans``, the
         pruning ``mask`` and the dense view (zero at pruned positions), and
-        the execution formats, by the same liveness stage as
-        :func:`compile`, so the loaded ``run()`` is bit-identical to the
-        saved model's.
+        the execution formats and epilogues in live coordinates, by the
+        same liveness stage as :func:`compile`, so the loaded ``run()`` is
+        bit-identical to the saved model's.
         """
         from repro.formats.io import load_compiled_arrays
 
@@ -701,13 +731,17 @@ def _layer_epilogues(
 def _execution_formats(layers: list[CompiledLayer]) -> list[CompiledLayer]:
     """The liveness stage over a TW layer stack (after compaction).
 
-    Each layer keeps its pruned format as ``pruned_tw`` and executes the
-    format :func:`~repro.kernels.liveness.tighten_chain` derives from it.
+    Each layer keeps its pruned format as ``pruned_tw`` and its epilogue
+    as ``epilogue``, and executes the format and epilogue
+    :func:`~repro.kernels.liveness.tighten_chain` derives from them.
     """
-    formats = tighten_chain(
+    chain = tighten_chain(
         [l.pruned_tw for l in layers], [l.epilogue for l in layers]
     )
-    return [dataclasses.replace(l, tw=tw) for l, tw in zip(layers, formats)]
+    return [
+        dataclasses.replace(l, tw=tw, tw_epilogue=spec)
+        for l, (tw, spec) in zip(layers, chain)
+    ]
 
 
 def _build_plans(tw: TiledTWMatrix, placement: Placement) -> dict[DeviceSpec, ExecutionPlan]:

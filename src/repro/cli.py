@@ -257,10 +257,10 @@ def _cmd_prune(args: argparse.Namespace) -> int:
             ["shape", f"{weight.shape[0]}x{weight.shape[1]}"],
             ["target sparsity", args.sparsity],
             ["achieved sparsity", model.achieved_sparsity],
-            ["tiles", layer.tw.n_tiles],
-            ["kept columns", layer.tw.kept_columns],
-            ["load imbalance", layer.tw.load_imbalance()],
-            ["memory (fp16+masks)", f"{layer.tw.memory_bytes()} B"],
+            ["tiles", layer.pruned_tw.n_tiles],
+            ["kept columns", layer.pruned_tw.kept_columns],
+            ["load imbalance", layer.pruned_tw.load_imbalance()],
+            ["memory (fp16+masks)", f"{layer.pruned_tw.memory_bytes()} B"],
         ],
     ))
     if args.out:

@@ -103,7 +103,10 @@ class TiledTWMatrix:
     Attributes
     ----------
     shape:
-        Logical dense shape ``(K, N)``.
+        Logical dense shape ``(K, N)``.  An execution format derived by
+        :func:`~repro.kernels.liveness.tighten_chain` may be in *live
+        coordinates*: its ``K`` and ``N`` count only the columns the
+        layer chain can see, and ``mask_k``/``col_indices`` index those.
     granularity:
         Tile width ``G`` (the paper's tunable hyper-parameter).
     tiles:

@@ -9,7 +9,8 @@ and cost separate lets tests pin numerical equivalence (e.g. TW masked GEMM
 - :mod:`repro.kernels.masked` — the paper's TW masked GEMM (Listing 1),
   executed as one gather GEMM per tile.
 - :mod:`repro.kernels.liveness` — the compile stage that drops the tile
-  rows reading a column the previous layer never writes.
+  rows reading a column the previous layer never writes and moves each
+  layer into live coordinates.
 - :mod:`repro.kernels.spmm` — CSR/CSC sparse×dense products (cuSparse path).
 - :mod:`repro.kernels.block_sparse` — BSR GEMM (BlockSparse path).
 - :mod:`repro.kernels.im2col` — convolution→GEMM lowering.

@@ -63,7 +63,9 @@ constant (after an elementwise epilogue such as ``bias_gelu``), their
 products are folded into the format's ``out_bias``, which ``tw_gemm`` adds
 to every output row after the tile products, in the compute dtype.  A
 tile left with no rows then outputs only its bias, and a column no tile
-owns stays an exact zero.
+owns stays an exact zero.  The stage also moves the format into live
+coordinates: its ``K`` and ``N`` may be only the columns the chain can
+see, so ``tw_gemm`` neither gathers, zero-fills nor stores a dead column.
 
 Each tile's compute operand (its padded gather indices and its weight
 panel in the compute dtype) is memoised on the weight per compute dtype
@@ -269,7 +271,10 @@ def tw_gemm_work(weight: TiledTWMatrix) -> tuple[int, int]:
     """Executed and useful multiply-adds per activation row of :func:`tw_gemm`.
 
     Counts the format it is given: a compiled layer executes
-    ``CompiledLayer.tw``, the format the liveness stage tightened.
+    ``CompiledLayer.tw``, the format the liveness stage tightened.  Moving
+    that format into live coordinates re-indexes rows and columns but
+    keeps every tile's ``kept_k`` and ``kept_n``, so it does not change
+    these counts.
 
     A tile executes its padded depth times ``kept_n`` and needs only
     ``kept_k × kept_n``, so ``executed / useful`` is at most

@@ -84,7 +84,10 @@ class WaveStep:
     """One layer of a wave: the compiled format and its optional epilogue.
 
     The same for every wave, so the server builds its steps once, at
-    :meth:`~repro.runtime.server.TWModelServer.add_layer`.
+    :meth:`~repro.runtime.server.TWModelServer.add_layer`.  The format and
+    epilogue may be in live coordinates (a compiled model's
+    ``CompiledLayer.tw`` and ``tw_epilogue``): only the first step's ``K``
+    and the last step's ``N`` are the model's.
     """
 
     layer: int

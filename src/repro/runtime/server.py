@@ -434,7 +434,11 @@ class TWModelServer:
         recompaction).  ``epilogue`` optionally attaches a fused
         :class:`~repro.kernels.fusion.EpilogueSpec` that every wave applies
         right after this layer's GEMM (same semantics as
-        :meth:`repro.api.CompiledTWModel.run`).
+        :meth:`repro.api.CompiledTWModel.run`).  A compiled model registers
+        its execution formats and epilogues, which may be in live
+        coordinates (:mod:`repro.kernels.liveness`): consecutive layers
+        need only chain, and only the first layer's ``K`` and the last
+        layer's ``N`` are the model's input and output widths.
         """
         if not isinstance(tw, TiledTWMatrix):
             raise TypeError(

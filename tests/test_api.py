@@ -43,7 +43,7 @@ def _hand_wired(weights, x, sparsity, g):
         for i, w in enumerate(weights)
     ]
     a = x
-    for tw in tighten_chain(pruned, [None] * len(pruned)):
+    for tw, _ in tighten_chain(pruned, [None] * len(pruned)):
         a = tw_gemm(a, tw)
     return a
 
@@ -65,15 +65,23 @@ def _hand_wired_tuned(weights, x, sparsity, g, n_stages, apriori=None):
         for i, w in enumerate(model.weight_matrices())
     ]
     a = x
-    for tw in tighten_chain(pruned, [None] * len(pruned)):
+    for tw, _ in tighten_chain(pruned, [None] * len(pruned)):
         a = tw_gemm(a, tw)
     return a
 
 
+def _owned(tw):
+    """The sorted output columns some tile of ``tw`` owns."""
+    return np.sort(np.concatenate([t.col_indices for t in tw.tiles]))
+
+
 def _untightened(model):
-    """``model`` with every layer executing its pruned format."""
+    """``model`` with every layer executing its pruned format and epilogue."""
     return repro.api.CompiledTWModel(
-        [dataclasses.replace(l, tw=l.pruned_tw) for l in model.layers],
+        [
+            dataclasses.replace(l, tw=l.pruned_tw, tw_epilogue=l.epilogue)
+            for l in model.layers
+        ],
         pattern=model.pattern,
         sparsity=model.sparsity,
         granularity=model.granularity,
@@ -163,6 +171,7 @@ class TestCompileRun:
                 sum(t.kept_k * t.kept_n for t in l.tw.tiles) / (k * n), 6
             )
             assert row["executed_density"] <= 1 - row["sparsity"] + 1e-9
+            assert row["exec_shape"] == list(l.tw.shape)
         # the first layer reads the model input, which is fully live
         assert rows[0]["executed_density"] == round(1 - rows[0]["sparsity"], 6)
         assert any(
@@ -176,14 +185,20 @@ class TestLivenessStage:
     def test_execution_format_keeps_every_tile_in_order(self, stack):
         weights, _ = stack
         model = repro.compile(weights, sparsity=0.5, granularity=8)
-        assert model.layers[0].tw is model.layers[0].pruned_tw
-        assert any(l.tw is not l.pruned_tw for l in model.layers[1:])
-        for l in model.layers:
+        layers = model.layers
+        for i, l in enumerate(layers):
+            # finite weights, no epilogue: each edge keeps the owned columns
+            keep_k = _owned(layers[i - 1].pruned_tw) if i else np.arange(l.shape[0])
+            keep_n = _owned(l.pruned_tw) if i < len(layers) - 1 else np.arange(l.shape[1])
+            assert l.tw.shape == (keep_k.size, keep_n.size)
             assert l.tw.n_tiles == l.pruned_tw.n_tiles
             for t, p in zip(l.tw.tiles, l.pruned_tw.tiles):
-                np.testing.assert_array_equal(t.col_indices, p.col_indices)
-                assert not np.any(t.mask_k & ~p.mask_k)
+                np.testing.assert_array_equal(keep_n[t.col_indices], p.col_indices)
+                assert not np.any(t.mask_k & ~p.mask_k[keep_k])
+                assert t.scale == p.scale
             assert tw_gemm_work(l.tw)[1] <= tw_gemm_work(l.pruned_tw)[1]
+        # the first layer reads the model input: compacted, not tightened
+        assert tw_gemm_work(layers[0].tw) == tw_gemm_work(layers[0].pruned_tw)
 
     def test_pruned_description_unchanged(self, stack):
         weights, x = stack
@@ -210,6 +225,133 @@ class TestLivenessStage:
         assert model.achieved_sparsity == untight.achieved_sparsity
         for l, u in zip(model.layers, untight.layers):
             assert l.plans.keys() == u.plans.keys()
+
+
+class TestLiveCoordinates:
+    """Each execution format runs in live coordinates: a tightened edge
+    shrinks to the columns the chain can see; the rest stays full."""
+
+    @staticmethod
+    def _square(seed=5, n_layers=3, width=32):
+        rng = np.random.default_rng(seed)
+        return [np.round(rng.standard_normal((width, width)) * 4) / 4
+                for _ in range(n_layers)]
+
+    def test_plain_chain_shrinks_every_inner_edge(self, stack):
+        weights, _ = stack
+        model = repro.compile(weights, sparsity=0.5, granularity=8)
+        first, mid, last = model.layers
+        assert first.tw.shape == (32, first.pruned_tw.kept_columns)
+        assert mid.tw.shape == (first.pruned_tw.kept_columns, mid.pruned_tw.kept_columns)
+        assert last.tw.shape == (mid.pruned_tw.kept_columns, 32)
+        assert all(l.tw.shape != l.shape for l in model.layers)
+        # the pruned description keeps the model's shapes
+        assert [l.shape for l in model.layers] == [w.shape for w in weights]
+        assert [l.pruned_tw.shape for l in model.layers] == [w.shape for w in weights]
+
+    def test_layernorm_keeps_its_n_and_the_next_k(self):
+        model = repro.compile(
+            self._square(), sparsity=0.5, granularity=8,
+            epilogue=[None, "bias_layernorm", None],
+        )
+        first, norm, last = model.layers
+        assert first.tw.shape == (32, first.pruned_tw.kept_columns)
+        assert norm.tw.shape == (first.pruned_tw.kept_columns, 32)
+        assert last.tw is last.pruned_tw
+
+    def test_residual_layer_keeps_its_k_and_n(self):
+        model = repro.compile(
+            self._square(), sparsity=0.5, granularity=8,
+            epilogue=[None, "dropout_residual_layernorm", None],
+        )
+        first, res, last = model.layers
+        assert first.tw is first.pruned_tw
+        assert res.tw.shape == (32, 32)
+        assert last.tw is last.pruned_tw
+        assert res.tw_epilogue is res.epilogue
+
+    def test_gelu_bias_is_sliced_to_the_live_columns(self):
+        rng = np.random.default_rng(6)
+        bias = rng.standard_normal(32)
+        spec = EpilogueSpec("bias_gelu", bias=bias)
+        model = repro.compile(
+            self._square(), sparsity=0.5, granularity=8, epilogue=[spec, None, None],
+        )
+        first = model.layers[0]
+        live = _owned(first.pruned_tw)
+        assert first.tw.shape == (32, live.size)
+        assert first.epilogue is spec
+        np.testing.assert_array_equal(first.tw_epilogue.bias, bias[live])
+        assert model.layers[1].tw_epilogue is None
+
+    def test_execution_format_and_epilogue_change_together(self):
+        spec = EpilogueSpec("bias_gelu", bias=np.random.default_rng(7).standard_normal(32))
+        model = repro.compile(
+            self._square(), sparsity=0.5, granularity=8, epilogue=[spec, None, None],
+        )
+        first = model.layers[0]
+        with pytest.raises(ValueError, match="tw_epilogue.bias has shape"):
+            dataclasses.replace(first, tw=first.pruned_tw)
+        with pytest.raises(ValueError, match="tw_epilogue.bias has shape"):
+            dataclasses.replace(first, tw_epilogue=spec)
+        # swapping both runs the untightened model
+        x = np.random.default_rng(8).standard_normal((4, 32))
+        np.testing.assert_allclose(_untightened(model).run(x), model.run(x), rtol=1e-12)
+
+    def test_tew_session_is_not_compacted(self, stack):
+        weights, _ = stack
+        result = repro.tune(
+            weights, pattern="tew", sparsity=0.5, granularity=8,
+            n_stages=2, importance="magnitude", tew=0.05,
+        )
+        for l in result.compiled.layers:
+            assert l.tw is l.pruned_tw
+            assert l.tw.shape == l.shape
+
+    def test_serve_matches_run_on_every_executor_and_placement(self):
+        weights, names = repro.api.demo_layer_stack(
+            "bert", scale=16, blocks=1, seed=7, dtype=np.float32
+        )
+        bias = np.random.default_rng(8).standard_normal(weights[4].shape[1])
+        epilogues = [None] * 6
+        epilogues[4] = EpilogueSpec("bias_gelu", bias=bias.astype(np.float32))
+        model = repro.compile(
+            weights, sparsity=0.75, granularity=8, dtype=np.float32,
+            epilogue=epilogues, names=names,
+        )
+        assert all(l.tw.shape != l.shape for l in model.layers)
+        x = np.random.default_rng(9).standard_normal((6, weights[0].shape[0]))
+        reqs = [x[:3], x[3:]]
+        for executor in ("inline", "threaded"):
+            for placement in (Placement("single", (V100,)),
+                              Placement("replicated", (V100, V100))):
+                with model.serve(executor=executor, placement=placement,
+                                 max_wave_rows=3) as server:
+                    for step, l in zip(server._layers, model.layers):
+                        assert step.tw is l.tw and step.epilogue is l.tw_epilogue
+                    for r in reqs:
+                        server.submit(r)
+                    served = server.flush()
+                for got, r in zip(served, reqs):
+                    assert got.status == "ok", got
+                    np.testing.assert_array_equal(got.output, model.run(r))
+
+    def test_load_then_run_matches_compiled_run(self, tmp_path):
+        rng = np.random.default_rng(10)
+        spec = EpilogueSpec("bias_gelu", bias=rng.standard_normal(32))
+        model = repro.compile(
+            self._square(), sparsity=0.5, granularity=8, epilogue=[spec, None, None],
+        )
+        loaded = repro.load(model.save(tmp_path / "m.npz"))
+        for got, want in zip(loaded.layers, model.layers):
+            assert got.tw.shape == want.tw.shape
+            assert got.shape == want.shape
+        np.testing.assert_array_equal(
+            loaded.layers[0].tw_epilogue.bias, model.layers[0].tw_epilogue.bias
+        )
+        np.testing.assert_array_equal(loaded.layers[0].epilogue.bias, spec.bias)
+        x = rng.standard_normal((5, 32))
+        np.testing.assert_array_equal(loaded.run(x), model.run(x))
 
 
 class TestRegistryErrors:

@@ -230,6 +230,27 @@ class TestLayerNormMemoryOrder:
                     fn(*args), fn(xf, *args[1:]), err_msg=fn.__name__
                 )
 
+    @pytest.mark.parametrize("dtype, rows", [(np.float64, 300), (np.float32, 600)])
+    def test_blocked_sum_past_the_cache_keeps_the_bits(self, dtype, rows):
+        """A Fortran input too large for the one-shot transposing write is
+        summed in blocks, ragged edges included, with the C-ordered bits."""
+        from repro.kernels import fusion
+
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((rows, 1000)).astype(dtype)
+        assert x.nbytes > fusion._SUM_BLOCKED_BYTES
+        assert rows % fusion._SUM_BLOCK and 1000 % fusion._SUM_BLOCK
+        bias, gamma = rng.standard_normal(1000), rng.standard_normal(1000)
+        res = rng.standard_normal((rows, 1000)).astype(dtype)
+        xf, resf = np.asfortranarray(x), np.asfortranarray(res)
+        want = bias_layernorm(x, bias, gamma)
+        np.testing.assert_array_equal(bias_layernorm(xf, bias, gamma), want)
+        if dtype == np.float64:
+            np.testing.assert_array_equal(bias_layernorm_reference(x, bias, gamma), want)
+        want = dropout_residual_layernorm(x, res, gamma)
+        for args in ((xf, resf), (xf, res), (x, resf)):
+            np.testing.assert_array_equal(dropout_residual_layernorm(*args, gamma), want)
+
     def test_fused_equals_reference_across_layouts_float64(self):
         """A Fortran GEMM output through the fused epilogue equals a
         C-ordered one through the oracle, bit for bit."""

@@ -3,15 +3,18 @@
 ``repro.compile`` executes each TW layer's *tightened* format: the kept
 rows that read a column the previous layer never writes are dropped, and
 after an elementwise epilogue their constant products are folded into the
-format's ``out_bias``.  The untightened model stays reachable as
-``CompiledLayer.pruned_tw``, so every case here runs the same random stack
+format's ``out_bias``.  The format and its epilogue run in live
+coordinates: between two layers only the columns the chain can see exist.
+The untightened model stays reachable as ``CompiledLayer.pruned_tw`` and
+``CompiledLayer.epilogue``, so every case here runs the same random stack
 twice and compares:
 
 - ``run()`` against ``tw_gemm`` (and, in float64, ``tw_gemm_reference``)
   chained over the pruned formats with the same epilogues;
 - ``serve()`` on every executor × placement against ``run()``;
 - the NaN pattern of an input row holding a NaN;
-- a kept ``inf`` weight in a row that reads a dead column.
+- a kept ``inf`` weight in a row that reads a dead column, and a dead
+  column whose ``gelu(b_j)`` is not finite: both keep their column.
 
 Stacks are 2–4 chained layers with random widths, granularity, sparsity,
 payload dtype and a per-layer epilogue; ``dropout_residual_layernorm``
@@ -201,12 +204,69 @@ class TestNonFiniteWeights:
         # the same scores give the same masks with the inf weight in place
         scores = [np.abs(l.dense) for l in model.layers]
         inf_model, _ = _build(case, weights=weights, scores=scores)
+        # the last layer keeps its full N, so its columns are the model's
         tile = next(t for t in inf_model.layers[1].tw.tiles if c in t.col_indices)
-        assert tile.mask_k[j]
+        assert np.isinf(tile.data[:, np.searchsorted(tile.col_indices, c)]).any()
+        # the dead column j stays in the edge's index set, holding 0
+        first = inf_model.layers[0]
+        assert first.tw.shape[1] == first.pruned_tw.kept_columns + 1
+        assert inf_model.layers[1].tw.shape[0] == first.tw.shape[1]
         with np.errstate(invalid="ignore"):
             got, want = inf_model.run(x), _pruned_chain(inf_model, x)
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         assert np.isnan(got[:, c]).all()  # 0 · inf in every row
+
+
+class TestEmptyLayer:
+    def test_a_layer_with_no_tiles_shrinks_to_no_columns(self):
+        """Nothing is live after a layer with no tiles: its ``N`` and the
+        next ``K`` shrink to zero and the chain still computes zeros."""
+        from repro.formats.tiled import TiledTWMatrix
+        from repro.kernels.liveness import tighten_chain
+
+        rng = np.random.default_rng(3)
+        empty = TiledTWMatrix((4, 6), 2, ())
+        full = TiledTWMatrix.from_masks(
+            _dyadic(rng, (6, 4)), 2, np.ones(4, bool), [np.ones(6, bool)] * 2
+        )
+        (first, _), (second, _) = tighten_chain([empty, full], [None, None])
+        assert first.shape == (4, 0) and second.shape == (0, 4)
+        y = tw_gemm(tw_gemm(_dyadic(rng, (3, 4)), first), second)
+        np.testing.assert_array_equal(y, np.zeros((3, 4)))
+
+
+class TestNonFiniteConstant:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["float64", "float32"]),
+           st.sampled_from([np.inf, np.nan]))
+    @settings(max_examples=25, deadline=None)
+    def test_dead_column_with_non_finite_gelu_constant_is_kept(self, seed, dtype, value):
+        """A ``bias_gelu`` column no tile writes but whose constant
+        ``gelu(b_j)`` is not finite keeps its place in live coordinates, so
+        the rows that read it still see it."""
+        case = Case(dims=(16, 16, 16), epilogues=("bias_gelu", None), granularity=4,
+                    sparsity=0.6, dtype=dtype, seed=seed)
+        model, x = _build(case)
+        first = model.layers[0]
+        dead = np.ones(16, dtype=bool)
+        dead[np.concatenate([t.col_indices for t in first.pruned_tw.tiles])] = False
+        read = model.layers[1].mask.any(axis=1)
+        assume((dead & read).any())
+        j = np.flatnonzero(dead & read)[0]
+        first.epilogue.bias[j] = value  # the spec _build made; no one else holds it
+        model = repro.compile(
+            [l.dense for l in model.layers], sparsity=case.sparsity,
+            granularity=case.granularity, dtype=np.dtype(dtype),
+            epilogue=[first.epilogue, None], scores=[np.abs(l.dense) for l in model.layers],
+        )
+        first = model.layers[0]
+        assert first.tw.shape[1] == first.pruned_tw.kept_columns + 1
+        assert not np.isfinite(first.tw_epilogue.bias).all()
+        np.testing.assert_array_equal(first.epilogue.bias[j], value)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = model.run(x), _pruned_chain(model, x)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        assert not np.isfinite(got).all()
 
 
 class TestFoldFunctionalVsModule:
@@ -239,7 +299,9 @@ class TestFoldFunctionalVsModule:
         )
         _assert_within_tolerance(module.run(a), want, dtype, 2)
         # the scalar oracle adds the folded bias like tw_gemm does
-        c_proj_in = apply_epilogue(tw_gemm(a, module.layers[0].tw), module.layers[0].epilogue)
+        c_proj_in = apply_epilogue(
+            tw_gemm(a, module.layers[0].tw), module.layers[0].tw_epilogue
+        )
         _assert_within_tolerance(
             tw_gemm(c_proj_in, module.layers[1].tw),
             tw_gemm_reference(c_proj_in, module.layers[1].tw), dtype, 1,

@@ -176,7 +176,7 @@ class TestFusedEpilogues:
         a = np.atleast_2d(x)
         for layer in model.layers:
             y = tw_gemm(a, layer.tw)
-            a = apply_epilogue(y, layer.epilogue, residual=a, reference=True)
+            a = apply_epilogue(y, layer.tw_epilogue, residual=a, reference=True)
         np.testing.assert_array_equal(model.run(x), a)
 
     def test_residual_epilogue_through_square_stack(self):
@@ -187,7 +187,7 @@ class TestFusedEpilogues:
         a = np.atleast_2d(x)
         for layer in model.layers:
             y = tw_gemm(a, layer.tw)
-            a = apply_epilogue(y, layer.epilogue, residual=a, reference=True)
+            a = apply_epilogue(y, layer.tw_epilogue, residual=a, reference=True)
         np.testing.assert_array_equal(model.run(x), a)
         np.testing.assert_array_equal(_serve_once(model, x), model.run(x))
 
