@@ -442,15 +442,7 @@ class CompiledTWModel:
         ``run`` and ``serve`` execute the same numerics and stay
         bit-identical.
         """
-        self._require_weights("run")
-        a = np.atleast_2d(np.asarray(x))
-        act = activation_dtype(self.dtype)
-        if a.dtype != act:
-            a = a.astype(act)
-        if self.layers and a.shape[1] != self.layers[0].shape[0]:
-            raise ValueError(
-                f"input K={a.shape[1]} != model K={self.layers[0].shape[0]}"
-            )
+        a = self._activations(x)
         for i, l in enumerate(self.layers):
             if i and l.shape[0] != self.layers[i - 1].shape[1]:
                 raise ValueError(
@@ -462,6 +454,20 @@ class CompiledTWModel:
             else:
                 y = a @ l.masked_dense()
             a = apply_epilogue(y, l.tw_epilogue, residual=a) if l.tw_epilogue else y
+        return a
+
+    def _activations(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as :meth:`run` executes it: 2-D, in the activation dtype,
+        ``K`` checked against the first layer."""
+        self._require_weights("run")
+        a = np.atleast_2d(np.asarray(x))
+        act = activation_dtype(self.dtype)
+        if a.dtype != act:
+            a = a.astype(act)
+        if self.layers and a.shape[1] != self.layers[0].shape[0]:
+            raise ValueError(
+                f"input K={a.shape[1]} != model K={self.layers[0].shape[0]}"
+            )
         return a
 
     def serve(self, config: ServerConfig | None = None, **overrides) -> TWModelServer:
@@ -1065,15 +1071,16 @@ class TuneResult:
         Plain sessions delegate to ``compiled.run`` (bit-identical to the
         hand-wired ``TWPruner``/mask-rule chain); TEW sessions add the
         CSC residual pass per layer, exploiting linearity exactly as the
-        paper's CUDA-core overlay kernel does (§IV-A).
+        paper's CUDA-core overlay kernel does (§IV-A).  Both take their
+        input as ``compiled.run`` does (cast once to the activation dtype,
+        ``K`` checked), and the residual pass runs in that dtype too.
         """
         if self.residuals is None:
             return self.compiled.run(x)
-        a = np.atleast_2d(np.asarray(x))
-        for i, l in enumerate(self.compiled.layers):
-            a = tw_gemm(a, l.tw) + csc_left_spmm(
-                a, self.residuals[i]
-            )
+        a = self.compiled._activations(x)
+        for l, r in zip(self.compiled.layers, self.residuals):
+            ew = dataclasses.replace(r, data=r.data.astype(a.dtype, copy=False))
+            a = tw_gemm(a, l.tw) + csc_left_spmm(a, ew)
         return a
 
     def save(self, path: str | Path) -> Path:

@@ -11,10 +11,11 @@ micro-batch wave runs — one device slot per wave
   different slots (``replicated``) run concurrently.  NumPy GEMMs release
   the GIL, so on a multi-core host the overlap is real compute overlap.
 
-``threaded`` runs on a single-threaded event loop (:class:`_Driver`) that
-pulls waves lazily, bounds the in-flight window, hands each wave whole to
-its slot's worker, runs the watchdog, discards late results, and respawns
-stalled workers.
+``threaded`` hands each wave whole to its slot's worker as a
+:class:`~concurrent.futures.Future` and waits on the futures: it pulls
+waves lazily into an in-flight window of two per slot, runs the
+watchdog, and retires stalled workers; a late result lands on a future
+nobody waits for.
 
 Oracle contract
 ---------------
@@ -40,10 +41,11 @@ A :class:`WaveTask` may carry a
 :class:`~repro.runtime.faults.FaultInjector`; every executor consults it
 before every step, so a seeded fault schedule replays identically across
 executors.  Failures — injected or genuine — are *recorded* on the wave's
-:class:`WaveResult` rather than raised.  The threaded driver's **watchdog**
-fails a wave that has not finished within ``watchdog_s`` with
-:class:`TimeoutError` and respawns the worker holding it, so ``run`` — and
-therefore ``TWModelServer.flush`` — never hangs on a stalled worker.
+:class:`WaveResult` rather than raised.  The ``threaded`` executor's
+**watchdog** fails a wave that has not finished within ``watchdog_s``
+with :class:`TimeoutError` and replaces the worker running it, so
+``run`` — and therefore ``TWModelServer.flush`` — never hangs on a
+stalled worker.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ import inspect
 import queue
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,199 +226,27 @@ class InlineExecutor(Executor):
         return results
 
 
-def _run_wave(ti: int, task: WaveTask) -> tuple:
-    """Execute one wave on a worker thread; never raises.
-
-    The reply is ``(ti, error, output, busy_s, gemms)``; the worker times
-    into a scratch result, so a late reply can never touch the driver's.
-    """
-    scratch = WaveResult(output=task.batch)
-    error = out = None
-    try:
-        out = _execute_steps(task, scratch)
-    except BaseException as exc:
-        error = exc  # recorded, not raised: a worker thread must outlive any failure
-    return (ti, error, out, scratch.busy_s, scratch.gemms)
-
-
-#: waves a worker thread may hold at once: two, so a thread starts its
-#: next wave without a round trip through the driver loop
-_DEPTH = 2
-
-
-class _Driver:
-    """One ``run()`` of :class:`ThreadedExecutor`: a single-threaded event loop.
-
-    Only the driver touches this state — no locks.  Worker ``w`` serves
-    device slot ``w``.  Contracts:
-
-    - **lazy pull, bounded window**: a wave is pulled from the iterable
-      only while fewer than ``2 ×`` the slots seen so far are in flight,
-      and pulling stops after the first failure (the tail stays with the
-      caller);
-    - **bounded per-worker depth**: at most :data:`_DEPTH` waves are
-      handed to a worker at once; the rest queue here;
-    - **watchdog and respawn**: a wave older than ``watchdog_s`` fails
-      with :class:`TimeoutError` and the worker holding it is respawned;
-    - **late results are discarded**: a reply that is not its worker's
-      oldest outstanding wave (an abandoned worker waking up) or that
-      belongs to a terminal wave is dropped.
-    """
-
-    def __init__(self, ex: "ThreadedExecutor") -> None:
-        self.ex = ex
-        self.channel: queue.SimpleQueue = queue.SimpleQueue()  # this run's replies
-        self.tasks: list[WaveTask] = []
-        self.results: list[WaveResult] = []
-        self.terminal: list[bool] = []
-        self.ready: dict[int, deque] = {}        # worker -> queued wave indices
-        self.outstanding: dict[int, deque] = {}  # worker -> handed-out waves, oldest first
-        self.in_flight = 0
-        self.failed = False
-
-    def drive(self, tasks) -> list[WaveResult]:
-        it = iter(tasks)
-        exhausted = False
-        while True:
-            # the failure check precedes the pull: a pulled task is always
-            # launched, so every task handed out gets a result
-            while (
-                not exhausted
-                and not self.failed
-                and self.in_flight < 2 * max(1, len(self.ready))
-            ):
-                task = next(it, None)
-                if task is None:
-                    exhausted = True
-                    break
-                self.launch(task)
-            if self.in_flight == 0:
-                if exhausted or self.failed:
-                    return self.results
-                continue
-            self.poll()
-
-    def launch(self, task: WaveTask) -> None:
-        ti = len(self.results)
-        self.tasks.append(task)
-        self.results.append(
-            WaveResult(output=task.batch, label=task.label, started_at=time.perf_counter())
-        )
-        self.terminal.append(False)
-        self.in_flight += 1
-        if not task.steps:  # degenerate zero-layer wave: pass the batch through
-            self.finish(ti)
-            return
-        w = task.slot
-        if w not in self.ready:
-            self.ex._ensure_workers(w + 1)
-            self.ready[w] = deque()
-            self.outstanding[w] = deque()
-        self.ready[w].append(ti)
-        self.pump(w)
-
-    def pump(self, w: int) -> None:
-        """Hand worker ``w`` queued waves up to :data:`_DEPTH`."""
-        while len(self.outstanding[w]) < _DEPTH and self.ready[w]:
-            ti = self.ready[w].popleft()
-            if self.terminal[ti]:
-                continue  # watchdog already failed this wave; skip stale work
-            self.ex._queues[w].put((self.channel, w, ti, self.tasks[ti]))
-            self.outstanding[w].append(ti)
-
-    def finish(self, ti: int) -> None:
-        if self.terminal[ti]:
-            return
-        self.terminal[ti] = True
-        self.results[ti].done_at = time.perf_counter()
-        if self.results[ti].error is not None:
-            self.failed = True
-        self.in_flight -= 1
-
-    def crash(self, w: int, error: BaseException) -> None:
-        """Replace a condemned worker; fail the wave it was running.
-
-        Waves handed to the worker behind the running one never ran: they
-        go back to the front of its queue for the replacement.
-        """
-        out = self.outstanding[w]
-        self.outstanding[w] = deque()
-        self.ex._respawn(w)
-        if out:
-            ti = out.popleft()
-            if not self.terminal[ti]:
-                self.results[ti].error = error
-                self.finish(ti)
-            self.ready[w].extendleft(reversed(out))
-        self.pump(w)
-
-    def handle(self, w: int, reply) -> None:
-        ti, error, out, busy_s, gemms = reply
-        held = self.outstanding.get(w)
-        if not held or held[0] != ti:
-            return  # late reply from an abandoned worker
-        held.popleft()
-        if not self.terminal[ti]:
-            result = self.results[ti]
-            result.busy_s += busy_s
-            result.gemms += gemms
-            result.error = error
-            if error is None:
-                result.output = out
-            self.finish(ti)
-        self.pump(w)
-
-    def poll(self) -> None:
-        """Wait for replies (bounded by the watchdog), then run the watchdog."""
-        timeout = None
-        wd = self.ex.watchdog_s
-        if wd:
-            oldest = min(
-                (r.started_at for r, done in zip(self.results, self.terminal) if not done),
-                default=time.perf_counter(),
-            )
-            timeout = max(0.0, oldest + wd - time.perf_counter())
-        with contextlib.suppress(queue.Empty):
-            self.handle(*self.channel.get(timeout=timeout))
-            while True:
-                self.handle(*self.channel.get_nowait())
-        self.watchdog()
-
-    def watchdog(self) -> None:
-        """Fail every wave older than the watchdog; respawn stalled workers."""
-        wd = self.ex.watchdog_s
-        if not wd:
-            return
-        now = time.perf_counter()
-        for ti, result in enumerate(self.results):
-            if self.terminal[ti] or now - result.started_at <= wd:
-                continue
-            err = TimeoutError(
-                f"wave {self.tasks[ti].index} stalled past the {wd:g}s watchdog"
-            )
-            stalled_on = next(
-                (w for w, out in self.outstanding.items() if out and out[0] == ti),
-                None,
-            )
-            if stalled_on is not None:
-                self.crash(stalled_on, err)
-            else:
-                # queued behind a stalled sibling: fail it in place; its
-                # queued entry is skipped, its late reply dropped
-                result.error = err
-                self.finish(ti)
-
-
 class ThreadedExecutor(Executor):
-    """One persistent daemon worker thread per device slot, run by :class:`_Driver`.
+    """One persistent daemon worker thread per device slot.
 
-    Each worker thread reads ``(reply channel, worker index, wave index,
-    task)`` items from its own queue and puts its reply on the run's
-    channel, so persistent threads serve successive ``run`` calls (one at
-    a time).  Workers spawn on a slot's first wave.  A respawn empties the
-    stalled thread's queue, retires the thread (it exits after its current
-    wave) and starts a fresh one on a fresh queue; its late reply, if any,
-    no longer matches the driver's bookkeeping and is discarded.
+    Each slot's worker reads ``(future, task)`` items from its own queue:
+    it skips a cancelled future, otherwise runs the wave and sets the
+    future's result, so persistent threads serve successive ``run`` calls
+    (one at a time).  Workers spawn on a slot's first wave.  ``run`` waits
+    on the futures and keeps these contracts:
+
+    - **lazy pull**: a wave is pulled from the iterable only while fewer
+      than ``2 ×`` the slots seen in this run are in flight, and pulling
+      stops after the first failure (the tail stays with the caller);
+    - **watchdog**: a wave older than ``watchdog_s`` fails with
+      :class:`TimeoutError` and its future is cancelled; if the wave is
+      already running, its slot's worker is retired (:meth:`_retire`);
+    - **late results**: a retired worker's result lands on a future
+      nobody waits for.
+
+    The workers are daemon threads, not a
+    :class:`~concurrent.futures.ThreadPoolExecutor`'s: a wave stalled in
+    a BLAS call or a fault never holds up interpreter exit.
 
     Parameters
     ----------
@@ -442,49 +272,105 @@ class ThreadedExecutor(Executor):
         self.watchdog_s = float(watchdog_s) if watchdog_s else None  # 0 → disabled
         self._queues: list[queue.SimpleQueue] = []
         self._threads: list[threading.Thread] = []
-        self._spawn_lock = threading.Lock()
+        self._lock = threading.Lock()
 
     def run(self, tasks) -> list[WaveResult]:
-        return _Driver(self).drive(tasks)
+        results: list[WaveResult] = []
+        pending: dict[Future, tuple[WaveResult, WaveTask]] = {}
+        slots: set[int] = set()
+        it = iter(tasks)
+        exhausted = failed = False
+        wd = self.watchdog_s
+        while True:
+            # the failure check precedes the pull: a pulled task is always
+            # launched, so every task handed out gets a result
+            while not (exhausted or failed) and len(pending) < 2 * max(1, len(slots)):
+                task = next(it, None)
+                if task is None:
+                    exhausted = True
+                    break
+                slots.add(task.slot)
+                result = WaveResult(
+                    output=task.batch, label=task.label, started_at=time.perf_counter()
+                )
+                results.append(result)
+                future = Future()
+                self._inbox(task.slot).put((future, task))
+                pending[future] = (result, task)
+            if not pending:
+                return results
+            timeout = None
+            if wd:
+                oldest = min(r.started_at for r, _ in pending.values())
+                timeout = max(0.0, oldest + wd - time.perf_counter())
+            wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
+            now = time.perf_counter()
+            for future, (result, task) in list(pending.items()):
+                if future.done():
+                    done = future.result()
+                    result.output, result.error = done.output, done.error
+                    result.busy_s, result.gemms = done.busy_s, done.gemms
+                elif wd and now - result.started_at > wd:
+                    result.error = TimeoutError(
+                        f"wave {task.index} stalled past the {wd:g}s watchdog"
+                    )
+                    if not future.cancel() and future.running():
+                        self._retire(task.slot)
+                else:
+                    continue
+                result.done_at = time.perf_counter()
+                failed = failed or result.error is not None
+                del pending[future]
 
     @staticmethod
     def _worker_loop(inbox: queue.SimpleQueue) -> None:
         while True:
             item = inbox.get()
             if item is None:
-                return  # close() or respawn retired this thread
+                return  # close() or _retire() retired this thread
             try:
-                reply_to, w, ti, task = item
-                reply_to.put((w, _run_wave(ti, task)))
+                future, task = item
+                if not future.set_running_or_notify_cancel():
+                    continue  # the watchdog already failed this wave
             except Exception:
                 continue  # malformed item: drop it, keep the worker alive
+            # a scratch result: a late wave never touches the run's results
+            result = WaveResult(output=task.batch)
+            try:
+                result.output = _execute_steps(task, result)
+            except BaseException as exc:
+                result.error = exc  # recorded, not raised: a worker thread must outlive any failure
+            future.set_result(result)
 
-    def _spawn(self, w: int) -> None:
-        inbox: queue.SimpleQueue = queue.SimpleQueue()
+    def _spawn(self, inbox: queue.SimpleQueue) -> threading.Thread:
         t = threading.Thread(target=self._worker_loop, args=(inbox,), daemon=True)
-        if w == len(self._threads):
-            self._queues.append(inbox)
-            self._threads.append(t)
-        else:
-            retired = self._queues[w]
-            with contextlib.suppress(queue.Empty):
-                while True:  # the driver re-sends what the old thread held
-                    retired.get_nowait()
-            retired.put(None)  # the old thread exits once it wakes
-            self._queues[w], self._threads[w] = inbox, t
         t.start()
+        return t
 
-    def _ensure_workers(self, n: int) -> None:
-        with self._spawn_lock:
-            while len(self._threads) < n:
-                self._spawn(len(self._threads))
+    def _inbox(self, w: int) -> queue.SimpleQueue:
+        """Slot ``w``'s queue; spawns the workers up to slot ``w`` on first use."""
+        with self._lock:
+            while len(self._threads) <= w:
+                self._queues.append(queue.SimpleQueue())
+                self._threads.append(self._spawn(self._queues[-1]))
+            return self._queues[w]
 
-    def _respawn(self, w: int) -> None:
-        with self._spawn_lock:
-            self._spawn(w)
+    def _retire(self, w: int) -> None:
+        """Replace slot ``w``'s worker without waiting for it.
+
+        The replacement gets a fresh queue that inherits the waves still
+        queued; the old thread exits once its running wave returns.
+        """
+        with self._lock:
+            retired, inbox = self._queues[w], queue.SimpleQueue()
+            with contextlib.suppress(queue.Empty):
+                while True:
+                    inbox.put(retired.get_nowait())
+            retired.put(None)
+            self._queues[w], self._threads[w] = inbox, self._spawn(inbox)
 
     def close(self) -> None:
-        with self._spawn_lock:
+        with self._lock:
             for inbox in self._queues:
                 inbox.put(None)
             self._queues.clear()

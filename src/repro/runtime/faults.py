@@ -11,8 +11,8 @@ sites identified by ``(wave index, layer, slot)``:
   runs (a failing kernel launch);
 - ``latency``   — sleep ``duration_s`` before the GEMM (a latency spike;
   the time shows up in the slot's busy accounting).  A ``duration_s``
-  past the threaded driver's watchdog models a hung worker: the watchdog
-  fails the wave and respawns the worker.  Under ``inline`` there is no
+  past the ``threaded`` executor's watchdog models a hung worker: the
+  watchdog fails the wave and retires the worker.  Under ``inline`` there is no
   watchdog (the calling thread *is* the worker), so it stays a bounded
   spike.
 

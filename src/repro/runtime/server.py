@@ -22,8 +22,8 @@ operand — a *per-model* cost, while every request only pays the GEMMs.  :class
 - **Pluggable execution**: the placement picks each wave's slot
   (:meth:`~repro.runtime.placement.Placement.slot_for_wave`) and an
   :class:`~repro.runtime.executor.Executor` — ``inline`` (the sequential
-  oracle) or ``threaded`` (one worker thread per device slot, bounded
-  in-flight window) — decides how waves on different slots overlap in
+  oracle) or ``threaded`` (one daemon worker thread per device slot,
+  waves handed over as futures) — decides how waves on different slots overlap in
   wall-time.  Outputs are bit-identical across executors; only wall-time
   and the measured occupancy stats change.  Worker threads are torn down
   deterministically by :meth:`TWModelServer.close`.
@@ -636,7 +636,7 @@ class TWModelServer:
         execution fails the executor stops pulling — the unconsumed tail
         stays on ``work`` for the caller.  Expired requests are shed into
         ``served``; a group whose wave cannot even be assembled lands on
-        ``build_failures``.  Waves are assembled on the driver thread
+        ``build_failures``.  Waves are assembled on the calling thread
         inside ``_wave_task``, so ``busy_s`` times GEMM execution only; a
         pass whose groups all expired or failed to build never starts the
         executor.

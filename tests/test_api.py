@@ -19,7 +19,12 @@ from repro.formats.tiled import TiledTWMatrix
 from repro.gpu.device import T4, V100
 from repro.kernels.fusion import EpilogueSpec
 from repro.kernels.liveness import tighten_chain
-from repro.kernels.masked import tw_gemm, tw_gemm_reference, tw_gemm_work
+from repro.kernels.masked import (
+    DTYPE_TOLERANCES,
+    tw_gemm,
+    tw_gemm_reference,
+    tw_gemm_work,
+)
 from repro.runtime.placement import Placement, resolve_placement
 
 
@@ -689,6 +694,26 @@ class TestTune:
         for layer, union in zip(result.compiled.layers, result.masks):
             want = want @ (layer.dense * union)
         np.testing.assert_array_equal(result.run(x), want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, "int8"])
+    def test_tew_run_takes_input_like_compiled_run(self, stack, dtype):
+        weights, x = stack
+        result = repro.tune(
+            weights, pattern="tew", sparsity=0.5, granularity=8,
+            n_stages=1, importance="magnitude", tew=0.05, dtype=dtype,
+        )
+        got = result.run(x)
+        assert got.dtype == result.compiled.run(x).dtype
+        if dtype is np.float32:
+            # the float64 two-pass product on the stored float32 weights
+            want = x
+            for layer, r in zip(result.compiled.layers, result.residuals):
+                want = want @ layer.tw.to_dense().astype(np.float64) + want @ r.to_dense()
+            np.testing.assert_allclose(
+                got, want.astype(np.float32), **DTYPE_TOLERANCES["float32"]
+            )
+        with pytest.raises(ValueError, match="input K=31 != model K=32"):
+            result.run(x[:, :31])
 
     def test_tew_sugar_defaults_delta(self, stack):
         weights, _ = stack

@@ -122,7 +122,7 @@ class TestBitIdentity:
             np.testing.assert_array_equal(g.output, w.output)
 
     def test_bounded_inflight_still_correct(self):
-        # more waves than the 2 x slots window holds: the driver admits
+        # more waves than the 2 x slots window holds: run() admits
         # them in turns and every output still matches inline
         rng = np.random.default_rng(2)
         tasks = _tasks(rng, n_waves=12, slots=(0, 1))
@@ -295,7 +295,7 @@ class TestPersistentWorkers:
         results = ThreadedExecutor().run(stream())
         assert len(results) == 6
         # one slot -> a window of 2: wave i is pulled only once at most one
-        # earlier wave is in flight, so wave i-2 has finished; the driver
+        # earlier wave is in flight, so wave i-2 has finished; run()
         # never slurps the whole stream upfront
         for i in range(2, len(tasks)):
             assert results[i - 2].done_at <= pulled_at[i]
@@ -305,7 +305,7 @@ class TestPersistentWorkers:
 
 
 class TestOneDriver:
-    """The event-loop driver's watchdog, respawn and close contracts."""
+    """The threaded executor's watchdog, worker retirement and close contracts."""
 
     def test_stalled_wave_fails_and_pool_recovers(self):
         from repro.runtime.faults import FaultInjector, FaultRule, LatencyFault
@@ -338,10 +338,53 @@ class TestOneDriver:
         (result,) = ex.run([WaveTask(0, task.batch, task.steps, faults=stall)])
         assert isinstance(result.error, TimeoutError)
         abandoned = ex._threads[0]
-        ex._respawn(0)  # the driver already replaced it once; again is safe
+        ex._retire(0)  # run() already replaced it once; again is safe
         abandoned.join(timeout=5.0)
         assert not abandoned.is_alive()  # no leaked thread per respawn
         assert ex._threads[0].is_alive()
+
+    def test_stalled_worker_does_not_hold_up_interpreter_exit(self):
+        # the workers are daemon threads: a process whose wave is still
+        # sleeping in a retired worker exits as soon as main returns
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        import repro
+
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.core.tile_sparsity import TWPruneConfig, tw_prune_step
+            from repro.formats.tiled import TiledTWMatrix
+            from repro.runtime.executor import ThreadedExecutor, WaveStep, WaveTask
+            from repro.runtime.faults import FaultInjector, FaultRule, LatencyFault
+
+            def main():
+                dense = np.random.default_rng(0).standard_normal((24, 24))
+                step = tw_prune_step([np.abs(dense)], 0.5, TWPruneConfig(granularity=8))
+                tw = TiledTWMatrix.from_masks(
+                    dense, 8, step.col_keeps[0], step.row_masks[0]
+                )
+                stall = FaultInjector([FaultRule(fault=LatencyFault(duration_s=30))])
+                task = WaveTask(
+                    0, np.ones((3, 24)), (WaveStep(layer=0, tw=tw),), faults=stall
+                )
+                (result,) = ThreadedExecutor(watchdog_s=0.2).run([task])
+                assert isinstance(result.error, TimeoutError), result.error
+
+            if __name__ == "__main__":
+                main()
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(  # raises TimeoutExpired past 15 s
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=15,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_close_is_idempotent(self):
         ex = ThreadedExecutor()

@@ -5,7 +5,7 @@ latency spikes, stalls past the watchdog, poison requests) and both
 executors, each
 submitted request reaches a terminal status, ``ok`` outputs are
 bit-identical to a fault-free ``inline`` run of the same requests, and no
-``flush()`` hangs (the threaded driver's watchdog bounds every wait).
+``flush()`` hangs (the ``threaded`` executor's watchdog bounds every wait).
 """
 
 import time
@@ -588,8 +588,7 @@ class TestExecutorHardening:
 
     def test_worker_loop_survives_malformed_queue_item(self):
         ex = ThreadedExecutor()
-        ex._ensure_workers(1)
-        ex._queues[0].put("garbage")  # would have killed the old loop
+        ex._inbox(0).put("garbage")  # would have killed the old loop
         time.sleep(0.05)
         assert ex._threads[0].is_alive()
 
