@@ -40,8 +40,9 @@ future PR has a perf trajectory to regress against:
   first request) against a warm request, which only pays the GEMMs, and
   micro-batched vs sequential throughput.
 - **server_parallel** — the BERT-base encoder layer stack compiled through
-  ``repro.compile`` and served under each placement (``single`` on
-  ``inline``; ``replicated`` x2 on ``inline`` and ``threaded``) in 64-row
+  ``repro.compile`` and served on one device (row ``single``, on
+  ``inline``) and on two replicas (row ``replicated_x2``, on ``inline``
+  and ``threaded``) in 64-row
   waves of four 16-row requests: median flush
   wall-time per executor, the measured ``wall_speedup_vs_inline`` (no
   floor), per-slot GEMM counts, and the busy/critical-path ``headroom``
@@ -405,10 +406,11 @@ def _parallel_case(
 
     req_rows = 16
     weights, names = demo_layer_stack("bert", blocks=blocks, seed=8, dtype=np.float32)
-    # one placement per row; `single` has one slot, so only the oracle runs
+    # one placement per row (labels keep the BENCH_hotpaths.json keys);
+    # `single` has one slot, so only the oracle runs
     placements = {
-        "single": (Placement("single", (V100,)), ("inline",)),
-        "replicated_x2": (Placement("replicated", (V100, V100)), ("inline", "threaded")),
+        "single": (Placement((V100,)), ("inline",)),
+        "replicated_x2": (Placement((V100, V100)), ("inline", "threaded")),
     }
     rng = np.random.default_rng(9)
     reqs = [
@@ -425,7 +427,7 @@ def _parallel_case(
         row = {}
         for executor in executors:
             # 4 requests per wave, so the queue splits into several waves —
-            # otherwise one giant wave pins a replicated placement to one slot
+            # otherwise one giant wave pins two replicas to one slot
             config = ServerConfig(
                 placement=placement, max_wave_rows=4 * req_rows, executor=executor
             )

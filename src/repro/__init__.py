@@ -23,7 +23,7 @@ Multi-device placement (the serving scale-out axis)::
     from repro.runtime.placement import Placement
 
     replicated = repro.compile(
-        weights, placement=Placement("replicated", (V100, V100)))
+        weights, placement=Placement((V100, V100)))
     server = replicated.serve(executor="threaded")  # waves alternate slots
 
 Training-time pruning (the paper's accuracy procedure) has its own front
@@ -35,10 +35,9 @@ door, terminating in the same compiled artifact::
     server = result.compiled.serve()      # tune → compile → serve
 
 Patterns (``tw ew vw bw nm``), engines (``tensor_core cuda_core``),
-placements (``single replicated``), schedules
-(``gradual oneshot``) and importance metrics (``taylor magnitude``) are
-string-registry entries — see :mod:`repro.patterns.registry`,
-:mod:`repro.runtime.placement`, :mod:`repro.core.schedule` and
+schedules (``gradual oneshot``) and importance metrics (``taylor
+magnitude``) are string-registry entries — see
+:mod:`repro.patterns.registry`, :mod:`repro.core.schedule` and
 :mod:`repro.core.importance`.  The pieces the facade composes remain
 importable for research use: :mod:`repro.core` (Algorithm 1),
 :mod:`repro.formats` (compact layouts), :mod:`repro.kernels` (functional

@@ -34,10 +34,10 @@ Patterns (``tw``, ``ew``, ``vw``, ``bw``, ``nm``), engines
 (``tensor_core``, ``cuda_core``), schedules (``gradual``, ``oneshot``) and
 importance metrics (``taylor``, ``magnitude``) are resolved through string
 registries (:mod:`repro.patterns.registry`, :mod:`repro.core.schedule`,
-:mod:`repro.core.importance`); multi-device placement (``single``,
-``replicated``) through
-:mod:`repro.runtime.placement` — every new entry is a registry
-registration, not a new code path.
+:mod:`repro.core.importance`) — every new entry is a registry
+registration, not a new code path.  Serving on several devices takes a
+:class:`~repro.runtime.placement.Placement`, the ordered device list
+whole waves round-robin across.
 
 Two compilation sources:
 
@@ -87,7 +87,7 @@ from repro.kernels.masked import activation_dtype, tw_gemm
 from repro.kernels.spmm import csc_left_spmm
 from repro.models.registry import GemmShape
 from repro.patterns.registry import PATTERNS, make_pattern, resolve_engine
-from repro.runtime.placement import Placement, resolve_placement
+from repro.runtime.placement import Placement
 from repro.runtime.scheduler import ExecutionPlan, build_execution_plan
 from repro.runtime.server import ServerConfig, TWModelServer
 
@@ -332,8 +332,8 @@ class CompiledTWModel:
             "target_sparsity": self.sparsity,
             "achieved_sparsity": round(self.achieved_sparsity, 6),
             "placement": {
-                "kind": self.placement.kind,
                 "devices": [d.name for d in self.placement.devices],
+                "slots": self.placement.n_devices,
             },
             "layers": rows,
         }
@@ -604,7 +604,6 @@ class CompiledTWModel:
             "achieved_sparsity": self.achieved_sparsity,
             "granularity": self.granularity,
             "engine": self.engine,
-            "placement_kind": self.placement.kind,
             "devices": [_device_dict(d) for d in self.placement.devices],
             "layer_names": [l.name for l in self.layers],
         }
@@ -633,10 +632,9 @@ class CompiledTWModel:
         from repro.formats.io import load_compiled_arrays
 
         meta, raw_layers = load_compiled_arrays(path)
-        placement = Placement(
-            meta["placement_kind"],
-            tuple(DeviceSpec(**d) for d in meta["devices"]),
-        )
+        # checkpoints written before a placement was just its device list
+        # also carry a ``placement_kind``; the devices say all it did
+        placement = Placement(tuple(DeviceSpec(**d) for d in meta["devices"]))
         layers = []
         for i, raw in enumerate(raw_layers):
             tw: TiledTWMatrix = raw["tw"]
@@ -662,6 +660,17 @@ class CompiledTWModel:
             placement=placement,
             achieved_sparsity=meta["achieved_sparsity"],
         )
+
+
+def _checked_placement(placement: Placement | None) -> Placement:
+    """``compile``/``tune``'s ``placement=``: ``None`` is one V100."""
+    if placement is None:
+        return Placement()
+    if not isinstance(placement, Placement):
+        raise TypeError(
+            f"placement must be a Placement or None, got {type(placement).__name__}"
+        )
+    return placement
 
 
 def _device_dict(d: DeviceSpec) -> dict:
@@ -819,8 +828,7 @@ def compile(
     sparsity: float = 0.75,
     granularity: int = 128,
     engine: str = "tensor_core",
-    placement: Placement | str | None = None,
-    devices: Sequence[DeviceSpec] | None = None,
+    placement: Placement | None = None,
     dtype: np.dtype | type | None = np.float64,
     epilogue=None,
     scores: Sequence[np.ndarray] | None = None,
@@ -847,8 +855,9 @@ def compile(
     engine:
         Registry name (``tensor_core``/``tc``, ``cuda_core``/``cc``).
     placement:
-        A :class:`~repro.runtime.placement.Placement`, a kind string
-        (combined with ``devices``), or ``None`` for single-device.
+        A :class:`~repro.runtime.placement.Placement` (the serving
+        devices; whole waves round-robin across them), or ``None`` for
+        one V100.
     dtype:
         Compact payload dtype (``None`` keeps the weights' own dtype).
         ``float64``/``float32`` store and compute at that precision;
@@ -875,7 +884,7 @@ def compile(
     names:
         Layer names for reports.
     """
-    placement = resolve_placement(placement, devices)
+    placement = _checked_placement(placement)
     engine = resolve_engine(engine)
     if pattern not in _NON_REGISTRY_PATTERNS:
         pattern = PATTERNS.canonical(pattern)
@@ -1170,8 +1179,7 @@ def tune(
     data=None,
     evaluate: Callable[[], float] | None = None,
     engine: str = "tensor_core",
-    placement: Placement | str | None = None,
-    devices: Sequence[DeviceSpec] | None = None,
+    placement: Placement | None = None,
     dtype: np.dtype | type | None = np.float64,
     prune_config: TWPruneConfig | None = None,
     pattern_kwargs: dict | None = None,
@@ -1229,7 +1237,7 @@ def tune(
         Optional zero-argument metric callback (e.g.
         ``bundle.evaluate``); called after every stage to populate the
         trajectory.  Must not perturb training state.
-    engine / placement / devices / dtype / names:
+    engine / placement / dtype / names:
         Forwarded to the compilation step (same semantics as
         :func:`compile`).
     prune_config:
@@ -1239,7 +1247,7 @@ def tune(
         Extra registry-factory arguments for baseline patterns
         (``vector_size``, ``block_shape``, ``n``/``m``).
     """
-    placement = resolve_placement(placement, devices)
+    placement = _checked_placement(placement)
     engine = resolve_engine(engine)
 
     tew_cfg: TEWConfig | None

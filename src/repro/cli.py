@@ -13,13 +13,13 @@ Usage (``python -m repro <command> ...``):
   simulated V100, GEMM-only and end-to-end;
 - ``sweep``   — print a speedup-vs-sparsity table for one pattern;
 - ``serve``   — stand up a :class:`~repro.runtime.server.TWModelServer`
-  over a demo weight stack, optionally replicated across devices
-  (``--executor threaded`` overlaps the device slots in wall-time), and
+  over a demo weight stack, replicated across ``--devices N`` device
+  slots (``--executor threaded`` overlaps them in wall-time), and
   report throughput, busy time and measured wall time;
 - ``info``    — show the device spec, calibration constants and registry
   contents (``--json`` for machine-readable output).
 
-Every command resolves patterns/engines/placements/schedules/importance
+Every command resolves patterns/engines/executors/schedules/importance
 metrics through the string registries and drives the pipeline exclusively
 via ``repro.compile(...)`` / ``repro.tune(...)`` — there is no hand-wired
 plan or pruner construction here.  Commands print human-readable tables
@@ -52,7 +52,6 @@ _DTYPES = ("float64", "float32", "float16", "int8")
 _PRICE_PATTERNS = sorted(set(available_patterns()) | {"dense", "tew"})
 _SWEEP_PATTERNS = sorted(set(available_patterns()) | {"tew"})
 _TUNE_PATTERNS = sorted(set(available_patterns()) | {"tew"})
-_PLACEMENTS = ("single", "replicated")
 #: ``repro serve`` server flags default to ServerConfig's own defaults,
 #: and ServerConfig validates them
 _SERVER = ServerConfig()
@@ -149,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--sparsity", type=float, default=0.75)
     p_serve.add_argument("--granularity", "-G", type=int, default=64)
     p_serve.add_argument("--devices", type=int, default=1,
-                         help="number of (simulated) devices")
-    p_serve.add_argument("--placement", default="single", choices=_PLACEMENTS)
+                         help="number of (simulated) devices; waves "
+                              "round-robin across the replicas")
     p_serve.add_argument("--executor", default=_SERVER.executor,
                          choices=available_executors(),
                          help="wave executor: inline (sequential oracle) "
@@ -459,7 +458,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         weights, names = demo_layer_stack(
             args.model, scale=args.scale, blocks=args.blocks, seed=args.seed
         )
-        placement = Placement(args.placement, (V100,) * args.devices)
+        placement = Placement((V100,) * args.devices)
         model = repro.compile(
             weights,
             pattern=args.pattern,
@@ -507,7 +506,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     rows = [
         ["model", f"{args.model} ({model.n_layers} layers, scale 1/{args.scale})"],
         ["achieved sparsity", model.achieved_sparsity],
-        ["placement", f"{placement.kind} x{placement.n_devices}"],
+        ["devices", placement.n_devices],
         ["executor", server.executor.describe()],
         ["requests", st.requests],
         ["rows", st.rows],
@@ -597,7 +596,7 @@ def _serve_http(args, model, placement, server) -> int:
     st = record.get("latency_ms", {})
     rows = [
         ["model", f"{args.model} ({model.n_layers} layers, scale 1/{args.scale})"],
-        ["placement", f"{placement.kind} x{placement.n_devices}"],
+        ["devices", placement.n_devices],
         ["executor", server.executor.describe()],
         ["endpoint", f"http://{args.host}:{net.port}/v1/infer"],
         ["requests seen (HTTP)", record.get("net", {}).get("requests_seen", 0)],
@@ -631,7 +630,6 @@ def _info_record() -> dict:
     from repro.patterns.registry import available_engines, available_patterns
     from repro.runtime.executor import EXECUTORS
     from repro.runtime.faults import FAULTS
-    from repro.runtime.placement import PLACEMENTS
 
     return {
         "version": repro.__version__,
@@ -640,7 +638,6 @@ def _info_record() -> dict:
         "registries": {
             "patterns": available_patterns(),
             "engines": available_engines(),
-            "placements": PLACEMENTS.names(),
             "executors": EXECUTORS.names(),
             "faults": FAULTS.names(),
             "schedules": SCHEDULES.names(),

@@ -20,7 +20,7 @@ of their member elements.
 
 Importance metrics resolve through :data:`IMPORTANCE` (the same
 :class:`~repro.registry.Registry` class as patterns, engines,
-placements, executors and schedules): ``taylor`` (the paper default) and
+executors and schedules): ``taylor`` (the paper default) and
 ``magnitude`` (alias ``mag``) are the seed entries, each a factory for an
 :class:`ImportanceConfig` that also accepts the ``reduction``/``normalize``
 knobs.  ``repro.tune(..., importance="taylor")`` and the CLI resolve names

@@ -15,8 +15,8 @@ Three increase laws are provided:
   more than linear but less than cubic.
 
 Schedules resolve through :data:`SCHEDULES` (the same
-:class:`~repro.registry.Registry` class as patterns, engines,
-placements and executors), so ``repro.tune(..., schedule="gradual")`` and
+:class:`~repro.registry.Registry` class as patterns, engines
+and executors), so ``repro.tune(..., schedule="gradual")`` and
 the CLI accept string names and a new schedule is a ``register(...)`` call,
 not a new code path:
 

@@ -1,8 +1,8 @@
 """The shared name → factory :class:`Registry` every subsystem resolves through.
 
 One registry class backs every user-facing string in the toolkit — patterns
-and engines (:mod:`repro.patterns.registry`), placements
-(:mod:`repro.runtime.placement`), executors (:mod:`repro.runtime.executor`),
+and engines (:mod:`repro.patterns.registry`), executors
+(:mod:`repro.runtime.executor`), fault kinds (:mod:`repro.runtime.faults`),
 schedules (:mod:`repro.core.schedule`) and importance metrics
 (:mod:`repro.core.importance`) — which is what makes their error messages
 uniform and their ``choices`` lists self-updating.  The class lives here,

@@ -27,8 +27,8 @@ Modules
   :class:`~repro.runtime.executor.Executor`, and degrades gracefully
   under faults and overload (retry + poison isolation, deadline
   shedding, queue backpressure);
-- :mod:`repro.runtime.placement` — multi-device placement policies
-  (``single`` / ``replicated``): which device slot runs each wave;
+- :mod:`repro.runtime.placement` — :class:`Placement`, the ordered
+  device list; waves round-robin across its slots;
 - :mod:`repro.runtime.executor` — pluggable wave executors
   (``inline`` / ``threaded``), bit-identical outputs in every case;
   ``inline`` is the standing oracle.  A wave runs each layer's
@@ -71,7 +71,7 @@ from repro.runtime.netclient import (
 from repro.runtime.netserve import NetServer
 from repro.runtime.wire import WireError
 from repro.runtime.batching import BatchGroup, batching_plan
-from repro.runtime.placement import PLACEMENTS, Placement, resolve_placement
+from repro.runtime.placement import Placement
 from repro.runtime.scheduler import (
     ExecutionPlan,
     StreamAssignment,
@@ -88,8 +88,6 @@ from repro.runtime.server import (
 
 __all__ = [
     "Placement",
-    "PLACEMENTS",
-    "resolve_placement",
     "Executor",
     "EXECUTORS",
     "InlineExecutor",

@@ -55,8 +55,8 @@ def batching_plan(
     """Group a layer's tiles into batched kernels.
 
     Accepts either the cost model's :class:`TWShapeStats` geometry or a
-    compacted :class:`~repro.formats.tiled.TiledTWMatrix` directly (the
-    executor's view) — ``tile_ids`` index the same tile list either way.
+    compacted :class:`~repro.formats.tiled.TiledTWMatrix` directly —
+    ``tile_ids`` index the same tile list either way.
     With batching disabled every tile is its own group (one kernel per
     tile — the "Normal GEMM" row of Fig. 7 step 3).
     """

@@ -17,8 +17,8 @@ sites identified by ``(wave index, layer, slot)``:
   spike.
 
 Fault kinds resolve through :data:`FAULTS` — the same
-:class:`~repro.registry.Registry` class as patterns, engines, placements
-and executors — so a new failure mode (corrupted output, OOM, partial
+:class:`~repro.registry.Registry` class as patterns, engines and
+executors — so a new failure mode (corrupted output, OOM, partial
 write) is a registry entry, not a new dispatch path.
 
 Determinism contract

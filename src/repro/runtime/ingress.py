@@ -24,6 +24,12 @@ Design notes (why this is simple *and* bit-identical):
   of the same stream on the ``inline`` executor — including under
   injected faults, because retry/bisection runs inside the same
   ``flush`` it always did.
+- **Backpressure at the door.**  The server only ever holds one wave,
+  so ``max_queue_rows`` and ``shed_policy`` bound the ingress backlog,
+  through the same :meth:`ServerConfig.make_room` decision
+  ``TWModelServer.submit`` applies: ``reject`` resolves the new
+  request's future with :class:`QueueFullError`, ``shed_oldest``
+  resolves the oldest backlogged request as ``status="shed"``.
 - **Latency honesty.**  Each request's arrival is stamped at
   ``submit_nowait`` time and passed to ``server.submit(...,
   enqueued_at=)``, so reported ``latency_s`` includes ingress backlog
@@ -43,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.runtime.server import ServedRequest, TWModelServer
+from repro.runtime.server import QueueFullError, ServedRequest, TWModelServer
 
 __all__ = ["IngressClosed", "ServingLoop"]
 
@@ -107,6 +113,7 @@ class ServingLoop:
         self._stats_log = stats_log if stats_log is not None else log.info
         self._owns_server = owns_server
         self._backlog: deque[_Arrival] = deque()
+        self._backlog_rows = 0
         self._arrived = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
@@ -151,6 +158,12 @@ class ServingLoop:
         HTTP server, at socket accept) may pass ``enqueued_at`` — a past
         ``time.perf_counter()`` stamp — so reported latency and deadline
         budgets start at true arrival, not at parse time.
+
+        A request that is not ``rows × K`` raises :class:`ValueError`
+        here.  A backlog full to ``max_queue_rows`` answers by the
+        server's ``shed_policy``: ``reject`` returns a future already
+        holding :class:`QueueFullError`; ``shed_oldest`` resolves the
+        oldest backlogged requests as ``status="shed"`` to make room.
         """
         if self._closing or self._closed:
             raise IngressClosed("ServingLoop is closed to new submissions")
@@ -159,16 +172,27 @@ class ServingLoop:
             enqueued_at = now
         elif enqueued_at > now:
             raise ValueError("enqueued_at must not be in the future")
+        x = self.server.check_request(x)
         self._ensure_started()
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._backlog.append(
-            _Arrival(
-                x=np.atleast_2d(np.asarray(x)),
-                deadline_s=deadline_s,
-                enqueued_at=enqueued_at,
-                future=fut,
+        try:
+            shed = self.server.config.make_room(
+                self._backlog, self._backlog_rows, x.shape[0]
             )
+        except QueueFullError as exc:
+            fut.set_exception(exc)
+            return fut
+        for victim in shed:
+            self._backlog_rows -= victim.x.shape[0]
+            if not victim.future.done():  # not cancelled while backlogged
+                self.server.stats.shed += 1
+                victim.future.set_result(ServedRequest.unserved(
+                    -1, victim.x.shape[0], victim.enqueued_at, "shed", now
+                ))
+        self._backlog.append(
+            _Arrival(x=x, deadline_s=deadline_s, enqueued_at=enqueued_at, future=fut)
         )
+        self._backlog_rows += x.shape[0]
         self._unresolved += 1
         self._idle.clear()
         fut.add_done_callback(self._on_resolved)
@@ -287,6 +311,7 @@ class ServingLoop:
             nxt = self._backlog.popleft()
             wave.append(nxt)
             rows += nxt.x.shape[0]
+        self._backlog_rows -= rows
         return wave
 
     async def _run_wave(self, wave: list[_Arrival]) -> None:
@@ -300,7 +325,7 @@ class ServingLoop:
                     deadline_s=item.deadline_s,
                     enqueued_at=item.enqueued_at,
                 )
-            except BaseException as exc:  # QueueFullError, bad shape, ...
+            except BaseException as exc:  # e.g. an invalid deadline_s
                 item.future.set_exception(exc)
                 continue
             self._waiting[rid] = item.future
@@ -321,6 +346,7 @@ class ServingLoop:
             if not item.future.done():
                 item.future.set_exception(exc)
         self._backlog.clear()
+        self._backlog_rows = 0
         for fut in list(self._waiting.values()):
             if not fut.done():
                 fut.set_exception(exc)
@@ -334,7 +360,7 @@ class ServingLoop:
         rec = self.server.stats_record()
         rec["ingress"] = {
             "backlog_requests": len(self._backlog),
-            "backlog_rows": int(sum(a.x.shape[0] for a in self._backlog)),
+            "backlog_rows": self._backlog_rows,
             "inflight_requests": len(self._waiting),
             "unresolved_requests": self._unresolved,
             "waves_admitted": self._waves_admitted,

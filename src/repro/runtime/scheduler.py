@@ -55,9 +55,9 @@ class StreamAssignment:
         """Groups in issue order: round-robin across streams, breadth-first.
 
         This is the order a host thread would issue the batched kernels so
-        every stream has work in flight — the functional executor runs
-        groups in this order, making the stream schedule observable (each
-        position ``i`` issues on stream ``order_streams()[i]``).
+        every stream has work in flight (position ``i`` issues on stream
+        ``order_streams()[i]``).  It describes the GPU launch schedule; no
+        host code runs groups in it.
         """
         return [g for g, _ in self._issue_walk()]
 
@@ -90,10 +90,10 @@ def assign_streams(
 class ExecutionPlan:
     """One layer's full execution schedule: batch groups + stream mapping.
 
-    The single artifact compiled per weight matrix and device — built
-    once by :func:`build_execution_plan`, then replayed by
-    :func:`repro.kernels.masked.tw_gemm` for every request (the paper's
-    pipeline: plan → batch → stream → execute).
+    The GPU launch schedule of paper Fig. 7 (batch → stream) for one
+    weight matrix and device, built by :func:`build_execution_plan`.  It
+    is a description only: :func:`repro.kernels.masked.tw_gemm` walks
+    the tiles in index order and never reads a plan.
     """
 
     groups: tuple[BatchGroup, ...]

@@ -14,11 +14,12 @@ operand — a *per-model* cost, while every request only pays the GEMMs.  :class
   matrix, so each layer runs *one* batched GEMM for the whole wave instead
   of one per request (``submit`` + ``flush``; ``serve`` is the
   single-request convenience).
-- **Multi-device placement** (ROADMAP PR 2 open item): a
-  :class:`~repro.runtime.placement.Placement` spreads waves over several
-  :class:`~repro.gpu.device.DeviceSpec`\\ s — ``replicated`` round-robins
-  whole waves across full-model replicas.  Every device runs the same
-  compiled formats, so a placement needs no per-device state.
+- **Multi-device placement**: a
+  :class:`~repro.runtime.placement.Placement` lists the
+  :class:`~repro.gpu.device.DeviceSpec`\\ s that serve the model and
+  round-robins whole waves across them, one full-model replica each.
+  Every device runs the same compiled formats, so a placement needs no
+  per-device state.
 - **Pluggable execution**: the placement picks each wave's slot
   (:meth:`~repro.runtime.placement.Placement.slot_for_wave`) and an
   :class:`~repro.runtime.executor.Executor` — ``inline`` (the sequential
@@ -54,7 +55,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix
-from repro.gpu.device import V100
 from repro.kernels.masked import activation_dtype, gemm_dtypes, tile_operands
 from repro.runtime.executor import EXECUTORS, WaveStep, WaveTask, resolve_executor
 from repro.runtime.faults import FaultInjector, resolve_faults
@@ -117,13 +117,14 @@ class ServerConfig:
         waves (requests never split across waves).  The async ingress
         admits waves under the same cap.
     placement:
-        Multi-device policy; ``None`` means single-device on a V100.
+        The serving devices (waves round-robin across them); ``None``
+        means one V100.
     executor:
         How placed waves execute in wall-time — an
         :data:`~repro.runtime.executor.EXECUTORS` registry name
         (``inline``/``threaded``).  ``inline`` is the sequential oracle;
-        ``threaded`` runs one worker thread per device slot so replicated
-        waves overlap wherever BLAS releases the GIL.  Outputs are
+        ``threaded`` runs one worker thread per device slot so waves on
+        different slots overlap wherever BLAS releases the GIL.  Outputs are
         bit-identical in every case.
     max_retries:
         Re-execution budget per failed wave group in a graceful
@@ -134,7 +135,8 @@ class ServerConfig:
         unbounded).  When a ``submit`` would exceed it, ``shed_policy``
         decides: ``reject`` raises :class:`QueueFullError`; ``shed_oldest``
         drops the oldest queued requests (they surface from the next
-        ``flush`` with ``status="shed"``) to make room.
+        ``flush`` with ``status="shed"``) to make room.  The async ingress
+        applies the same bound to its backlog (:meth:`make_room`).
     shed_policy:
         ``"reject"`` (default) or ``"shed_oldest"`` — see
         ``max_queue_rows``.
@@ -182,9 +184,37 @@ class ServerConfig:
         # ready injector; spec strings parse here, at configuration time
         object.__setattr__(self, "faults", resolve_faults(self.faults))
 
+    def make_room(self, queue: deque, queued_rows: int, rows: int) -> list:
+        """Apply ``max_queue_rows`` and ``shed_policy`` to one arrival.
+
+        ``queue`` holds ``queued_rows`` rows in entries that carry their
+        activations as ``.x``; a ``rows``-row request wants to join it.
+        Raises :class:`QueueFullError` under ``reject`` (or when the request
+        alone exceeds the bound); under ``shed_oldest`` pops the oldest
+        entries until the request fits and returns them, for the caller to
+        resolve as ``status="shed"``.
+        """
+        bound = self.max_queue_rows
+        if not bound or queued_rows + rows <= bound:
+            return []
+        if rows > bound:
+            raise QueueFullError(
+                f"request of {rows} rows can never fit max_queue_rows={bound}"
+            )
+        if self.shed_policy == "reject":
+            raise QueueFullError(
+                f"queue holds {queued_rows} rows; admitting "
+                f"{rows} more would exceed max_queue_rows={bound}"
+            )
+        victims = []
+        while queue and queued_rows + rows > bound:
+            victims.append(queue.popleft())
+            queued_rows -= victims[-1].x.shape[0]
+        return victims
+
     def resolved_placement(self) -> Placement:
-        """The effective placement (``None`` is ``single`` on a V100)."""
-        return self.placement or Placement("single", (V100,))
+        """The effective placement (``None`` is one V100)."""
+        return self.placement or Placement()
 
 
 @dataclass
@@ -202,6 +232,9 @@ class ServedRequest:
       ``shed_oldest`` policy; ``output`` is ``None``.
     - ``"expired"`` — its ``deadline_s`` passed before any GEMM ran;
       ``output`` is ``None``.
+
+    ``request_id`` is ``-1`` for a request the async ingress shed from
+    its backlog before the server assigned it an id.
 
     ``latency_s`` is enqueue→terminal wall-time in every case — anchored
     at the *enqueue* timestamp (``submit(..., enqueued_at=)``) when the
@@ -225,6 +258,15 @@ class ServedRequest:
     error: BaseException | None = None
     queue_wait_s: float = 0.0
     service_s: float = 0.0
+
+    @classmethod
+    def unserved(
+        cls, request_id: int, rows: int, arrived: float, status: str, now: float,
+        batch_id: int = -1, error: BaseException | None = None,
+    ) -> "ServedRequest":
+        """A request that ends with no output: all its latency is queue wait."""
+        wait = now - arrived
+        return cls(request_id, None, rows, wait, batch_id, status, error, wait)
 
 
 #: per-request latencies retained for percentile-style inspection; older
@@ -461,6 +503,19 @@ class TWModelServer:
         """Input width a request row must have (``None`` before layers)."""
         return self._layers[0].tw.shape[0] if self._layers else None
 
+    def check_request(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as a ``rows × K`` request (a 1-D vector is one row).
+
+        Raises :class:`ValueError` for any other rank, or a ``K`` other
+        than the model's, so a malformed request never reaches a wave.
+        """
+        x = np.atleast_2d(np.asarray(x))
+        if x.ndim != 2:
+            raise ValueError(f"request must be 2-D (rows x K), got shape {x.shape}")
+        if self._layers and x.shape[1] != self.model_k:
+            raise ValueError(f"request K={x.shape[1]} != model K={self.model_k}")
+        return x
+
     def warm(self) -> None:
         """Build every layer's tile operands in its compute dtype.
 
@@ -499,11 +554,10 @@ class TWModelServer:
         exceed it, the ``shed_policy`` applies: ``reject`` raises
         :class:`QueueFullError`; ``shed_oldest`` drops the oldest queued
         requests to make room (they surface from the next ``flush`` with
-        ``status="shed"``).
+        ``status="shed"``).  A request that is not ``rows × K`` raises
+        :class:`ValueError` (:meth:`check_request`).
         """
-        x = np.atleast_2d(np.asarray(x))
-        if self._layers and x.shape[1] != self.model_k:
-            raise ValueError(f"request K={x.shape[1]} != model K={self.model_k}")
+        x = self.check_request(x)
         if deadline_s is not None:
             deadline_s = float(deadline_s)
             if not np.isfinite(deadline_s) or deadline_s < 0:
@@ -517,33 +571,12 @@ class TWModelServer:
             if arrival > now:
                 raise ValueError("enqueued_at must not be in the future")
         rows = x.shape[0]
-        bound = self.config.max_queue_rows
-        if bound:
-            if rows > bound:
-                raise QueueFullError(
-                    f"request of {rows} rows can never fit max_queue_rows={bound}"
-                )
-            if self._queued_rows + rows > bound:
-                if self.config.shed_policy == "reject":
-                    raise QueueFullError(
-                        f"queue holds {self._queued_rows} rows; admitting "
-                        f"{rows} more would exceed max_queue_rows={bound}"
-                    )
-                while self._pending and self._queued_rows + rows > bound:
-                    victim = self._pending.popleft()
-                    self._queued_rows -= victim.x.shape[0]
-                    self.stats.shed += 1
-                    self._shed_buffer.append(
-                        ServedRequest(
-                            request_id=victim.rid,
-                            output=None,
-                            rows=victim.x.shape[0],
-                            latency_s=now - victim.submitted_at,
-                            batch_id=-1,
-                            status="shed",
-                            queue_wait_s=now - victim.submitted_at,
-                        )
-                    )
+        for victim in self.config.make_room(self._pending, self._queued_rows, rows):
+            self._queued_rows -= victim.x.shape[0]
+            self.stats.shed += 1
+            self._shed_buffer.append(ServedRequest.unserved(
+                victim.rid, victim.x.shape[0], victim.submitted_at, "shed", now
+            ))
         rid = self._next_id
         self._next_id += 1
         self._pending.append(
@@ -696,19 +729,10 @@ class TWModelServer:
         else:
             p = g[0]
             self.stats.poisoned += 1
-            latency = (done_at or time.perf_counter()) - p.submitted_at
-            served.append(
-                ServedRequest(
-                    request_id=p.rid,
-                    output=None,
-                    rows=p.x.shape[0],
-                    latency_s=latency,
-                    batch_id=batch_id,
-                    status="failed",
-                    error=error,
-                    queue_wait_s=latency,
-                )
-            )
+            served.append(ServedRequest.unserved(
+                p.rid, p.x.shape[0], p.submitted_at, "failed",
+                done_at or time.perf_counter(), batch_id, error,
+            ))
 
     def _merge_accounting(self, result) -> None:
         """Merge one wave's measured occupancy — including a failed wave's
@@ -761,17 +785,9 @@ class TWModelServer:
         for p in group:
             if p.deadline_at is not None and now >= p.deadline_at:
                 self.stats.expired += 1
-                served.append(
-                    ServedRequest(
-                        request_id=p.rid,
-                        output=None,
-                        rows=p.x.shape[0],
-                        latency_s=now - p.submitted_at,
-                        batch_id=-1,
-                        status="expired",
-                        queue_wait_s=now - p.submitted_at,
-                    )
-                )
+                served.append(ServedRequest.unserved(
+                    p.rid, p.x.shape[0], p.submitted_at, "expired", now
+                ))
             else:
                 keep.append(p)
         return keep
@@ -814,7 +830,10 @@ class TWModelServer:
             ),
         }
         rec["executor"] = self.executor.describe()
-        rec["placement"] = f"{self.placement.kind} x{self.placement.n_devices}"
+        rec["placement"] = {
+            "devices": [d.name for d in self.placement.devices],
+            "slots": self.placement.n_devices,
+        }
         return rec
 
     # ------------------------------------------------------------------ #

@@ -1,6 +1,7 @@
 """Tests for the front doors: repro.compile() and repro.tune()."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from repro.kernels.masked import (
     tw_gemm_reference,
     tw_gemm_work,
 )
-from repro.runtime.placement import Placement, resolve_placement
+from repro.runtime.placement import Placement
 
 
 @pytest.fixture()
@@ -38,6 +39,14 @@ def stack():
     ]
     x = np.round(rng.standard_normal((5, 32)) * 4) / 4
     return weights, x
+
+
+#: sha256 over every array but ``meta_json`` of the ``stack`` weights'
+#: checkpoint (sparsity 0.5, G=8), keys sorted, each as
+#: ``key:dtype:shape`` then its bytes
+_STACK_CHECKPOINT_SHA256 = (
+    "9f63e46d5f98fc57ba1f1529d4d6fb950dfebc6f5086889b3116de9520df7fb6"
+)
 
 
 def _hand_wired(weights, x, sparsity, g):
@@ -328,8 +337,8 @@ class TestLiveCoordinates:
         x = np.random.default_rng(9).standard_normal((6, weights[0].shape[0]))
         reqs = [x[:3], x[3:]]
         for executor in ("inline", "threaded"):
-            for placement in (Placement("single", (V100,)),
-                              Placement("replicated", (V100, V100))):
+            for placement in (Placement((V100,)),
+                              Placement((V100, V100))):
                 with model.serve(executor=executor, placement=placement,
                                  max_wave_rows=3) as server:
                     for step, l in zip(server._layers, model.layers):
@@ -369,10 +378,6 @@ class TestRegistryErrors:
         weights, _ = stack
         with pytest.raises(KeyError, match="unknown engine 'tpu'.*cuda_core.*tensor_core"):
             repro.compile(weights, engine="tpu")
-
-    def test_unknown_placement_kind(self):
-        with pytest.raises(KeyError, match="unknown placement 'diagonal'"):
-            Placement("diagonal", (V100,))
 
     def test_unknown_model_name(self):
         with pytest.raises(KeyError, match="unknown model"):
@@ -429,25 +434,51 @@ class TestSaveLoad:
         weights, x = stack
         model = repro.compile(
             weights, sparsity=0.5, granularity=8,
-            placement=Placement("replicated", (V100, T4)),
+            placement=Placement((V100, T4)),
         )
         loaded = repro.load(model.save(tmp_path / "m.npz"))
-        assert loaded.placement.kind == "replicated"
         assert [d.name for d in loaded.placement.devices] == [V100.name, T4.name]
         np.testing.assert_array_equal(loaded.run(x), model.run(x))
 
-    def test_load_rejects_removed_placement_kind(self, stack, tmp_path):
-        import types
+    @pytest.mark.parametrize("kind", ["replicated", "layer_sharded"])
+    def test_load_ignores_placement_kind_of_older_checkpoints(
+        self, stack, tmp_path, kind
+    ):
+        # checkpoints written while a placement had a kind carry it in
+        # their meta, layer_sharded ones too; the devices are all it said
+        weights, x = stack
+        model = repro.compile(
+            weights, sparsity=0.5, granularity=8,
+            placement=Placement((V100, T4)),
+        )
+        with np.load(model.save(tmp_path / "new.npz")) as f:
+            arrays = dict(f)
+        meta = json.loads(str(arrays["meta_json"]))
+        meta["placement_kind"] = kind
+        arrays["meta_json"] = np.array(json.dumps(meta))
+        old = tmp_path / "old.npz"
+        np.savez_compressed(old, **arrays)
+        loaded = repro.load(old)
+        assert loaded.placement == Placement((V100, T4))
+        np.testing.assert_array_equal(loaded.run(x), model.run(x))
+
+    def test_checkpoint_has_no_placement_kind_and_same_tile_arrays(
+        self, stack, tmp_path
+    ):
+        import hashlib
 
         weights, _ = stack
         model = repro.compile(weights, sparsity=0.5, granularity=8)
-        # an artifact written when layer_sharded was still a placement kind
-        model.placement = types.SimpleNamespace(
-            kind="layer_sharded", devices=model.placement.devices
-        )
-        path = model.save(tmp_path / "m.npz")
-        with pytest.raises(KeyError, match="'layer_sharded'.*available: replicated, single"):
-            repro.load(path)
+        with np.load(model.save(tmp_path / "m.npz")) as f:
+            assert "placement_kind" not in json.loads(str(f["meta_json"]))
+            digest = hashlib.sha256()
+            for key in sorted(k for k in f.files if k != "meta_json"):
+                a = f[key]
+                digest.update(f"{key}:{a.dtype.str}:{a.shape}".encode())
+                digest.update(a.tobytes())
+        # the tile arrays of this checkpoint as written before a placement
+        # was its device list: dropping the kind changed the meta only
+        assert digest.hexdigest() == _STACK_CHECKPOINT_SHA256
 
     def test_loaded_model_serves(self, stack, tmp_path):
         weights, x = stack
@@ -464,25 +495,32 @@ class TestSaveLoad:
 
 
 class TestPlacement:
-    def test_layer_sharded_is_rejected(self):
-        # a wave runs on one slot: no placement splits its layers
-        with pytest.raises(KeyError, match="'layer_sharded'.*available: replicated, single"):
-            Placement("layer_sharded", (V100, T4))
+    @pytest.mark.parametrize("kind", ["single", "replicated", "layer_sharded"])
+    def test_kind_string_is_rejected(self, kind):
+        # a placement is its device list: there is no kind to name
+        with pytest.raises(TypeError):
+            Placement(kind, (V100,))
+        with pytest.raises(TypeError, match="DeviceSpec"):
+            Placement(kind)
+
+    def test_needs_a_device(self):
+        with pytest.raises(ValueError, match="at least one device"):
+            Placement(())
 
     def test_replicated_matches_single(self, stack):
         weights, x = stack
         single = repro.compile(weights, sparsity=0.5, granularity=8)
         repl = repro.compile(
             weights, sparsity=0.5, granularity=8,
-            placement=Placement("replicated", (V100, V100)),
+            placement=Placement((V100, V100)),
         )
         np.testing.assert_array_equal(repl.run(x), single.run(x))
 
     def test_slot_for_wave_round_robins(self):
-        assert [Placement("replicated", (V100, T4)).slot_for_wave(w) for w in range(5)] == [
+        assert [Placement((V100, T4)).slot_for_wave(w) for w in range(5)] == [
             0, 1, 0, 1, 0,
         ]
-        assert [Placement("single", (V100,)).slot_for_wave(w) for w in range(3)] == [0, 0, 0]
+        assert [Placement((V100,)).slot_for_wave(w) for w in range(3)] == [0, 0, 0]
 
     def test_plans_cover_every_device(self, stack):
         weights, _ = stack
@@ -490,26 +528,26 @@ class TestPlacement:
         assert all(list(l.plans) == [V100] for l in single.layers)
         repl = repro.compile(
             weights, sparsity=0.5, granularity=8,
-            placement=Placement("replicated", (V100, T4)),
+            placement=Placement((V100, T4)),
         )
         assert all(list(l.plans) == [V100, T4] for l in repl.layers)
 
-    def test_single_requires_one_device(self):
-        with pytest.raises(ValueError, match="exactly one device"):
-            Placement("single", (V100, T4))
-
-    def test_resolve_placement_forms(self):
-        assert resolve_placement(None).kind == "single"
-        assert resolve_placement("replicated", [V100, T4]).n_devices == 2
-        assert resolve_placement(None, [V100, T4]).kind == "replicated"
-        with pytest.raises(TypeError):
-            resolve_placement(42)
+    def test_compile_placement_forms(self, stack):
+        weights, _ = stack
+        assert repro.compile(weights, sparsity=0.5, granularity=8).placement == (
+            Placement((V100,))
+        )
+        for bad in ("replicated", 42):
+            with pytest.raises(TypeError, match="Placement or None"):
+                repro.compile(weights, sparsity=0.5, granularity=8, placement=bad)
+        with pytest.raises(TypeError, match="devices"):
+            repro.compile(weights, devices=[V100, T4])
 
     def test_serve_preseeds_caches(self, stack):
         weights, x = stack
         model = repro.compile(
             weights, sparsity=0.5, granularity=8,
-            placement=Placement("replicated", (V100, T4)),
+            placement=Placement((V100, T4)),
         )
         server = model.serve()
         out = server.serve(x).output
@@ -524,7 +562,7 @@ class TestPlacement:
         weights, x = stack
         model = repro.compile(
             weights, sparsity=0.5, granularity=8,
-            placement=Placement("replicated", (V100, T4)),
+            placement=Placement((V100, T4)),
         )
         server = model.serve(executor="threaded", watchdog_s=5.0)
         assert isinstance(server.executor, ThreadedExecutor)
@@ -617,7 +655,7 @@ class TestDemoStack:
         weights, names = demo_layer_stack("bert", scale=32, blocks=1, seed=3)
         model = repro.compile(
             weights, sparsity=0.5, granularity=4, names=names,
-            placement=Placement("replicated", (V100, V100, T4)),
+            placement=Placement((V100, V100, T4)),
         )
         server = model.serve()
         rng = np.random.default_rng(4)

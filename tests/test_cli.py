@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -216,14 +217,14 @@ class TestServe:
         assert rc == 0
         out = capsys.readouterr().out
         assert "rows/s" in out
-        assert "single x1" in out
+        assert re.search(r"^devices +1 ", out, re.M)
 
     @pytest.mark.parametrize(
-        "flags", [["--placement", "layer_sharded"], ["--workers", "2"]],
-        ids=["layer_sharded", "workers"],
+        "flags", [["--placement", "replicated"], ["--workers", "2"]],
+        ids=["placement", "workers"],
     )
     def test_removed_serve_flags_rejected(self, flags, capsys):
-        # a wave runs on one slot, one worker thread per slot
+        # --devices alone says how many replicas; one worker thread per slot
         with pytest.raises(SystemExit) as exc_info:
             main(["serve", "bert", "--devices", "2", "--executor", "threaded", *flags])
         assert exc_info.value.code == 2
@@ -233,7 +234,7 @@ class TestServe:
         rc = main([
             "serve", "bert", "--scale", "32", "--blocks", "1",
             "--requests", "4", "--rows", "2", "-G", "4",
-            "--devices", "2", "--placement", "replicated",
+            "--devices", "2",
             "--executor", "threaded",
         ])
         assert rc == 0
@@ -250,7 +251,7 @@ class TestServe:
         stats = tmp_path / "stats.json"
         rc = main([
             "serve", "bert", "--scale", "32", "--blocks", "1", "-G", "4",
-            "--devices", "2", "--placement", "replicated",
+            "--devices", "2",
             "--executor", "threaded", "--requests", "2048", "--rows", "8",
             "--stats-json", str(stats), "--expect-all-ok",
         ])
@@ -271,11 +272,10 @@ class TestServe:
         assert rc == 2
         assert "watchdog_s" in capsys.readouterr().err
 
-    def test_single_with_many_devices_rejected(self, capsys):
-        rc = main([
-            "serve", "bert", "--devices", "2", "--placement", "single",
-        ])
+    def test_zero_devices_rejected(self, capsys):
+        rc = main(["serve", "bert", "--devices", "0"])
         assert rc == 2
+        assert "at least one device" in capsys.readouterr().err
 
     def test_bad_sparsity(self, capsys):
         rc = main(["serve", "bert", "--sparsity", "1.0"])
@@ -336,7 +336,7 @@ class TestInfo:
         assert record["device"]["sm_count"] == 80
         assert "tw" in record["registries"]["patterns"]
         assert record["registries"]["engines"] == ["cuda_core", "tensor_core"]
-        assert record["registries"]["placements"] == ["replicated", "single"]
+        assert "placements" not in record["registries"]
         assert record["registries"]["executors"] == ["inline", "threaded"]
         assert record["registries"]["schedules"] == ["gradual", "oneshot"]
         assert record["registries"]["importance"] == ["magnitude", "taylor"]

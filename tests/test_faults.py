@@ -344,12 +344,12 @@ class TestChaosInvariantIngress:
 
 class TestPlacementsUnderFaults:
     @pytest.mark.parametrize("executor", ["inline", "threaded"])
-    @pytest.mark.parametrize("placement_kind", ["single", "replicated"])
-    def test_multi_device_recovery_bit_identical(self, executor, placement_kind):
+    @pytest.mark.parametrize("n_devices", [1, 2])
+    def test_multi_device_recovery_bit_identical(self, executor, n_devices):
         from repro.gpu.device import T4, V100
         from repro.runtime.placement import Placement
 
-        devices = (V100,) if placement_kind == "single" else (V100, T4)
+        devices = (V100, T4)[:n_devices]
         layers = _layers(106)
         reqs = _requests(107, n=6)
         want = _oracle_outputs(layers, reqs)
@@ -358,7 +358,7 @@ class TestPlacementsUnderFaults:
             executor=executor,
             max_wave_rows=4,
             max_retries=2,
-            placement=Placement(placement_kind, devices),
+            placement=Placement(devices),
             watchdog_s=20.0 if executor == "threaded" else None,
             faults="exception:wave=1;latency:rate=0.2:duration=0.001:seed=4",
         )

@@ -83,13 +83,9 @@ class TestBitIdentity:
     """Continuous admission == sequential drain, bit for bit."""
 
     @pytest.mark.parametrize("executor", ["inline", "threaded"])
-    @pytest.mark.parametrize("n_devices,placement", [
-        (1, "single"), (2, "replicated"), (3, "replicated"),
-    ])
+    @pytest.mark.parametrize("n_devices", [1, 2, 3])
     @pytest.mark.parametrize("pause_every", [0, 2])
-    def test_matches_sequential_drain(
-        self, executor, n_devices, placement, pause_every
-    ):
+    def test_matches_sequential_drain(self, executor, n_devices, pause_every):
         from repro.gpu.device import V100
         from repro.runtime import Placement
 
@@ -99,7 +95,7 @@ class TestBitIdentity:
         server = _server(
             layers,
             executor=executor,
-            placement=Placement(placement, (V100,) * n_devices),
+            placement=Placement((V100,) * n_devices),
             watchdog_s=20.0 if executor == "threaded" else None,
             max_wave_rows=4,
         )
@@ -203,6 +199,76 @@ class TestLatencyAccounting:
         assert [s.status for s in served] == ["expired"] * 3
 
 
+class TestBackpressure:
+    """``max_queue_rows`` bounds the ingress backlog by ``shed_policy``,
+    as it bounds ``TWModelServer.submit``'s queue."""
+
+    def _flood(self, policy):
+        # 200 submissions with no await in between: the admission loop
+        # cannot run, so everything lands on the backlog at once
+        import repro
+
+        rng = np.random.default_rng(60)
+        model = repro.compile(
+            [rng.standard_normal((24, 24)) for _ in range(2)],
+            sparsity=0.5, granularity=8,
+        )
+        xs = [rng.standard_normal((8, 24)) for _ in range(200)]
+
+        async def go():
+            async with model.serve_async(
+                max_queue_rows=16, max_wave_rows=8, shed_policy=policy
+            ) as loop:
+                futures = [loop.submit_nowait(x) for x in xs]
+                backlog_rows = loop.stats_record()["ingress"]["backlog_rows"]
+                results = await asyncio.gather(*futures, return_exceptions=True)
+                return backlog_rows, results, loop.stats_record()
+
+        backlog_rows, results, rec = asyncio.run(go())
+        assert backlog_rows == 16
+        assert rec["requests"] == 2
+        # the two requests the bound kept are served like run() serves them
+        kept = [i for i, r in enumerate(results) if getattr(r, "status", None) == "ok"]
+        assert len(kept) == 2
+        for i in kept:
+            np.testing.assert_array_equal(results[i].output, model.run(xs[i]))
+        return kept, results, rec
+
+    def test_reject_fails_the_newest_futures_with_queue_full(self):
+        from repro.runtime import QueueFullError
+
+        kept, results, rec = self._flood("reject")
+        assert kept == [0, 1]
+        for r in results[2:]:
+            assert isinstance(r, QueueFullError)
+        assert rec["slo"]["shed"] == 0
+
+    def test_shed_oldest_resolves_the_oldest_as_shed(self):
+        kept, results, rec = self._flood("shed_oldest")
+        assert kept == [198, 199]
+        for r in results[:198]:
+            assert r.status == "shed" and r.output is None
+            assert r.request_id == -1 and r.batch_id == -1
+            assert r.latency_s == r.queue_wait_s >= 0.0
+        assert rec["slo"]["shed"] == 198
+
+    def test_submit_nowait_rejects_non_2d_request(self):
+        layers = _layers(62)
+        (req,) = _requests(63, n=1)
+
+        async def go():
+            async with ServingLoop(_server(layers), owns_server=True) as loop:
+                with pytest.raises(ValueError, match="2-D"):
+                    loop.submit_nowait(np.zeros((1, 24, 3)))
+                with pytest.raises(ValueError, match="model K"):
+                    loop.submit_nowait(np.zeros((1, 7)))
+                return await loop.submit(req), loop.server.stats
+
+        served, stats = asyncio.run(go())
+        assert served.status == "ok"
+        assert stats.retries == stats.requeues == 0
+
+
 class TestLifecycle:
     def test_submit_after_close_raises(self):
         layers = _layers(40)
@@ -301,7 +367,7 @@ class TestStatsExport:
         assert 0 < rec["waves"]["occupancy"] <= 1
         assert rec["cache"]["format_hit_rate"] > 0
         assert rec["executor"] == "inline"
-        assert rec["placement"] == "single x1"
+        assert rec["placement"] == {"devices": ["Tesla V100-SXM2"], "slots": 1}
         assert set(rec["latency_ms"]) == {"mean", "p50", "p95", "p99", "window"}
         assert rec["latency_ms"]["p99"] >= rec["latency_ms"]["p50"] > 0
         assert rec["device_busy_pct"]  # at least one slot attributed

@@ -174,8 +174,8 @@ class TestServeMatchesRun:
         model, x = _build(case)
         reqs = [x[:2], x[2:]]
         for executor in ("inline", "threaded"):
-            for placement in (Placement("single", (V100,)),
-                              Placement("replicated", (V100, V100))):
+            for placement in (Placement((V100,)),
+                              Placement((V100, V100))):
                 with model.serve(executor=executor, placement=placement,
                                  max_wave_rows=3) as server:
                     for r in reqs:  # one wave each: replicas take turns

@@ -112,19 +112,18 @@ class TestDtypeMatrix:
         model = _compile(ws, dtype=dtype)
         np.testing.assert_array_equal(_serve_once(model, x), model.run(x))
 
-    @pytest.mark.parametrize("placement", ["single", "replicated", "replicated_x3"])
+    @pytest.mark.parametrize("n_devices", [1, 2, 3])
     @pytest.mark.parametrize("executor", ["inline", "threaded"])
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_serve_bit_identical_to_run_on_every_placement(
-        self, dtype, executor, placement
+        self, dtype, executor, n_devices
     ):
         from repro.gpu.device import T4, V100
         from repro.runtime.placement import Placement
 
-        kind, _, n = placement.partition("_x")
-        devices = (V100,) if kind == "single" else (V100, T4, V100)[: int(n or 2)]
         ws, x = _stack()
-        model = _compile(ws, dtype=dtype, placement=Placement(kind, devices))
+        devices = (V100, T4, V100)[:n_devices]
+        model = _compile(ws, dtype=dtype, placement=Placement(devices))
         reqs = [x[i : i + 2] for i in range(0, len(x), 2)]
         with model.serve(executor=executor, max_wave_rows=2) as server:
             for r in reqs:  # one wave each: replicas take turns, x3 wraps round

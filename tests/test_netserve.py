@@ -450,6 +450,39 @@ class TestSloOverHttp:
             assert r.retry_after_s is not None and r.retry_after_s > 0
             c.close()
 
+    def test_backlog_bound_is_429_queue_full(self):
+        # 16 connections send 8-row requests while every layer of every
+        # wave sleeps 20 ms: the backlog holds 16 rows, the rest get 429
+        layers = _layers(46)
+        reqs = _requests(47, n=32, rows=8)
+        want = _oracle_outputs(layers, reqs)
+        server = _server(
+            layers, max_wave_rows=16, max_queue_rows=16,
+            faults="latency:rate=1.0:duration=0.02",
+        )
+        with server, _serving(server) as net:
+            async def go():
+                async with HttpLoadTransport(
+                    "127.0.0.1", net.port, connections=16
+                ) as transport:
+                    return await asyncio.gather(
+                        *(transport.submit_nowait(x) for x in reqs)
+                    )
+
+            results = asyncio.run(go())
+            with _client(net) as c:
+                stats = c.stats()
+        ok = [i for i, r in enumerate(results) if r.http_status == 200]
+        rejected = [r for r in results if r.http_status == 429]
+        assert len(ok) + len(rejected) == len(reqs)
+        assert rejected, "the backlog bound never answered 429"
+        for r in rejected:
+            assert r.status == "rejected"
+            assert r.error["code"] == "queue_full"
+        assert stats["requests"] == len(ok)
+        for i in ok:
+            np.testing.assert_array_equal(results[i].output, want[i])
+
     def test_failed_request_is_500_with_isolated_error(self):
         # a deterministic always-on exception fault exhausts retries and
         # bisection isolates the poison request: 500, structured error
@@ -521,16 +554,15 @@ class TestBitIdentityOverHttp:
         # 200 body is bit-identical to the fault-free inline oracle
         self._check_chaos_over_http(spec, all_ok)
 
-    @pytest.mark.parametrize("placement", ["single", "replicated"])
-    def test_chaos_over_http_threaded_across_placements(self, placement):
+    @pytest.mark.parametrize("n_devices", [1, 2])
+    def test_chaos_over_http_threaded_across_placements(self, n_devices):
         from repro.gpu.device import T4, V100
         from repro.runtime.placement import Placement
 
-        devices = (V100,) if placement == "single" else (V100, T4)
         self._check_chaos_over_http(
             "exception:wave=1", True,
             executor="threaded", watchdog_s=20.0,
-            placement=Placement(placement, devices),
+            placement=Placement((V100, T4)[:n_devices]),
         )
 
     def _check_chaos_over_http(self, spec, all_ok, **cfg_kw):

@@ -122,7 +122,7 @@ class TestCaches:
             (repro.runtime.batching, "batching_plan"),
         ]:
             monkeypatch.setattr(mod, name, no_planning)
-        server = model.serve(placement=Placement("replicated", (V100, T4)))
+        server = model.serve(placement=Placement((V100, T4)))
         try:
             server.warm()
             for _ in range(3):  # waves alternate V100, T4, V100
@@ -179,18 +179,17 @@ class TestServesCompiledModel:
                     assert s.status == "ok", s
                     np.testing.assert_array_equal(s.output, model.run(r))
 
-    @pytest.mark.parametrize("placement", ["single", "replicated"])
+    @pytest.mark.parametrize("n_devices", [1, 2])
     def test_unreorganized_model_serves_bit_identical_across_placements(
-        self, placement
+        self, n_devices
     ):
         from repro.gpu.device import T4, V100
         from repro.runtime.placement import Placement
 
-        devices = (V100,) if placement == "single" else (V100, T4)
         model, x = _compiled(
             seed=6,
             prune_config=TWPruneConfig(granularity=8, reorganize=False),
-            placement=Placement(placement, devices),
+            placement=Placement((V100, T4)[:n_devices]),
         )
         reqs = [x[:2], x[2:]]
         with model.serve(executor="threaded", max_wave_rows=2) as server:
@@ -316,6 +315,16 @@ class TestServing:
         assert "max_wave_rows" in message
         assert "watchdog_s" in message
 
+    def test_submit_rejects_non_2d_request(self):
+        rng = np.random.default_rng(47)
+        server = TWModelServer()
+        server.add_layer(_pruned_layer(rng, 24, 24))
+        # shape[1] matches K: only the rank check can catch it
+        with pytest.raises(ValueError, match="2-D"):
+            server.submit(np.zeros((1, 24, 3)))
+        assert server.stats_record()["queue"]["depth_requests"] == 0
+        assert server.serve(rng.standard_normal(24)).rows == 1  # a vector is a row
+
     def test_config_placement_type_checked(self):
         with pytest.raises(TypeError):
             ServerConfig(placement="replicated")  # must be a Placement
@@ -388,7 +397,7 @@ class TestPlacementServing:
             layers,
             ServerConfig(
                 max_wave_rows=4,
-                placement=Placement("replicated", (V100, V100)),
+                placement=Placement((V100, V100)),
             ),
         )
         reqs = [rng.standard_normal((4, 24)) for _ in range(4)]
@@ -420,7 +429,7 @@ class TestPlacementServing:
         server = self._build(
             layers,
             ServerConfig(
-                placement=Placement("replicated", (V100, T4)),
+                placement=Placement((V100, T4)),
             ),
         )
         server.warm()
@@ -480,7 +489,7 @@ class TestExecutorInvariance:
         inline_server, _ = self._assert_executors_agree(
             layers, reqs,
             max_wave_rows=2,
-            placement=Placement("replicated", (V100,)),
+            placement=Placement((V100,)),
         )
         # one replica: every wave lands on slot 0
         assert set(inline_server.stats.device_gemms) == {"Tesla V100-SXM2#0"}
@@ -495,7 +504,7 @@ class TestExecutorInvariance:
         inline_server, threaded_server = self._assert_executors_agree(
             layers, reqs,
             max_wave_rows=2,  # one wave per request -> 6 waves, 3 per slot
-            placement=Placement("replicated", (V100, V100)),
+            placement=Placement((V100, V100)),
         )
         for server in (inline_server, threaded_server):
             assert server.stats.device_gemms == {
@@ -512,7 +521,7 @@ class TestExecutorInvariance:
         inline_server, _ = self._assert_executors_agree(
             layers, reqs,
             max_wave_rows=4,  # 3 waves: slots 0, 1, 0
-            placement=Placement("replicated", (V100, T4)),
+            placement=Placement((V100, T4)),
         )
         assert inline_server.stats.device_gemms == {
             "Tesla V100-SXM2#0": 8, "Tesla T4#1": 4,
@@ -528,7 +537,7 @@ class TestExecutorInvariance:
         inline_server, threaded_server = self._assert_executors_agree(
             layers, reqs,
             max_wave_rows=2,
-            placement=Placement("replicated", (V100,) * 4),
+            placement=Placement((V100,) * 4),
         )
         # only the first two slots ever receive work
         assert set(inline_server.stats.device_gemms) == {
@@ -604,7 +613,7 @@ class TestExecutorInvariance:
         reqs = [rng.standard_normal((2, 24)) for _ in range(4)]
         placements = [
             None,
-            Placement("replicated", (V100, T4)),
+            Placement((V100, T4)),
         ]
         # fault-free inline oracle
         oracle = TWModelServer(ServerConfig())
@@ -651,7 +660,7 @@ class TestExecutorInvariance:
         for executor in ("inline", "threaded"):
             server = TWModelServer(ServerConfig(
                 executor=executor, max_wave_rows=2,
-                placement=Placement("replicated", (V100, V100)),
+                placement=Placement((V100, V100)),
             ))
             for tw in layers:
                 server.add_layer(tw)
