@@ -16,10 +16,10 @@ Modules
   :class:`HttpLoadTransport`, the connection pool twbench's
   ``http_small`` workload sends its load through;
 - :mod:`repro.runtime.ingress` — :class:`ServingLoop`, the asyncio
-  traffic layer: continuous batching over a live request stream (the
-  admission loop assembles the next wave from whatever is backlogged
-  the moment the executor frees up), bit-identical to a sequential
-  drain of the same stream;
+  traffic layer: continuous batching over a live request stream (it
+  submits into the server's queue and flushes the next wave the moment
+  the executor frees up), bit-identical to a sequential drain of the
+  same stream;
 - :mod:`repro.runtime.server` — :class:`TWModelServer`, which
   micro-batches concurrent requests into one GEMM per layer, dispatches
   each wave to a slot of its

@@ -3,37 +3,36 @@
 The server's ``submit``/``flush`` API is lock-step — callers queue a
 batch, drain it, and the executor idles until the next drain.  This
 module adds the traffic layer (ROADMAP item 1): an asyncio
-:class:`ServingLoop` whose background *admission loop* assembles the
-next wave from whatever is backlogged the moment the executor frees up,
-so a steady request stream keeps waves full with no offline batching.
+:class:`ServingLoop` whose background *admission loop* flushes the next
+wave from whatever is queued the moment the executor frees up, so a
+steady request stream keeps waves full with no offline batching.
 
 Design notes (why this is simple *and* bit-identical):
 
-- **One admission path, zero locks on the server.**  The event-loop
-  thread owns the ingress backlog; each admission iteration takes at
-  most one wave's worth of requests (never splitting a request),
-  ``submit``\\ s them, and runs ``server.flush()`` on a dedicated
-  single-thread pool via ``run_in_executor``.  The server is therefore
-  only ever touched serially — all of its deadline assembly, retry,
-  poison-isolation, and watchdog contracts apply unchanged.  Requests
-  arriving *while* a flush runs land in the backlog and join the next
-  wave: that is the continuous-batching property.
+- **One queue.**  ``submit_nowait`` calls ``server.submit`` at the
+  call, so the server's validation (shape, ``K``, deadline, arrival
+  stamp) and its ``max_queue_rows``/``shed_policy`` decision apply at
+  once: ``reject`` returns a future already holding
+  :class:`QueueFullError`, ``shed_oldest`` victims surface from the
+  next flush as ``status="shed"`` with their server ids.  Waves come
+  out of the server's own shortest-deadline-first order.
+- **One flushing thread.**  While requests are waiting, the admission
+  loop runs ``server.flush(max_rows=max_wave_rows)`` — one wave — on a
+  dedicated single-thread pool via ``run_in_executor``, so all of the
+  server's retry, poison-isolation and watchdog contracts apply
+  unchanged.  The server's lock covers ``submit`` on the event-loop
+  thread racing that flush.  Requests arriving *while* a flush runs
+  join the next wave: that is the continuous-batching property.
 - **Bit-identity for free.**  TW GEMMs are row-independent, so how
   requests group into waves cannot change any request's output bits;
   continuous admission produces exactly the bits of a sequential drain
   of the same stream on the ``inline`` executor — including under
   injected faults, because retry/bisection runs inside the same
   ``flush`` it always did.
-- **Backpressure at the door.**  The server only ever holds one wave,
-  so ``max_queue_rows`` and ``shed_policy`` bound the ingress backlog,
-  through the same :meth:`ServerConfig.make_room` decision
-  ``TWModelServer.submit`` applies: ``reject`` resolves the new
-  request's future with :class:`QueueFullError`, ``shed_oldest``
-  resolves the oldest backlogged request as ``status="shed"``.
 - **Latency honesty.**  Each request's arrival is stamped at
-  ``submit_nowait`` time and passed to ``server.submit(...,
-  enqueued_at=)``, so reported ``latency_s`` includes ingress backlog
-  wait and deadline budgets start ticking at arrival, not admission.
+  ``submit_nowait`` time (or the caller's earlier ``enqueued_at``), so
+  reported ``latency_s`` includes queue wait and deadline budgets
+  start ticking at arrival.
 """
 
 from __future__ import annotations
@@ -41,10 +40,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import logging
-import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -58,16 +55,6 @@ log = logging.getLogger("repro.ingress")
 
 class IngressClosed(RuntimeError):
     """Submitting to a :class:`ServingLoop` that is closing or closed."""
-
-
-@dataclass
-class _Arrival:
-    """One backlogged request: payload + arrival stamp + caller's future."""
-
-    x: np.ndarray
-    deadline_s: float | None
-    enqueued_at: float
-    future: asyncio.Future
 
 
 class ServingLoop:
@@ -112,16 +99,14 @@ class ServingLoop:
         self.stats_interval_s = float(stats_interval_s)
         self._stats_log = stats_log if stats_log is not None else log.info
         self._owns_server = owns_server
-        self._backlog: deque[_Arrival] = deque()
-        self._backlog_rows = 0
         self._arrived = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
-        #: rid → future for requests admitted to the server but not yet
-        #: terminal; persists across flushes because a ``shed_oldest``
-        #: victim only surfaces from a *later* flush
+        #: rid → future for requests queued on the server but not yet
+        #: terminal; persists across flushes because a request may wait
+        #: several waves (and a ``shed_oldest`` victim surfaces from the
+        #: next flush)
         self._waiting: dict[int, asyncio.Future] = {}
-        self._unresolved = 0
         self._waves_admitted = 0
         self._admission_task: asyncio.Task | None = None
         self._stats_task: asyncio.Task | None = None
@@ -159,50 +144,29 @@ class ServingLoop:
         ``time.perf_counter()`` stamp — so reported latency and deadline
         budgets start at true arrival, not at parse time.
 
-        A request that is not ``rows × K`` raises :class:`ValueError`
-        here.  A backlog full to ``max_queue_rows`` answers by the
-        server's ``shed_policy``: ``reject`` returns a future already
-        holding :class:`QueueFullError`; ``shed_oldest`` resolves the
-        oldest backlogged requests as ``status="shed"`` to make room.
+        The server validates and queues the request here: a request it
+        refuses (not ``rows × K``, a bad ``deadline_s`` or
+        ``enqueued_at``) raises :class:`ValueError`; a queue full to
+        ``max_queue_rows`` answers by the server's ``shed_policy`` —
+        ``reject`` returns a future already holding
+        :class:`QueueFullError`, ``shed_oldest`` resolves the oldest
+        queued requests as ``status="shed"`` to make room.  Cancelling
+        the future does not withdraw the request: it still runs and its
+        result is dropped.
         """
         if self._closing or self._closed:
             raise IngressClosed("ServingLoop is closed to new submissions")
-        now = time.perf_counter()
-        if enqueued_at is None:
-            enqueued_at = now
-        elif enqueued_at > now:
-            raise ValueError("enqueued_at must not be in the future")
-        x = self.server.check_request(x)
         self._ensure_started()
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
         try:
-            shed = self.server.config.make_room(
-                self._backlog, self._backlog_rows, x.shape[0]
-            )
+            rid = self.server.submit(x, deadline_s=deadline_s, enqueued_at=enqueued_at)
         except QueueFullError as exc:
             fut.set_exception(exc)
             return fut
-        for victim in shed:
-            self._backlog_rows -= victim.x.shape[0]
-            if not victim.future.done():  # not cancelled while backlogged
-                self.server.stats.shed += 1
-                victim.future.set_result(ServedRequest.unserved(
-                    -1, victim.x.shape[0], victim.enqueued_at, "shed", now
-                ))
-        self._backlog.append(
-            _Arrival(x=x, deadline_s=deadline_s, enqueued_at=enqueued_at, future=fut)
-        )
-        self._backlog_rows += x.shape[0]
-        self._unresolved += 1
+        self._waiting[rid] = fut
         self._idle.clear()
-        fut.add_done_callback(self._on_resolved)
         self._arrived.set()
         return fut
-
-    def _on_resolved(self, fut: asyncio.Future) -> None:
-        self._unresolved -= 1
-        if self._unresolved <= 0:
-            self._idle.set()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -215,8 +179,7 @@ class ServingLoop:
         if self._admission_task is not None:
             return
         loop = asyncio.get_running_loop()
-        # one thread: flushes must serialise — the server is not
-        # thread-safe and ordering is part of the bit-identity contract
+        # one thread: the server supports one flush at a time
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-ingress"
         )
@@ -247,10 +210,10 @@ class ServingLoop:
             return False
 
     async def close(self) -> None:
-        """Drain the backlog, stop the loop, release the flush thread.
+        """Drain the queue, stop the loop, release the flush thread.
 
         Every request accepted before ``close()`` still reaches its
-        terminal status (the admission loop finishes the backlog before
+        terminal status (the admission loop finishes the queue before
         exiting); submissions after are refused with
         :class:`IngressClosed`.  Closes the server too when this loop
         owns it (``serve_async``).  Idempotent.
@@ -286,14 +249,29 @@ class ServingLoop:
     # admission loop
     # ------------------------------------------------------------------ #
     async def _admission_loop(self) -> None:
+        flush = partial(self.server.flush, max_rows=self.server.config.max_wave_rows)
         try:
             while True:
-                while not self._backlog:
+                while not self._waiting:
                     if self._closing:
                         return
                     self._arrived.clear()
                     await self._arrived.wait()
-                await self._run_wave(self._take_wave())
+                served = await asyncio.get_running_loop().run_in_executor(
+                    self._pool, flush
+                )
+                if not served:  # another caller flushed what was waiting
+                    self._fail_all(RuntimeError(
+                        "queued requests were flushed outside this ServingLoop"
+                    ))
+                    continue
+                self._waves_admitted += 1
+                for req in served:
+                    fut = self._waiting.pop(req.request_id, None)
+                    if fut is not None and not fut.done():  # not cancelled
+                        fut.set_result(req)
+                if not self._waiting:
+                    self._idle.set()
         except asyncio.CancelledError:
             self._fail_all(IngressClosed("ServingLoop admission cancelled"))
             raise
@@ -302,55 +280,13 @@ class ServingLoop:
             self._fail_all(exc)
             raise
 
-    def _take_wave(self) -> list[_Arrival]:
-        """Pop up to one wave of requests (≥1; requests never split)."""
-        cap = self.server.config.max_wave_rows
-        wave = [self._backlog.popleft()]
-        rows = wave[0].x.shape[0]
-        while self._backlog and rows + self._backlog[0].x.shape[0] <= cap:
-            nxt = self._backlog.popleft()
-            wave.append(nxt)
-            rows += nxt.x.shape[0]
-        self._backlog_rows -= rows
-        return wave
-
-    async def _run_wave(self, wave: list[_Arrival]) -> None:
-        """Admit one wave to the server and flush it off the event loop."""
-        for item in wave:
-            if item.future.done():  # caller cancelled while backlogged
-                continue
-            try:
-                rid = self.server.submit(
-                    item.x,
-                    deadline_s=item.deadline_s,
-                    enqueued_at=item.enqueued_at,
-                )
-            except BaseException as exc:  # e.g. an invalid deadline_s
-                item.future.set_exception(exc)
-                continue
-            self._waiting[rid] = item.future
-        if not self._waiting:
-            return
-        served = await asyncio.get_running_loop().run_in_executor(
-            self._pool, self.server.flush
-        )
-        self._waves_admitted += 1
-        for req in served:
-            fut = self._waiting.pop(req.request_id, None)
-            if fut is not None and not fut.done():
-                fut.set_result(req)
-
     def _fail_all(self, exc: BaseException) -> None:
         """Resolve every outstanding future exceptionally (loop teardown)."""
-        for item in list(self._backlog):
-            if not item.future.done():
-                item.future.set_exception(exc)
-        self._backlog.clear()
-        self._backlog_rows = 0
-        for fut in list(self._waiting.values()):
+        for fut in self._waiting.values():
             if not fut.done():
                 fut.set_exception(exc)
         self._waiting.clear()
+        self._idle.set()
 
     # ------------------------------------------------------------------ #
     # observability
@@ -359,10 +295,8 @@ class ServingLoop:
         """Server's :meth:`~TWModelServer.stats_record` + ingress context."""
         rec = self.server.stats_record()
         rec["ingress"] = {
-            "backlog_requests": len(self._backlog),
-            "backlog_rows": self._backlog_rows,
             "inflight_requests": len(self._waiting),
-            "unresolved_requests": self._unresolved,
+            "unresolved_requests": sum(not f.done() for f in self._waiting.values()),
             "waves_admitted": self._waves_admitted,
             "closed": self._closed,
         }
@@ -376,10 +310,10 @@ class ServingLoop:
     def _emit_stats_line(self) -> None:
         rec = self.stats_record()
         self._stats_log(
-            "ingress: backlog=%d inflight=%d served=%d waves=%d "
+            "ingress: queued=%d inflight=%d served=%d waves=%d "
             "occupancy=%.2f p99=%.1fms busy=%.0f%%"
             % (
-                rec["ingress"]["backlog_requests"],
+                rec["queue"]["depth_requests"],
                 rec["ingress"]["inflight_requests"],
                 rec["requests"],
                 rec["waves"]["count"],

@@ -496,15 +496,11 @@ class NetServer:
             else:
                 x = wire.decode_json_tensor(body)
             deadline_s = self._parse_deadline(headers)
-            model_k = self.loop.server.model_k
-            if model_k is not None and x.shape[1] != model_k:
-                raise wire.WireError(
-                    "shape_mismatch",
-                    f"request K={x.shape[1]} != model K={model_k}",
-                )
-        except wire.WireError as exc:
+            x = self.loop.server.check_request(x)
+        except ValueError as exc:  # a WireError, or not rows x model K
+            code = exc.code if isinstance(exc, wire.WireError) else "shape_mismatch"
             await self._respond_error(
-                writer, 400, exc.code, str(exc), keep_alive=keep_alive
+                writer, 400, code, str(exc), keep_alive=keep_alive
             )
             return
         try:

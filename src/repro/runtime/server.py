@@ -48,6 +48,7 @@ import itertools
 import json
 import math
 import numbers
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -136,7 +137,7 @@ class ServerConfig:
         decides: ``reject`` raises :class:`QueueFullError`; ``shed_oldest``
         drops the oldest queued requests (they surface from the next
         ``flush`` with ``status="shed"``) to make room.  The async ingress
-        applies the same bound to its backlog (:meth:`make_room`).
+        submits straight into this queue, so the bound covers it too.
     shed_policy:
         ``"reject"`` (default) or ``"shed_oldest"`` — see
         ``max_queue_rows``.
@@ -184,34 +185,6 @@ class ServerConfig:
         # ready injector; spec strings parse here, at configuration time
         object.__setattr__(self, "faults", resolve_faults(self.faults))
 
-    def make_room(self, queue: deque, queued_rows: int, rows: int) -> list:
-        """Apply ``max_queue_rows`` and ``shed_policy`` to one arrival.
-
-        ``queue`` holds ``queued_rows`` rows in entries that carry their
-        activations as ``.x``; a ``rows``-row request wants to join it.
-        Raises :class:`QueueFullError` under ``reject`` (or when the request
-        alone exceeds the bound); under ``shed_oldest`` pops the oldest
-        entries until the request fits and returns them, for the caller to
-        resolve as ``status="shed"``.
-        """
-        bound = self.max_queue_rows
-        if not bound or queued_rows + rows <= bound:
-            return []
-        if rows > bound:
-            raise QueueFullError(
-                f"request of {rows} rows can never fit max_queue_rows={bound}"
-            )
-        if self.shed_policy == "reject":
-            raise QueueFullError(
-                f"queue holds {queued_rows} rows; admitting "
-                f"{rows} more would exceed max_queue_rows={bound}"
-            )
-        victims = []
-        while queue and queued_rows + rows > bound:
-            victims.append(queue.popleft())
-            queued_rows -= victims[-1].x.shape[0]
-        return victims
-
     def resolved_placement(self) -> Placement:
         """The effective placement (``None`` is one V100)."""
         return self.placement or Placement()
@@ -233,16 +206,13 @@ class ServedRequest:
     - ``"expired"`` — its ``deadline_s`` passed before any GEMM ran;
       ``output`` is ``None``.
 
-    ``request_id`` is ``-1`` for a request the async ingress shed from
-    its backlog before the server assigned it an id.
-
     ``latency_s`` is enqueue→terminal wall-time in every case — anchored
-    at the *enqueue* timestamp (``submit(..., enqueued_at=)``) when the
-    request arrived through an ingress queue, so time spent backlogged
+    at the *arrival* timestamp (``submit(..., enqueued_at=)``) when a
+    front observed the request before submitting it, so time spent
     before admission counts.  For ``"ok"`` requests it splits as
     ``latency_s == queue_wait_s + service_s``: ``queue_wait_s`` is
-    enqueue→wave-launch (ingress backlog + server queue + any retry
-    churn before the wave that finally served it) and ``service_s`` is
+    arrival→wave-launch (server queue + any retry churn before the wave
+    that finally served it) and ``service_s`` is
     that wave's executor service (GEMM wall time).  Non-``ok`` requests
     never complete a wave, so the whole latency is queue wait
     (``service_s == 0``).  ``batch_id`` is the last wave that ran (or
@@ -446,6 +416,12 @@ class TWModelServer:
     every layer in order (``K`` of layer ``l+1`` must equal ``N`` of layer
     ``l``); pruned output columns are exact zeros, so chaining is closed
     under TW execution.
+
+    Threads: ``submit`` may run on one thread while ``flush`` runs on
+    another (the async ingress submits on its event loop and flushes on a
+    worker thread); one lock guards the queue while ``submit`` enqueues and
+    while ``flush`` takes its wave.  Two concurrent ``flush`` calls are not
+    supported.
     """
 
     def __init__(self, config: ServerConfig | None = None) -> None:
@@ -458,6 +434,9 @@ class TWModelServer:
         #: one step per registered layer, shared by every wave
         self._layers: list[WaveStep] = []
         self._closed = False
+        #: guards the queue: ``_pending``, ``_queued_rows``,
+        #: ``_shed_buffer`` and ``_next_id``
+        self._lock = threading.Lock()
         self._pending: deque[_Pending] = deque()
         self._queued_rows = 0
         #: requests shed at submit time (``shed_oldest``), surfaced by the
@@ -545,10 +524,10 @@ class TWModelServer:
         shortest-deadline-first.
 
         ``enqueued_at`` is an optional ``perf_counter`` timestamp of when
-        the request *arrived* (defaults to now).  An ingress layer that
-        backlogs requests before admitting them passes its arrival stamp
-        here so reported latency includes ingress queue wait and the
-        deadline budget starts ticking at arrival, not admission.
+        the request *arrived* (defaults to now).  A front that observed the
+        request earlier (the HTTP server, at socket accept) passes its
+        arrival stamp here so reported latency and the deadline budget
+        start at arrival.
 
         When ``max_queue_rows`` is configured and this submit would
         exceed it, the ``shed_policy`` applies: ``reject`` raises
@@ -570,28 +549,46 @@ class TWModelServer:
             arrival = float(enqueued_at)
             if arrival > now:
                 raise ValueError("enqueued_at must not be in the future")
-        rows = x.shape[0]
-        for victim in self.config.make_room(self._pending, self._queued_rows, rows):
-            self._queued_rows -= victim.x.shape[0]
-            self.stats.shed += 1
-            self._shed_buffer.append(ServedRequest.unserved(
-                victim.rid, victim.x.shape[0], victim.submitted_at, "shed", now
-            ))
-        rid = self._next_id
-        self._next_id += 1
-        self._pending.append(
-            _Pending(
-                rid=rid,
-                x=x,
-                submitted_at=arrival,
-                deadline_at=None if deadline_s is None else arrival + deadline_s,
+        rows, bound = x.shape[0], self.config.max_queue_rows
+        if bound and rows > bound:
+            raise QueueFullError(
+                f"request of {rows} rows can never fit max_queue_rows={bound}"
             )
-        )
-        self._queued_rows += rows
+        with self._lock:
+            if bound and self._queued_rows + rows > bound:
+                if self.config.shed_policy == "reject":
+                    raise QueueFullError(
+                        f"queue holds {self._queued_rows} rows; admitting "
+                        f"{rows} more would exceed max_queue_rows={bound}"
+                    )
+                # shed_oldest: rows <= bound, so the queue empties first
+                while self._queued_rows + rows > bound:
+                    victim = self._pending.popleft()
+                    self._queued_rows -= victim.x.shape[0]
+                    self.stats.shed += 1
+                    self._shed_buffer.append(ServedRequest.unserved(
+                        victim.rid, victim.x.shape[0], victim.submitted_at, "shed", now
+                    ))
+            rid = self._next_id
+            self._next_id += 1
+            self._pending.append(
+                _Pending(
+                    rid=rid,
+                    x=x,
+                    submitted_at=arrival,
+                    deadline_at=None if deadline_s is None else arrival + deadline_s,
+                )
+            )
+            self._queued_rows += rows
         return rid
 
-    def flush(self) -> list[ServedRequest]:
-        """Run every queued request as micro-batched GEMMs (one per layer).
+    def flush(self, *, max_rows: int | None = None) -> list[ServedRequest]:
+        """Run queued requests as micro-batched GEMMs (one per layer).
+
+        With ``max_rows`` the flush takes only the first requests, in
+        the order below, that fit ``max_rows`` rows (at least one) and
+        leaves the rest queued; requests shed since the last flush
+        still surface.  Without it the whole queue drains.
 
         Waves larger than ``max_wave_rows`` split into successive
         micro-batches; requests never split across waves, and waves
@@ -601,7 +598,7 @@ class TWModelServer:
         the configured executor runs the whole wave list.  Outputs are
         bit-identical across executors.
 
-        Every queued request reaches a terminal
+        Every request the flush takes reaches a terminal
         :attr:`ServedRequest.status` and nothing raises: expired requests
         are shed before any GEMM runs for them; a failed wave group
         retries whole up to ``max_retries`` under *fresh* wave indices, so
@@ -612,18 +609,27 @@ class TWModelServer:
         ``O(n · max_retries · log n)`` wave executions.  Results are
         returned sorted by request id.
         """
-        served: list[ServedRequest] = list(self._shed_buffer)
-        self._shed_buffer.clear()
-        # drain the queue into wave groups: shortest-deadline-first; the
-        # sort is stable, so deadline-free traffic stays strictly FIFO
-        ordered = sorted(
-            self._pending,
-            key=lambda p: (
-                p.deadline_at if p.deadline_at is not None else math.inf
-            ),
-        )
-        self._pending.clear()
-        self._queued_rows = 0
+        with self._lock:
+            served: list[ServedRequest] = self._shed_buffer
+            self._shed_buffer = []
+            # take from the queue shortest-deadline-first; the sort is
+            # stable, so deadline-free traffic stays strictly FIFO
+            ordered = sorted(
+                self._pending,
+                key=lambda p: (
+                    p.deadline_at if p.deadline_at is not None else math.inf
+                ),
+            )
+            n = rows = 0
+            for p in ordered:
+                if max_rows is not None and n and rows + p.x.shape[0] > max_rows:
+                    break
+                n, rows = n + 1, rows + p.x.shape[0]
+            ordered = ordered[:n]
+            taken = {p.rid for p in ordered}
+            # what stays queued keeps arrival order (shed_oldest reads it)
+            self._pending = deque(p for p in self._pending if p.rid not in taken)
+            self._queued_rows -= rows
         work: deque[list[_Pending]] = deque()
         group: list[_Pending] = []
         rows = 0

@@ -200,12 +200,12 @@ class TestLatencyAccounting:
 
 
 class TestBackpressure:
-    """``max_queue_rows`` bounds the ingress backlog by ``shed_policy``,
-    as it bounds ``TWModelServer.submit``'s queue."""
+    """``max_queue_rows`` bounds the server queue the ingress submits
+    into, by ``shed_policy``."""
 
     def _flood(self, policy):
         # 200 submissions with no await in between: the admission loop
-        # cannot run, so everything lands on the backlog at once
+        # cannot run, so everything lands on the queue at once
         import repro
 
         rng = np.random.default_rng(60)
@@ -220,12 +220,12 @@ class TestBackpressure:
                 max_queue_rows=16, max_wave_rows=8, shed_policy=policy
             ) as loop:
                 futures = [loop.submit_nowait(x) for x in xs]
-                backlog_rows = loop.stats_record()["ingress"]["backlog_rows"]
+                depth_rows = loop.stats_record()["queue"]["depth_rows"]
                 results = await asyncio.gather(*futures, return_exceptions=True)
-                return backlog_rows, results, loop.stats_record()
+                return depth_rows, results, loop.stats_record()
 
-        backlog_rows, results, rec = asyncio.run(go())
-        assert backlog_rows == 16
+        depth_rows, results, rec = asyncio.run(go())
+        assert depth_rows == 16
         assert rec["requests"] == 2
         # the two requests the bound kept are served like run() serves them
         kept = [i for i, r in enumerate(results) if getattr(r, "status", None) == "ok"]
@@ -248,7 +248,7 @@ class TestBackpressure:
         assert kept == [198, 199]
         for r in results[:198]:
             assert r.status == "shed" and r.output is None
-            assert r.request_id == -1 and r.batch_id == -1
+            assert r.request_id >= 0 and r.batch_id == -1
             assert r.latency_s == r.queue_wait_s >= 0.0
         assert rec["slo"]["shed"] == 198
 
@@ -267,6 +267,123 @@ class TestBackpressure:
         served, stats = asyncio.run(go())
         assert served.status == "ok"
         assert stats.retries == stats.requeues == 0
+
+
+class TestOneQueue:
+    """The ingress submits straight into the server's queue: one
+    validation, one bound, one shortest-deadline-first order."""
+
+    def test_urgent_request_goes_in_the_first_wave(self):
+        # five deadline-free 2-row requests, then one with a 30 ms budget;
+        # each 2-row wave spends 2 x 10 ms in GEMMs, so the urgent request
+        # is ok only if it is served first, not sixth
+        import repro
+
+        rng = np.random.default_rng(64)
+        model = repro.compile(
+            [rng.standard_normal((24, 24)) for _ in range(2)],
+            sparsity=0.5, granularity=8,
+        )
+        xs = [rng.standard_normal((2, 24)) for _ in range(6)]
+
+        async def go():
+            async with model.serve_async(
+                max_wave_rows=2, faults="latency:rate=1.0:duration=0.01"
+            ) as loop:
+                futures = [loop.submit_nowait(x) for x in xs[:5]]
+                futures.append(loop.submit_nowait(xs[5], deadline_s=0.03))
+                return await asyncio.gather(*futures)
+
+        served = asyncio.run(go())
+        assert [s.status for s in served] == ["ok"] * 6
+        for s, x in zip(served, xs):
+            np.testing.assert_array_equal(s.output, model.run(x))
+
+    def test_bad_deadline_raises_at_the_call_and_holds_no_rows(self):
+        layers = _layers(65)
+        x = _requests(66, n=1, rows=8)[0]
+
+        async def go():
+            async with ServingLoop(
+                _server(layers, max_queue_rows=16), owns_server=True
+            ) as loop:
+                with pytest.raises(ValueError, match="deadline_s"):
+                    loop.submit_nowait(x, deadline_s=-1)
+                depth_rows = loop.stats_record()["queue"]["depth_rows"]
+                return depth_rows, await loop.submit(x)
+
+        depth_rows, served = asyncio.run(go())
+        assert depth_rows == 0
+        assert served.status == "ok"
+
+    def test_submit_racing_flush_returns_every_id_once(self):
+        import threading
+        import time
+
+        layers = _layers(67)
+        reqs = _requests(68, n=40)
+        want = _oracle_outputs(layers, reqs)
+        server = _server(
+            layers, faults="latency:rate=1.0:duration=0.002", max_wave_rows=4,
+        )
+        ids = []
+
+        def produce():
+            for x in reqs:
+                ids.append(server.submit(x))
+                time.sleep(0.0005)
+
+        producer = threading.Thread(target=produce)
+        served = []
+        with server:
+            producer.start()
+            while producer.is_alive():
+                served.extend(server.flush(max_rows=4))
+            producer.join()
+            served.extend(server.flush())
+        got = [s.request_id for s in served]
+        assert sorted(got) == ids == list(range(len(reqs)))
+        assert server.stats_record()["queue"]["depth_rows"] == 0
+        for s in served:
+            assert s.status == "ok"
+            np.testing.assert_array_equal(s.output, want[s.request_id])
+
+    def test_cancelled_future_still_runs_and_leaves_nothing_inflight(self):
+        layers = _layers(69)
+        reqs = _requests(70, n=3)
+        server = _server(
+            layers, faults="latency:rate=1.0:duration=0.005", max_wave_rows=2,
+        )
+
+        async def go():
+            async with ServingLoop(server, owns_server=True) as loop:
+                futures = [loop.submit_nowait(x) for x in reqs]
+                futures[2].cancel()
+                await loop.drain()
+                return futures, loop.stats_record()
+
+        futures, rec = asyncio.run(go())
+        assert rec["ingress"]["inflight_requests"] == 0
+        assert rec["requests"] == 3  # the cancelled request ran anyway
+        assert [f.result().status for f in futures[:2]] == ["ok", "ok"]
+        assert futures[2].cancelled()
+
+
+    def test_request_flushed_behind_the_loop_fails_instead_of_spinning(self):
+        layers = _layers(71)
+        (req,) = _requests(72, n=1)
+
+        async def go():
+            async with ServingLoop(_server(layers), owns_server=True) as loop:
+                fut = loop.submit_nowait(req)
+                (stolen,) = loop.server.flush()
+                assert await loop.drain(timeout_s=5.0) is True
+                with pytest.raises(RuntimeError, match="outside"):
+                    fut.result()
+                return stolen, await loop.submit(req)
+
+        stolen, served = asyncio.run(go())
+        assert stolen.status == served.status == "ok"
 
 
 class TestLifecycle:
@@ -293,7 +410,7 @@ class TestLifecycle:
                 _server(layers, max_wave_rows=4), owns_server=True
             )
             futures = [loop.submit_nowait(x) for x in reqs]
-            await loop.close()  # must finish the backlog first
+            await loop.close()  # must finish the queue first
             return [f.result() for f in futures]
 
         served = asyncio.run(go())
@@ -397,7 +514,7 @@ class TestStatsExport:
         rec = asyncio.run(go())
         json.dumps(rec)
         ing = rec["ingress"]
-        assert ing["backlog_requests"] == 0
+        assert rec["queue"]["depth_requests"] == 0
         assert ing["unresolved_requests"] == 0
         assert ing["waves_admitted"] >= 1
         assert rec["waves"]["max_wave_rows"] == 4

@@ -452,7 +452,7 @@ class TestSloOverHttp:
 
     def test_backlog_bound_is_429_queue_full(self):
         # 16 connections send 8-row requests while every layer of every
-        # wave sleeps 20 ms: the backlog holds 16 rows, the rest get 429
+        # wave sleeps 20 ms: the queue holds 16 rows, the rest get 429
         layers = _layers(46)
         reqs = _requests(47, n=32, rows=8)
         want = _oracle_outputs(layers, reqs)
@@ -475,7 +475,7 @@ class TestSloOverHttp:
         ok = [i for i, r in enumerate(results) if r.http_status == 200]
         rejected = [r for r in results if r.http_status == 429]
         assert len(ok) + len(rejected) == len(reqs)
-        assert rejected, "the backlog bound never answered 429"
+        assert rejected, "the queue bound never answered 429"
         for r in rejected:
             assert r.status == "rejected"
             assert r.error["code"] == "queue_full"
