@@ -30,11 +30,12 @@ Endpoints
     The :meth:`NetServer.stats_record` snapshot as JSON.
 
 Latency honesty over the network: ``enqueued_at`` is stamped when the
-socket delivers the request (accept for the first request on a
-connection, message arrival for keep-alive successors), so reported
-latency and deadline budgets start at true arrival rather than at
-admission — the same arrival-anchored accounting the in-process ingress
-uses.
+loop reads the request (accept for the first request on a connection,
+message arrival for keep-alive successors), so reported latency and
+deadline budgets start at arrival rather than at admission.  Waves run
+on the loop thread, so bytes that land mid-wave wait in the socket
+buffer until it ends: that wait is in the client's latency (twbench's
+``hop_s``), not in ``queue_wait_s``.
 
 Graceful drain: on SIGTERM/``close()`` the listener stops accepting,
 in-flight requests run to their terminal status via
@@ -184,9 +185,8 @@ class NetServer:
         )
         if self._listener.sockets:
             self._bound_port = self._listener.sockets[0].getsockname()[1]
-        # warm on the flush pool's thread-neighbourhood: a plain executor
-        # thread is fine, the server is untouched by the event loop until
-        # the first request is admitted
+        # warm off the event loop, so /healthz answers 503 meanwhile; the
+        # loop does not touch the server until a request is admitted
         await asyncio.get_running_loop().run_in_executor(None, self.loop.server.warm)
         self._ready = True
 

@@ -418,10 +418,9 @@ class TWModelServer:
     under TW execution.
 
     Threads: ``submit`` may run on one thread while ``flush`` runs on
-    another (the async ingress submits on its event loop and flushes on a
-    worker thread); one lock guards the queue while ``submit`` enqueues and
-    while ``flush`` takes its wave.  Two concurrent ``flush`` calls are not
-    supported.
+    another (the async ingress runs both on its event loop's thread); one
+    lock guards the queue while ``submit`` enqueues and while ``flush``
+    takes its wave.  Two concurrent ``flush`` calls are not supported.
     """
 
     def __init__(self, config: ServerConfig | None = None) -> None:

@@ -13,6 +13,7 @@ pytest-asyncio is not a dependency; every async body runs under
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -446,9 +447,11 @@ class TestLifecycle:
         assert all(s.status == "ok" for s in served)
 
     def test_drain_timeout_bounds_the_wait(self):
-        # a latency fault keeps the flush busy past the bound: drain
-        # reports False instead of hanging, then an unbounded retry
-        # still sees every terminal
+        # waves run on the event-loop thread, so a bounded drain returns at
+        # wave granularity: a latency fault keeps each of three one-wave
+        # requests busy past the bound, and drain reports False once the
+        # started wave finishes, not after the whole queue; an unbounded
+        # retry still sees every terminal
         layers = _layers(48)
         server = _server(
             layers, faults="latency:rate=1.0:duration=0.2:seed=1",
@@ -458,13 +461,54 @@ class TestLifecycle:
         async def go():
             async with ServingLoop(server, owns_server=True) as loop:
                 assert await loop.drain(timeout_s=0.5) is True  # idle: fast
-                fut = loop.submit_nowait(_requests(49, n=1)[0])
+                futs = [loop.submit_nowait(x) for x in _requests(49, n=3, rows=4)]
                 assert await loop.drain(timeout_s=0.01) is False
-                assert not fut.done()
-                assert await loop.drain(timeout_s=30.0) is True
-                assert fut.done() and fut.result().status == "ok"
+                assert loop.stats_record()["ingress"]["waves_admitted"] <= 1
+                assert not all(f.done() for f in futs)
+                assert await loop.drain() is True
+                assert [f.result().status for f in futs] == ["ok"] * 3
 
         asyncio.run(go())
+
+    def test_waves_run_on_the_event_loop_thread(self):
+        layers = _layers(52)
+        server = _server(layers, executor="inline", max_wave_rows=4)
+        wave_threads = []
+        flush = server.flush
+
+        def recording_flush(**kw):
+            wave_threads.append(threading.get_ident())
+            return flush(**kw)
+
+        server.flush = recording_flush
+
+        async def go():
+            async with ServingLoop(server, owns_server=True) as loop:
+                await asyncio.gather(*(loop.submit(x) for x in _requests(53, n=3)))
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(go())
+        assert wave_threads and set(wave_threads) == {loop_thread}
+
+    def test_serving_loop_adds_no_thread(self):
+        layers = _layers(54)
+        server = _server(layers, executor="inline")
+        # compared as sets: a thread an earlier test left running may end
+        # meanwhile, which would move active_count() without this loop
+        before = set(threading.enumerate())
+
+        async def go():
+            loop = ServingLoop(server, owns_server=True)
+            loop.start()
+            served = await loop.submit(_requests(55, n=1)[0])
+            during = set(threading.enumerate())
+            await loop.close()
+            return served, during
+
+        served, during = asyncio.run(go())
+        assert served.status == "ok"
+        assert not during - before
+        assert not set(threading.enumerate()) - before
 
 
 class TestStatsExport:

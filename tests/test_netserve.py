@@ -17,7 +17,10 @@ stdlib-only ones from :mod:`repro.runtime.netclient`.
 
 import asyncio
 import contextlib
+import http.client
 import json
+import queue
+import socket
 import struct
 import threading
 import time
@@ -87,6 +90,127 @@ def _serving(server, **net_kw):
 
 def _client(net):
     return InferClient("127.0.0.1", net.port)
+
+
+def _flagging_flush(server):
+    """Wrap ``server.flush`` to put one item on the returned queue per call.
+
+    Each item is put as its flush starts, so a test can act mid-wave.
+    """
+    starts = queue.SimpleQueue()
+    flush = server.flush
+
+    def flagged(**kw):
+        starts.put(None)
+        return flush(**kw)
+
+    server.flush = flagged
+    return starts
+
+
+def _post_infer(conn, x):
+    conn.request(
+        "POST", "/v1/infer", wire.encode_tensor(x),
+        {"Content-Type": wire.CONTENT_TYPE_TENSOR},
+    )
+
+
+class TestWavesOnTheLoopThread:
+    """Waves hold the event-loop thread; the loop must still serve between them."""
+
+    def test_loop_answers_between_waves(self):
+        # a gate request's wave holds the loop until 8 one-wave requests
+        # sit in the server's sockets, so all 8 queue together; a /healthz
+        # sent once the first of their waves starts must be answered
+        # between waves, before the last infer reply (a loop that flushed
+        # the whole queue without yielding would answer it after)
+        layers = _layers(80)
+        gate, *reqs = _requests(81, n=9)
+        server = _server(
+            layers, faults="latency:rate=1.0:duration=0.05", max_wave_rows=2
+        )
+        release = threading.Event()
+        flush = server.flush
+
+        def gated(**kw):
+            release.wait(10.0)
+            return flush(**kw)
+
+        server.flush = gated
+        starts = _flagging_flush(server)
+        with server, _serving(server) as net:
+            def connect():
+                return http.client.HTTPConnection("127.0.0.1", net.port, timeout=30)
+
+            conns = [connect() for _ in range(9)]
+            health = connect()
+            health.connect()  # accepted while the loop is idle
+            try:
+                _post_infer(conns[0], gate)
+                starts.get(timeout=10.0)
+                for conn, x in zip(conns[1:], reqs):
+                    _post_infer(conn, x)
+                time.sleep(0.2)  # the kernel has every byte; the loop is held
+                release.set()
+                replies = []
+
+                def reply(conn):
+                    resp = conn.getresponse()
+                    resp.read()
+                    replies.append((time.perf_counter(), resp.status))
+
+                readers = [threading.Thread(target=reply, args=(c,)) for c in conns]
+                for t in readers:
+                    t.start()
+                starts.get(timeout=10.0)  # the first queued wave runs
+                health.request("GET", "/healthz")
+                resp = health.getresponse()
+                resp.read()
+                healthz_at, healthz_status = time.perf_counter(), resp.status
+                for t in readers:
+                    t.join(30.0)
+            finally:
+                for conn in conns + [health]:
+                    conn.close()
+        assert healthz_status == 200
+        assert [status for _, status in replies] == [200] * 9
+        assert healthz_at < max(at for at, _ in replies)
+
+    def test_client_disconnecting_mid_wave(self):
+        # the client closes its socket while its request's wave runs: the
+        # request still reaches a terminal status, nothing stays in flight
+        # or busy, and the next connection is served bit-identically
+        layers = _layers(82)
+        reqs = _requests(83, n=2)
+        want = _oracle_outputs(layers, reqs)
+        server = _server(layers, faults="latency:rate=1.0:duration=0.05")
+        starts = _flagging_flush(server)
+        with server, _serving(server) as net:
+            sock = socket.create_connection(("127.0.0.1", net.port), timeout=5.0)
+            sock.sendall(wire.format_message(
+                "POST /v1/infer HTTP/1.1",
+                {"Host": "127.0.0.1", "Content-Type": wire.CONTENT_TYPE_TENSOR},
+                wire.encode_tensor(reqs[0]),
+            ))
+            starts.get(timeout=10.0)
+            sock.close()
+            c = _client(net)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                stats = c.stats()
+                if (stats["requests"] == 1
+                        and stats["ingress"]["inflight_requests"] == 0
+                        and not net._busy):
+                    break
+                time.sleep(0.01)
+            assert stats["requests"] == 1
+            assert stats["ingress"]["inflight_requests"] == 0
+            assert stats["ingress"]["unresolved_requests"] == 0
+            assert not net._busy
+            r = c.infer(reqs[1])
+            assert r.status == "ok"
+            np.testing.assert_array_equal(r.output, want[1])
+            c.close()
 
 
 class TestWireCodec:
@@ -334,8 +458,6 @@ class TestValidationOverHttp:
     def test_stalled_request_body_gets_408_and_close(self, monkeypatch):
         # headers promise 64 body bytes, 10 arrive, then the client stalls:
         # past the read deadline the server answers 408 and hangs up
-        import socket
-
         from repro.runtime import netserve
 
         monkeypatch.setattr(netserve, "_READ_DEADLINE_S", 0.2)
@@ -370,8 +492,6 @@ class TestValidationOverHttp:
 
     def test_stalled_headers_get_408_and_close(self, monkeypatch):
         # a start line and half a header section, then the client stalls
-        import socket
-
         from repro.runtime import netserve
 
         monkeypatch.setattr(netserve, "_READ_DEADLINE_S", 0.2)
@@ -396,8 +516,6 @@ class TestValidationOverHttp:
     def test_idle_keep_alive_outlives_the_read_deadline(self, monkeypatch):
         # the deadline starts at a start line: an idle pooled connection
         # waiting for its next request is not timed out
-        import socket
-
         from repro.runtime import netserve
 
         monkeypatch.setattr(netserve, "_READ_DEADLINE_S", 0.2)
