@@ -10,12 +10,13 @@ sessions by more than their bounds.  For each seed this script runs
 first (the parent on the first seed), and parses the last JSON line
 each run prints.  It then prints, per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's median and q1–q3, how many pairs the
-change won, and failed/attempted operations per side.
+change won, failed/attempted operations per side, and a no-regression
+verdict against the metric's ``bound`` (see :func:`verdict`).
 
 Runs execute in a temporary working directory with bytecode writing off,
 so nothing is written inside either checkout.  Exits 1 when any run is
-incorrect (``"correct": false``) or prints no JSON result line.
-Standard library only.
+incorrect (``"correct": false``), prints no JSON result line, or a
+metric's verdict is ``worse``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -49,14 +50,33 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
+def verdict(parent: list[float], change: list[float], higher: bool, bound: float) -> str:
+    """No-regression verdict of one metric's runs against its ``bound``.
+
+    ``unresolved`` when the parent's q1–q3 spread over its median exceeds
+    ``bound`` (the runs cannot tell a change of that size from noise),
+    unless every change run reads better than every parent run; otherwise
+    ``worse`` when the change's median is worse than the parent's by more
+    than ``bound`` (relative), else ``within``.
+    """
+    pq1, pmed, pq3 = quartiles(parent)
+    cmed = quartiles(change)[1]
+    better_everywhere = min(change) > max(parent) if higher else max(change) < min(parent)
+    if not pmed or ((pq3 - pq1) / abs(pmed) > bound and not better_everywhere):
+        return "unresolved"
+    loss = (pmed - cmed if higher else cmed - pmed) / abs(pmed)
+    return "worse" if loss > bound else "within"
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """One row per metric over ``(parent, change)`` metric-value pairs.
 
     ``pairs`` holds each seed's ``{name: value}`` per side; ``metrics`` is
-    ``BENCHMARK.json``'s ``end_to_end`` list (``name``, ``better``).  A
-    pair is a win when the change is strictly better.  ``resolved`` says
-    whether the medians differ, in the better direction, by more than the
-    parent's q1–q3 spread.
+    ``BENCHMARK.json``'s ``end_to_end`` list (``name``, ``better``,
+    ``bound``).  A pair is a win when the change is strictly better.
+    ``resolved`` says whether the medians differ, in the better direction,
+    by more than the parent's q1–q3 spread; ``verdict`` is
+    :func:`verdict` against the metric's ``bound``.
     """
     rows = []
     for m in metrics:
@@ -77,6 +97,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
             "pairs": len(both),
             "delta_pct": 100.0 * (cmed - pmed) / pmed if pmed else float("nan"),
             "resolved": gain > pq3 - pq1,
+            "verdict": verdict(parent, change, higher, m["bound"]),
         })
     return rows
 
@@ -103,13 +124,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
 
 def format_rows(workload: str, rows: list[dict]) -> list[str]:
     lines = [f"{workload}: metric | parent median [q1-q3] | change median [q1-q3]"
-             " | change wins | delta | resolved"]
+             " | change wins | delta | resolved | verdict"]
     for r in rows:
         (pm, pq1, pq3), (cm, cq1, cq3) = r["parent"], r["change"]
         lines.append(
             f"  {r['metric']:<16} | {pm:.4g} [{pq1:.4g}-{pq3:.4g}]"
             f" | {cm:.4g} [{cq1:.4g}-{cq3:.4g}] | {r['wins']}/{r['pairs']}"
             f" | {r['delta_pct']:+.1f}% | {'yes' if r['resolved'] else 'no'}"
+            f" | {r['verdict']}"
         )
     return lines
 
@@ -148,7 +170,9 @@ def main() -> int:
                           flush=True)
                 if len(got) == 2:
                     pairs.append((got["parent"], got["change"]))
-            for line in format_rows(workload, summarize(pairs, metrics)):
+            rows = summarize(pairs, metrics)
+            ok = ok and all(r["verdict"] != "worse" for r in rows)
+            for line in format_rows(workload, rows):
                 print(line)
             print(f"  failed/attempted: parent {ops['parent'][0]}/{ops['parent'][1]}"
                   f", change {ops['change'][0]}/{ops['change'][1]}", flush=True)

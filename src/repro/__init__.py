@@ -41,8 +41,8 @@ magnitude``) are string-registry entries — see
 :mod:`repro.core.importance`.  The pieces the facade composes remain
 importable for research use: :mod:`repro.core` (Algorithm 1),
 :mod:`repro.formats` (compact layouts), :mod:`repro.kernels` (functional
-GEMMs), :mod:`repro.gpu` (cost models), :mod:`repro.runtime` (plans +
-serving), :mod:`repro.experiments` (accuracy/latency pipelines).
+GEMMs), :mod:`repro.gpu` (cost models), :mod:`repro.runtime`
+(serving), :mod:`repro.experiments` (accuracy/latency pipelines).
 
 The CLI mirrors the facade:
 ``python -m repro {prune,tune,latency,sweep,serve,info}``.

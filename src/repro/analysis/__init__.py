@@ -21,7 +21,6 @@ from repro.analysis.reporting import (
     ascii_bars,
     ascii_series,
     format_table,
-    load_results,
     save_results,
 )
 
@@ -37,5 +36,4 @@ __all__ = [
     "ascii_series",
     "ascii_bars",
     "save_results",
-    "load_results",
 ]

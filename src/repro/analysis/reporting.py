@@ -19,7 +19,6 @@ __all__ = [
     "ascii_series",
     "ascii_bars",
     "save_results",
-    "load_results",
 ]
 
 
@@ -51,12 +50,6 @@ def save_results(record: ExperimentRecord, directory: str | Path = "results") ->
     path = directory / f"{record.experiment}.json"
     path.write_text(json.dumps(record.as_dict(), indent=2, default=float))
     return path
-
-
-def load_results(experiment: str, directory: str | Path = "results") -> dict[str, Any]:
-    """Load a previously-saved record."""
-    path = Path(directory) / f"{experiment}.json"
-    return json.loads(path.read_text())
 
 
 def format_table(headers: list[str], rows: list[list[Any]], precision: int = 3) -> str:

@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--stats-json", default=None, metavar="PATH",
                          help="dump the structured stats snapshot (queue "
                               "depth, wave occupancy, per-device busy %%, "
-                              "cache hit rate, latency percentiles) as JSON")
+                              "latency percentiles) as JSON")
     p_serve.add_argument("--stats-interval-s", type=float, default=0.0,
                          help="emit a one-line ingress stats log every N "
                               "seconds during --http (0 = off)")

@@ -36,7 +36,6 @@ from repro.core.schedule import (
     resolve_schedule,
 )
 from repro.core.masks import (
-    mask_sparsity,
     topk_keep_mask,
     validate_tw_mask,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "GradualSchedule",
     "available_schedules",
     "resolve_schedule",
-    "mask_sparsity",
     "topk_keep_mask",
     "validate_tw_mask",
     "TWPruneConfig",

@@ -13,7 +13,6 @@ from collections.abc import Sequence
 import numpy as np
 
 __all__ = [
-    "mask_sparsity",
     "overall_sparsity",
     "topk_keep_mask",
     "global_topk_keep_masks",
@@ -21,12 +20,6 @@ __all__ = [
     "tw_mask_from_tiles",
     "tw_mask_from_tile_matrix",
 ]
-
-
-def mask_sparsity(mask: np.ndarray) -> float:
-    """Fraction of elements pruned (False) in one mask."""
-    mask = np.asarray(mask, dtype=bool)
-    return 1.0 - float(mask.mean()) if mask.size else 0.0
 
 
 def overall_sparsity(masks: Sequence[np.ndarray]) -> float:

@@ -72,13 +72,6 @@ class TEWSolution:
         kept = sum(int(np.count_nonzero(m)) for m in self.masks)
         return 1.0 - kept / total if total else 0.0
 
-    @property
-    def ew_fraction(self) -> float:
-        """Fraction of all elements carried by the EW residual (achieved δ)."""
-        total = sum(m.size for m in self.masks)
-        restored = sum(int(np.count_nonzero(m)) for m in self.ew_masks)
-        return restored / total if total else 0.0
-
 
 def tew_overlay(
     weights: Sequence[np.ndarray],

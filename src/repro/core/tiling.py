@@ -18,7 +18,10 @@ __all__ = ["TileConfig"]
 
 @dataclass(frozen=True)
 class TileConfig:
-    """Three-level GEMM tiling geometry (CUTLASS-style, paper Fig. 8).
+    """Thread-block GEMM tiling geometry (CUTLASS-style, paper Fig. 8).
+
+    The warp and MMA-fragment levels below a thread block set no cost or
+    kernel loop here, so they are not modelled.
 
     Attributes
     ----------
@@ -29,30 +32,16 @@ class TileConfig:
     tz:
         Reduction (K-dimension) step per main-loop iteration; must be a
         multiple of the tensor-core MMA depth (16) in the paper's kernel.
-    warp_m, warp_n:
-        Warp tile within the thread block (Fig. 8 shows 32×32 warps).
-    mma:
-        The fixed tensor-core fragment, ``16×16×16`` on Volta (WMMA API).
     """
 
     ty: int = 128
     g: int = 128
     tz: int = 32
-    warp_m: int = 32
-    warp_n: int = 32
-    mma: tuple[int, int, int] = (16, 16, 16)
 
     def __post_init__(self) -> None:
-        for name in ("ty", "g", "tz", "warp_m", "warp_n"):
+        for name in ("ty", "g", "tz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.warp_m > self.ty or self.warp_n > self.g:
-            raise ValueError("warp tile cannot exceed thread-block tile")
-
-    @property
-    def warps_per_block(self) -> int:
-        """Warps needed to cover one thread-block tile."""
-        return -(-self.ty // self.warp_m) * -(-self.g // self.warp_n)
 
     def grid(self, m: int, n: int) -> tuple[int, int]:
         """Thread-block grid covering an ``M×N`` output (``ceil`` division)."""
@@ -64,9 +53,3 @@ class TileConfig:
         """Total thread blocks for an ``M×N`` output."""
         gm, gn = self.grid(m, n)
         return gm * gn
-
-    def mma_steps(self, k: int) -> int:
-        """Main-loop iterations over the reduction dimension."""
-        if k < 0:
-            raise ValueError(f"negative reduction extent {k}")
-        return -(-k // self.tz)

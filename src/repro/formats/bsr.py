@@ -124,17 +124,6 @@ class BSRMatrix:
         return (self.shape[0] // self.block_shape[0], self.shape[1] // self.block_shape[1])
 
     @property
-    def block_density(self) -> float:
-        """Fraction of blocks stored; drives the BlockSparse cost model."""
-        total = self.grid_shape[0] * self.grid_shape[1]
-        return self.n_blocks / total if total else 0.0
-
-    @property
-    def block_sparsity(self) -> float:
-        """Fraction of blocks pruned."""
-        return 1.0 - self.block_density
-
-    @property
     def nnz(self) -> int:
         """Number of non-zero scalar entries inside stored blocks."""
         return int(np.count_nonzero(self.blocks))

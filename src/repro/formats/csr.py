@@ -130,15 +130,6 @@ class CSRMatrix:
             data=dense[rows, cols].astype(np.float64),
         )
 
-    @classmethod
-    def from_mask(cls, dense: np.ndarray, mask: np.ndarray) -> "CSRMatrix":
-        """Compress ``dense * mask`` without materialising the product."""
-        dense = np.asarray(dense)
-        mask = np.asarray(mask, dtype=bool)
-        if dense.shape != mask.shape:
-            raise ValueError(f"mask shape {mask.shape} != dense shape {dense.shape}")
-        return cls.from_dense(np.where(mask, dense, 0.0))
-
     # ------------------------------------------------------------------ #
     # validation & properties
     # ------------------------------------------------------------------ #

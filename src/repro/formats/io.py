@@ -1,10 +1,11 @@
-"""Serialization of sparse formats (npz round trips).
+"""Serialization of TW formats and compiled models (npz round trips).
 
 A pruned model is the artefact a deployment consumes; these helpers
-persist every format in this library to a single ``.npz`` file and restore
-it losslessly, so pruning (offline, expensive) and execution (repeated)
-can be separated — mirroring the paper's offline weight pre-processing
-("which can be done offline before the model inference starts", §VI).
+persist a TW matrix, or a whole compiled model, to a single ``.npz``
+file and restore it losslessly, so pruning (offline, expensive) and
+execution (repeated) can be separated — mirroring the paper's offline
+weight pre-processing ("which can be done offline before the model
+inference starts", §VI).
 """
 
 from __future__ import annotations
@@ -14,103 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.formats.bsr import BSRMatrix
-from repro.formats.csc import CSCMatrix
-from repro.formats.csr import CSRMatrix
 from repro.formats.tiled import TiledTWMatrix, TWTile
 
 __all__ = [
-    "save_csr",
-    "load_csr",
-    "save_csc",
-    "load_csc",
-    "save_bsr",
-    "load_bsr",
     "save_tiled",
     "load_tiled",
     "save_compiled_arrays",
     "load_compiled_arrays",
 ]
-
-
-def save_csr(matrix: CSRMatrix, path: str | Path) -> Path:
-    """Write a CSR matrix to ``path`` (npz)."""
-    path = Path(path)
-    np.savez_compressed(
-        path,
-        kind="csr",
-        shape=np.array(matrix.shape, dtype=np.int64),
-        indptr=matrix.indptr,
-        indices=matrix.indices,
-        data=matrix.data,
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_csr(path: str | Path) -> CSRMatrix:
-    """Read a CSR matrix written by :func:`save_csr`."""
-    with np.load(path) as f:
-        _expect_kind(f, "csr")
-        return CSRMatrix(
-            shape=tuple(int(v) for v in f["shape"]),
-            indptr=f["indptr"],
-            indices=f["indices"],
-            data=f["data"],
-        )
-
-
-def save_csc(matrix: CSCMatrix, path: str | Path) -> Path:
-    """Write a CSC matrix to ``path`` (npz)."""
-    path = Path(path)
-    np.savez_compressed(
-        path,
-        kind="csc",
-        shape=np.array(matrix.shape, dtype=np.int64),
-        indptr=matrix.indptr,
-        indices=matrix.indices,
-        data=matrix.data,
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_csc(path: str | Path) -> CSCMatrix:
-    """Read a CSC matrix written by :func:`save_csc`."""
-    with np.load(path) as f:
-        _expect_kind(f, "csc")
-        return CSCMatrix(
-            shape=tuple(int(v) for v in f["shape"]),
-            indptr=f["indptr"],
-            indices=f["indices"],
-            data=f["data"],
-        )
-
-
-def save_bsr(matrix: BSRMatrix, path: str | Path) -> Path:
-    """Write a BSR matrix to ``path`` (npz)."""
-    path = Path(path)
-    np.savez_compressed(
-        path,
-        kind="bsr",
-        shape=np.array(matrix.shape, dtype=np.int64),
-        block_shape=np.array(matrix.block_shape, dtype=np.int64),
-        indptr=matrix.indptr,
-        indices=matrix.indices,
-        blocks=matrix.blocks,
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_bsr(path: str | Path) -> BSRMatrix:
-    """Read a BSR matrix written by :func:`save_bsr`."""
-    with np.load(path) as f:
-        _expect_kind(f, "bsr")
-        return BSRMatrix(
-            shape=tuple(int(v) for v in f["shape"]),
-            block_shape=tuple(int(v) for v in f["block_shape"]),
-            indptr=f["indptr"],
-            indices=f["indices"],
-            blocks=f["blocks"],
-        )
 
 
 def save_tiled(matrix: TiledTWMatrix, path: str | Path) -> Path:

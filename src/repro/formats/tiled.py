@@ -292,11 +292,6 @@ class TiledTWMatrix:
         kept = sum(t.work for t in self.tiles)
         return 1.0 - kept / total if total else 0.0
 
-    @property
-    def flops_fraction(self) -> float:
-        """Fraction of the dense GEMM's multiply-adds still required."""
-        return 1.0 - self.sparsity
-
     def kept_widths(self) -> np.ndarray:
         """Per-tile widths ``N_i`` — the batching key (Fig. 4 step 4)."""
         return np.array([t.kept_n for t in self.tiles], dtype=np.int64)

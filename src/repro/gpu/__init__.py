@@ -23,7 +23,9 @@ Engines (one per execution path in the paper):
 
 All engines return a :class:`~repro.gpu.costmodel.CostBreakdown` carrying
 latency components *and* performance counters (load/store transactions,
-FLOPS efficiency) so Fig. 11 can be regenerated.
+FLOPS efficiency) so Fig. 11 can be regenerated.  Latency is the only
+quantity priced: the paper only remarks (§VIII) that TW could also save
+energy, with no figure to reproduce, so no energy model is kept.
 
 :mod:`repro.gpu.engine` prices a whole forward pass over them
 (:class:`~repro.gpu.engine.InferenceEngine`: per-layer GEMMs, transpose

@@ -13,7 +13,6 @@ anchors: BW ≈3× slower than dense-T at its accuracy-matched sparsity
 
 from __future__ import annotations
 
-from repro.formats.bsr import BSRMatrix
 from repro.gpu.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.gpu.costmodel import (
     CostBreakdown,
@@ -23,7 +22,7 @@ from repro.gpu.costmodel import (
 )
 from repro.gpu.device import DeviceSpec, V100
 
-__all__ = ["bsr_gemm_cost", "bsr_gemm_cost_from_matrix"]
+__all__ = ["bsr_gemm_cost"]
 
 
 def bsr_gemm_cost(
@@ -81,17 +80,3 @@ def bsr_gemm_cost(
         ),
         label="blocksparse",
     )
-
-
-def bsr_gemm_cost_from_matrix(
-    m: int,
-    weight: BSRMatrix,
-    device: DeviceSpec = V100,
-    calib: Calibration = DEFAULT_CALIBRATION,
-) -> CostBreakdown:
-    """Convenience wrapper taking the actual BSR weight ``(K×N)``."""
-    k, n = weight.shape
-    br, bc = weight.block_shape
-    if br != bc:
-        raise ValueError(f"cost model expects square blocks, got {weight.block_shape}")
-    return bsr_gemm_cost(m, k, n, br, weight.n_blocks, device, calib)

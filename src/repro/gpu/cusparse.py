@@ -16,12 +16,11 @@ throughput.
 
 from __future__ import annotations
 
-from repro.formats.csr import CSRMatrix
 from repro.gpu.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.gpu.costmodel import CostBreakdown, PerfCounters, roofline_us
 from repro.gpu.device import DeviceSpec, V100
 
-__all__ = ["csr_spmm_cost", "csr_spmm_cost_from_matrix"]
+__all__ = ["csr_spmm_cost"]
 
 
 def csr_spmm_cost(
@@ -70,14 +69,3 @@ def csr_spmm_cost(
         ),
         label="cusparse",
     )
-
-
-def csr_spmm_cost_from_matrix(
-    m: int,
-    weight: CSRMatrix,
-    device: DeviceSpec = V100,
-    calib: Calibration = DEFAULT_CALIBRATION,
-) -> CostBreakdown:
-    """Convenience wrapper taking the actual CSR weight ``(K×N)``."""
-    k, n = weight.shape
-    return csr_spmm_cost(m, k, n, weight.nnz, device, calib)

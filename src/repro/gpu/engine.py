@@ -65,16 +65,6 @@ class TransposePlan:
         if self.mode not in ("per_layer", "boundary_only", "none"):
             raise ValueError(f"unknown transpose mode {self.mode!r}")
 
-    def kernel_count(self, n_gemms: int) -> int:
-        """Transpose kernels for a chain of ``n_gemms`` weight GEMMs."""
-        if n_gemms < 0:
-            raise ValueError(f"negative GEMM count {n_gemms}")
-        if self.mode == "none" or n_gemms == 0:
-            return 0
-        if self.mode == "per_layer":
-            return n_gemms + 1
-        return 2
-
 
 def transpose_cost(
     rows: int,

@@ -31,10 +31,10 @@ __all__ = ["dense_gemm_tc_cost", "CANDIDATE_TILES", "select_tile"]
 #: The tile menu cuBLAS-like heuristics choose from (Ty × G).
 CANDIDATE_TILES: tuple[TileConfig, ...] = (
     TileConfig(ty=128, g=128, tz=32),
-    TileConfig(ty=128, g=64, tz=32, warp_n=32),
-    TileConfig(ty=64, g=128, tz=32, warp_m=32),
-    TileConfig(ty=64, g=64, tz=32, warp_m=32, warp_n=32),
-    TileConfig(ty=32, g=32, tz=32, warp_m=32, warp_n=32),
+    TileConfig(ty=128, g=64, tz=32),
+    TileConfig(ty=64, g=128, tz=32),
+    TileConfig(ty=64, g=64, tz=32),
+    TileConfig(ty=32, g=32, tz=32),
 )
 
 

@@ -19,16 +19,17 @@ and cost separate lets tests pin numerical equivalence (e.g. TW masked GEMM
 
 Execution pipeline (paper Fig. 7)
 ---------------------------------
-On a GPU the TW hot path follows **plan → batch → stream → execute**: a
-:func:`repro.runtime.batching.batching_plan` width-groups the tiles and a
-:class:`repro.runtime.scheduler.StreamAssignment` orders the groups across
+On a GPU the TW hot path follows **plan → batch → stream → execute**:
+equal-width tiles batch into one kernel and the batches spread across
 streams.  The cost model (:func:`repro.gpu.tw_kernel.tw_gemm_cost`) prices
-the same launch schedule by grouping the tiles by width itself; it reads
-no :class:`~repro.runtime.scheduler.ExecutionPlan`.  On the host,
+that launch schedule by grouping the tiles by width itself.  On the host,
 :func:`repro.kernels.masked.tw_gemm` walks the tiles as gather GEMMs
 (each tile loads only the activation rows it keeps, depth zero-padded to
 a multiple of 32).  Each tile writes only its own output columns, so the
-launch order cannot change a value.
+launch order cannot change a value.  The explicit plan objects
+(:mod:`repro.runtime.batching`, :mod:`repro.runtime.scheduler`) are built
+at compile time for the repository benchmark only; no kernel, price or
+serving path reads them.
 
 Vectorisation contract
 ----------------------
@@ -68,7 +69,6 @@ from repro.kernels.fusion import (
     bias_gelu_reference,
     bias_layernorm,
     bias_layernorm_reference,
-    bias_relu,
     dropout,
     dropout_residual_layernorm,
     dropout_residual_layernorm_reference,
@@ -93,7 +93,6 @@ __all__ = [
     "conv_output_shape",
     "blocked_transpose",
     "add_bias",
-    "bias_relu",
     "bias_gelu",
     "bias_gelu_reference",
     "bias_layernorm",

@@ -41,11 +41,9 @@ from repro.registry import Registry
 
 __all__ = [
     "add_bias",
-    "relu",
     "gelu",
     "dropout",
     "layernorm",
-    "bias_relu",
     "bias_gelu",
     "bias_layernorm",
     "bias_gelu_reference",
@@ -77,11 +75,6 @@ def add_bias(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if bias.shape != (x.shape[-1],):
         raise ValueError(f"bias shape {bias.shape} != ({x.shape[-1]},)")
     return x + bias
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Rectified linear unit."""
-    return np.maximum(x, 0.0)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -144,11 +137,6 @@ def layernorm(
 # reference compositions — the unfused oracles (vectorisation contract:
 # kept verbatim, never optimised; each primitive is one activation pass)
 # --------------------------------------------------------------------- #
-def bias_relu(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Add-bias + ReLU as the plain two-pass composition."""
-    return relu(add_bias(x, bias))
-
-
 def bias_gelu_reference(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Unfused Add-bias → GeLU oracle (two passes, fresh temporaries)."""
     return gelu(add_bias(x, bias))

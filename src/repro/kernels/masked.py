@@ -26,8 +26,9 @@ its own output columns (``Store_C_Tile_with_Mask``), so the order tiles
 run in cannot change an output bit.  The batching and stream plan of
 Fig. 7 steps 3–4 is a GPU launch schedule that nothing here runs:
 :func:`~repro.gpu.tw_kernel.tw_gemm_cost` prices it by grouping the tiles
-by width itself, and
-:func:`~repro.runtime.scheduler.build_execution_plan` only describes it.
+by width itself, and the plan
+:func:`~repro.runtime.scheduler.build_execution_plan` describes is built
+for the repository benchmark only and never passed to a kernel.
 
 Every tile runs as one *gather GEMM*, the NumPy analogue of
 ``Load_A_Tile_with_Mask``:

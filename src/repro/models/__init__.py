@@ -6,7 +6,7 @@
   ImageNet;
 - :mod:`repro.models.nmt` — MiniNMT LSTM encoder-decoder with attention —
   the paper's NMT on IWSLT En-Vi;
-- :mod:`repro.models.registry` — constructors plus *full-size* GEMM shape
+- :mod:`repro.models.registry` — *full-size* GEMM shape
   tables (BERT-base, VGG-16, NMT) for the latency experiments, where model
   size costs nothing because the simulator prices shapes, not arrays.
 """
@@ -16,7 +16,6 @@ from repro.models.vgg import MiniVGG, VGGConfig
 from repro.models.nmt import MiniNMT, NMTConfig
 from repro.models.registry import (
     bert_base_gemm_shapes,
-    build_model,
     nmt_gemm_shapes,
     vgg16_gemm_shapes,
 )
@@ -32,5 +31,4 @@ __all__ = [
     "bert_base_gemm_shapes",
     "vgg16_gemm_shapes",
     "nmt_gemm_shapes",
-    "build_model",
 ]

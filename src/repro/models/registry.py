@@ -1,8 +1,8 @@
-"""Model zoo + full-size GEMM shape tables for the latency experiments.
+"""Full-size GEMM shape tables for the latency experiments.
 
 Accuracy experiments train the Mini* models; latency experiments price the
 *paper's* full-size GEMM shapes on the simulator (model size costs nothing
-there).  This module is the single source of truth for both.
+there).  This module is the single source of truth for those shapes.
 
 Shapes are ``(m, k, n, count)``: ``A(M×K) @ B(K×N)`` repeated ``count``
 times per forward pass, with ``B`` the prunable weight.
@@ -12,16 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.models.bert import BertConfig, MiniBERTClassifier, MiniBERTSpan
-from repro.models.nmt import MiniNMT, NMTConfig
-from repro.models.vgg import MiniVGG, VGGConfig
-
 __all__ = [
     "GemmShape",
     "bert_base_gemm_shapes",
     "vgg16_gemm_shapes",
     "nmt_gemm_shapes",
-    "build_model",
     "nongemm_time_fraction",
 ]
 
@@ -131,18 +126,3 @@ def nongemm_time_fraction(model: str, fused: bool) -> float:
         raise KeyError(f"unknown model {model!r}; expected one of {sorted(table)}")
     unfused, fused_frac = table[model]
     return fused_frac if fused else unfused
-
-
-def build_model(name: str, **overrides):
-    """Construct a Mini* model by name (``bert``, ``bert-span``, ``vgg``,
-    ``nmt``) with config overrides."""
-    if name == "bert":
-        n_classes = overrides.pop("n_classes", 3)
-        return MiniBERTClassifier(BertConfig(**overrides), n_classes=n_classes)
-    if name == "bert-span":
-        return MiniBERTSpan(BertConfig(**overrides))
-    if name == "vgg":
-        return MiniVGG(VGGConfig(**overrides))
-    if name == "nmt":
-        return MiniNMT(NMTConfig(**overrides))
-    raise KeyError(f"unknown model {name!r}")

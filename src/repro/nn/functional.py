@@ -15,9 +15,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "gelu",
-    "relu",
     "tanh",
-    "sigmoid",
     "layer_norm",
     "dropout",
     "linear",
@@ -50,19 +48,9 @@ def gelu(x: Tensor) -> Tensor:
     return x * (inner.tanh() + 1.0) * 0.5
 
 
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
-    return x.relu()
-
-
 def tanh(x: Tensor) -> Tensor:
     """Hyperbolic tangent."""
     return x.tanh()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic sigmoid."""
-    return x.sigmoid()
 
 
 def layer_norm(

@@ -84,10 +84,6 @@ class Module:
             m.eval()
         return self
 
-    def n_parameters(self) -> int:
-        """Total trainable scalars."""
-        return sum(p.size for p in self.parameters())
-
     def state_arrays(self) -> list[np.ndarray]:
         """Copies of all parameter payloads, in ``parameters()`` order.
 

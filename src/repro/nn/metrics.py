@@ -1,4 +1,4 @@
-"""Evaluation metrics: accuracy, span EM/F1, BLEU.
+"""Evaluation metrics: accuracy, span F1, corpus BLEU.
 
 BLEU follows Papineni et al. (the paper's NMT metric, §VII-A): modified
 n-gram precision up to 4-grams, geometric mean, brevity penalty, with +1
@@ -12,7 +12,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["accuracy", "span_exact_match", "span_f1", "bleu", "corpus_bleu"]
+__all__ = ["accuracy", "span_f1", "corpus_bleu"]
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -24,20 +24,6 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     if predictions.size == 0:
         return 0.0
     return float((predictions == labels).mean())
-
-
-def span_exact_match(
-    pred_start: np.ndarray, pred_end: np.ndarray,
-    true_start: np.ndarray, true_end: np.ndarray,
-) -> float:
-    """Fraction of spans matching both endpoints (SQuAD EM)."""
-    ps, pe = np.asarray(pred_start), np.asarray(pred_end)
-    ts, te = np.asarray(true_start), np.asarray(true_end)
-    if not (ps.shape == pe.shape == ts.shape == te.shape):
-        raise ValueError("span arrays must share a shape")
-    if ps.size == 0:
-        return 0.0
-    return float(((ps == ts) & (pe == te)).mean())
 
 
 def span_f1(
@@ -66,11 +52,6 @@ def span_f1(
 
 def _ngrams(tokens: Sequence[int], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
-def bleu(candidate: Sequence[int], reference: Sequence[int], max_n: int = 4) -> float:
-    """Sentence BLEU (0–100) with +1 smoothing above unigrams."""
-    return corpus_bleu([candidate], [reference], max_n=max_n)
 
 
 def corpus_bleu(

@@ -31,10 +31,6 @@ class Optimizer:
         self.masks[id(param)] = mask
         param.data *= mask
 
-    def clear_masks(self) -> None:
-        """Remove all pruning masks."""
-        self.masks.clear()
-
     def zero_grad(self) -> None:
         """Clear gradients on all parameters."""
         for p in self.params:

@@ -111,10 +111,6 @@ class Tensor:
         """Scalar value of a 1-element tensor."""
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A view of the data cut from the tape."""
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         """Clear the accumulated gradient."""
         self.grad = None

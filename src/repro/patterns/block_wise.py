@@ -91,15 +91,3 @@ class BlockWisePattern(Pattern):
             masks[li][r0 : r0 + br, c0 : c0 + bc] = True
             used += sizes_arr[idx]
         return PatternResult(masks=masks)
-
-    def block_keep_grid(self, mask: np.ndarray) -> np.ndarray:
-        """Boolean grid of surviving blocks for one mask (Fig. 13 view)."""
-        mask = np.asarray(mask, dtype=bool)
-        br, bc = self.block_shape
-        k, n = mask.shape
-        nbr, nbc = -(-k // br), -(-n // bc)
-        out = np.zeros((nbr, nbc), dtype=bool)
-        for i in range(nbr):
-            for j in range(nbc):
-                out[i, j] = mask[i * br : (i + 1) * br, j * bc : (j + 1) * bc].any()
-        return out

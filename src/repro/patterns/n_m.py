@@ -95,14 +95,3 @@ class NMSparsityPattern(Pattern):
                 tail_mask[order[j, :], col_idx] = True
             mask[n_full * self.m :] = tail_mask
         return mask
-
-    def validate_mask(self, mask: np.ndarray) -> bool:
-        """True iff every full K-group holds exactly ``n`` survivors."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 2:
-            raise ValueError(f"expected 2-D mask, got ndim={mask.ndim}")
-        n_full = mask.shape[0] // self.m
-        if n_full == 0:
-            return True
-        body = mask[: n_full * self.m].reshape(n_full, self.m, mask.shape[1])
-        return bool(np.all(body.sum(axis=1) == self.n))

@@ -83,16 +83,3 @@ class VectorWisePattern(Pattern):
                     tail_mask[order[j, :], cols] = True
                 mask[n_full * v :] = tail_mask
         return mask
-
-    def vector_nnz_counts(self, mask: np.ndarray) -> np.ndarray:
-        """Non-zeros per full vector — constant by construction (the VW
-        property the hardware exploits)."""
-        mask = np.asarray(mask, dtype=bool)
-        k, n = mask.shape
-        n_full = k // self.vector_size
-        if n_full == 0:
-            return np.zeros((0, n), dtype=np.int64)
-        body = mask[: n_full * self.vector_size].reshape(
-            n_full, self.vector_size, n
-        )
-        return body.sum(axis=1)

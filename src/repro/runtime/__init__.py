@@ -39,10 +39,10 @@ Modules
   for chaos testing the serving path;
 - :mod:`repro.runtime.batching` / :mod:`repro.runtime.scheduler` — the
   GPU launch schedule of one TW layer (paper Fig. 7: equal-width tiles
-  batched, groups spread over streams, bundled as an
-  :class:`ExecutionPlan`).  The host runs no such plan and
-  :func:`repro.gpu.tw_kernel.tw_gemm_cost` groups the tiles itself; the
-  plans are built at compile time for the repository benchmark.
+  batched, groups spread over streams), which nothing here executes or
+  prices.  ``repro.compile`` builds it for the repository benchmark
+  alone, so this package does not re-export it: import it from those
+  modules.
 """
 
 from repro.runtime.executor import (
@@ -70,14 +70,7 @@ from repro.runtime.netclient import (
 )
 from repro.runtime.netserve import NetServer
 from repro.runtime.wire import WireError
-from repro.runtime.batching import BatchGroup, batching_plan
 from repro.runtime.placement import Placement
-from repro.runtime.scheduler import (
-    ExecutionPlan,
-    StreamAssignment,
-    assign_streams,
-    build_execution_plan,
-)
 from repro.runtime.server import (
     QueueFullError,
     ServedRequest,
@@ -101,12 +94,6 @@ __all__ = [
     "available_faults",
     "resolve_faults",
     "QueueFullError",
-    "BatchGroup",
-    "batching_plan",
-    "StreamAssignment",
-    "assign_streams",
-    "ExecutionPlan",
-    "build_execution_plan",
     "TWModelServer",
     "ServerConfig",
     "ServerStats",

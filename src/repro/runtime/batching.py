@@ -1,11 +1,14 @@
 """Cross-tile batching plans (paper Fig. 7 step 3).
 
-Equal-width TW tiles batch into one kernel; this module builds the explicit
-plan (which tiles go to which kernel, padded depth, launch savings) that
-:mod:`repro.runtime.scheduler` assigns to streams.  The plan describes the
-GPU launch schedule only: the host's :func:`repro.kernels.masked.tw_gemm`
-walks the tiles in index order, and the cost model
-(:func:`repro.gpu.tw_kernel.tw_gemm_cost`) groups the tiles by width itself.
+Equal-width TW tiles batch into one kernel; :func:`batching_plan` lists
+which tiles go to which kernel and at what padded depth, and
+:mod:`repro.runtime.scheduler` assigns those groups to streams.  The plan
+describes the GPU launch schedule only, and nothing that executes or
+prices reads it: the host's :func:`repro.kernels.masked.tw_gemm` walks
+the tiles in index order, and the cost model
+(:func:`repro.gpu.tw_kernel.tw_gemm_cost`) groups the tiles by width
+itself.  ``repro.compile`` builds one plan per layer and device
+(``CompiledLayer.plans``) for the repository benchmark alone.
 """
 
 from __future__ import annotations
@@ -49,24 +52,15 @@ class BatchGroup:
         return self.max_depth * self.width * self.n_tiles
 
 
-def batching_plan(
-    shape: TWShapeStats | TiledTWMatrix, enabled: bool = True
-) -> list[BatchGroup]:
-    """Group a layer's tiles into batched kernels.
+def batching_plan(shape: TWShapeStats | TiledTWMatrix) -> list[BatchGroup]:
+    """Group a layer's tiles into batched kernels, widest first.
 
     Accepts either the cost model's :class:`TWShapeStats` geometry or a
     compacted :class:`~repro.formats.tiled.TiledTWMatrix` directly —
     ``tile_ids`` index the same tile list either way.
-    With batching disabled every tile is its own group (one kernel per
-    tile — the "Normal GEMM" row of Fig. 7 step 3).
     """
     if isinstance(shape, TiledTWMatrix):
         shape = TWShapeStats.from_matrix(shape)
-    if not enabled:
-        return [
-            BatchGroup(width=nt, tile_ids=(i,), max_depth=kt)
-            for i, (kt, nt) in enumerate(shape.tiles)
-        ]
     groups: dict[int, list[int]] = shape.width_groups()
     plan = []
     for width, ids in sorted(groups.items(), reverse=True):

@@ -51,7 +51,6 @@ stalled worker.
 from __future__ import annotations
 
 import contextlib
-import inspect
 import queue
 import threading
 import time
@@ -377,28 +376,8 @@ class ThreadedExecutor(Executor):
             self._threads.clear()
 
 
-def _factory(cls):
-    """Registry factory for ``cls`` that rejects options it does not accept.
-
-    ``None``-valued options mean "executor default" and are dropped, so
-    ``EXECUTORS.create("inline", watchdog_s=None)`` works while
-    ``EXECUTORS.create("inline", watchdog_s=3)`` is an error, not a no-op.
-    """
-    accepted = set(inspect.signature(cls).parameters)
-
-    def make(**options) -> Executor:
-        options = {k: v for k, v in options.items() if v is not None}
-        extra = {k: v for k, v in options.items() if k not in accepted}
-        if extra:
-            opts = ", ".join(f"{k}={v!r}" for k, v in sorted(extra.items()))
-            raise ValueError(f"executor {cls.name!r} does not accept options: {opts}")
-        return cls(**options)
-
-    return make
-
-
-EXECUTORS.register("inline", _factory(InlineExecutor), aliases=("serial",))
-EXECUTORS.register("threaded", _factory(ThreadedExecutor), aliases=("threads",))
+EXECUTORS.register("inline", InlineExecutor, aliases=("serial",))
+EXECUTORS.register("threaded", ThreadedExecutor, aliases=("threads",))
 
 
 def available_executors() -> list[str]:
@@ -406,32 +385,11 @@ def available_executors() -> list[str]:
     return EXECUTORS.names()
 
 
-def resolve_executor(
-    executor: "Executor | str | None",
-    *,
-    watchdog_s: float | None = None,
-) -> Executor:
-    """Normalise an ``executor=`` argument to a ready :class:`Executor`.
+def resolve_executor(executor: str, *, watchdog_s: float | None = None) -> Executor:
+    """A ready :class:`Executor` for a registry name.
 
-    Accepts a ready instance (``watchdog_s`` must then be ``None`` — it
-    belongs to the instance), a registry name, or ``None`` (inline).  The
-    watchdog is forwarded only when given, and factories reject options
-    they do not accept — ``resolve_executor("inline", watchdog_s=3)`` is
-    an error, not a no-op.
+    ``watchdog_s`` is forwarded only when given, so an executor without a
+    watchdog rejects it (``TypeError``) rather than ignoring it.
     """
-    if executor is None:
-        executor = "inline"
-    if isinstance(executor, Executor):
-        if watchdog_s is not None:
-            raise ValueError(
-                "pass watchdog_s to the Executor constructor, not alongside "
-                "a ready instance"
-            )
-        return executor
-    if isinstance(executor, str):
-        return EXECUTORS.create(executor, watchdog_s=watchdog_s)
-    raise TypeError(
-        f"executor must be an Executor instance, a registry name "
-        f"({', '.join(available_executors())}) or None, "
-        f"got {type(executor).__name__}"
-    )
+    options = {} if watchdog_s is None else {"watchdog_s": watchdog_s}
+    return EXECUTORS.create(executor, **options)

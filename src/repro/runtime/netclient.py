@@ -24,7 +24,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
-from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -284,11 +283,6 @@ class InferClient:
         self._client = AsyncInferClient(host, port, timeout_s=timeout_s)
         self._loop: asyncio.AbstractEventLoop | None = None
 
-    @classmethod
-    def from_url(cls, url: str, **kwargs) -> "InferClient":
-        host, port = _split_http_url(url)
-        return cls(host, port, **kwargs)
-
     def _run(self, coro):
         if self._loop is None:
             self._loop = asyncio.new_event_loop()
@@ -408,13 +402,3 @@ class HttpLoadTransport:
             await client.close()
         self._clients.clear()
         self._pool = None
-
-
-def _split_http_url(url: str) -> tuple[str, int]:
-    """``http://host:port[/...]`` → ``(host, port)``; http only."""
-    parts = urlsplit(url if "//" in url else f"//{url}", scheme="http")
-    if parts.scheme != "http":
-        raise ValueError(f"only http:// URLs are supported, got {url!r}")
-    if not parts.hostname:
-        raise ValueError(f"no host in URL {url!r}")
-    return parts.hostname, parts.port or 80

@@ -21,9 +21,13 @@ Endpoints
         failed   -> 500  request_failed        (the poison-isolated error)
 
     Invalid payloads get 400 with a structured JSON error body — a
-    traceback never crosses the wire.  A request whose headers and body
-    do not arrive within ``_READ_DEADLINE_S`` of its start line gets 408
-    ``request_timeout`` and its connection is closed.
+    traceback never crosses the wire.  Framing past a size cap is
+    answered with the status its :class:`~repro.runtime.wire.ProtocolError`
+    carries (414 start line, 431 header line or header count, 413 body
+    past ``max_body_bytes``), then the connection closes.  A request
+    whose headers and body do not arrive within ``_READ_DEADLINE_S`` of
+    its start line gets 408 ``request_timeout`` and its connection is
+    closed.
 ``GET /healthz``
     Readiness: 503 while ``server.warm()`` runs, 200 after.
 ``GET /v1/stats``
@@ -73,7 +77,9 @@ _REASONS = {
     405: "Method Not Allowed",
     408: "Request Timeout",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -375,9 +381,8 @@ class NetServer:
                 )
                 return
             except wire.ProtocolError as exc:
-                code = 413 if "limit" in str(exc) else 400
                 await self._respond_error(
-                    writer, code, "bad_request", str(exc), keep_alive=False
+                    writer, exc.status, "bad_request", str(exc), keep_alive=False
                 )
                 return
             if message is None:

@@ -181,6 +181,10 @@ class ServerConfig:
                 f"{type(self.executor).__name__}"
             )
         object.__setattr__(self, "executor", EXECUTORS.canonical(self.executor))
+        if self.executor == "inline" and self.watchdog_s is not None:
+            raise ValueError(
+                "invalid ServerConfig: executor 'inline' does not accept watchdog_s"
+            )
         # normalise once so the server (and repeated flushes) always see a
         # ready injector; spec strings parse here, at configuration time
         object.__setattr__(self, "faults", resolve_faults(self.faults))
@@ -254,15 +258,15 @@ class ServerStats:
     rows: int = 0
     batches: int = 0
     gemms: int = 0
-    #: compiled-format lookups, one per layer per assembled wave
+    #: compiled-format lookups, one per layer per assembled wave.  It and
+    #: the three always-0 counters below stay out of :meth:`record` (no
+    #: cache exists to report on); only benchmark scripts read them
     format_hits: int = 0
-    #: always 0: the server serves the compiled formats and never
-    #: compacts; kept so hit-rate readers see the same counter set
+    #: always 0: the server serves the compiled formats and never compacts
     format_misses: int = 0
-    #: always 0 (the server runs no plans); kept only because
-    #: twbench/common.py reads it, like ``format_misses``
+    #: always 0: the server runs no plans
     plan_hits: int = 0
-    #: always 0; kept only because twbench/common.py reads it
+    #: always 0: the server runs no plans
     plan_misses: int = 0
     busy_s: float = 0.0
     #: measured wall-clock seconds spent inside executor runs (``flush``);
@@ -344,7 +348,6 @@ class ServerStats:
         :meth:`TWModelServer.stats_record`.
         """
         wall = self.wall_time_s
-        fmt_total = self.format_hits + self.format_misses
         return {
             "requests": self.requests,
             "rows": self.rows,
@@ -365,13 +368,6 @@ class ServerStats:
                 for label, busy in sorted(self.device_busy_s.items())
             },
             "device_gemms": dict(sorted(self.device_gemms.items())),
-            "cache": {
-                "format_hits": self.format_hits,
-                "format_misses": self.format_misses,
-                "format_hit_rate": (
-                    round(self.format_hits / fmt_total, 4) if fmt_total else 0.0
-                ),
-            },
             "slo": {
                 "retries": self.retries,
                 "requeues": self.requeues,

@@ -82,7 +82,16 @@ class WireError(ValueError):
 
 
 class ProtocolError(RuntimeError):
-    """A malformed HTTP message (framing, not payload)."""
+    """A malformed HTTP message (framing, not payload).
+
+    ``status`` is the HTTP status a server answers it with: 414 for an
+    over-long start line, 431 for an over-long header line or too many
+    headers, 413 for a body past ``max_body_bytes``, 400 otherwise.
+    """
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 # ---------------------------------------------------------------------- #
@@ -209,11 +218,13 @@ async def read_http_message(
     try:
         start = await reader.readline()
     except (asyncio.LimitOverrunError, ValueError) as exc:
-        raise ProtocolError(f"start line too long: {exc}") from None
+        raise ProtocolError(f"start line too long: {exc}", 414) from None
     if not start:
         return None
     start_line = start.decode("latin-1").rstrip("\r\n")
-    if len(start_line) > _MAX_START_LINE or not start_line:
+    if len(start_line) > _MAX_START_LINE:
+        raise ProtocolError(f"start line longer than {_MAX_START_LINE} bytes", 414)
+    if not start_line:
         raise ProtocolError("malformed start line")
     headers, body = await asyncio.wait_for(
         _read_headers_and_body(reader, max_body_bytes), rest_timeout_s
@@ -230,7 +241,7 @@ async def _read_headers_and_body(
         try:
             raw = await reader.readline()
         except (asyncio.LimitOverrunError, ValueError) as exc:
-            raise ProtocolError(f"header line too long: {exc}") from None
+            raise ProtocolError(f"header line too long: {exc}", 431) from None
         if raw in (b"\r\n", b"\n"):
             break
         if not raw:
@@ -241,7 +252,7 @@ async def _read_headers_and_body(
             raise ProtocolError(f"malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
     else:
-        raise ProtocolError(f"more than {_MAX_HEADERS} headers")
+        raise ProtocolError(f"more than {_MAX_HEADERS} headers", 431)
     if "chunked" in headers.get("transfer-encoding", "").lower():
         raise ProtocolError("chunked transfer encoding is not supported")
     length_raw = headers.get("content-length", "0")
@@ -253,7 +264,7 @@ async def _read_headers_and_body(
         raise ProtocolError(f"bad Content-Length: {length}")
     if length > max_body_bytes:
         raise ProtocolError(
-            f"body of {length} bytes exceeds the {max_body_bytes}-byte limit"
+            f"body of {length} bytes exceeds the {max_body_bytes}-byte limit", 413
         )
     body = await reader.readexactly(length) if length else b""
     return headers, body

@@ -1,5 +1,7 @@
 """Tests for distribution analysis, Pareto frontiers and reporting."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from repro.analysis import (
     ascii_bars,
     ascii_series,
     format_table,
-    load_results,
     mask_heatmap,
     pareto_frontier,
     per_matrix_sparsity,
@@ -135,7 +136,7 @@ class TestReporting:
         )
         path = save_results(rec, tmp_path)
         assert path.name == "fig9b.json"
-        loaded = load_results("fig9b", tmp_path)
+        loaded = json.loads(path.read_text())
         assert loaded["series"]["speedup"] == [0.8, 1.4]
         assert loaded["paper_anchors"]["s75"] == 2.26
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.masks import (
     global_topk_keep_masks,
-    mask_sparsity,
     overall_sparsity,
     topk_keep_mask,
     tw_mask_from_tiles,
@@ -22,13 +21,6 @@ from repro.core.schedule import (
 
 
 class TestMaskBasics:
-    def test_mask_sparsity(self):
-        m = np.array([[True, False], [False, False]])
-        assert mask_sparsity(m) == pytest.approx(0.75)
-
-    def test_mask_sparsity_empty(self):
-        assert mask_sparsity(np.zeros((0, 3), dtype=bool)) == 0.0
-
     def test_overall_sparsity_weighted(self):
         m1 = np.ones((2, 2), dtype=bool)   # 0% sparse, 4 elems
         m2 = np.zeros((4, 3), dtype=bool)  # 100% sparse, 12 elems
@@ -82,7 +74,7 @@ class TestTopK:
         rng = np.random.default_rng(2)
         scores = [rng.random((16, 16)) * (i + 1) for i in range(4)]
         masks = global_topk_keep_masks(scores, 0.75)
-        per_layer = [mask_sparsity(m) for m in masks]
+        per_layer = [1.0 - m.mean() for m in masks]
         assert max(per_layer) - min(per_layer) > 0.2
 
 

@@ -26,6 +26,7 @@ from repro.runtime.executor import (
     resolve_executor,
 )
 from repro.runtime.faults import FaultInjector
+from repro.runtime.server import ServerConfig
 
 
 def _tw_layer(rng, k=24, n=24, g=8, sparsity=0.5):
@@ -66,21 +67,16 @@ class TestRegistry:
             EXECUTORS.canonical("gpu")
 
     def test_resolve_returns_instances(self):
-        assert isinstance(resolve_executor(None), InlineExecutor)
         assert isinstance(resolve_executor("inline"), InlineExecutor)
         threaded = resolve_executor("threaded", watchdog_s=2.0)
         assert isinstance(threaded, ThreadedExecutor)
         assert threaded.watchdog_s == 2.0
 
-    def test_resolve_passes_instances_through(self):
-        ex = ThreadedExecutor(watchdog_s=3.0)
-        assert resolve_executor(ex) is ex
-        with pytest.raises(ValueError):
-            resolve_executor(ex, watchdog_s=2.0)  # knobs belong to the instance
-
-    def test_resolve_rejects_bad_types(self):
-        with pytest.raises(TypeError) as exc_info:
-            resolve_executor(42)
+    def test_server_config_rejects_bad_executors(self):
+        with pytest.raises(TypeError):
+            ServerConfig(executor=42)
+        with pytest.raises(KeyError) as exc_info:
+            ServerConfig(executor="gpu")
         # the error names the registry entries
         message = str(exc_info.value)
         for name in available_executors():

@@ -70,17 +70,6 @@ class TestCSR:
         with pytest.raises(ValueError):
             csr.matmul_dense(np.ones((4, 2)))
 
-    def test_from_mask(self):
-        rng = np.random.default_rng(1)
-        dense = rng.standard_normal((6, 6))
-        mask = rng.random((6, 6)) < 0.4
-        csr = CSRMatrix.from_mask(dense, mask)
-        np.testing.assert_array_equal(csr.to_dense(), np.where(mask, dense, 0.0))
-
-    def test_from_mask_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            CSRMatrix.from_mask(np.eye(3), np.ones((2, 2), dtype=bool))
-
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             CSRMatrix.from_dense(np.zeros(5))

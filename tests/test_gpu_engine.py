@@ -17,19 +17,9 @@ from repro.models.registry import GemmShape, bert_base_gemm_shapes
 
 
 class TestTransposePlan:
-    def test_kernel_counts(self):
-        assert TransposePlan("none").kernel_count(10) == 0
-        assert TransposePlan("per_layer").kernel_count(10) == 11
-        assert TransposePlan("boundary_only").kernel_count(10) == 2
-        assert TransposePlan("boundary_only").kernel_count(0) == 0
-
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             TransposePlan("sometimes")
-
-    def test_negative_count(self):
-        with pytest.raises(ValueError):
-            TransposePlan().kernel_count(-1)
 
     def test_transpose_cost_scaling(self):
         one = transpose_cost(1024, 768, 1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tile_sparsity import TWPruneConfig, tw_prune_step
-from repro.formats import BSRMatrix, CSRMatrix, TiledTWMatrix
+from repro.formats import TiledTWMatrix
 from repro.gpu import (
     TWExecutionOptions,
     V100,
@@ -16,9 +16,7 @@ from repro.gpu import (
     dense_gemm_tc_cost,
     tw_gemm_cost,
 )
-from repro.gpu.blocksparse import bsr_gemm_cost_from_matrix
 from repro.gpu.counters import normalized_counters
-from repro.gpu.cusparse import csr_spmm_cost_from_matrix
 from repro.gpu.tw_kernel import TWShapeStats
 
 M, K, N, G = 8192, 768, 768, 128
@@ -66,14 +64,6 @@ class TestCuSparse:
         hi = csr_spmm_cost(M, K, N, nnz=K * N // 2)
         assert hi.total_us > lo.total_us
 
-    def test_from_matrix_agrees(self):
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((64, 48)) * (rng.random((64, 48)) < 0.2)
-        csr = CSRMatrix.from_dense(w)
-        a = csr_spmm_cost(16, 64, 48, csr.nnz)
-        b = csr_spmm_cost_from_matrix(16, csr)
-        assert a.total_us == pytest.approx(b.total_us)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             csr_spmm_cost(M, K, N, nnz=K * N + 1)
@@ -89,20 +79,6 @@ class TestBlockSparse:
         lo = bsr_gemm_cost(M, K, N, 32, n_kept_blocks=100)
         hi = bsr_gemm_cost(M, K, N, 32, n_kept_blocks=500)
         assert hi.total_us > lo.total_us
-
-    def test_from_matrix_agrees(self):
-        rng = np.random.default_rng(1)
-        dense = np.zeros((64, 64))
-        dense[:32, :32] = rng.standard_normal((32, 32))
-        bsr = BSRMatrix.from_dense(dense, (32, 32))
-        a = bsr_gemm_cost(128, 64, 64, 32, bsr.n_blocks)
-        b = bsr_gemm_cost_from_matrix(128, bsr)
-        assert a.total_us == pytest.approx(b.total_us)
-
-    def test_rectangular_blocks_rejected(self):
-        bsr = BSRMatrix.from_dense(np.ones((4, 6)), (2, 3))
-        with pytest.raises(ValueError):
-            bsr_gemm_cost_from_matrix(8, bsr)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -3,17 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.formats.io import (
-    load_bsr,
-    load_csc,
-    load_csr,
-    load_tiled,
-    save_bsr,
-    save_csc,
-    save_csr,
-    save_tiled,
-)
-from repro.formats import BSRMatrix, CSCMatrix, CSRMatrix, TiledTWMatrix
+from repro.formats.io import load_compiled_arrays, load_tiled, save_tiled
+from repro.formats import TiledTWMatrix
 from repro.gpu import dense_gemm_tc_cost, tw_gemm_cost
 from repro.gpu.sparse_tensor_core import vw_sparse_tc_cost
 from repro.gpu.systolic import (
@@ -130,28 +121,6 @@ class TestSparseTensorCore:
 
 
 class TestSerialization:
-    def test_csr_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((16, 12)) * (rng.random((16, 12)) < 0.3)
-        m = CSRMatrix.from_dense(w)
-        save_csr(m, tmp_path / "w.npz")
-        assert load_csr(tmp_path / "w.npz") == m
-
-    def test_csc_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        w = rng.standard_normal((9, 14)) * (rng.random((9, 14)) < 0.4)
-        m = CSCMatrix.from_dense(w)
-        save_csc(m, tmp_path / "w.npz")
-        assert load_csc(tmp_path / "w.npz") == m
-
-    def test_bsr_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        w = np.zeros((8, 8))
-        w[:4, :4] = rng.standard_normal((4, 4))
-        m = BSRMatrix.from_dense(w, (4, 4))
-        save_bsr(m, tmp_path / "w.npz")
-        assert load_bsr(tmp_path / "w.npz") == m
-
     def test_tiled_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
         w = rng.standard_normal((16, 24))
@@ -166,10 +135,10 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.to_dense(), m.to_dense())
 
     def test_kind_mismatch_rejected(self, tmp_path):
-        m = CSRMatrix.from_dense(np.eye(3))
-        save_csr(m, tmp_path / "w.npz")
-        with pytest.raises(ValueError):
-            load_csc(tmp_path / "w.npz")
+        m = TiledTWMatrix(shape=(4, 4), granularity=2, tiles=())
+        save_tiled(m, tmp_path / "w.npz")
+        with pytest.raises(ValueError, match="'tiled'"):
+            load_compiled_arrays(tmp_path / "w.npz")
 
     def test_empty_tiled_roundtrip(self, tmp_path):
         m = TiledTWMatrix(shape=(4, 4), granularity=2, tiles=())

@@ -526,7 +526,7 @@ class TestStatsExport:
         }
         assert rec["waves"]["count"] == 4
         assert 0 < rec["waves"]["occupancy"] <= 1
-        assert rec["cache"]["format_hit_rate"] > 0
+        assert "cache" not in rec
         assert rec["executor"] == "inline"
         assert rec["placement"] == {"devices": ["Tesla V100-SXM2"], "slots": 1}
         assert set(rec["latency_ms"]) == {"mean", "p50", "p95", "p99", "window"}

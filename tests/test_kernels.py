@@ -55,7 +55,7 @@ class TestDense:
     def test_tiled_gemm_matches_reference(self):
         rng = np.random.default_rng(2)
         a, b = rng.standard_normal((37, 53)), rng.standard_normal((53, 29))
-        cfg = TileConfig(ty=16, g=8, tz=8, warp_m=8, warp_n=8)
+        cfg = TileConfig(ty=16, g=8, tz=8)
         np.testing.assert_allclose(tiled_gemm(a, b, cfg), a @ b, atol=1e-10)
 
     def test_tiled_gemm_default_config(self):
@@ -66,14 +66,11 @@ class TestDense:
     def test_tile_config_validation(self):
         with pytest.raises(ValueError):
             TileConfig(ty=0)
-        with pytest.raises(ValueError):
-            TileConfig(ty=16, warp_m=32)
 
     def test_tile_config_grid(self):
         cfg = TileConfig(ty=128, g=128)
         assert cfg.grid(256, 384) == (2, 3)
         assert cfg.n_blocks(300, 129) == 3 * 2
-        assert cfg.mma_steps(65) == 3  # tz=32
 
 
 class TestTWGemm:
@@ -204,5 +201,5 @@ def test_tw_gemm_equivalence_property(m, k, n, g, sparsity, seed):
 def test_tiled_gemm_property(m, k, n, seed):
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
-    cfg = TileConfig(ty=4, g=4, tz=4, warp_m=2, warp_n=2)
+    cfg = TileConfig(ty=4, g=4, tz=4)
     np.testing.assert_allclose(tiled_gemm(a, b, cfg), a @ b, atol=1e-9)

@@ -12,7 +12,6 @@ from repro.models import (
     NMTConfig,
     VGGConfig,
     bert_base_gemm_shapes,
-    build_model,
     nmt_gemm_shapes,
     vgg16_gemm_shapes,
 )
@@ -177,11 +176,3 @@ class TestRegistry:
         assert nongemm_time_fraction("vgg", fused=False) < 0.1
         with pytest.raises(KeyError):
             nongemm_time_fraction("resnet", fused=True)
-
-    def test_build_model(self):
-        assert isinstance(build_model("bert", dim=32, n_heads=4), MiniBERTClassifier)
-        assert isinstance(build_model("bert-span", dim=32, n_heads=4), MiniBERTSpan)
-        assert isinstance(build_model("vgg"), MiniVGG)
-        assert isinstance(build_model("nmt"), MiniNMT)
-        with pytest.raises(KeyError):
-            build_model("gpt")

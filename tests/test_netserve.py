@@ -38,11 +38,7 @@ from repro.runtime import (
     TWModelServer,
 )
 from repro.runtime import wire
-from repro.runtime.netclient import (
-    AsyncInferClient,
-    HttpLoadTransport,
-    _split_http_url,
-)
+from repro.runtime.netclient import AsyncInferClient, HttpLoadTransport
 
 HTTP_TERMINAL = {200, 429, 500, 504}
 
@@ -264,12 +260,6 @@ class TestWireCodec:
         with pytest.raises(wire.WireError):
             wire.encode_tensor(np.ones((2, 2), dtype=np.int8))
 
-    def test_url_split(self):
-        assert _split_http_url("http://127.0.0.1:8080") == ("127.0.0.1", 8080)
-        assert _split_http_url("127.0.0.1:9999") == ("127.0.0.1", 9999)
-        with pytest.raises(ValueError):
-            _split_http_url("https://127.0.0.1:1")
-
 
     def test_read_deadline_bounds_only_the_rest_of_a_message(self):
         async def read(chunks, feed_eof):
@@ -454,6 +444,43 @@ class TestValidationOverHttp:
             assert status == 413
             assert json.loads(payload)["error"]["code"] == "bad_request"
             c.close()
+
+    @staticmethod
+    def _raw_reply(net, request: bytes) -> bytes:
+        """Send ``request`` on a fresh socket; the reply head's status line."""
+        sock = socket.create_connection(("127.0.0.1", net.port), timeout=5.0)
+        try:
+            head, body = _http_exchange(sock, request)
+        finally:
+            sock.close()
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        return head.split(b"\r\n", 1)[0]
+
+    def test_overlong_start_line_is_414(self):
+        # past the stream's 64 KiB line limit, and past the 8 KiB start
+        # line cap below it: neither is a payload size
+        server = _server(_layers(38))
+        with server, _serving(server) as net:
+            for path_len in (70 * 1024, 9 * 1024):
+                request = b"GET /" + b"a" * path_len + b" HTTP/1.1\r\n\r\n"
+                assert self._raw_reply(net, request) == b"HTTP/1.1 414 URI Too Long"
+            c = _client(net)
+            assert c.infer(_requests(39, n=1)[0]).status == "ok"
+            c.close()
+
+    def test_overlong_header_line_or_count_is_431(self):
+        server = _server(_layers(40))
+        with server, _serving(server) as net:
+            long_line = (
+                b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (70 * 1024) + b"\r\n\r\n"
+            )
+            many = b"GET /healthz HTTP/1.1\r\n" + b"".join(
+                b"X-H%d: v\r\n" % i for i in range(65)
+            ) + b"\r\n"
+            for request in (long_line, many):
+                assert self._raw_reply(net, request) == (
+                    b"HTTP/1.1 431 Request Header Fields Too Large"
+                )
 
     def test_stalled_request_body_gets_408_and_close(self, monkeypatch):
         # headers promise 64 body bytes, 10 arrive, then the client stalls:

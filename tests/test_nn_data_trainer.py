@@ -12,7 +12,7 @@ from repro.nn.datasets import (
 )
 from repro.nn.layers import Linear, Sequential
 from repro.nn.loss import cross_entropy
-from repro.nn.metrics import accuracy, bleu, corpus_bleu, span_exact_match, span_f1
+from repro.nn.metrics import accuracy, corpus_bleu, span_f1
 from repro.nn.optimizer import Adam
 from repro.nn.tensor import Tensor
 from repro.nn.trainer import TrainConfig, TrainedModelAdapter, Trainer
@@ -110,7 +110,6 @@ class TestMetrics:
     def test_span_metrics_perfect(self):
         s = np.array([2, 5])
         e = np.array([4, 7])
-        assert span_exact_match(s, e, s, e) == 1.0
         assert span_f1(s, e, s, e) == 1.0
 
     def test_span_f1_partial_overlap(self):
@@ -123,16 +122,16 @@ class TestMetrics:
 
     def test_bleu_identity(self):
         ref = [3, 4, 5, 6, 7, 8]
-        assert bleu(ref, ref) == pytest.approx(100.0)
+        assert corpus_bleu([ref], [ref]) == pytest.approx(100.0)
 
     def test_bleu_disjoint_zero(self):
-        assert bleu([1, 2, 3, 4], [5, 6, 7, 8]) == 0.0
+        assert corpus_bleu([[1, 2, 3, 4]], [[5, 6, 7, 8]]) == 0.0
 
     def test_bleu_brevity_penalty(self):
         ref = [3, 4, 5, 6, 7, 8, 9, 10]
         short = ref[:4]
-        trunc = bleu(short, ref)
-        full = bleu(ref, ref)
+        trunc = corpus_bleu([short], [ref])
+        full = corpus_bleu([ref], [ref])
         assert trunc < full
 
     def test_corpus_bleu_monotone_in_quality(self):

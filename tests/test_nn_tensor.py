@@ -189,12 +189,6 @@ class TestEngine:
         with pytest.raises(RuntimeError):
             Tensor(np.ones(2)).backward()
 
-    def test_detach(self):
-        x = Tensor(np.ones(2), requires_grad=True)
-        d = x.detach()
-        assert not d.requires_grad
-        assert d.data is x.data
-
     def test_zero_grad(self):
         x = Tensor(np.ones(2), requires_grad=True)
         (x * 2.0).sum().backward()

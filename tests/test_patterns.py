@@ -18,6 +18,31 @@ def rand_scores(rng, shapes):
     return [np.abs(rng.standard_normal(s)) + 1e-6 for s in shapes]
 
 
+def vector_nnz_counts(mask: np.ndarray, vector_size: int) -> np.ndarray:
+    """Non-zeros per full VW vector — constant by construction (the VW
+    property the hardware exploits)."""
+    mask = np.asarray(mask, dtype=bool)
+    k, n = mask.shape
+    n_full = k // vector_size
+    if n_full == 0:
+        return np.zeros((0, n), dtype=np.int64)
+    body = mask[: n_full * vector_size].reshape(n_full, vector_size, n)
+    return body.sum(axis=1)
+
+
+def block_keep_grid(mask: np.ndarray, block_shape: tuple[int, int]) -> np.ndarray:
+    """Boolean grid of surviving BW blocks for one mask (Fig. 13 view)."""
+    mask = np.asarray(mask, dtype=bool)
+    br, bc = block_shape
+    k, n = mask.shape
+    nbr, nbc = -(-k // br), -(-n // bc)
+    out = np.zeros((nbr, nbc), dtype=bool)
+    for i in range(nbr):
+        for j in range(nbc):
+            out[i, j] = mask[i * br : (i + 1) * br, j * bc : (j + 1) * bc].any()
+    return out
+
+
 class TestElementWise:
     def test_global_exact_sparsity(self):
         rng = np.random.default_rng(0)
@@ -55,7 +80,7 @@ class TestVectorWise:
         scores = rand_scores(rng, [(32, 8)])
         vw = VectorWisePattern(vector_size=16)
         res = vw.prune(scores, 0.5)
-        counts = vw.vector_nnz_counts(res.masks[0])
+        counts = vector_nnz_counts(res.masks[0], vw.vector_size)
         assert np.all(counts == 8)  # 16 - round(0.5*16)
 
     def test_balanced_property_all_vectors_equal(self):
@@ -65,7 +90,7 @@ class TestVectorWise:
         vw = VectorWisePattern(vector_size=4)
         for s in (0.25, 0.5, 0.75):
             res = vw.prune(scores, s)
-            counts = vw.vector_nnz_counts(res.masks[0])
+            counts = vector_nnz_counts(res.masks[0], vw.vector_size)
             assert len(np.unique(counts)) == 1
 
     def test_keeps_largest_in_vector(self):
@@ -157,7 +182,7 @@ class TestBlockWise:
         scores[:2, :2] = 100.0
         bw = BlockWisePattern(block_shape=(2, 2))
         res = bw.prune([scores], 0.75)
-        grid = bw.block_keep_grid(res.masks[0])
+        grid = block_keep_grid(res.masks[0], bw.block_shape)
         assert grid[0, 0] and grid.sum() == 1
 
     def test_invalid_block_shape(self):

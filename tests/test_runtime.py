@@ -1,11 +1,27 @@
 """Tests for the GPU launch schedule: cross-tile batching and stream plans."""
 
 import numpy as np
-import pytest
 
 from repro.formats.tiled import TiledTWMatrix
 from repro.gpu.tw_kernel import TWShapeStats
-from repro.runtime import assign_streams, batching_plan, build_execution_plan
+from repro.runtime.batching import BatchGroup, batching_plan
+from repro.runtime.scheduler import assign_streams, build_execution_plan
+
+
+def one_group_per_tile(shape: TWShapeStats) -> list[BatchGroup]:
+    """Every tile its own kernel (the "Normal GEMM" row of Fig. 7 step 3)."""
+    return [
+        BatchGroup(width=nt, tile_ids=(i,), max_depth=kt)
+        for i, (kt, nt) in enumerate(shape.tiles)
+    ]
+
+
+def used_streams(assignment) -> int:
+    return sum(1 for s in assignment.streams if s)
+
+
+def stream_work(assignment) -> list[int]:
+    return [sum(g.padded_work() for g in s) for s in assignment.streams]
 
 
 class TestBatching:
@@ -25,11 +41,6 @@ class TestBatching:
         plan = batching_plan(self._shape())
         assert plan[0].max_depth == 60
 
-    def test_disabled_one_group_per_tile(self):
-        plan = batching_plan(self._shape(), enabled=False)
-        assert len(plan) == 4
-        assert all(g.n_tiles == 1 for g in plan)
-
     def test_padded_work(self):
         plan = batching_plan(self._shape())
         assert plan[0].padded_work() == 60 * 16 * 3
@@ -37,7 +48,6 @@ class TestBatching:
     def test_empty_tile_list(self):
         empty = TWShapeStats(k=64, n=48, granularity=16, tiles=())
         assert batching_plan(empty) == []
-        assert batching_plan(empty, enabled=False) == []
 
     def test_single_tile_group(self):
         one = TWShapeStats(k=64, n=16, granularity=16, tiles=((40, 16),))
@@ -46,11 +56,6 @@ class TestBatching:
         assert plan[0].tile_ids == (0,)
         assert plan[0].max_depth == 40
         assert plan[0].padded_work() == 40 * 16
-
-    def test_disabled_passthrough_preserves_tile_order(self):
-        plan = batching_plan(self._shape(), enabled=False)
-        assert [g.tile_ids for g in plan] == [(0,), (1,), (2,), (3,)]
-        assert [g.max_depth for g in plan] == [60, 40, 20, 30]
 
     def test_degenerate_zero_width_tiles(self):
         shape = TWShapeStats(
@@ -74,72 +79,50 @@ class TestBatching:
 
 
 class TestScheduler:
-    def test_round_robin_balance(self):
-        groups = batching_plan(
-            TWShapeStats(k=64, n=64, granularity=16,
-                         tiles=((64, 16), (64, 16), (64, 16), (64, 16))),
-            enabled=False,
-        )
-        assignment = assign_streams(groups)
-        assert assignment.n_streams == 4
-        assert assignment.imbalance() == pytest.approx(1.0)
-
-    def test_disabled_single_stream(self):
-        groups = batching_plan(self._two_groups(), enabled=False)
-        assignment = assign_streams(groups, enabled=False)
-        assert assignment.n_streams == 1
-
     def _two_groups(self):
         return TWShapeStats(
             k=32, n=32, granularity=16, tiles=((32, 16), (8, 16))
         )
 
-    def test_heavy_first(self):
-        groups = batching_plan(self._two_groups(), enabled=False)
+    def test_round_robin_balance(self):
+        groups = one_group_per_tile(
+            TWShapeStats(k=64, n=64, granularity=16,
+                         tiles=((64, 16), (64, 16), (64, 16), (64, 16))),
+        )
         assignment = assign_streams(groups)
-        work = assignment.stream_work()
-        assert max(work) == 32 * 16
+        assert used_streams(assignment) == 4
+        assert len(set(stream_work(assignment))) == 1
+
+    def test_heavy_first(self):
+        groups = one_group_per_tile(self._two_groups())
+        assignment = assign_streams(groups)
+        assert max(stream_work(assignment)) == 32 * 16
 
     def test_empty_group_list(self):
         assignment = assign_streams([])
-        assert assignment.n_streams == 0
-        assert assignment.imbalance() == pytest.approx(1.0)
+        assert used_streams(assignment) == 0
         assert assignment.execution_order() == []
-        assert assignment.order_streams() == []
-
-    def test_imbalance_with_degenerate_widths(self):
-        # zero-width groups carry no work; they must not poison the
-        # max/mean diagnostic with zero-work streams
-        shape = TWShapeStats(
-            k=64, n=48, granularity=16, tiles=((60, 16), (0, 0), (0, 0))
-        )
-        assignment = assign_streams(batching_plan(shape))
-        assert assignment.imbalance() == pytest.approx(1.0)
 
     def test_execution_order_covers_all_groups_round_robin(self):
         shape = TWShapeStats(
             k=64, n=96, granularity=16,
             tiles=((64, 16), (32, 16), (16, 8), (8, 8), (4, 4), (2, 4)),
         )
-        groups = batching_plan(shape, enabled=False)
+        groups = one_group_per_tile(shape)
         assignment = assign_streams(groups)
         order = assignment.execution_order()
         assert sorted(g.tile_ids for g in order) == sorted(g.tile_ids for g in groups)
-        # breadth-first: the first n_streams entries are each stream's head
-        heads = [s[0] for s in assignment.streams if s]
-        assert order[: len(heads)] == heads
-        streams_of = assignment.order_streams()
-        assert len(streams_of) == len(order)
-        for pos, g in enumerate(order):
-            assert g in assignment.streams[streams_of[pos]]
+        # breadth-first: the first entries are each used stream's head, then
+        # each stream's second group, and so on
+        depth = max(len(s) for s in assignment.streams)
+        assert order == [
+            s[d] for d in range(depth) for s in assignment.streams if d < len(s)
+        ]
 
     def test_build_execution_plan_bundles_groups_and_streams(self):
         shape = self._two_groups()
         plan = build_execution_plan(shape)
-        assert plan.n_kernels == len(batching_plan(shape))
+        assert list(plan.groups) == batching_plan(shape)
         assert sorted(g.tile_ids for g in plan.execution_order()) == sorted(
             g.tile_ids for g in plan.groups
         )
-        sequential = build_execution_plan(shape, batching=False, streams=False)
-        assert sequential.assignment.n_streams == 1
-        assert sequential.n_kernels == 2  # one kernel per tile

@@ -1,4 +1,4 @@
-"""Every ``repro`` import in the benchmark and example scripts resolves.
+"""Every ``repro`` import in the benchmark, example and twbench scripts resolves.
 
 The scripts are not run here (most train models or take minutes); their
 source is parsed, and each ``import repro…`` / ``from repro… import name``
@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(
     p
-    for d in ("benchmarks", "examples")
+    for d in ("benchmarks", "examples", "twbench")
     for p in (ROOT / d).glob("*.py")
 )
 
@@ -39,7 +39,7 @@ def repro_imports(path: Path) -> list[tuple[int, str, str | None]]:
 
 def test_scripts_are_found():
     names = {p.name for p in SCRIPTS}
-    assert {"bench_fig15_end2end.py", "bench_hotpaths.py", "quickstart.py"} <= names
+    assert {"bench_fig15_end2end.py", "bench_hotpaths.py", "quickstart.py", "spans.py"} <= names
 
 
 def test_function_level_imports_are_seen():

@@ -71,9 +71,10 @@ class TestCaches:
         model, x = _compiled(seed=5)
         with model.serve() as server:
             server.serve(x)
-            caches = server.stats.record()["cache"]
-        assert not any("eviction" in key for key in caches), caches
-        assert caches["format_misses"] == 0
+            rec = server.stats.record()
+        # no cache exists, so no always-1.0 hit rate is reported
+        assert "cache" not in rec
+        assert not any("eviction" in key for key in rec), rec
 
     @pytest.mark.parametrize(
         "dtype, compute",
