@@ -522,6 +522,14 @@ class TestPlacement:
         ]
         assert [Placement((V100,)).slot_for_wave(w) for w in range(3)] == [0, 0, 0]
 
+    def test_device_labels_tell_replicas_apart(self):
+        twin = Placement((V100, V100))
+        assert twin.primary is V100
+        labels = twin.device_labels()
+        assert len(set(labels)) == 2
+        assert all(label.startswith(V100.name) for label in labels)
+        assert Placement((T4, V100)).primary is T4
+
     def test_plans_cover_every_device(self, stack):
         weights, _ = stack
         single = repro.compile(weights, sparsity=0.5, granularity=8)

@@ -9,6 +9,7 @@ from repro.core.masks import (
     global_topk_keep_masks,
     overall_sparsity,
     topk_keep_mask,
+    tw_mask_from_tile_matrix,
     tw_mask_from_tiles,
     validate_tw_mask,
 )
@@ -28,6 +29,10 @@ class TestMaskBasics:
 
     def test_overall_sparsity_empty_list(self):
         assert overall_sparsity([]) == 0.0
+
+    def test_overall_sparsity_single_mask(self):
+        m = np.array([[True, False], [False, False]])
+        assert overall_sparsity([m]) == pytest.approx(0.75)
 
 
 class TestTopK:
@@ -94,6 +99,20 @@ class TestTWMaskFactoring:
         np.testing.assert_array_equal(ck, col_keep)
         for a, b in zip(rms, row_masks):
             np.testing.assert_array_equal(a, b)
+
+    def test_mask_from_tile_matrix_matches_tiles(self):
+        from repro.formats.tiled import TiledTWMatrix
+
+        k, n, g = 5, 7, 3
+        col_keep = np.array([1, 0, 1, 1, 1, 0, 1], dtype=bool)
+        groups = TiledTWMatrix.column_groups(col_keep, g)
+        rng = np.random.default_rng(4)
+        row_masks = [rng.random(k) < 0.6 for _ in groups]
+        owned = np.concatenate(groups)
+        tile_of_col = np.repeat(np.arange(len(groups)), [gr.size for gr in groups])
+        mask = tw_mask_from_tile_matrix((k, n), owned, tile_of_col, np.stack(row_masks))
+        np.testing.assert_array_equal(mask, tw_mask_from_tiles((k, n), groups, row_masks))
+        assert not mask[:, ~col_keep].any()
 
     def test_non_tw_mask_rejected(self):
         mask = np.zeros((4, 4), dtype=bool)

@@ -71,6 +71,26 @@ class TestBSR:
         assert bsr.n_blocks == 1
         assert bsr.sparsity == pytest.approx(0.75)
 
+    def test_validate_rejects_unsorted_block_columns(self):
+        with pytest.raises(ValueError, match="block row 0"):
+            BSRMatrix(
+                shape=(2, 4),
+                block_shape=(2, 2),
+                indptr=np.array([0, 2], dtype=np.int64),
+                indices=np.array([1, 0], dtype=np.int64),
+                blocks=np.ones((2, 2, 2)),
+            )
+
+    def test_validate_rejects_blocks_of_wrong_shape(self):
+        with pytest.raises(ValueError, match="blocks shape"):
+            BSRMatrix(
+                shape=(2, 4),
+                block_shape=(2, 2),
+                indptr=np.array([0, 1], dtype=np.int64),
+                indices=np.array([1], dtype=np.int64),
+                blocks=np.ones((1, 2, 3)),
+            )
+
     def test_block_row_counts(self):
         dense = np.zeros((4, 4))
         dense[0, 0] = 1.0  # block (0,0)
@@ -170,6 +190,32 @@ class TestTiledTW:
                 mask_k=np.ones(3, dtype=bool),
                 data=np.zeros((2, 2)),
             )
+
+    def test_row_indices_and_kept_depths(self):
+        rng = np.random.default_rng(7)
+        _, _, _, tw = self._make(rng, n=16, g=4)
+        assert tw.n_tiles > 1
+        for t, depth in zip(tw.tiles, tw.kept_depths()):
+            np.testing.assert_array_equal(t.row_indices(), np.flatnonzero(t.mask_k))
+            assert depth == t.kept_k == t.row_indices().size
+
+    def test_out_bias_in_unowned_column_rejected(self):
+        from repro.formats.tiled import TWTile
+
+        tile = TWTile(
+            col_indices=np.array([0, 1], dtype=np.int64),
+            mask_k=np.ones(2, dtype=bool),
+            data=np.zeros((2, 2)),
+        )
+        # column 3 belongs to no tile, so no GEMM writes a bias there
+        TiledTWMatrix(shape=(2, 4), granularity=2, tiles=(tile,),
+                      out_bias=np.array([1.0, 2.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="no tile owns"):
+            TiledTWMatrix(shape=(2, 4), granularity=2, tiles=(tile,),
+                          out_bias=np.array([1.0, 2.0, 0.0, 3.0]))
+        with pytest.raises(ValueError, match="out_bias shape"):
+            TiledTWMatrix(shape=(2, 4), granularity=2, tiles=(tile,),
+                          out_bias=np.zeros(3))
 
     def test_width_groups_batching_key(self):
         rng = np.random.default_rng(5)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.formats import CSCMatrix, CSRMatrix
+from repro.formats._validate import first_unsorted_segment
+from repro.formats.csr import csr_structured_matmul
 
 
 def random_sparse(rng, m, n, density):
@@ -101,6 +103,15 @@ class TestCSR:
                 data=np.array([1.0, 2.0]),
             )
 
+    def test_validate_rejects_duplicate_columns(self):
+        with pytest.raises(ValueError, match="row 1"):
+            CSRMatrix(
+                shape=(2, 3),
+                indptr=np.array([0, 1, 3], dtype=np.int64),
+                indices=np.array([2, 1, 1], dtype=np.int64),
+                data=np.array([1.0, 2.0, 3.0]),
+            )
+
     def test_transpose(self):
         rng = np.random.default_rng(2)
         a = random_sparse(rng, 5, 8, 0.3)
@@ -162,6 +173,43 @@ class TestCSC:
                 indices=np.array([0], dtype=np.int64),
                 data=np.array([1.0]),
             )
+
+    def test_validate_rejects_unsorted_rows(self):
+        with pytest.raises(ValueError, match="column 0"):
+            CSCMatrix(
+                shape=(3, 1),
+                indptr=np.array([0, 2], dtype=np.int64),
+                indices=np.array([2, 0], dtype=np.int64),
+                data=np.array([1.0, 2.0]),
+            )
+
+
+# --------------------------------------------------------------------- #
+# shared helpers of the compressed formats
+# --------------------------------------------------------------------- #
+class TestStructuredHelpers:
+    def test_first_unsorted_segment_ignores_segment_boundaries(self):
+        # a drop from 3 to 1 across the row 0 / row 1 boundary is no violation
+        indptr = np.array([0, 2, 4])
+        assert first_unsorted_segment(np.array([0, 3, 1, 2]), indptr) is None
+
+    def test_first_unsorted_segment_names_the_bad_segment(self):
+        # row 1 is empty; row 2 repeats a column
+        indptr = np.array([0, 2, 2, 5])
+        assert first_unsorted_segment(np.array([0, 3, 1, 4, 4]), indptr) == 2
+        assert first_unsorted_segment(np.array([3, 0, 1, 4, 4]), indptr) == 0
+
+    def test_structured_matmul_float32_matches_dense(self):
+        # float32 results take the pure-NumPy segment reduction, not SciPy
+        rng = np.random.default_rng(5)
+        a = random_sparse(rng, 11, 9, 0.3)
+        b = rng.standard_normal((9, 4)).astype(np.float32)
+        csr = CSRMatrix.from_dense(a)
+        out = csr_structured_matmul(
+            csr.indptr, csr.indices, csr.data.astype(np.float32), csr.shape, b, np.float32
+        )
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, a.astype(np.float32) @ b, rtol=1e-5, atol=1e-5)
 
 
 # --------------------------------------------------------------------- #

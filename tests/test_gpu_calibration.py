@@ -25,6 +25,7 @@ from repro.gpu import (
     dense_gemm_tc_cost,
     tw_gemm_cost,
 )
+from repro.gpu.calibration import DEFAULT_CALIBRATION
 from repro.gpu.tw_kernel import TWShapeStats
 
 # BERT-base weight GEMM at high-throughput inference (M = tokens in flight)
@@ -126,6 +127,22 @@ class TestBaselineAnchors:
         t8 = bsr_gemm_cost(M, K, N, 8, nb8).total_us
         t32 = bsr_gemm_cost(M, K, N, 32, nb32).total_us
         assert t8 > t32
+
+    def test_block_efficiency_curve_peaks_at_32(self):
+        """§IV-B: BW needs a 32×32 pruning unit for high performance; the
+        interpolated curve peaks there and clamps at the table ends."""
+        eff = DEFAULT_CALIBRATION.block_sparse_efficiency
+        (lo_size, lo_eff), (hi_size, hi_eff) = (
+            DEFAULT_CALIBRATION.bs_block_efficiency[0],
+            DEFAULT_CALIBRATION.bs_block_efficiency[-1],
+        )
+        sizes = [4, 8, 16, 24, 32, 48, 64, 128, 512]
+        assert max(sizes, key=eff) == 32
+        assert eff(16) < eff(24) < eff(32)
+        assert eff(1) == eff(lo_size) == lo_eff
+        assert eff(4 * hi_size) == hi_eff
+        with pytest.raises(ValueError):
+            eff(0)
 
 
 class TestHeadlineShape:

@@ -30,6 +30,11 @@ class TestDeviceSpec:
         assert V100.mem_bandwidth == 900.0e9
         assert V100.block_slots == 160
 
+    def test_cuda_core_peak_in_flops(self):
+        assert V100.cuda_core_flops == 15.7e12
+        # §VII-A: tensor cores offer roughly 8x the CUDA-core peak
+        assert 7.0 < V100.tensor_core_flops / V100.cuda_core_flops < 9.0
+
     def test_variants_exist(self):
         assert T4.sm_count < V100.sm_count < A100.sm_count
 
@@ -97,6 +102,14 @@ class TestCostBreakdown:
         c = PerfCounters(bytes_loaded=3200, bytes_stored=640)
         assert c.load_transactions == 100
         assert c.store_transactions == 20
+
+    def test_counters_merge_accumulates_traffic(self):
+        a = PerfCounters(flops=1.0, bytes_loaded=64, bytes_stored=32, sector_bytes=32)
+        b = PerfCounters(flops=2.0, bytes_loaded=128, bytes_stored=96, sector_bytes=32)
+        m = a.merge(b)
+        assert (m.flops, m.bytes_loaded, m.bytes_stored) == (3.0, 192, 128)
+        assert m.load_transactions == a.load_transactions + b.load_transactions
+        assert m.store_transactions == a.store_transactions + b.store_transactions
 
     def test_merge_serial(self):
         a = CostBreakdown(compute_us=5, memory_us=10, launch_us=1, kernels=1,

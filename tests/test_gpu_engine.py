@@ -10,6 +10,8 @@ from repro.gpu.engine import (
     InferenceEngine,
     LayerPlan,
     TransposePlan,
+    baseline_engine_config,
+    engine_for_dtype,
     transpose_cost,
 )
 from repro.gpu.tw_kernel import TWShapeStats
@@ -34,6 +36,29 @@ class TestTransposePlan:
     def test_transpose_cost_validation(self):
         with pytest.raises(ValueError):
             transpose_cost(-1, 2, 1)
+
+
+class TestEngineChoice:
+    @pytest.mark.parametrize("dtype,engine", [
+        ("float16", "tensor_core"),
+        ("int8", "tensor_core"),
+        ("float32", "cuda_core"),
+        ("float64", "cuda_core"),
+        ("", "cuda_core"),
+    ])
+    def test_engine_for_dtype(self, dtype, engine):
+        assert engine_for_dtype(dtype) == engine
+
+    def test_engine_for_unknown_dtype_rejected(self):
+        with pytest.raises(ValueError, match="bfloat16"):
+            engine_for_dtype("bfloat16")
+
+    def test_baseline_engine_pairs_cusparse_patterns_with_cuda_cores(self):
+        tc = EngineConfig(engine="tensor_core")
+        for pattern in ("ew", "vw"):
+            assert baseline_engine_config(pattern, tc) == EngineConfig(engine="cuda_core")
+        for pattern in ("tw", "bw", "dense"):
+            assert baseline_engine_config(pattern, tc) is tc
 
 
 class TestLayerPlan:

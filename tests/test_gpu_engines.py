@@ -17,6 +17,7 @@ from repro.gpu import (
     tw_gemm_cost,
 )
 from repro.gpu.counters import normalized_counters
+from repro.gpu.tensor_core import CANDIDATE_TILES, select_tile
 from repro.gpu.tw_kernel import TWShapeStats
 
 M, K, N, G = 8192, 768, 768, 128
@@ -50,6 +51,16 @@ class TestDenseEngines:
         assert bd.counters.flops == 2.0 * M * N * K
         assert bd.counters.bytes_loaded >= (M * K + K * N) * 2
         assert bd.counters.bytes_stored == M * N * 2
+
+    @pytest.mark.parametrize("m,n,k", [(M, N, K), (64, 64, 64), (128, 3072, 768)])
+    def test_default_tile_is_the_cheapest_candidate(self, m, n, k):
+        chosen = select_tile(m, n, k)
+        assert chosen in CANDIDATE_TILES
+        default = dense_gemm_tc_cost(m, n, k).total_us
+        assert default == dense_gemm_tc_cost(m, n, k, tile=chosen).total_us
+        assert default == min(
+            dense_gemm_tc_cost(m, n, k, tile=t).total_us for t in CANDIDATE_TILES
+        )
 
     def test_flops_efficiency_reasonable(self):
         """Dense TC GEMM should land between 20% and 75% of peak for

@@ -533,6 +533,21 @@ class TestStatsExport:
         assert rec["latency_ms"]["p99"] >= rec["latency_ms"]["p50"] > 0
         assert rec["device_busy_pct"]  # at least one slot attributed
 
+    def test_write_stats_json_round_trips(self, tmp_path):
+        from repro.runtime.server import write_stats_json
+
+        server = _server(_layers(52), executor="inline")
+        for x in _requests(53, n=2):
+            server.serve(x)
+        rec = server.stats_record()
+        path = tmp_path / "stats.json"
+        write_stats_json(str(path), rec)
+        text = path.read_text()
+        assert text.endswith("}\n")
+        assert json.loads(text) == json.loads(json.dumps(rec))
+        # sorted keys make two snapshots diff line by line
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
     def test_percentiles_from_window(self):
         from repro.runtime import ServerStats
 
@@ -542,6 +557,8 @@ class TestStatsExport:
         assert stats.p99_latency_s() <= 0.1
         assert stats.percentile_latency_s(100.0) == pytest.approx(0.1)
         assert ServerStats().p99_latency_s() == 0.0
+        assert stats.p50_latency_s() <= stats.p95_latency_s() <= stats.p99_latency_s()
+        assert stats.p95_latency_s() == pytest.approx(0.09505, rel=1e-6)
 
     def test_ingress_record_adds_traffic_context(self):
         layers = _layers(52)

@@ -38,7 +38,11 @@ from repro.runtime import (
     TWModelServer,
 )
 from repro.runtime import wire
-from repro.runtime.netclient import AsyncInferClient, HttpLoadTransport
+from repro.runtime.netclient import (
+    AsyncInferClient,
+    HttpLoadTransport,
+    parse_infer_response,
+)
 
 HTTP_TERMINAL = {200, 429, 500, 504}
 
@@ -260,6 +264,43 @@ class TestWireCodec:
         with pytest.raises(wire.WireError):
             wire.encode_tensor(np.ones((2, 2), dtype=np.int8))
 
+    def test_parse_ok_tensor_response(self):
+        x = np.arange(6, dtype=np.float32).reshape(2, 3)
+        res = parse_infer_response(
+            200,
+            {"content-type": wire.CONTENT_TYPE_TENSOR, "x-request-id": "41",
+             "x-queue-wait-ms": "1.5", "x-service-ms": "2"},
+            wire.encode_tensor(x),
+            rows=2,
+            client_latency_s=0.01,
+        )
+        assert res.ok and res.status == "ok" and res.error is None
+        np.testing.assert_array_equal(res.output, x)
+        assert res.request_id == 41
+        assert res.queue_wait_s == pytest.approx(1.5e-3)
+        assert res.service_s == pytest.approx(2e-3)
+
+    def test_parse_error_response_keeps_code_and_retry_after(self):
+        body = wire.error_body("unavailable", "queue_full", "try later")
+        res = parse_infer_response(
+            503, {"retry-after": "0.5", "x-latency-ms": "not-a-number"}, body,
+            rows=3, client_latency_s=0.02,
+        )
+        # no X-Status header: the HTTP status names the outcome
+        assert not res.ok and res.status == "unavailable"
+        assert res.error == {"code": "queue_full", "message": "try later"}
+        assert res.retry_after_s == 0.5
+        assert res.server_latency_s == 0.0
+        assert res.output is None and res.rows == 3
+
+    def test_parse_unparseable_error_body(self):
+        res = parse_infer_response(
+            502, {"x-status": "failed"}, b"\xff<html>bad gateway",
+            rows=1, client_latency_s=0.0,
+        )
+        assert res.status == "failed"
+        assert res.error["code"] == "unparseable_body"
+        assert "bad gateway" in res.error["message"]
 
     def test_read_deadline_bounds_only_the_rest_of_a_message(self):
         async def read(chunks, feed_eof):

@@ -32,6 +32,18 @@ class TestFunctional:
         out = F.softmax(x)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
 
+    def test_linear_is_affine_in_gemm_orientation(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        out = F.linear(x, w, b)
+        np.testing.assert_allclose(out.data, x.data @ w.data + b.data)
+        np.testing.assert_array_equal(F.linear(x, w).data, x.data @ w.data)
+        out.sum().backward()
+        np.testing.assert_allclose(b.grad, np.full(3, 5.0))
+        np.testing.assert_allclose(w.grad, x.data.sum(axis=0)[:, None] * np.ones((1, 3)))
+
     def test_softmax_stability(self):
         x = Tensor(np.array([[1000.0, 1000.0]]))
         out = F.softmax(x)
@@ -133,6 +145,26 @@ class TestModules:
         params = list(net.parameters())
         assert len(params) == 4  # 2 weights + 2 biases
         assert sum(p.size for p in params) == 4 * 4 + 4 + 4 * 2 + 2
+
+    def test_named_modules_dotted_depth_first(self):
+        class Net(Module):
+            def __init__(self):
+                super().__init__()
+                self.enc = Sequential(Linear(4, 4), Dropout(0.1))
+                self.head = Linear(4, 2)
+
+            def forward(self, x):
+                return self.head(self.enc(x))
+
+        names = [(n, type(m).__name__) for n, m in Net().named_modules("net")]
+        assert names == [
+            ("net", "Net"),
+            ("net.enc", "Sequential"),
+            ("net.enc.step0", "Linear"),
+            ("net.enc.step1", "Dropout"),
+            ("net.head", "Linear"),
+        ]
+        assert next(Net().named_modules())[0] == "Net"
 
     def test_module_shared_parameter_deduplicated(self):
         class Tied(Module):

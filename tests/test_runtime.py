@@ -103,6 +103,19 @@ class TestScheduler:
         assert used_streams(assignment) == 0
         assert assignment.execution_order() == []
 
+    def test_degenerate_widths_carry_no_stream_work(self):
+        # zero-width groups are still scheduled, but add no work to a stream
+        shape = TWShapeStats(
+            k=64, n=48, granularity=16, tiles=((60, 16), (0, 0), (0, 0))
+        )
+        assignment = assign_streams(batching_plan(shape))
+        work = stream_work(assignment)
+        assert sum(work) == 60 * 16
+        assert sum(1 for w in work if w) == 1
+        assert sorted(
+            i for g in assignment.execution_order() for i in g.tile_ids
+        ) == [0, 1, 2]
+
     def test_execution_order_covers_all_groups_round_robin(self):
         shape = TWShapeStats(
             k=64, n=96, granularity=16,
