@@ -581,17 +581,20 @@ def bench_mixed_precision(quick: bool) -> dict:
     """Mixed-precision TW GEMM at BERT-base FFN serving shapes.
 
     ``batched_ms`` is honest host wall-clock: NumPy's BLAS has no
-    reduced-precision kernels, so fp16/int8 run at ~fp32 speed (fp16 often
-    slower — it upcasts per group to accumulate in fp32).  The *device*
-    story the paper targets lives in ``modeled_device_us``: the cost
-    model's dtype axis (tensor-core calibration for fp16/int8, element
-    size scaling the memory legs), where reduced precision wins ≥1.3x.
-    The memory win (``payload_compression_vs_fp32``) is real on any host.
+    reduced-precision kernels, so fp16 and int8 weights are storage only.
+    Their tile operands are upcast or dequantised to float32 once
+    (memoised), and activations and outputs are float32
+    (:func:`~repro.kernels.masked.activation_dtype`), so every dtype runs
+    at about float32 speed.  The *device* story the paper targets lives in
+    ``modeled_device_us``: the cost model's dtype axis (tensor-core
+    calibration for fp16/int8, element size scaling the memory legs),
+    where reduced precision wins ≥1.3x.  The memory win
+    (``payload_compression_vs_fp32``) is real on any host.
     """
     from repro.core.tile_sparsity import TWPruneConfig, tw_prune_step
     from repro.formats.tiled import TiledTWMatrix
     from repro.gpu.tw_kernel import TWExecutionOptions, tw_gemm_cost
-    from repro.kernels.masked import tw_gemm
+    from repro.kernels.masked import activation_dtype, tw_gemm
     from repro.gpu.engine import _DTYPE_BYTES, engine_for_dtype
 
     g, sparsity = 64, 0.75
@@ -620,8 +623,7 @@ def bench_mixed_precision(quick: bool) -> dict:
             modeled[d] = tw_gemm_cost(m, tws[d], options=opts).total_us
         for d in dtypes:
             tw = tws[d]
-            act = "float32" if d == "int8" else d
-            a = a64.astype(act)
+            a = a64.astype(activation_dtype(d))
             tw_gemm(a, tw)  # build the operand memo, as a server's warm() does
             bat_ms = _best_of(lambda: tw_gemm(a, tw), 5)
             got = tw_gemm(a, tw).astype(np.float64)
@@ -658,7 +660,8 @@ def bench_mixed_precision(quick: bool) -> dict:
         ),
         "note": (
             "batched_ms is host wall-clock (NumPy BLAS has no "
-            "reduced-precision kernels, so dtypes tie); "
+            "reduced-precision kernels: fp16/int8 weights are storage and "
+            "compute in float32, so dtypes tie); "
             "modeled_device_us prices the same GEMM on the simulated "
             "V100's dtype axis, where fp16/int8 clear the 1.3x bar"
         ),

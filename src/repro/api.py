@@ -436,11 +436,11 @@ class CompiledTWModel:
         to the unfused ``*_reference`` composition.
 
         Activations are cast once, at entry, to the model's activation
-        dtype — the compiled ``dtype`` for float models, ``float32`` for
-        ``int8`` (weights-only quantisation keeps float activations; see
-        :func:`~repro.kernels.masked.activation_dtype`) — so
-        ``run`` and ``serve`` execute the same numerics and stay
-        bit-identical.
+        dtype (:func:`~repro.kernels.masked.activation_dtype`): the
+        compiled ``dtype`` for float64 and float32 models, ``float32`` for
+        float16 and int8 models, whose payloads are storage only.  Every
+        layer computes and returns that dtype, so ``run`` and ``serve``
+        execute the same numerics and stay bit-identical.
         """
         a = self._activations(x)
         for i, l in enumerate(self.layers):
@@ -861,9 +861,9 @@ def compile(
     dtype:
         Compact payload dtype (``None`` keeps the weights' own dtype).
         ``float64``/``float32`` store and compute at that precision;
-        ``float16`` stores half-precision payloads and accumulates every
-        group GEMM in float32; ``int8`` quantises each tile symmetrically
-        (per-tile scale, weights-only) and serves float32 activations.
+        ``float16`` stores half-precision payloads and ``int8`` quantises
+        each tile symmetrically (per-tile scale), as weight storage only:
+        ``run()`` and serving take and return float32 activations.
     epilogue:
         Optional fused per-layer epilogue: an
         :data:`~repro.kernels.fusion.EPILOGUES` registry name

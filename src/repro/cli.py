@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
                               f"(kinds: {', '.join(available_faults())})")
     p_serve.add_argument("--expect-all-ok", action="store_true",
                          help="exit non-zero unless every request ends "
-                              "status=ok (CI smoke contract)")
+                              "status=ok with a finite output (CI smoke "
+                              "contract)")
     p_serve.add_argument("--scale", type=int, default=8,
                          help="shrink model dims by this factor (demo sizing)")
     p_serve.add_argument("--blocks", type=int, default=2,
@@ -188,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--rows", type=int, default=8,
                          help="activation rows per request")
     p_serve.add_argument("--dtype", default="float32", choices=_DTYPES,
-                         help="execution dtype; int8 quantises weights "
-                              "per tile (requests stay float32)")
+                         help="weight dtype; float16 and int8 are storage "
+                              "only (requests and outputs are float32)")
     p_serve.add_argument("--epilogue", default=None,
                          choices=sorted(EPILOGUES.names()),
                          help="fuse this epilogue into every layer's wave "
@@ -503,6 +504,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     by_status: dict[str, int] = {}
     for req in served:
         by_status[req.status] = by_status.get(req.status, 0) + 1
+    nonfinite = sum(
+        req.status == "ok" and not np.isfinite(req.output).all() for req in served
+    )
     rows = [
         ["model", f"{args.model} ({model.n_layers} layers, scale 1/{args.scale})"],
         ["achieved sparsity", model.achieved_sparsity],
@@ -523,6 +527,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ]
     if rejected:
         rows.append(["rejected at submit (queue full)", rejected])
+    if nonfinite:
+        rows.append(["ok with a non-finite output", nonfinite])
     if st.retries or st.requeues or st.poisoned:
         rows.append(["retries (wave re-runs)", st.retries])
         rows.append(["requeued requests", st.requeues])
@@ -542,10 +548,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _dump_stats_json(args.stats_json, server.stats_record())
     if args.expect_all_ok:
         not_ok = sum(v for k, v in by_status.items() if k != "ok")
-        if not_ok or rejected or st.requests != args.requests:
+        if not_ok or rejected or nonfinite or st.requests != args.requests:
             print(
                 f"error: --expect-all-ok: {st.requests}/{args.requests} ok, "
-                f"{not_ok} non-ok, {rejected} rejected",
+                f"{not_ok} non-ok, {rejected} rejected, "
+                f"{nonfinite} ok with a non-finite output",
                 file=sys.stderr,
             )
             return 1
@@ -614,8 +621,8 @@ def _serve_http(args, model, placement, server) -> int:
 
 
 def _request_dtype(dtype: str) -> str:
-    """The dtype request activations travel in: ``int8`` models quantise
-    weights only, so their requests stay ``float32``."""
+    """The dtype request activations travel in: the model's activation
+    dtype, so ``float16`` and ``int8`` models take ``float32`` requests."""
     return str(activation_dtype(dtype))
 
 

@@ -52,8 +52,8 @@ class TWTile:
     data:
         ``float[kept_k, kept_n]`` compact dense payload,
         ``data[a, b] = B[rows_kept[a], col_indices[b]]`` — ``float64`` by
-        default, ``float32``/``float16`` when the serving path compacts at
-        reduced precision, ``int8`` when quantised (see ``scale``).
+        default, ``float32``/``float16`` when compiled at that storage
+        dtype, ``int8`` when quantised (see ``scale``).
     scale:
         Symmetric per-tile quantisation scale: logical values are
         ``data * scale``.  ``1.0`` (neutral) for float payloads; for int8
@@ -94,6 +94,18 @@ class TWTile:
     def row_indices(self) -> np.ndarray:
         """Original row indices kept by this tile (``int64[kept_k]``)."""
         return np.flatnonzero(self.mask_k)
+
+    def values(self, dtype) -> np.ndarray:
+        """The payload's logical values (``data * scale``) in ``dtype``.
+
+        An exact cast of ``data`` to ``dtype``, then, for quantised
+        payloads only, one multiply by the scale in ``dtype``.  A float
+        payload already in ``dtype`` is returned uncopied.
+        """
+        out = self.data.astype(dtype, copy=False)
+        if self.data.dtype.kind in "iu":
+            out = out * np.asarray(self.scale, dtype=dtype)
+        return out
 
 
 @dataclass(frozen=True)
@@ -326,10 +338,7 @@ class TiledTWMatrix:
         for t in self.tiles:
             rows = t.row_indices()
             if rows.size and t.col_indices.size:
-                payload = t.data
-                if self.quantized:
-                    payload = payload.astype(np.float32) * np.float32(t.scale)
-                out[np.ix_(rows, t.col_indices)] = payload
+                out[np.ix_(rows, t.col_indices)] = t.values(out_dtype)
         return out
 
     def element_mask(self) -> np.ndarray:

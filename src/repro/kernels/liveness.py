@@ -67,7 +67,7 @@ import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix, TWTile
 from repro.kernels.fusion import EPILOGUES, EpilogueSpec, apply_epilogue
-from repro.kernels.masked import activation_dtype, gemm_dtypes
+from repro.kernels.masked import activation_dtype
 
 __all__ = ["tighten_chain"]
 
@@ -185,7 +185,7 @@ def _rebuild(
     ``drops``, ``keep_k`` or ``keep_n`` means nothing dropped, every row
     kept, every column kept.
     """
-    compute = gemm_dtypes(activation_dtype(tw.dtype), tw.dtype)[0]
+    compute = activation_dtype(tw.dtype)
     bias = None
     if const is not None:
         const = np.asarray(const, dtype=np.float64)
@@ -197,10 +197,8 @@ def _rebuild(
             rows, drop = drops[i]
             if drop.any():
                 if bias is not None:
-                    w = data[drop]
-                    if w.dtype.kind in "iu":
-                        # dequantised as the untightened GEMM multiplies them
-                        w = w.astype(compute) * np.asarray(t.scale, dtype=compute)
+                    # the values the untightened GEMM multiplies
+                    w = t.values(compute)[drop]
                     bias[t.col_indices] += const[rows[drop]] @ w.astype(np.float64)
                 mask_k = mask_k.copy()
                 mask_k[rows[drop]] = False

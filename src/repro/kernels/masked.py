@@ -76,29 +76,29 @@ serving loop pays only the gathers and GEMMs.
 
 Mixed precision
 ---------------
-``tw_gemm`` follows the storage dtype of the compacted weight:
+On the host a weight dtype narrower than 32 bits is storage only.  One
+rule, :func:`activation_dtype`, gives the dtype activations run in:
 
-- **float64 / float32** — operands multiply in their own dtype (the
-  historical behaviour; float32 runs BLAS sgemm directly).
-- **float16** — storage (checkpoint, pickle) stays
-  half precision; the GEMM *accumulates in float32* via an explicit
-  upcast (host BLAS has no half kernels) and the output rounds back to
-  float16 once.  The fp32 compute operands are memoised, so a serving loop
-  upcasts each tile exactly once.
-- **int8** — tile payloads are symmetric per-tile quantised
-  (``q = round(w / scale)``, ``scale`` on each :class:`TWTile`); the GEMM
-  dequantises each tile into a memoised fp32 operand and accumulates in
-  float32.  Activations stay floating point throughout.
+- **float64 / float32** — activations and weights multiply in the
+  weight dtype (float32 runs BLAS sgemm directly).
+- **float16 / int8** — activations, GEMMs and outputs are float32.  Host
+  BLAS has no half kernels, and the paper's fp16 speed-up comes from GPU
+  tensor cores, which the cost model prices
+  (:func:`~repro.gpu.engine.engine_for_dtype`).  Payloads stay fp16 or
+  int8 in the checkpoint and in the tiles; int8 payloads are symmetric
+  per-tile quantised (``q = round(w / scale)``, ``scale`` on each
+  :class:`TWTile`), and :meth:`TWTile.values` reads them as floats.
 
 Oracle-comparison policy (vectorisation contract): ``tw_gemm_reference``
 is the float-payload oracle and hardcodes a ``float64`` output promotion;
 comparisons run in the *batched path's* dtype against the reference output
 cast to that dtype, with the per-dtype tolerances in
 :data:`DTYPE_TOLERANCES` — exact (``atol = rtol = 0``) for float64 on
-dyadic data, documented rounding bounds for float32/float16.  The int8
-path has no scalar oracle: it is compared against the float64 ``tw_gemm``
-on the dequantised weights (``TiledTWMatrix.to_dense()``) within the
-quantisation-error bound implied by the tile scales.
+dyadic data, a documented rounding bound for float32 (which fp16 and
+int8 weights compute in).  The int8 path has no scalar oracle: it is
+compared against the float64 ``tw_gemm`` on the dequantised weights
+(``TiledTWMatrix.to_dense()``) within the quantisation-error bound
+implied by the tile scales.
 """
 
 from __future__ import annotations
@@ -122,17 +122,16 @@ __all__ = [
 #: and padding keeps results independent of the process's BLAS thread count
 DEPTH_QUANTUM = 32
 
-#: per-dtype tolerance table for batched-vs-oracle comparisons (the
-#: explicit oracle policy): compare in the batched path's dtype, reference
-#: output cast to it.  float64 on dyadic data is exact; float64 on
-#: continuous data differs only by summation-order rounding; float32 /
-#: float16 bounds follow ``K_max · eps`` for BERT-scale reductions
-#: (K ≤ 4096: 4096 · 1.2e-7 ≈ 5e-4 relative for fp32, and half-precision
-#: storage rounding ~ 1e-3 relative dominates for fp16).
+#: per-compute-dtype tolerance table for batched-vs-oracle comparisons
+#: (the explicit oracle policy): compare in the batched path's dtype,
+#: reference output cast to it.  float64 on dyadic data is exact; float64
+#: on continuous data differs only by summation-order rounding; the
+#: float32 bound follows ``K_max · eps`` for BERT-scale reductions
+#: (K ≤ 4096: 4096 · 1.2e-7 ≈ 5e-4 relative).  Look rows up by
+#: :func:`activation_dtype`: fp16 and int8 weights compute in float32.
 DTYPE_TOLERANCES: dict[str, dict[str, float]] = {
     "float64": {"rtol": 0.0, "atol": 1e-12},
     "float32": {"rtol": 5e-4, "atol": 1e-5},
-    "float16": {"rtol": 1e-2, "atol": 1e-3},
 }
 
 
@@ -226,15 +225,14 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix) -> np.ndarray:
     -----
     Matches :func:`tw_gemm_reference` bit-identically on exactly-
     representable data; on continuous data the zero-padded per-tile
-    reduction only differs by summation-order rounding.  The output dtype
-    follows ``np.result_type(a, weight payload)`` instead of the
-    reference's unconditional ``float64`` promotion, so float32 serving
-    does not double its memory traffic.  float16 weights accumulate in
-    float32 and round the output back to float16; int8 weights dequantise
-    per tile scale into float32 and return the float result-type of the
-    activations (never int).  The result is the ``M×N`` transpose view of
-    an ``N×M`` buffer (Fortran order); its values do not depend on the
-    memory order of ``a``.
+    reduction only differs by summation-order rounding.  The GEMM runs in,
+    and returns, ``np.result_type(a, activation_dtype(weight.dtype))``
+    instead of the reference's unconditional ``float64`` promotion, so
+    float32 serving does not double its memory traffic: fp16 and int8
+    weights compute in float32, or in float64 against float64
+    activations.  The result is the ``M×N`` transpose view of an ``N×M``
+    buffer (Fortran order); its values do not depend on the memory order
+    of ``a``.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -242,10 +240,10 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix) -> np.ndarray:
     k, n = weight.shape
     if a.shape[1] != k:
         raise ValueError(f"A columns {a.shape[1]} != weight K {k}")
-    compute_dtype, out_dtype = gemm_dtypes(a.dtype, weight.dtype)
+    compute_dtype = np.result_type(a.dtype, activation_dtype(weight.dtype))
     m = a.shape[0]
     if not weight.tiles:
-        return np.zeros((m, n), dtype=out_dtype)
+        return np.zeros((m, n), dtype=compute_dtype)
     operands = tile_operands(weight, compute_dtype)
     # one transpose (and upcast) per call: every tile then gathers whole
     # contiguous rows, and padded depths gather the trailing zero row.  A
@@ -264,8 +262,7 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix) -> np.ndarray:
         out_t[tile.col_indices] = panel.T @ at.take(rows, axis=0)
     if weight.out_bias is not None:
         out_t += weight.out_bias[:, None]
-    out = out_t.T
-    return out if compute_dtype == out_dtype else out.astype(out_dtype)
+    return out_t.T
 
 
 def tw_gemm_work(weight: TiledTWMatrix) -> tuple[int, int]:
@@ -290,28 +287,17 @@ def tw_gemm_work(weight: TiledTWMatrix) -> tuple[int, int]:
     return executed, useful
 
 
-def gemm_dtypes(a_dtype: np.dtype, w_dtype: np.dtype) -> tuple[np.dtype, np.dtype]:
-    """``(compute dtype, output dtype)`` of ``tw_gemm`` for these operand dtypes.
-
-    Quantised storage accumulates in fp32 and keeps float activations; host
-    BLAS has no half kernels, so fp16 products accumulate in fp32 too.
-    """
-    if np.dtype(w_dtype).kind in "iu":
-        out_dtype = np.result_type(a_dtype, np.float32)
-    else:
-        out_dtype = np.result_type(a_dtype, w_dtype)
-    compute = np.dtype(np.float32) if out_dtype == np.float16 else np.dtype(out_dtype)
-    return compute, np.dtype(out_dtype)
-
-
 def activation_dtype(w_dtype: np.dtype) -> np.dtype:
     """The dtype activations run in against weights stored as ``w_dtype``.
 
-    Quantised (int8) storage keeps float32 activations (weights-only
-    quantisation); float storage runs activations in its own dtype.
+    float32 for every weight dtype narrower than 32 bits (fp16, int8):
+    those are storage, and host BLAS multiplies in float32.  float32 and
+    float64 weights run activations in their own dtype.
     """
     w_dtype = np.dtype(w_dtype)
-    return np.dtype(np.float32) if w_dtype.kind in "iu" else w_dtype
+    if w_dtype.kind == "f" and w_dtype.itemsize >= 4:
+        return w_dtype
+    return np.dtype(np.float32)
 
 
 def tile_operands(weight: TiledTWMatrix, dtype) -> list:
@@ -340,7 +326,7 @@ def _tile_operand(
 
     Both are zero-padded to the tile's padded depth: the extra indices
     point at the zero row ``K`` of ``tw_gemm``'s transposed activations and
-    meet zero weight rows.  int8 payloads dequantise by the tile's scale.
+    meet zero weight rows.  The panel holds :meth:`TWTile.values`.
     """
     if not (tile.kept_k and tile.kept_n):
         return None
@@ -348,9 +334,7 @@ def _tile_operand(
     rows = np.full(depth, weight.shape[0], dtype=np.intp)
     rows[: tile.kept_k] = tile.row_indices()
     panel = np.zeros((depth, tile.kept_n), dtype=dtype)
-    panel[: tile.kept_k] = tile.data
-    if tile.data.dtype.kind in "iu":
-        panel[: tile.kept_k] *= np.asarray(tile.scale, dtype=dtype)
+    panel[: tile.kept_k] = tile.values(dtype)
     return rows, panel
 
 

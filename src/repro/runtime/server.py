@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix
-from repro.kernels.masked import activation_dtype, gemm_dtypes, tile_operands
+from repro.kernels.masked import activation_dtype, tile_operands
 from repro.runtime.executor import EXECUTORS, WaveStep, WaveTask, resolve_executor
 from repro.runtime.faults import FaultInjector, resolve_faults
 from repro.runtime.placement import Placement
@@ -497,8 +497,7 @@ class TWModelServer:
         ``run()``), so the first request then only pays the GEMMs.
         """
         for layer in self._layers:
-            tw = layer.tw
-            tile_operands(tw, gemm_dtypes(activation_dtype(tw.dtype), tw.dtype)[0])
+            tile_operands(layer.tw, activation_dtype(layer.tw.dtype))
 
     # ------------------------------------------------------------------ #
     # serving

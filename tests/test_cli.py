@@ -265,6 +265,27 @@ class TestServe:
         gemms = record["device_gemms"]
         assert gemms == {"Tesla V100-SXM2#0": 6, "Tesla V100-SXM2#1": 6}, gemms
 
+    def test_expect_all_ok_fails_on_a_non_finite_ok_output(self, monkeypatch, capsys):
+        import repro.api
+
+        stack = repro.api.demo_layer_stack
+
+        def overflowing(*args, **kwargs):
+            weights, names = stack(*args, **kwargs)
+            return [w * 1e30 for w in weights], names
+
+        # every request is served ok, but float32 overflows by layer 3
+        monkeypatch.setattr(repro.api, "demo_layer_stack", overflowing)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([
+                "serve", "bert", "--scale", "32", "--blocks", "1", "-G", "4",
+                "--requests", "4", "--rows", "2", "--expect-all-ok",
+            ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert re.search(r"statuses\s+ok:4\s", captured.out)
+        assert "4 ok with a non-finite output" in captured.err
+
     def test_bad_watchdog_rejected(self, capsys):
         rc = main([
             "serve", "bert", "--executor", "threaded", "--watchdog-s", "-1",

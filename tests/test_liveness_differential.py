@@ -125,10 +125,11 @@ def _pruned_chain(model, x, gemm=tw_gemm) -> np.ndarray:
 def _assert_within_tolerance(got, want, dtype: str, n_layers: int) -> None:
     """Max-normalised :data:`DTYPE_TOLERANCES` bound, one per chained layer.
 
-    int8 computes in float32 against the same dequantised weights on both
-    sides, so it takes the float32 row (tighter than its quantisation bound).
+    The row is the compute dtype's: float16 and int8 compute in float32
+    against the same weight values on both sides, so they take the float32
+    row (tighter than their storage rounding or quantisation bound).
     """
-    tol = DTYPE_TOLERANCES["float32" if dtype == "int8" else dtype]
+    tol = DTYPE_TOLERANCES[activation_dtype(dtype).name]
     got, want = np.asarray(got, np.float64), np.asarray(want, np.float64)
     bound = n_layers * (tol["atol"] + tol["rtol"] * max(1.0, np.abs(want).max()))
     err = np.abs(got - want).max()

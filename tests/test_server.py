@@ -94,6 +94,7 @@ class TestCaches:
                 memos.append((operands, [id(op) for op in operands]))
             res = server.serve(x)
         assert res.status == "ok", res
+        assert res.output.dtype == np.dtype(compute)  # no round-back to storage
         np.testing.assert_array_equal(res.output, model.run(x))
         # the first flush built no entry: same lists holding the same operands
         for layer, (operands, ids) in zip(model.layers, memos):

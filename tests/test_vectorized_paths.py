@@ -49,6 +49,7 @@ from repro.kernels.im2col import col2im, col2im_reference, im2col
 from repro.kernels.masked import (
     DEPTH_QUANTUM,
     DTYPE_TOLERANCES,
+    activation_dtype,
     tw_gemm,
     tw_gemm_reference,
     tw_gemm_work,
@@ -502,9 +503,10 @@ class TestTWGemmBatched:
 
     # --- the explicit oracle-comparison policy (mixed precision) -------
     # tw_gemm_reference is the float-payload scalar oracle and promotes
-    # its output to float64; the batched path preserves the storage
-    # dtype.  Policy: compare in the *batched path's* dtype (reference
-    # output cast to it), within the DTYPE_TOLERANCES table.
+    # its output to float64; the batched path computes in the activation
+    # dtype (float32 for fp16 storage).  Policy: compare in the *batched
+    # path's* dtype (reference output cast to it), within that dtype's
+    # row of the DTYPE_TOLERANCES table.
 
     @pytest.mark.parametrize("dtype", ["float64", "float32", "float16"])
     def test_float_dtypes_match_oracle_within_policy(self, dtype):
@@ -519,9 +521,10 @@ class TestTWGemmBatched:
         )
         a = rng.standard_normal((6, k)).astype(dtype)
         got = tw_gemm(a, tw)
-        assert got.dtype == np.dtype(dtype)
-        want = tw_gemm_reference(a, tw).astype(dtype)
-        tol = DTYPE_TOLERANCES[dtype]
+        compute = activation_dtype(dtype)
+        assert got.dtype == compute
+        want = tw_gemm_reference(a, tw).astype(compute)
+        tol = DTYPE_TOLERANCES[compute.name]
         np.testing.assert_allclose(got, want, rtol=tol["rtol"], atol=tol["atol"])
 
     def test_int8_matches_dequantised_float_path(self):
@@ -546,15 +549,17 @@ class TestTWGemmBatched:
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_compute_operand_memo_reused_across_calls(self):
-        # fp16 storage accumulates in fp32: the upcast operands are
-        # memoised per compute dtype, so a serving loop upcasts once
+        # fp16 storage computes in fp32: the upcast operands are memoised
+        # per compute dtype, so a serving loop upcasts once
         rng = np.random.default_rng(13)
         col_keep = np.ones(8, dtype=bool)
         masks = [np.ones(16, dtype=bool), np.ones(16, dtype=bool)]
         dense = rng.standard_normal((16, 8))
         tw = TiledTWMatrix.from_masks(dense, 4, col_keep, masks, dtype=np.float16)
-        a = rng.standard_normal((3, 16)).astype(np.float16)
+        a = rng.standard_normal((3, 16)).astype(np.float32)
         first = tw_gemm(a, tw)
+        assert first.dtype == np.float32
+        assert list(tw.__dict__["_tile_operands"]) == [np.dtype(np.float32).str]
         ccache = tw.__dict__["_tile_operands"][np.dtype(np.float32).str]
         ids = [id(v) for v in ccache]
         again = tw_gemm(a, tw)
