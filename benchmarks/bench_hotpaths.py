@@ -1,8 +1,8 @@
-"""Hot-path perf-regression benchmark: prune step, SpMM, formats, engine.
+"""Hot-path perf record: prune step, SpMM, formats, engine, kernels, serving.
 
 Times the vectorised production paths against their scalar reference
-oracles at BERT-base scale and writes ``BENCH_hotpaths.json`` so every
-future PR has a perf trajectory to regress against:
+oracles at BERT-base scale and writes ``BENCH_hotpaths.json``, the perf
+trajectory ``check_bench.py`` diffs a fresh run against:
 
 - **prune_step** — the global TW pruning step over the 12 BERT-base FFN
   expansion matrices (``768×3072``), swept over schedule stages (the
@@ -21,9 +21,11 @@ future PR has a perf trajectory to regress against:
   set, cold engine vs warm engine (the per-engine dense-cost and synthetic
   tile-stats memos).
 - **tw_gemm** — the plan-ordered gather-GEMM TW executor against the
-  one-kernel-per-tile ``tw_gemm_reference`` oracle on BERT-base FFN
-  geometry (768×3072), at serving batch sizes and dtypes.  The fast
-  path replays the weight's memoised tile operands, as a serving loop does.
+  one-kernel-per-tile ``tw_gemm_reference`` oracle and against dense
+  ``a @ W`` on the masked weights in the same dtype (``dense_ms``, the
+  baseline the paper argues against), on BERT-base FFN geometry
+  (768×3072) at serving batch sizes and dtypes.  The fast path replays
+  the weight's memoised tile operands, as a serving loop does.
 - **mixed_precision** — the TW GEMM at BERT-base FFN serving shapes under
   ``float32`` / ``float16`` / ``int8`` storage: measured host wall-clock
   (honest: host BLAS has no reduced-precision kernels, so dtypes tie),
@@ -36,9 +38,6 @@ future PR has a perf trajectory to regress against:
   float64 bit-identity asserted before timing; ``fused_fortran_ms``
   times the fused consumer on the Fortran-ordered input ``tw_gemm``
   returns.
-- **server** — cold request latency (``repro.compile`` → ``serve()`` →
-  first request) against a warm request, which only pays the GEMMs, and
-  micro-batched vs sequential throughput.
 - **server_parallel** — the BERT-base encoder layer stack compiled through
   ``repro.compile`` and served on one device (row ``single``, on
   ``inline``) and on two replicas (row ``replicated_x2``, on ``inline``
@@ -55,15 +54,28 @@ future PR has a perf trajectory to regress against:
   driving the bisection path).  Every scenario must end with all requests
   ``ok``, so ``flush_wall_ms`` measures the retry/bisect work itself.
 
+Every section but the two serving ones is a row table (:func:`row_table`):
+a list of cases, each with its identity fields, the named callables to
+time and any extra fields.  ``reference_*`` columns time the seed scalar
+implementations (kept in-tree as oracles); the other ``*_ms`` columns time
+the production paths, except ``dense_ms``, which times numpy.  All are
+wall-clock, best-of-N, in milliseconds.
+
+Each section records its own provenance: ``host`` (twbench's
+``fingerprint()``: CPU count, BLAS vendor, version and threads, numpy,
+python), ``commit`` (``git describe --always --dirty``) and ``quick``.
+A timing compares only against one from the same host.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py [--quick] [--out F]
-    PYTHONPATH=src python benchmarks/bench_hotpaths.py --sections server,tw_gemm
+    PYTHONPATH=src python benchmarks/bench_hotpaths.py --sections tw_gemm,fusion
 
 ``--quick`` runs a reduced sweep for the ``perf_smoke`` pytest marker.
 ``--sections`` runs only the named sections (comma-separated) and merges
 them into the existing ``--out`` file, so one subsystem's numbers can be
-refreshed without re-timing the whole sweep.
+refreshed without re-timing the whole sweep; every other section keeps
+its own ``host`` and ``commit``.
 This file is a standalone script, not a pytest-benchmark module, so it can
 run in CI without the benchmark plugin.
 """
@@ -71,16 +83,18 @@ run in CI without the benchmark plugin.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
-import os
-import platform
+import subprocess
 import time
 from pathlib import Path
 
 import numpy as np
 
+REPO = Path(__file__).resolve().parent.parent
 BERT_LAYERS = 12
 BERT_K, BERT_N = 768, 3072
+SPEEDUP = {"speedup": ("reference_ms", "vectorized_ms")}
 
 
 def _best_of(fn, reps: int) -> float:
@@ -91,6 +105,31 @@ def _best_of(fn, reps: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best * 1e3
+
+
+def row_table(section: str, cases, reps: int, ratios: dict | None = None) -> list[dict]:
+    """Time every case of a section: one printed line and one row per case.
+
+    A case is a dict of identity and extra fields plus ``timed``, a
+    ``{column: callable}`` map; each callable is timed best-of-``reps``
+    (a case's own ``reps`` overrides it) and recorded to four significant
+    figures.  ``ratios`` maps a ratio column to its ``(numerator,
+    denominator)`` timed columns.  ``cases`` may be a generator, so a case
+    builds its inputs only when its turn comes.
+    """
+    rows = []
+    for case in cases:
+        row = {k: v for k, v in case.items() if k not in ("timed", "reps")}
+        ms = {
+            col: _best_of(fn, case.get("reps", reps))
+            for col, fn in case["timed"].items()
+        }
+        row.update((col, float(f"{t:.4g}")) for col, t in ms.items())
+        for col, (num, den) in (ratios or {}).items():
+            row[col] = round(ms[num] / ms[den], 2)
+        print(f"{section:<16s}" + "  ".join(f"{k}={v}" for k, v in row.items()))
+        rows.append(row)
+    return rows
 
 
 def bench_prune(quick: bool) -> dict:
@@ -105,33 +144,24 @@ def bench_prune(quick: bool) -> dict:
     else:
         configs = [(0.25, 16), (0.25, 32), (0.5, 32), (0.75, 32), (0.75, 128)]
     rng = np.random.default_rng(0)
-    rows = []
-    for sparsity, g in configs:
-        # fresh score matrices per config — a pruning schedule recomputes
-        # Taylor scores every stage, so the data is always newly written
-        mats = [
-            np.abs(rng.standard_normal((BERT_K, BERT_N))) for _ in range(BERT_LAYERS)
-        ]
-        cfg = TWPruneConfig(granularity=g)
-        ref_ms = _best_of(lambda: tw_prune_step_reference(mats, sparsity, cfg), 1)
-        vec_ms = _best_of(lambda: tw_prune_step(mats, sparsity, cfg), 1)
-        rows.append(
-            {
-                "sparsity": sparsity,
-                "granularity": g,
-                "reference_ms": round(ref_ms, 1),
-                "vectorized_ms": round(vec_ms, 1),
-                "speedup": round(ref_ms / vec_ms, 1),
-            }
-        )
-        print(
-            f"prune  s={sparsity:.2f} G={g:<3d} ref {ref_ms:8.1f}ms  "
-            f"vec {vec_ms:7.1f}ms  {ref_ms / vec_ms:5.1f}x"
-        )
+
+    def cases():
+        for sparsity, g in configs:
+            # fresh score matrices per config — a pruning schedule recomputes
+            # Taylor scores every stage, so the data is always newly written
+            mats = [
+                np.abs(rng.standard_normal((BERT_K, BERT_N)))
+                for _ in range(BERT_LAYERS)
+            ]
+            cfg = TWPruneConfig(granularity=g)
+            yield {"sparsity": sparsity, "granularity": g, "timed": {
+                "reference_ms": lambda: tw_prune_step_reference(mats, sparsity, cfg),
+                "vectorized_ms": lambda: tw_prune_step(mats, sparsity, cfg),
+            }}
+
     return {
         "scale": f"{BERT_LAYERS}x({BERT_K}x{BERT_N})",
-        "configs": rows,
-        "headline_speedup": max(r["speedup"] for r in rows),
+        "configs": row_table("prune_step", cases(), 1, SPEEDUP),
     }
 
 
@@ -152,27 +182,17 @@ def bench_spmm(quick: bool) -> dict:
     csc = CSCMatrix.from_dense(w.T)
     rhs = rng.standard_normal((n, b))
     lhs = rng.standard_normal((b, n))
-
-    ref_r = _best_of(lambda: spmm_rowwise_reference(csr, rhs), 1)
-    vec_r = _best_of(lambda: csr_spmm(csr, rhs), 3)
-    ref_c = _best_of(lambda: spmm_colwise_reference(lhs, csc), 1)
-    vec_c = _best_of(lambda: csc_left_spmm(lhs, csc), 3)
-    print(f"spmm   csr ref {ref_r:8.1f}ms  vec {vec_r:7.1f}ms  {ref_r / vec_r:5.1f}x")
-    print(f"spmm   csc ref {ref_c:8.1f}ms  vec {vec_c:7.1f}ms  {ref_c / vec_c:5.1f}x")
-    return {
-        "shape": [k, n, b],
-        "nnz": csr.nnz,
-        "csr": {
-            "reference_ms": round(ref_r, 2),
-            "vectorized_ms": round(vec_r, 2),
-            "speedup": round(ref_r / vec_r, 1),
-        },
-        "csc": {
-            "reference_ms": round(ref_c, 2),
-            "vectorized_ms": round(vec_c, 2),
-            "speedup": round(ref_c / vec_c, 1),
-        },
-    }
+    cases = [
+        {"format": "csr", "shape": [k, n, b], "nnz": csr.nnz, "timed": {
+            "reference_ms": lambda: spmm_rowwise_reference(csr, rhs),
+            "vectorized_ms": lambda: csr_spmm(csr, rhs),
+        }},
+        {"format": "csc", "shape": [k, n, b], "nnz": csc.nnz, "timed": {
+            "reference_ms": lambda: spmm_colwise_reference(lhs, csc),
+            "vectorized_ms": lambda: csc_left_spmm(lhs, csc),
+        }},
+    ]
+    return {"configs": row_table("spmm", cases, 3, SPEEDUP)}
 
 
 def bench_transpose(quick: bool) -> dict:
@@ -183,29 +203,15 @@ def bench_transpose(quick: bool) -> dict:
     # 2-D blocked loop *is* the fastest known implementation (panel and
     # reshape variants measured ~2.5x slower), so parity is the expectation
     small = rng.standard_normal((128, 128))
-    m, n = (1024, 768) if quick else (4096, 3072)
-    large = rng.standard_normal((m, n))
-    reps = 5 if quick else 3
-    ref_s = _best_of(lambda: blocked_transpose_reference(small), 20)
-    vec_s = _best_of(lambda: blocked_transpose(small), 20)
-    ref_l = _best_of(lambda: blocked_transpose_reference(large), reps)
-    vec_l = _best_of(lambda: blocked_transpose(large), reps)
-    print(f"transp sml ref {ref_s:8.2f}ms  vec {vec_s:7.2f}ms  {ref_s / vec_s:5.1f}x")
-    print(f"transp lrg ref {ref_l:8.1f}ms  vec {vec_l:7.1f}ms  {ref_l / vec_l:5.1f}x")
-    return {
-        "small": {
-            "shape": [128, 128],
-            "reference_ms": round(ref_s, 3),
-            "vectorized_ms": round(vec_s, 3),
-            "speedup": round(ref_s / vec_s, 1),
-        },
-        "large": {
-            "shape": [m, n],
-            "reference_ms": round(ref_l, 2),
-            "vectorized_ms": round(vec_l, 2),
-            "speedup": round(ref_l / vec_l, 1),
-        },
-    }
+    large = rng.standard_normal((1024, 768) if quick else (4096, 3072))
+    cases = [
+        {"shape": list(x.shape), "reps": reps, "timed": {
+            "reference_ms": lambda x=x: blocked_transpose_reference(x),
+            "vectorized_ms": lambda x=x: blocked_transpose(x),
+        }}
+        for x, reps in [(small, 20), (large, 5 if quick else 3)]
+    ]
+    return {"configs": row_table("transpose", cases, 3, SPEEDUP)}
 
 
 def bench_formats(quick: bool) -> dict:
@@ -215,45 +221,40 @@ def bench_formats(quick: bool) -> dict:
 
     rng = np.random.default_rng(3)
     w = rng.standard_normal((BERT_N, BERT_K)) * (rng.random((BERT_N, BERT_K)) < 0.1)
-    csr_ms = _best_of(lambda: CSRMatrix.from_dense(w), 2 if quick else 3)
-
     dense = rng.standard_normal((BERT_K, BERT_N))
     step = tw_prune_step([np.abs(dense)], 0.75, TWPruneConfig(granularity=128))
-    tw_ms = _best_of(
-        lambda: TiledTWMatrix.from_masks(
-            dense, 128, step.col_keeps[0], step.row_masks[0]
-        ),
-        2 if quick else 3,
-    )
-    print(f"format csr_from_dense {csr_ms:7.1f}ms   tiled_from_masks {tw_ms:7.1f}ms")
-    return {
-        "csr_from_dense_ms": round(csr_ms, 2),
-        "tiled_from_masks_ms": round(tw_ms, 2),
-    }
+    cases = [
+        {"format": "csr", "shape": [BERT_N, BERT_K], "timed": {
+            "build_ms": lambda: CSRMatrix.from_dense(w),
+        }},
+        {"format": "tiled", "shape": [BERT_K, BERT_N], "timed": {
+            "build_ms": lambda: TiledTWMatrix.from_masks(
+                dense, 128, step.col_keeps[0], step.row_masks[0]
+            ),
+        }},
+    ]
+    return {"configs": row_table("formats", cases, 2 if quick else 3)}
 
 
 def bench_end_to_end(quick: bool) -> dict:
     from repro.models.registry import bert_base_gemm_shapes
     from repro.gpu.engine import EngineConfig, InferenceEngine, LayerPlan
 
-    shapes = bert_base_gemm_shapes()
-    plans = [LayerPlan(shape=s, pattern="tw", sparsity=0.75) for s in shapes]
+    plans = [
+        LayerPlan(shape=s, pattern="tw", sparsity=0.75)
+        for s in bert_base_gemm_shapes()
+    ]
     config = EngineConfig()
-
-    def cold() -> None:
-        InferenceEngine().end_to_end("bert", plans, config)
-
     engine = InferenceEngine()
     engine.end_to_end("bert", plans, config)  # prime the memos
-
-    cold_ms = _best_of(cold, 2 if quick else 3)
-    warm_ms = _best_of(lambda: engine.end_to_end("bert", plans, config), 3)
-    print(f"e2e    cold {cold_ms:9.2f}ms  warm {warm_ms:7.2f}ms  {cold_ms / warm_ms:5.1f}x")
+    cases = [{"model": "bert", "timed": {
+        "cold_ms": lambda: InferenceEngine().end_to_end("bert", plans, config),
+        "warm_ms": lambda: engine.end_to_end("bert", plans, config),
+    }}]
     return {
-        "model": "bert",
-        "cold_ms": round(cold_ms, 2),
-        "warm_ms": round(warm_ms, 2),
-        "memo_speedup": round(cold_ms / warm_ms, 1),
+        "configs": row_table(
+            "end_to_end", cases, 3, {"memo_speedup": ("cold_ms", "warm_ms")}
+        )
     }
 
 
@@ -274,103 +275,33 @@ def bench_tw_gemm(quick: bool) -> dict:
         ]
     rng = np.random.default_rng(4)
     dense = rng.standard_normal((BERT_K, BERT_N))
-    rows = []
-    steps = {}
-    for m, g, sparsity, dtype in configs:
-        if (g, sparsity) not in steps:
-            steps[(g, sparsity)] = tw_prune_step(
+
+    def cases():
+        for m, g, sparsity, dtype in configs:
+            step = tw_prune_step(
                 [np.abs(dense)], sparsity, TWPruneConfig(granularity=g)
             )
-        step = steps[(g, sparsity)]
-        tw = TiledTWMatrix.from_masks(
-            dense, g, step.col_keeps[0], step.row_masks[0], dtype=np.dtype(dtype)
-        )
-        a = rng.standard_normal((m, BERT_K)).astype(dtype)
-        tw_gemm(a, tw)  # build the tile operands once, as a server's warm() does
-        reps = 1 if m > 1024 else 3
-        ref_ms = _best_of(lambda: tw_gemm_reference(a, tw), reps)
-        bat_ms = _best_of(lambda: tw_gemm(a, tw), reps + 2)
-        rows.append(
-            {
-                "m": m,
-                "granularity": g,
-                "sparsity": sparsity,
-                "dtype": dtype,
-                "n_tiles": tw.n_tiles,
-                "reference_ms": round(ref_ms, 2),
-                "batched_ms": round(bat_ms, 2),
-                "speedup": round(ref_ms / bat_ms, 1),
+            tw = TiledTWMatrix.from_masks(
+                dense, g, step.col_keeps[0], step.row_masks[0], dtype=np.dtype(dtype)
+            )
+            w = tw.to_dense()  # the masked weights, same dtype, built untimed
+            a = rng.standard_normal((m, BERT_K)).astype(dtype)
+            tw_gemm(a, tw)  # build the tile operands once, as a server's warm() does
+            yield {
+                "m": m, "granularity": g, "sparsity": sparsity, "dtype": dtype,
+                "n_tiles": tw.n_tiles, "reps": 2 if m > 1024 else 5, "timed": {
+                    "reference_ms": lambda: tw_gemm_reference(a, tw),
+                    "batched_ms": lambda: tw_gemm(a, tw),
+                    "dense_ms": lambda: a @ w,
+                },
             }
-        )
-        print(
-            f"twgemm m={m:<5d} G={g:<3d} s={sparsity:.2f} {dtype:<7s} "
-            f"ref {ref_ms:8.2f}ms  bat {bat_ms:7.2f}ms  {ref_ms / bat_ms:5.1f}x"
-        )
+
     return {
         "scale": f"{BERT_K}x{BERT_N}",
-        "configs": rows,
-        "headline_speedup": max(r["speedup"] for r in rows),
-    }
-
-
-def bench_server(quick: bool) -> dict:
-    import repro
-
-    n_layers, k, g, sparsity = 4, 768, 16, 0.75
-    rng = np.random.default_rng(5)
-    weights = [rng.standard_normal((k, k)) for _ in range(n_layers)]
-
-    x = rng.standard_normal((32, k)).astype(np.float32)
-    # cold: the offline compile, then serve() and the first request
-    t0 = time.perf_counter()
-    model = repro.compile(weights, sparsity=sparsity, granularity=g, dtype=np.float32)
-    server = model.serve()
-    server.serve(x)
-    cold_ms = (time.perf_counter() - t0) * 1e3
-    warm_ms = _best_of(lambda: server.serve(x), 3 if quick else 5)
-    # the server runs the compiled formats themselves
-    assert np.array_equal(server.serve(x).output, model.run(x))
-    assert server.stats.format_hits >= n_layers
-
-    n_req, req_rows = (16, 8) if quick else (64, 8)
-    reqs = [rng.standard_normal((req_rows, k)).astype(np.float32) for _ in range(n_req)]
-    seq_server = model.serve()
-    seq_server.warm()
-    t0 = time.perf_counter()
-    for r in reqs:
-        seq_server.serve(r)
-    seq_s = time.perf_counter() - t0
-    mb_server = model.serve()
-    mb_server.warm()
-    t0 = time.perf_counter()
-    for r in reqs:
-        mb_server.submit(r)
-    mb_server.flush()
-    mb_s = time.perf_counter() - t0
-    total_rows = n_req * req_rows
-    print(
-        f"server cold {cold_ms:8.2f}ms  warm {warm_ms:7.2f}ms  "
-        f"{cold_ms / warm_ms:5.1f}x amortized"
-    )
-    print(
-        f"server seq {total_rows / seq_s:9.0f} rows/s  microbatched "
-        f"{total_rows / mb_s:9.0f} rows/s  {seq_s / mb_s:5.1f}x"
-    )
-    return {
-        "model": f"{n_layers}x({k}x{k})",
-        "granularity": g,
-        "sparsity": sparsity,
-        "dtype": "float32",
-        "cold_request_ms": round(cold_ms, 2),
-        "warm_request_ms": round(warm_ms, 2),
-        "cache_amortization": round(cold_ms / warm_ms, 1),
-        "throughput": {
-            "requests": n_req,
-            "rows_per_request": req_rows,
-            "sequential_rows_per_s": round(total_rows / seq_s),
-            "microbatched_rows_per_s": round(total_rows / mb_s),
-            "microbatch_speedup": round(seq_s / mb_s, 1),
-        },
+        "configs": row_table("tw_gemm", cases(), 5, {
+            "speedup": ("reference_ms", "batched_ms"),
+            "speedup_vs_dense": ("dense_ms", "batched_ms"),
+        }),
     }
 
 
@@ -487,10 +418,9 @@ def bench_parallel_server(quick: bool) -> dict:
 
 
 def bench_faults_server(quick: bool) -> dict:
-    """Recovery overhead of the fault-tolerant serving path (ISSUE 6)."""
+    """Recovery overhead of the fault-tolerant serving path."""
     import repro
     from repro.api import demo_layer_stack
-    from repro.runtime.faults import resolve_faults
     from repro.runtime.server import ServerConfig
 
     g, sparsity, dtype = 64, 0.75, "float32"
@@ -507,14 +437,13 @@ def bench_faults_server(quick: bool) -> dict:
     ]
 
     # every scenario must end all-ok, so flush_wall_ms measures *recovery*
-    # (retry/bisect work), not partial service.  The injector attaches
-    # after the warm-up serve: the warm wave is index 0, the timed waves
-    # start at 1, and fault budgets are untouched by the warm-up.
+    # (retry/bisect work), not partial service.  warm() builds the tile
+    # operands without running a wave, so the timed waves start at index 0.
     scenarios = {
         # no injector at all: the baseline the overhead column compares to
         "fault_free": None,
         # two timed waves each fail once and retry at fresh wave indices
-        "transient_exceptions": "exception:wave=1;exception:wave=2",
+        "transient_exceptions": "exception:wave=0;exception:wave=1",
         # probabilistic 1 ms spikes: absorbed in-wave, never retried
         "latency_spikes": "latency:rate=0.5:duration=0.001:seed=1",
         # one wave burns the whole retry budget (3 fires), gets bisected,
@@ -529,10 +458,9 @@ def bench_faults_server(quick: bool) -> dict:
 
         def once():
             server = model.serve(ServerConfig(
-                max_wave_rows=2 * req_rows, max_retries=2,
+                max_wave_rows=2 * req_rows, max_retries=2, faults=spec,
             ))
-            server.serve(reqs[0])  # warm: tile operands built (wave 0)
-            object.__setattr__(server.config, "faults", resolve_faults(spec))
+            server.warm()
             for r in reqs:
                 server.submit(r)
             t0 = time.perf_counter()
@@ -609,55 +537,40 @@ def bench_mixed_precision(quick: bool) -> dict:
         )
         for d in ["float64", *dtypes]
     }
-    fp32_payload = sum(t.data.nbytes for t in tws["float32"].tiles)
-    rows = []
-    for m in ms:
-        a64 = rng.standard_normal((m, BERT_K))
-        want = tw_gemm(a64, tws["float64"])
-        scale_ref = float(np.abs(want).max())
-        modeled = {}
-        for d in dtypes:
-            opts = TWExecutionOptions(
-                engine=engine_for_dtype(d), dtype_bytes=_DTYPE_BYTES[d]
-            )
-            modeled[d] = tw_gemm_cost(m, tws[d], options=opts).total_us
-        for d in dtypes:
-            tw = tws[d]
-            a = a64.astype(activation_dtype(d))
-            tw_gemm(a, tw)  # build the operand memo, as a server's warm() does
-            bat_ms = _best_of(lambda: tw_gemm(a, tw), 5)
-            got = tw_gemm(a, tw).astype(np.float64)
-            payload = sum(t.data.nbytes for t in tw.tiles)
-            rows.append(
-                {
-                    "m": m,
-                    "granularity": g,
-                    "sparsity": sparsity,
-                    "dtype": d,
-                    "batched_ms": round(bat_ms, 2),
+    payload = {d: sum(t.data.nbytes for t in tws[d].tiles) for d in dtypes}
+
+    def cases():
+        for m in ms:
+            a64 = rng.standard_normal((m, BERT_K))
+            want = tw_gemm(a64, tws["float64"])
+            modeled = {
+                d: tw_gemm_cost(m, tws[d], options=TWExecutionOptions(
+                    engine=engine_for_dtype(d), dtype_bytes=_DTYPE_BYTES[d]
+                )).total_us
+                for d in dtypes
+            }
+            for d in dtypes:
+                tw = tws[d]
+                a = a64.astype(activation_dtype(d))
+                # also builds the operand memo, as a server's warm() does
+                got = tw_gemm(a, tw).astype(np.float64)
+                yield {
+                    "m": m, "granularity": g, "sparsity": sparsity, "dtype": d,
                     "modeled_device_us": round(modeled[d], 1),
-                    "modeled_speedup_vs_fp32": round(
-                        modeled["float32"] / modeled[d], 2
+                    "modeled_speedup_vs_fp32": round(modeled["float32"] / modeled[d], 2),
+                    "payload_bytes": payload[d],
+                    "payload_compression_vs_fp32": round(
+                        payload["float32"] / payload[d], 2
                     ),
-                    "payload_bytes": payload,
-                    "payload_compression_vs_fp32": round(fp32_payload / payload, 2),
                     "max_rel_err_vs_float64": float(
-                        np.abs(got - want).max() / scale_ref
+                        np.abs(got - want).max() / np.abs(want).max()
                     ),
+                    "timed": {"batched_ms": lambda: tw_gemm(a, tw)},
                 }
-            )
-            print(
-                f"mixedp m={m:<4d} {d:<8s} bat {bat_ms:6.2f}ms  "
-                f"modeled {modeled[d]:8.1f}us "
-                f"({modeled['float32'] / modeled[d]:4.2f}x vs fp32)  "
-                f"payload {payload / 1e6:5.2f}MB"
-            )
+
     return {
         "scale": f"{BERT_K}x{BERT_N} G={g} s={sparsity}",
-        "configs": rows,
-        "headline_modeled_speedup_vs_fp32": max(
-            r["modeled_speedup_vs_fp32"] for r in rows
-        ),
+        "configs": row_table("mixed_precision", cases(), 5),
         "note": (
             "batched_ms is host wall-clock (NumPy BLAS has no "
             "reduced-precision kernels: fp16/int8 weights are storage and "
@@ -685,68 +598,48 @@ def bench_fusion(quick: bool) -> dict:
     from repro.kernels.fusion import apply_epilogue, resolve_epilogue_spec
 
     ms = [128] if quick else [128, 512]
-    cases = [
+    epilogues = [
         ("bias_gelu", BERT_N, False),
         ("bias_layernorm", BERT_K, False),
         ("dropout_residual_layernorm", BERT_K, True),
     ]
     rng = np.random.default_rng(9)
-    rows = []
-    for m in ms:
-        for name, n, needs_res in cases:
-            spec = resolve_epilogue_spec(name, n=n)
-            spec = dataclasses.replace(
-                spec,
-                bias=rng.standard_normal(n),
-                gamma=1.0 + 0.1 * rng.standard_normal(n),
-                beta=0.1 * rng.standard_normal(n),
-            )
-            y = rng.standard_normal((m, n))
-            residual = rng.standard_normal((m, n)) if needs_res else None
-            fused = apply_epilogue(y, spec, residual=residual)
-            ref = apply_epilogue(y, spec, residual=residual, reference=True)
-            y_f = np.asfortranarray(y)
-            identical = bool(
-                np.array_equal(fused, ref)
-                and np.array_equal(apply_epilogue(y_f, spec, residual=residual), fused)
-            )
-            fused_ms = _best_of(
-                lambda: apply_epilogue(y, spec, residual=residual), 5
-            )
-            fused_fortran_ms = _best_of(
-                lambda: apply_epilogue(y_f, spec, residual=residual), 5
-            )
-            ref_ms = _best_of(
-                lambda: apply_epilogue(
-                    y, spec, residual=residual, reference=True
-                ),
-                5,
-            )
-            rows.append(
-                {
-                    "m": m,
-                    "shape": f"{m}x{n}",
-                    "epilogue": name,
-                    "fused_ms": round(fused_ms, 3),
-                    "fused_fortran_ms": round(fused_fortran_ms, 3),
-                    "reference_unfused_ms": round(ref_ms, 3),
-                    "speedup_vs_unfused": round(ref_ms / fused_ms, 2),
-                    "bit_identical_float64": identical,
+
+    def cases():
+        for m in ms:
+            for name, n, needs_res in epilogues:
+                spec = dataclasses.replace(
+                    resolve_epilogue_spec(name, n=n),
+                    bias=rng.standard_normal(n),
+                    gamma=1.0 + 0.1 * rng.standard_normal(n),
+                    beta=0.1 * rng.standard_normal(n),
+                )
+                y = rng.standard_normal((m, n))
+                y_f = np.asfortranarray(y)
+                res = rng.standard_normal((m, n)) if needs_res else None
+                fused = apply_epilogue(y, spec, residual=res)
+                ref = apply_epilogue(y, spec, residual=res, reference=True)
+                yield {
+                    "m": m, "shape": f"{m}x{n}", "epilogue": name,
+                    "bit_identical_float64": bool(
+                        np.array_equal(fused, ref)
+                        and np.array_equal(apply_epilogue(y_f, spec, residual=res), fused)
+                    ),
+                    "timed": {
+                        "fused_ms": lambda: apply_epilogue(y, spec, residual=res),
+                        "fused_fortran_ms": lambda: apply_epilogue(y_f, spec, residual=res),
+                        "reference_unfused_ms": lambda: apply_epilogue(
+                            y, spec, residual=res, reference=True
+                        ),
+                    },
                 }
-            )
-            print(
-                f"fusion m={m:<4d} {name:<27s} fused {fused_ms:6.3f}ms  "
-                f"(Fortran input {fused_fortran_ms:6.3f}ms)  "
-                f"unfused {ref_ms:6.3f}ms  {ref_ms / fused_ms:4.2f}x  "
-                f"{'bit-identical' if identical else 'MISMATCH'}"
-            )
+
+    rows = row_table(
+        "fusion", cases(), 5, {"speedup_vs_unfused": ("reference_unfused_ms", "fused_ms")}
+    )
     if not all(r["bit_identical_float64"] for r in rows):
         raise AssertionError("fused epilogue diverged from its float64 oracle")
-    return {
-        "scale": f"BERT-base tails ({BERT_K}/{BERT_N} wide)",
-        "configs": rows,
-        "headline_speedup": max(r["speedup_vs_unfused"] for r in rows),
-    }
+    return {"scale": f"BERT-base tails ({BERT_K}/{BERT_N} wide)", "configs": rows}
 
 
 #: section name -> bench function; ``--sections`` validates against this
@@ -759,20 +652,29 @@ SECTIONS = {
     "tw_gemm": bench_tw_gemm,
     "mixed_precision": bench_mixed_precision,
     "fusion": bench_fusion,
-    "server": bench_server,
     "server_parallel": bench_parallel_server,
     "server_faults": bench_faults_server,
 }
 
 
+def provenance(quick: bool) -> dict:
+    """What every section records besides its rows: host, commit, sweep."""
+    spec = importlib.util.spec_from_file_location(
+        "twbench_common", REPO / "twbench" / "common.py"
+    )
+    common = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(common)
+    commit = subprocess.run(
+        ["git", "describe", "--always", "--dirty"],
+        cwd=REPO, capture_output=True, text=True,
+    ).stdout.strip()
+    return {"host": common.fingerprint(), "commit": commit, "quick": quick}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="reduced sweep")
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_hotpaths.json",
-    )
+    parser.add_argument("--out", type=Path, default=REPO / "BENCH_hotpaths.json")
     parser.add_argument(
         "--sections",
         type=str,
@@ -799,28 +701,17 @@ def main() -> None:
         if not selected:
             parser.error("--sections given but no section names parsed")
 
-    record: dict = {"meta": {
-        "quick": args.quick,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-        "note": (
-            "reference_* columns time the seed scalar implementations "
-            "(kept in-tree as oracles); vectorized_* time the production "
-            "paths. Wall-clock, best-of-N."
-        ),
-    }}
     # a partial run refreshes sections in place so the out file stays a
     # complete record, minus sections no longer in SECTIONS; a full run
     # starts from scratch
-    if args.sections is not None:
-        record["meta"]["sections"] = selected
-        if args.out.exists():
-            old = json.loads(args.out.read_text())
-            record.update((name, old[name]) for name in SECTIONS if name in old)
+    record: dict = {}
+    if args.sections is not None and args.out.exists():
+        old = json.loads(args.out.read_text())
+        record.update((name, old[name]) for name in SECTIONS if name in old)
+    stamp = provenance(args.quick)
     for name in SECTIONS:  # canonical order regardless of --sections order
         if name in selected:
-            record[name] = SECTIONS[name](args.quick)
+            record[name] = {**stamp, **SECTIONS[name](args.quick)}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out} ({len(selected)}/{len(SECTIONS)} sections)")
 

@@ -1,11 +1,17 @@
 """Diff a fresh hot-path benchmark run against the checked-in baseline.
 
-Walks ``BENCH_hotpaths.json`` and a freshly produced record in parallel and
-flags every production timing (``*_ms`` leaves, excluding the
-``reference_*`` oracle columns) that regressed by more than ``--threshold``
-(default 2x).  This is the PR-time companion to the ``perf_smoke`` pytest
-tripwire: the tripwire only catches catastrophic loop regressions, this
-catches the gradual ones the ROADMAP perf contract warns about.
+Walks ``BENCH_hotpaths.json`` and a freshly produced record section by
+section and flags every production timing (``*_ms`` leaves, excluding the
+``reference_*`` oracle columns and ``dense_ms``, which times numpy) that
+regressed by more than ``--threshold`` (default 2x).  This is the PR-time
+companion to the ``perf_smoke`` pytest tripwire: the tripwire only catches
+catastrophic loop regressions, this catches the gradual ones the ROADMAP
+perf contract warns about.
+
+A timing compares only against one from the same host: a section is
+diffed only when its ``host`` fingerprint equals the fresh section's.
+Any other section is reported "not comparable" and counts as neither a
+pass nor a fail; regenerate it with ``bench_hotpaths.py`` on that host.
 
 Usage::
 
@@ -13,9 +19,7 @@ Usage::
     PYTHONPATH=src python benchmarks/check_bench.py --quick    # faster sweep
     PYTHONPATH=src python benchmarks/check_bench.py --fresh F  # diff a saved run
 
-Exits non-zero when a regression is flagged, so it can gate CI.  Absolute
-times on different machines are incomparable — regenerate the baseline with
-``bench_hotpaths.py`` before gating on a new host.
+Exits non-zero when a regression is flagged, so it can gate CI.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ BASELINE = REPO / "BENCH_hotpaths.json"
 #: by list position, so a changed sweep can't silently compare two
 #: different configs against each other
 _IDENTITY_FIELDS = (
-    "m", "granularity", "sparsity", "dtype", "epilogue", "shape", "scale", "model"
+    "m", "granularity", "sparsity", "dtype", "epilogue", "format", "shape",
+    "scale", "model",
 )
 
 
@@ -66,35 +71,48 @@ def timing_leaves(node, prefix: str = "") -> dict[str, float]:
 
 
 def is_production_timing(path: str) -> bool:
-    """Oracle (``reference_*``) columns are trajectory-only, never gated."""
+    """``reference_*`` oracles and numpy's ``dense_ms`` are trajectory-only."""
     leaf = path.rsplit(".", 1)[-1]
-    return not leaf.startswith("reference")
+    return not leaf.startswith("reference") and leaf != "dense_ms"
+
+
+def host_diff(section: dict, fresh_section: dict) -> list[str]:
+    """The ``host`` fingerprint fields on which two sections differ."""
+    a, b = section.get("host") or {}, fresh_section.get("host") or {}
+    return [k for k in sorted({*a, *b}) if a.get(k) != b.get(k)]
 
 
 def compare(
     baseline: dict, fresh: dict, threshold: float
 ) -> tuple[list[str], list[str]]:
-    """Return (regressions, notes) comparing matching ``*_ms`` leaves."""
-    base = timing_leaves(baseline)
-    new = timing_leaves(fresh)
+    """Return (regressions, notes) comparing same-host sections' ``*_ms`` leaves."""
     regressions: list[str] = []
     notes: list[str] = []
-    for path in sorted(base):
-        if path not in new:
-            notes.append(f"baseline-only timing {path} (bench config changed?)")
+    for name in sorted(set(fresh) - set(baseline)):
+        notes.append(f"new section {name} (not in baseline)")
+    for name, section in baseline.items():
+        if name not in fresh:
+            notes.append(f"baseline-only section {name}")
             continue
-        if not is_production_timing(path):
+        differ = host_diff(section, fresh[name])
+        if differ:
+            notes.append(f"{name}: not comparable (host differs: {', '.join(differ)})")
             continue
-        b, f = base[path], new[path]
-        if b <= 0:
-            continue
-        ratio = f / b
-        if ratio > threshold:
-            regressions.append(
-                f"{path}: {b:.2f}ms -> {f:.2f}ms ({ratio:.1f}x slower)"
-            )
-    for path in sorted(set(new) - set(base)):
-        notes.append(f"new timing {path} (not in baseline)")
+        base = timing_leaves(section, name)
+        new = timing_leaves(fresh[name], name)
+        for path in sorted(base):
+            if path not in new:
+                notes.append(f"baseline-only timing {path} (bench config changed?)")
+                continue
+            b, f = base[path], new[path]
+            if not is_production_timing(path) or b <= 0:
+                continue
+            if f / b > threshold:
+                regressions.append(
+                    f"{path}: {b:.2f}ms -> {f:.2f}ms ({f / b:.1f}x slower)"
+                )
+        for path in sorted(set(new) - set(base)):
+            notes.append(f"new timing {path} (not in baseline)")
     return regressions, notes
 
 
@@ -128,11 +146,6 @@ def main() -> int:
         fresh = json.loads(args.fresh.read_text())
     else:
         fresh = run_fresh(args.quick)
-    if args.quick != bool(baseline.get("meta", {}).get("quick")):
-        print(
-            "note: quick/full sweep mismatch vs baseline — only matching "
-            "configs are compared"
-        )
 
     regressions, notes = compare(baseline, fresh, args.threshold)
     for note in notes:
@@ -142,8 +155,12 @@ def main() -> int:
         for r in regressions:
             print(f"  {r}")
         return 1
-    print(f"ok: no production timing regressed > {args.threshold:.1f}x "
-          f"({args.baseline.name})")
+    compared = sum(
+        name in fresh and not host_diff(section, fresh[name])
+        for name, section in baseline.items()
+    )
+    print(f"ok: no production timing regressed > {args.threshold:.1f}x in the "
+          f"{compared}/{len(baseline)} same-host sections ({args.baseline.name})")
     return 0
 
 

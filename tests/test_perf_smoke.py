@@ -69,8 +69,3 @@ def test_quick_bench_under_ceilings(tmp_path):
             "the per-tile loop sneak back into the batched path?"
         )
         assert row["batched_ms"] < row["reference_ms"]
-
-    # the offline compile must amortise: cold pays compile -> serve() ->
-    # first request, a warm request pays only the GEMMs
-    server = record["server"]
-    assert server["warm_request_ms"] < server["cold_request_ms"]
